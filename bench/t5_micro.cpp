@@ -1,9 +1,11 @@
 // T5 — Substrate microbenchmarks (google-benchmark).
 //
 // Raw costs of the building blocks: averaging rules, codec, simulator event
-// loop, reliable broadcast, and the analytic worst-case search.
+// loop, reliable broadcast (end to end and the Bracha hub alone), and the
+// analytic worst-case search.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <memory>
 
@@ -15,6 +17,7 @@
 #include "core/epsilon_driver.hpp"
 #include "core/multiset_ops.hpp"
 #include "obs/trace.hpp"
+#include "rb/bracha.hpp"
 #include "runtime/thread_net.hpp"
 
 namespace {
@@ -85,6 +88,89 @@ void BM_WitnessIteration(benchmark::State& state) {
   state.SetLabel("items = messages simulated");
 }
 BENCHMARK(BM_WitnessIteration)->Arg(8)->Arg(16)->Arg(32);
+
+/// Test double for the hub benches: counts outgoing messages, sends
+/// nothing anywhere.
+class CountingContext final : public net::Context {
+ public:
+  explicit CountingContext(SystemParams p) : params_(p) {}
+  void send(ProcessId, Bytes) override { ++sends; }
+  void multicast(const Bytes&) override { ++sends; }
+  [[nodiscard]] ProcessId self() const override { return 0; }
+  [[nodiscard]] SystemParams params() const override { return params_; }
+  std::uint64_t sends = 0;
+
+ private:
+  SystemParams params_;
+};
+
+/// One full Bracha wave per (instance, origin 1) as party 0 sees it: the
+/// origin's SEND, then ECHO and READY from every other party, fed straight
+/// to hub.handle() with no simulator.  Inputs are encoded up front, so the
+/// time is the hub alone: decode, vote tally, and encoding the hub's own
+/// ECHO/READY.  A fresh hub every kWaves waves keeps state bounded, and its
+/// teardown is charged to the waves as it would be in a run.
+template <class Hub, class Value, class Encode>
+void hub_wave(benchmark::State& state, const Value& value, Encode encode) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const SystemParams p{n, (n - 1) / 3};
+  constexpr std::uint32_t kWaves = 64;
+  std::vector<std::array<Bytes, 3>> wire(kWaves);
+  for (std::uint32_t i = 0; i < kWaves; ++i) {
+    wire[i] = {encode(MsgType::kRbSend, i, value),
+               encode(MsgType::kRbEcho, i, value),
+               encode(MsgType::kRbReady, i, value)};
+  }
+  CountingContext ctx(p);
+  std::uint64_t msgs = 0, deliveries = 0;
+  auto on_deliver = [&deliveries](net::Context&, std::uint32_t, ProcessId,
+                                  const Value&) { ++deliveries; };
+  for (auto _ : state) {
+    Hub hub(p, on_deliver);
+    for (const auto& [send, echo, ready] : wire) {
+      benchmark::DoNotOptimize(hub.handle(ctx, 1, send));
+      for (ProcessId q = 1; q < n; ++q) {
+        benchmark::DoNotOptimize(hub.handle(ctx, q, echo));
+      }
+      for (ProcessId q = 1; q < n; ++q) {
+        benchmark::DoNotOptimize(hub.handle(ctx, q, ready));
+      }
+      msgs += 1 + 2 * (n - 1);
+    }
+  }
+  const auto waves = kWaves * static_cast<std::uint64_t>(state.iterations());
+  if (deliveries != waves || ctx.sends != 2 * waves) {
+    state.SkipWithError("a wave did not echo, ready and deliver once each");
+  }
+  state.counters["ns_per_msg"] = benchmark::Counter(
+      static_cast<double>(msgs) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(msgs));
+  state.SetLabel("items = messages through hub.handle()");
+}
+
+void BM_BrachaHubWave(benchmark::State& state) {
+  // d = 0 is the scalar hub (the AAD'04 witness transport); d = 3 the
+  // vector hub (the equalized-collect transport, RBVEC wire tags).
+  if (state.range(1) == 0) {
+    hub_wave<rb::BrachaHub>(
+        state, 0.25, [](MsgType type, std::uint32_t inst, double v) {
+          return encode_rb(RbMsg{type, inst, 1, v});
+        });
+    return;
+  }
+  hub_wave<rb::VecBrachaHub>(
+      state, std::vector<double>{0.25, -1.5, 3.0},
+      [](MsgType type, std::uint32_t inst, const std::vector<double>& v) {
+        const MsgType vec = type == MsgType::kRbSend   ? MsgType::kRbVecSend
+                            : type == MsgType::kRbEcho ? MsgType::kRbVecEcho
+                                                       : MsgType::kRbVecReady;
+        return encode_rb_vec(RbVecMsg{vec, inst, 1, v});
+      });
+}
+BENCHMARK(BM_BrachaHubWave)
+    ->ArgNames({"n", "d"})
+    ->ArgsProduct({{4, 16, 64}, {0, 3}});
 
 void BM_ThreadStealExecutor(benchmark::State& state) {
   // Steal/claim overhead of the work-stealing executor end to end: the same

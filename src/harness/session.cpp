@@ -294,11 +294,7 @@ SessionReport Session::run_multiplexed() {
                      : make_scheduler(*instances_.front().vec);
     auto sim = std::make_unique<exec::SimBackend>(shared.params,
                                                   std::move(sched));
-    // K multiplexed instances make every virtual-time step carry ~K times
-    // the deliveries of a single run, so large sessions default to parallel
-    // fan-out (still bit-identical to serial).
-    const std::uint32_t w = net::resolved_sim_workers(
-        opts_.sim_workers, K >= kStepDenseSessionInstances, shared.params.n);
+    const std::uint32_t w = net::resolved_sim_workers(opts_.sim_workers);
     if (w > 1) sim->set_parallel_workers(w);
     auto* simp = sim.get();
     clock.now = [simp] { return simp->network().now(); };

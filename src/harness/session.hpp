@@ -41,14 +41,6 @@
 
 namespace apxa::harness {
 
-/// Sessions with at least this many instances are treated as STEP-DENSE on
-/// the simulator: enough concurrent instances that every virtual-time step
-/// carries many independent deliveries, so sim_workers defaults to
-/// min(hardware_concurrency, n) instead of serial (explicit sim_workers and
-/// APXA_SIM_WORKERS still win — see net::resolved_sim_workers).  Parallel
-/// fan-out is bit-identical to serial, so the default only changes speed.
-inline constexpr std::size_t kStepDenseSessionInstances = 16;
-
 struct SessionOptions {
   /// Frames-per-packet cap for per-destination send batching; 0 = batching
   /// off.  Values are clamped nowhere — must be <= net::kMaxBatchFrames.
@@ -57,9 +49,8 @@ struct SessionOptions {
   /// (min(n, hardware_concurrency)).  Ignored by the simulator.
   std::uint32_t shards = 0;
   /// Simulator worker threads for within-run parallelism (bit-identical to
-  /// serial); 0 = resolve via APXA_SIM_WORKERS, then default serial — except
-  /// for step-dense sessions (>= kStepDenseSessionInstances instances),
-  /// which default to min(hardware_concurrency, n).  Ignored by the other
+  /// serial); 0 = resolve via APXA_SIM_WORKERS, then default serial, as
+  /// for single runs (net::resolved_sim_workers).  Ignored by the other
   /// backends.
   std::uint32_t sim_workers = 0;
   /// Run the multiplexed router path even for a size-1 session (testing /

@@ -34,11 +34,6 @@ struct TlEffectsScope {
 }  // namespace
 
 std::uint32_t resolved_sim_workers(std::uint32_t requested) {
-  return resolved_sim_workers(requested, /*step_dense=*/false, /*n=*/1);
-}
-
-std::uint32_t resolved_sim_workers(std::uint32_t requested, bool step_dense,
-                                   std::uint32_t n) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("APXA_SIM_WORKERS")) {
     char* end = nullptr;
@@ -46,11 +41,6 @@ std::uint32_t resolved_sim_workers(std::uint32_t requested, bool step_dense,
     if (end != env && *end == '\0' && v > 0) {
       return static_cast<std::uint32_t>(v);
     }
-  }
-  if (step_dense) {
-    const std::uint32_t hw =
-        std::max(1u, std::thread::hardware_concurrency());
-    return std::max(1u, std::min(hw, n));
   }
   return 1;
 }
@@ -295,9 +285,21 @@ void SimNetwork::enqueue_packet(ProcessId from, ProcessId to, Bytes payload) {
   if (duplication_rng_ && duplication_rng_->next_bool(duplication_prob_)) {
     Message dup = m;  // same seq: it is the same message, delivered twice
     const double dd = sched::clamp_delay(scheduler_->delay(dup));
-    queue_.push(Pending{now_ + dd, next_seq_++, std::move(dup)});
+    push_event(Pending{now_ + dd, next_seq_++, std::move(dup)});
   }
-  queue_.push(Pending{now_ + d, m.seq, std::move(m)});
+  push_event(Pending{now_ + d, m.seq, std::move(m)});
+}
+
+void SimNetwork::push_event(Pending p) {
+  queue_.push_back(std::move(p));
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+}
+
+SimNetwork::Pending SimNetwork::pop_event() {
+  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  Pending p = std::move(queue_.back());
+  queue_.pop_back();
+  return p;
 }
 
 void SimNetwork::flush_sender(ProcessId from) {
@@ -353,8 +355,7 @@ RunStatus SimNetwork::run_until(const std::function<bool()>& pred,
   std::vector<std::function<void()>> effects;
   while (!queue_.empty()) {
     if (delivered >= max_deliveries) return RunStatus::kBudgetExhausted;
-    Pending next = queue_.top();
-    queue_.pop();
+    const Pending next = pop_event();
     now_ = std::max(now_, next.time);
     apply_timed_crashes(now_);
 
@@ -532,7 +533,7 @@ RunStatus SimNetwork::run_parallel(const PartyDone& done,
   // same budget/status accounting the serial loop would report.
   auto requeue_from = [this, &step](std::size_t k) {
     for (std::size_t i = k; i < step.size(); ++i) {
-      queue_.push(std::move(step[i]));
+      push_event(std::move(step[i]));
     }
   };
 
@@ -589,11 +590,10 @@ RunStatus SimNetwork::run_parallel(const PartyDone& done,
     // Collect the scheduler step: every pending event at the minimal time.
     // Sends produced by these upcalls land strictly later (delays are > 0),
     // so the step is closed under execution.
-    const double step_time = queue_.top().time;
+    const double step_time = queue_.front().time;
     step.clear();
-    while (!queue_.empty() && queue_.top().time == step_time) {
-      step.push_back(queue_.top());
-      queue_.pop();
+    while (!queue_.empty() && queue_.front().time == step_time) {
+      step.push_back(pop_event());
     }
     now_ = std::max(now_, step_time);
     apply_timed_crashes(now_);

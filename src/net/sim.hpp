@@ -36,7 +36,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "common/ensure.hpp"
@@ -58,17 +57,6 @@ enum class PartyStatus : std::uint8_t { kCorrect, kCrashed, kByzantine };
 /// APXA_SIM_WORKERS environment variable (positive integer), else 1 (serial).
 /// Symmetric with harness::sweep_workers / APXA_SWEEP_WORKERS.
 [[nodiscard]] std::uint32_t resolved_sim_workers(std::uint32_t requested);
-
-/// Same precedence (explicit > APXA_SIM_WORKERS), but when neither is given
-/// and the caller knows the run is STEP-DENSE — many deliveries sharing each
-/// virtual-time step, as in heavily multiplexed sessions — default to
-/// min(hardware_concurrency, n) instead of serial.  Parallel fan-out is
-/// bit-identical to serial by construction, so the only tradeoff is barrier
-/// overhead, which step-dense runs amortize; sparse runs (the common
-/// single-instance case) keep the serial default.
-[[nodiscard]] std::uint32_t resolved_sim_workers(std::uint32_t requested,
-                                                 bool step_dense,
-                                                 std::uint32_t n);
 
 class SimNetwork final {
  public:
@@ -232,6 +220,8 @@ class SimNetwork final {
   void do_send(ProcessId from, ProcessId to, Bytes payload);
   void do_multicast(ProcessId from, const Bytes& payload);
   void enqueue_packet(ProcessId from, ProcessId to, Bytes payload);
+  void push_event(Pending p);
+  Pending pop_event();
   void flush_sender(ProcessId from);
   void apply_timed_crashes(double up_to);
   void note_outputs();
@@ -247,7 +237,11 @@ class SimNetwork final {
   std::vector<std::vector<ProcessId>> multicast_order_;
   std::vector<double> output_time_;
 
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> queue_;
+  /// Min-heap on (time, seq), kept with push_heap/pop_heap so an event
+  /// leaves it by move (priority_queue::top() is const: popping through it
+  /// copies every payload).  The (time, seq) keys are unique, so the order
+  /// is exactly priority_queue's.
+  std::vector<Pending> queue_;
   Metrics metrics_;
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;

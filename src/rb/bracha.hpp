@@ -54,8 +54,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -72,8 +72,8 @@ namespace apxa::rb {
 template <class Value>
 struct RbWire;
 
-/// Bracha RB hub carrying `Value` payloads.  Value must be totally ordered
-/// (operator<) so votes can be tallied per distinct value.
+/// Bracha RB hub carrying `Value` payloads.  Votes are tallied per distinct
+/// WIRE value (see Slot), so Value needs no ordering.
 template <class Value>
 class BasicBrachaHub {
  public:
@@ -100,32 +100,52 @@ class BasicBrachaHub {
   [[nodiscard]] std::size_t live_slots() const { return slots_.size(); }
 
  private:
+  /// Distinct values voted for, each with its vote count.
+  using Tally = std::vector<std::pair<Value, std::uint32_t>>;
+
+  /// Vote state of one (instance, origin).
+  ///
+  /// Vote identity is bitwise equality of the WIRE value (the bit pattern
+  /// of a double; size plus bytes of a vector), never operator<: a NaN
+  /// breaks the strict weak ordering an ordered map relies on — every value
+  /// then compares "equivalent" to the NaN entry — so one byzantine NaN
+  /// vote could pool honest votes for different values into a single
+  /// quorum.  Bitwise identity is an equivalence for every bit pattern.
+  ///
+  /// One ECHO and one READY per voter per slot, whatever the value (first
+  /// vote wins): honest parties never send more, and without the cap a
+  /// byzantine voter could grow the tallies (one entry per distinct forged
+  /// value) without bound at every honest party.  With it each tally holds
+  /// at most n entries and a slot's state is bounded by n voters.
   struct Slot {
+    explicit Slot(std::size_t words) : voters(2 * words, 0) {}
     bool echoed = false;
     bool ready_sent = false;
     bool delivered = false;
-    std::map<Value, std::set<ProcessId>> echoes;
-    std::map<Value, std::set<ProcessId>> readies;
-    /// One ECHO and one READY per voter per slot, whatever the value —
-    /// honest parties never send more, and without the cap a byzantine
-    /// voter could grow the vote maps (one node per distinct forged value)
-    /// without bound at every honest party.
-    std::set<ProcessId> echo_voters;
-    std::set<ProcessId> ready_voters;
+    Tally echoes;
+    Tally readies;
+    /// Voter bitmaps, n bits each: ECHO voters in the first half of the
+    /// words, READY voters in the second.
+    std::vector<std::uint64_t> voters;
   };
 
-  using Key = std::pair<std::uint32_t, ProcessId>;
+  /// (instance << 32) | origin.
+  using Key = std::uint64_t;
 
-  void add_echo(net::Context& ctx, const Key& key, ProcessId voter,
+  Slot& slot(Key key);
+  void add_echo(net::Context& ctx, Key key, Slot& s, ProcessId voter,
                 const Value& value);
-  void add_ready(net::Context& ctx, const Key& key, ProcessId voter,
+  void add_ready(net::Context& ctx, Key key, Slot& s, ProcessId voter,
                  const Value& value);
-  void send_echo(net::Context& ctx, const Key& key, const Value& value);
-  void send_ready(net::Context& ctx, const Key& key, const Value& value);
+  void send_echo(net::Context& ctx, Key key, Slot& s, const Value& value);
+  void send_ready(net::Context& ctx, Key key, Slot& s, const Value& value);
 
   SystemParams params_;
   DeliverFn deliver_;
-  std::map<Key, Slot> slots_;
+  std::size_t words_;  // 64-bit words per voter bitmap
+  /// Node-based, so a Slot& stays valid while the delivery callback
+  /// broadcasts (and so inserts) reentrantly.
+  std::unordered_map<Key, Slot> slots_;
 };
 
 /// Scalar hub: the transport of the AAD'04 witness protocol.

@@ -2,6 +2,7 @@
 // resistance, multi-instance multiplexing, and message complexity.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -182,6 +183,24 @@ TEST(Bracha, MessageComplexityQuadratic) {
   EXPECT_GE(sent, 2u * 6u * 6u);  // at least echoes + readies from correct
 }
 
+/// Hub-level test double: counts what the hub sends, never delivers.
+class CountingContext final : public net::Context {
+ public:
+  explicit CountingContext(SystemParams p) : params_(p) {}
+  void send(ProcessId, Bytes) override { ++sends; }
+  void multicast(const Bytes&) override { ++multicasts; }
+  [[nodiscard]] ProcessId self() const override { return 0; }
+  [[nodiscard]] SystemParams params() const override { return params_; }
+  int sends = 0, multicasts = 0;
+
+ private:
+  SystemParams params_;
+};
+
+Bytes scalar_vote(core::MsgType type, double v) {
+  return core::encode_rb(core::RbMsg{type, 0, /*origin=*/2, v});
+}
+
 TEST(Bracha, OneEchoVotePerVoterPerSlot) {
   // A byzantine voter that echoes value A and later value B must count for A
   // only: otherwise flip-flopped votes (and vote floods of fresh forged
@@ -189,14 +208,7 @@ TEST(Bracha, OneEchoVotePerVoterPerSlot) {
   // to two different quorums.  Here echoes for B reach the n - t = 3 count
   // only if voters 1 and 2's second votes are (incorrectly) honored — the
   // hub must stay silent instead of multicasting READY(B).
-  class CountingContext final : public net::Context {
-   public:
-    void send(ProcessId, Bytes) override { ++sends; }
-    void multicast(const Bytes&) override { ++multicasts; }
-    [[nodiscard]] ProcessId self() const override { return 0; }
-    [[nodiscard]] SystemParams params() const override { return {4, 1}; }
-    int sends = 0, multicasts = 0;
-  } ctx;
+  CountingContext ctx({4, 1});
   int deliveries = 0;
   BrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
                             const double&) { ++deliveries; });
@@ -210,6 +222,82 @@ TEST(Bracha, OneEchoVotePerVoterPerSlot) {
   hub.handle(ctx, 3, echo(3, 2.0));  // B's only legitimate vote
   EXPECT_EQ(ctx.multicasts, 0) << "a flip-flopped quorum sent READY";
   EXPECT_EQ(deliveries, 0);
+}
+
+TEST(Bracha, NanEchoDoesNotPoolOtherValues) {
+  // Under an ordered map a NaN key compares "equivalent" to every value, so
+  // ECHO(NaN), ECHO(1.0) and ECHO(2.0) once counted as three votes for one
+  // value and reached the n - t = 3 quorum.  Three voters, three distinct
+  // wire values: no quorum, no READY.
+  CountingContext ctx({4, 1});
+  int deliveries = 0;
+  BrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
+                            const double&) { ++deliveries; });
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  hub.handle(ctx, 3, scalar_vote(core::MsgType::kRbEcho, nan));
+  hub.handle(ctx, 1, scalar_vote(core::MsgType::kRbEcho, 1.0));
+  hub.handle(ctx, 2, scalar_vote(core::MsgType::kRbEcho, 2.0));
+  EXPECT_EQ(ctx.multicasts, 0) << "a NaN-pooled ECHO quorum sent READY";
+  EXPECT_EQ(deliveries, 0);
+}
+
+TEST(Bracha, NanReadyDoesNotPoolOtherValues) {
+  // READY(NaN) pooled with one honest READY(1.0) reached t + 1, the hub
+  // joined with its own READY(1.0) and so reached 2t + 1 and delivered 1.0
+  // on a single honest vote.  Distinct wire values must stay apart.
+  CountingContext ctx({4, 1});
+  int deliveries = 0;
+  BrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
+                            const double&) { ++deliveries; });
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  hub.handle(ctx, 3, scalar_vote(core::MsgType::kRbReady, nan));
+  hub.handle(ctx, 1, scalar_vote(core::MsgType::kRbReady, 1.0));
+  hub.handle(ctx, 2, scalar_vote(core::MsgType::kRbReady, 2.0));
+  EXPECT_EQ(ctx.multicasts, 0) << "a NaN-pooled READY amplified";
+  EXPECT_EQ(deliveries, 0) << "a NaN-pooled READY quorum delivered";
+}
+
+TEST(Bracha, BitwiseEqualVotesStillFormQuorums) {
+  // Identity is the wire bit pattern: identical NaNs are one value (the
+  // tally is an equivalence for every pattern), while 0.0 and -0.0 — equal
+  // under operator== — are two.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    CountingContext ctx({4, 1});
+    BrachaHub hub({4, 1}, [](net::Context&, std::uint32_t, ProcessId,
+                             const double&) {});
+    for (ProcessId v : {1u, 2u, 3u}) {
+      hub.handle(ctx, v, scalar_vote(core::MsgType::kRbEcho, nan));
+    }
+    EXPECT_EQ(ctx.multicasts, 1) << "n - t identical ECHOs must send READY";
+  }
+  {
+    CountingContext ctx({4, 1});
+    BrachaHub hub({4, 1}, [](net::Context&, std::uint32_t, ProcessId,
+                             const double&) {});
+    hub.handle(ctx, 1, scalar_vote(core::MsgType::kRbEcho, 0.0));
+    hub.handle(ctx, 2, scalar_vote(core::MsgType::kRbEcho, -0.0));
+    hub.handle(ctx, 3, scalar_vote(core::MsgType::kRbEcho, 0.0));
+    EXPECT_EQ(ctx.multicasts, 0);
+  }
+}
+
+TEST(Bracha, VoterBitmapsSpanSeveralWords) {
+  // n = 130 needs three 64-bit words per bitmap: votes from every word
+  // count once each, repeats from any word are ignored, and the READY goes
+  // out exactly at the n - t-th distinct ECHO voter.
+  const SystemParams p{130, 43};
+  CountingContext ctx(p);
+  BrachaHub hub(p, [](net::Context&, std::uint32_t, ProcessId,
+                      const double&) {});
+  ProcessId voter = 1;
+  for (; voter < p.quorum(); ++voter) {
+    hub.handle(ctx, voter, scalar_vote(core::MsgType::kRbEcho, 4.0));
+    hub.handle(ctx, voter, scalar_vote(core::MsgType::kRbEcho, 4.0));
+  }
+  EXPECT_EQ(ctx.multicasts, 0) << "n - t - 1 distinct voters";
+  hub.handle(ctx, voter, scalar_vote(core::MsgType::kRbEcho, 4.0));
+  EXPECT_EQ(ctx.multicasts, 1) << "the n - t-th distinct voter";
 }
 
 TEST(Bracha, OutOfRangeOriginDiscardedNotFatal) {
@@ -229,6 +317,11 @@ TEST(Bracha, OutOfRangeOriginDiscardedNotFatal) {
       core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, 0, /*origin=*/9, 1.0});
   EXPECT_TRUE(hub.handle(ctx, 1, forged));  // consumed: it IS an RB message
   EXPECT_EQ(hub.live_slots(), 0u);          // ...but created no state
+  // Same for a well-formed vote from a sender id >= n: it has no voter bit.
+  const Bytes stray =
+      core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, 0, /*origin=*/1, 1.0});
+  EXPECT_TRUE(hub.handle(ctx, /*from=*/200, stray));
+  EXPECT_EQ(hub.live_slots(), 0u);
   EXPECT_EQ(deliveries, 0);
 }
 
@@ -325,6 +418,49 @@ TEST(VecBracha, EquivocationDeliversAtMostOneValuePerOrigin) {
     }
     EXPECT_LE(values.size(), 1u) << "seed " << seed << ": delivery split";
   }
+}
+
+Bytes vector_vote(core::MsgType type, std::vector<double> v) {
+  return core::encode_rb_vec(core::RbVecMsg{type, 0, /*origin=*/2, std::move(v)});
+}
+
+TEST(VecBracha, NanEchoDoesNotPoolOtherValues) {
+  // The lexicographic vector compare inherits the NaN problem: a NaN first
+  // coordinate makes {NaN, 5}, {1, 5} and {2, 5} mutually "equivalent".
+  CountingContext ctx({4, 1});
+  int deliveries = 0;
+  VecBrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
+                               const std::vector<double>&) { ++deliveries; });
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  hub.handle(ctx, 3, vector_vote(core::MsgType::kRbVecEcho, {nan, 5.0}));
+  hub.handle(ctx, 1, vector_vote(core::MsgType::kRbVecEcho, {1.0, 5.0}));
+  hub.handle(ctx, 2, vector_vote(core::MsgType::kRbVecEcho, {2.0, 5.0}));
+  EXPECT_EQ(ctx.multicasts, 0) << "a NaN-pooled ECHO quorum sent READY";
+  EXPECT_EQ(deliveries, 0);
+}
+
+TEST(VecBracha, NanReadyDoesNotPoolOtherValues) {
+  CountingContext ctx({4, 1});
+  int deliveries = 0;
+  VecBrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
+                               const std::vector<double>&) { ++deliveries; });
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  hub.handle(ctx, 3, vector_vote(core::MsgType::kRbVecReady, {nan, 5.0}));
+  hub.handle(ctx, 1, vector_vote(core::MsgType::kRbVecReady, {1.0, 5.0}));
+  hub.handle(ctx, 2, vector_vote(core::MsgType::kRbVecReady, {2.0, 5.0}));
+  EXPECT_EQ(ctx.multicasts, 0) << "a NaN-pooled READY amplified";
+  EXPECT_EQ(deliveries, 0) << "a NaN-pooled READY quorum delivered";
+}
+
+TEST(VecBracha, VotesOfDifferentLengthsAreDistinct) {
+  // A prefix is not the same value: {1} and {1, 0} never share a tally.
+  CountingContext ctx({4, 1});
+  VecBrachaHub hub({4, 1}, [](net::Context&, std::uint32_t, ProcessId,
+                              const std::vector<double>&) {});
+  hub.handle(ctx, 1, vector_vote(core::MsgType::kRbVecEcho, {1.0}));
+  hub.handle(ctx, 2, vector_vote(core::MsgType::kRbVecEcho, {1.0, 0.0}));
+  hub.handle(ctx, 3, vector_vote(core::MsgType::kRbVecEcho, {1.0}));
+  EXPECT_EQ(ctx.multicasts, 0);
 }
 
 TEST(VecBracha, ScalarAndVectorHubsIgnoreEachOthersWire) {

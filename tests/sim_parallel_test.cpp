@@ -442,61 +442,61 @@ TEST(SimParallelConfig, ResolvedWorkersPrecedence) {
   ASSERT_EQ(::unsetenv("APXA_SIM_WORKERS"), 0);
 }
 
-TEST(SimParallelConfig, StepDenseDefaultsToHardwareWorkers) {
-  // The step-dense overload keeps the same precedence (explicit request,
-  // then the environment) but, when neither is given, defaults to
-  // min(hardware_concurrency, n) instead of serial.  Sparse runs keep the
-  // serial default regardless of n.
-  const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
+/// `instances` crash-round instances (n = 5, t = 1) for one session.
+std::vector<RunConfig> crash_session(std::size_t instances) {
+  std::vector<RunConfig> cfgs;
+  for (std::size_t k = 0; k < instances; ++k) {
+    const SystemParams p{5, 1};
+    RunConfig cfg;
+    cfg.params = p;
+    cfg.protocol = ProtocolKind::kCrashRound;
+    cfg.fixed_rounds = 3 + (k % 3);
+    cfg.epsilon = 1e-2;
+    cfg.inputs = linear_inputs(p.n, 0.0, 1.0 + 0.1 * static_cast<double>(k));
+    cfg.sched = SchedKind::kRandom;
+    cfg.seed = 43;
+    cfgs.push_back(cfg);
+  }
+  return cfgs;
+}
+
+TEST(SimParallelConfig, LargeSessionsDefaultToSerial) {
+  // Sessions resolve sim_workers exactly like single runs: explicit request,
+  // then APXA_SIM_WORKERS, then serial — however many instances they carry
+  // (measured on svc_sim, the parallel default was slower with zero fanned
+  // events).
   ASSERT_EQ(::unsetenv("APXA_SIM_WORKERS"), 0);
-  EXPECT_EQ(net::resolved_sim_workers(6, /*step_dense=*/true, 8), 6u);
-  EXPECT_EQ(net::resolved_sim_workers(0, /*step_dense=*/true, 4),
-            std::min(hw, 4u));
-  EXPECT_EQ(net::resolved_sim_workers(0, /*step_dense=*/true, 1u << 16), hw);
-  EXPECT_EQ(net::resolved_sim_workers(0, /*step_dense=*/false, 1u << 16), 1u);
+  const auto cfgs = crash_session(32);
+  EXPECT_EQ(run_session(cfgs, SessionOptions{}).exec_stats.workers, 1u);
   ASSERT_EQ(::setenv("APXA_SIM_WORKERS", "2", 1), 0);
-  EXPECT_EQ(net::resolved_sim_workers(0, /*step_dense=*/true, 64), 2u);
+  EXPECT_EQ(run_session(cfgs, SessionOptions{}).exec_stats.workers, 2u);
   ASSERT_EQ(::unsetenv("APXA_SIM_WORKERS"), 0);
 }
 
-TEST(SimParallelIdentity, StepDenseSessionAutoWorkersMatchForcedSerial) {
-  // PR 9 changes the session default: K >= kStepDenseSessionInstances
-  // resolves sim_workers to min(hw, n) automatically.  The new default must
-  // be performance-only — the auto-parallel session reproduces the
-  // forced-serial session bit-for-bit.
+TEST(SimParallelIdentity, ExplicitWorkerSessionMatchesSerial) {
+  // An explicit sim_workers keeps the parallel path for sessions, and it
+  // reproduces the serial session bit-for-bit.
   ASSERT_EQ(::unsetenv("APXA_SIM_WORKERS"), 0);
   auto session_report = [](std::uint32_t workers) {
-    std::vector<RunConfig> cfgs;
-    for (std::size_t k = 0; k < kStepDenseSessionInstances; ++k) {
-      const SystemParams p{5, 1};
-      RunConfig cfg;
-      cfg.params = p;
-      cfg.protocol = ProtocolKind::kCrashRound;
-      cfg.fixed_rounds = 3 + (k % 3);
-      cfg.epsilon = 1e-2;
-      cfg.inputs = linear_inputs(p.n, 0.0, 1.0 + 0.1 * static_cast<double>(k));
-      cfg.sched = SchedKind::kRandom;
-      cfg.seed = 43;
-      cfgs.push_back(cfg);
-    }
     SessionOptions opts;
     opts.batching = 8;
     opts.force_multiplex = true;
-    opts.sim_workers = workers;  // 0 = the new step-dense auto default
-    return run_session(cfgs, opts);
+    opts.sim_workers = workers;
+    return run_session(crash_session(16), opts);
   };
   const SessionReport serial = session_report(1);
-  const SessionReport aut = session_report(0);
-  EXPECT_EQ(serial.status, aut.status);
-  EXPECT_EQ(serial.all_output, aut.all_output);
-  EXPECT_EQ(serial.finish_times, aut.finish_times);
-  expect_metrics_eq(serial.metrics, aut.metrics);
-  ASSERT_EQ(serial.scalar_reports.size(), aut.scalar_reports.size());
+  const SessionReport par = session_report(4);
+  EXPECT_EQ(par.exec_stats.workers, 4u);
+  EXPECT_EQ(serial.status, par.status);
+  EXPECT_EQ(serial.all_output, par.all_output);
+  EXPECT_EQ(serial.finish_times, par.finish_times);
+  expect_metrics_eq(serial.metrics, par.metrics);
+  ASSERT_EQ(serial.scalar_reports.size(), par.scalar_reports.size());
   for (std::size_t i = 0; i < serial.scalar_reports.size(); ++i) {
     SCOPED_TRACE(i);
     ASSERT_TRUE(serial.scalar_reports[i].has_value());
-    ASSERT_TRUE(aut.scalar_reports[i].has_value());
-    expect_report_eq(*serial.scalar_reports[i], *aut.scalar_reports[i]);
+    ASSERT_TRUE(par.scalar_reports[i].has_value());
+    expect_report_eq(*serial.scalar_reports[i], *par.scalar_reports[i]);
   }
 }
 
