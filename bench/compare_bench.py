@@ -4,7 +4,7 @@
 Usage:
     python3 bench/compare_bench.py <baseline-dir> <current-dir>
         [--ids t1 t2 ...] [--threshold PCT] [--abs-tolerance EPS]
-        [--fail-over PCT]
+        [--fail-over PCT] [--identical]
 
 Each directory holds the ``BENCH_<id>.json`` documents that
 ``cmake --build build --target run_benches`` writes (shape:
@@ -19,12 +19,21 @@ where some metric moved by at least PCT percent are printed; with
 ``--fail-over`` the exit code is 1 when any metric moved by more than PCT
 percent (for CI gating).
 
+With ``--identical`` the diff becomes a "same behaviour" check: every
+section's rows whose ``backend`` cell is ``sim`` (or that have no ``backend``
+cell) must match cell for cell, in order.  Only wall-clock columns are
+skipped — elapsed times and rates per wall second, plus the timer-driven
+``retransmit_rate`` of the socket rows — and the skipped columns are
+printed.  The exit code is 1 at the first differing cell; t5 (timings
+only) is not compared.
+
 Per-PR snapshot workflow (see README.md): archive the repo-root BENCH_*.json
 files before a change, re-run the sweep after, and diff the two directories.
 """
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -165,6 +174,70 @@ def compare_bench(bench_id, old_doc, new_doc, threshold, abs_tolerance):
     return worst, removals
 
 
+# Columns whose values depend on the wall clock rather than on the run.
+WALL_CLOCK = re.compile(r"wall|_ms$|_us$|_ns$|per_sec|retransmit")
+
+
+def sim_rows(section):
+    return [row for row in section.get("rows", [])
+            if row.get("backend", "sim") == "sim"]
+
+
+def first_difference(bench_id, old_doc, new_doc, skipped):
+    """The first differing cell over the sim rows of one bench, or None.
+
+    Wall-clock columns are skipped and recorded in `skipped`."""
+    old_secs = list(iter_sections(old_doc))
+    new_secs = list(iter_sections(new_doc))
+    if [n for n, _ in old_secs] != [n for n, _ in new_secs]:
+        return f"{bench_id}: sections differ"
+    for (name, old_sec), (_, new_sec) in zip(old_secs, new_secs):
+        old_rows, new_rows = sim_rows(old_sec), sim_rows(new_sec)
+        if len(old_rows) != len(new_rows):
+            return (f"{bench_id} | {name}: {len(old_rows)} -> "
+                    f"{len(new_rows)} sim rows")
+        for i, (old, new) in enumerate(zip(old_rows, new_rows)):
+            if old.keys() != new.keys():
+                return f"{bench_id} | {name} | row {i}: columns differ"
+            for col, value in old.items():
+                if WALL_CLOCK.search(col):
+                    skipped.setdefault(f"{bench_id} | {name}", set()).add(col)
+                elif new[col] != value:
+                    return (f"{bench_id} | {name} | row {i} | {col}: "
+                            f"{value} -> {new[col]}")
+    return None
+
+
+def identical(args):
+    skipped = {}
+    compared = 0
+    for bench_id in args.ids:
+        old_doc = load(args.baseline / f"BENCH_{bench_id}.json")
+        new_doc = load(args.current / f"BENCH_{bench_id}.json")
+        if old_doc is None and new_doc is None:
+            continue
+        if old_doc is not None and "benchmarks" in old_doc:
+            print(f"== {bench_id}: timings only, not compared")
+            continue
+        if old_doc is None or new_doc is None:
+            side = "baseline" if old_doc is None else "current"
+            print(f"DIFFERENT: {bench_id} missing in {side} set")
+            return 1
+        compared += 1
+        diff = first_difference(bench_id, old_doc, new_doc, skipped)
+        if diff is not None:
+            print(f"DIFFERENT: {diff}")
+            return 1
+    if compared == 0:
+        print("no BENCH_*.json pairs found to compare", file=sys.stderr)
+        return 2
+    print("skipped wall-clock columns:")
+    for where, cols in sorted(skipped.items()):
+        print(f"  {where}: {', '.join(sorted(cols))}")
+    print(f"IDENTICAL: {compared} bench document pair(s), sim rows cell for cell")
+    return 0
+
+
 def main():
     ap = argparse.ArgumentParser(
         description="Diff two BENCH_*.json snapshot directories.")
@@ -181,7 +254,12 @@ def main():
                     help="exit 1 if any metric moved by more than PCT%%, or "
                          "if any document/section/row/metric present in the "
                          "baseline is missing from the current set")
+    ap.add_argument("--identical", action="store_true",
+                    help="exit 1 at the first differing cell of a sim (or "
+                         "backend-less) row, skipping wall-clock columns")
     args = ap.parse_args()
+    if args.identical:
+        return identical(args)
 
     worst = 0.0
     removals = 0

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/multiset_ops.hpp"
 #include "geom/safe_area.hpp"
 
@@ -53,6 +54,93 @@ TEST(InConvexHull, DuplicatedPoints) {
 
 // --- removal robustness and the safe area -----------------------------------
 
+TEST(RemovalRobustness, ReplaySkipMatchesFreshSolves) {
+  // removal_robustness reuses the full-set LP answer for removal sets whose
+  // columns never entered its basis (safe_area.hpp, "Exact replay skip").
+  // The reference below solves every subset afresh through in_convex_hull;
+  // the two must agree exactly on every view shape the protocol produces:
+  // uniform, duplicate clusters, near-converged clusters and coplanar views.
+  const auto reference = [](const std::vector<double>& p, const Points& pts,
+                            std::uint32_t t) {
+    const auto m = static_cast<std::uint32_t>(pts.size());
+    const auto without = [&](std::uint32_t a, std::uint32_t b) {
+      Points kept;
+      for (std::uint32_t i = 0; i < m; ++i) {
+        if (i != a && i != b) kept.push_back(pts[i]);
+      }
+      return kept;
+    };
+    if (!in_convex_hull(p, pts)) return -1;
+    for (std::uint32_t a = 0; a < m; ++a) {
+      if (!in_convex_hull(p, without(a, m))) return 0;
+    }
+    if (t < 2) return 1;
+    for (std::uint32_t a = 0; a < m; ++a) {
+      for (std::uint32_t b = a + 1; b < m; ++b) {
+        if (!in_convex_hull(p, without(a, b))) return 1;
+      }
+    }
+    return 2;
+  };
+
+  Rng rng(2024);
+  int views = 0, certified = 0;
+  for (int kind = 0; kind < 4; ++kind) {
+    for (const std::uint32_t n : {7u, 10u, 13u, 16u}) {
+      for (const std::uint32_t d : {2u, 3u, 4u}) {
+        for (const std::uint32_t t : {1u, 2u}) {
+          for (int rep = 0; rep < 21; ++rep, ++views) {
+            Points pts(n, std::vector<double>(d));
+            for (std::uint32_t i = 0; i < n; ++i) {
+              for (std::uint32_t c = 0; c < d; ++c) {
+                switch (kind) {
+                  case 0:  // uniform
+                    pts[i][c] = rng.next_double(-5.0, 5.0);
+                    break;
+                  case 1:  // clusters of three duplicates
+                    pts[i][c] = i % 3 == 0 ? rng.next_double(-5.0, 5.0)
+                                           : pts[i - i % 3][c];
+                    break;
+                  case 2:  // near-converged: spread 1e-4
+                    pts[i][c] = 1.5 + 1e-4 * rng.next_double(-1.0, 1.0);
+                    break;
+                  default:  // coplanar: last coordinate affine in the rest
+                    pts[i][c] = c + 1 < d ? rng.next_double(-5.0, 5.0)
+                                          : 0.5 * pts[i][0] - 0.25 * pts[i][c - 1];
+                    break;
+                }
+              }
+            }
+            std::vector<std::vector<double>> cands = {centroid(pts),
+                                                      coordinate_median(pts)};
+            for (int r = 0; r < 2; ++r) {
+              // Random convex combination of three view points.
+              std::vector<double> q(d, 0.0);
+              double w[3], sum = 0.0;
+              for (double& x : w) sum += (x = rng.next_double());
+              for (int j = 0; j < 3; ++j) {
+                const auto& v = pts[rng.next_below(n)];
+                for (std::uint32_t c = 0; c < d; ++c) q[c] += w[j] / sum * v[c];
+              }
+              cands.push_back(std::move(q));
+            }
+            for (const auto& p : cands) {
+              const int got = removal_robustness(p, pts, t);
+              ASSERT_EQ(got, reference(p, pts, t))
+                  << "kind " << kind << " n " << n << " d " << d << " t " << t
+                  << " rep " << rep;
+              if (got == static_cast<int>(t)) ++certified;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(views, 2016);
+  EXPECT_GT(certified, 0);  // the comparison reaches the subset solves
+}
+
+
 TEST(RemovalRobustness, CentroidOfSquareSurvivesOneRemoval) {
   const Points sq = {{0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}};
   const std::vector<double> c{0.5, 0.5};
@@ -66,6 +154,28 @@ TEST(RemovalRobustness, CentroidOfSquareSurvivesOneRemoval) {
   EXPECT_EQ(removal_robustness(sq[0], sq, 1), 0);
   // A point outside the hull reports -1.
   EXPECT_EQ(removal_robustness(std::vector<double>{2.0, 2.0}, sq, 1), -1);
+}
+
+TEST(RemovalRobustness, ReplaySkipKeepsScalesAndPrefilter) {
+  // Two removals the replay skip must NOT take, although the removed point
+  // never enters the full-set basis.  Both hinge on the last point u.
+  //
+  // Row scales: u stretches the y row's scale, so the full LP forgives the
+  // 1e-6 gap between p and the edge (0,0)-(2,2) while the LP without u
+  // does not.  The duplicates keep every other removal feasible.
+  const Points stretched = {{0.0, 0.0}, {0.0, 0.0}, {2.0, 2.0},
+                            {2.0, 2.0}, {2.0, 0.0}, {1.0, -60.0}};
+  const std::vector<double> near_edge{1.0 - 1e-6, 1.0 + 1e-6};
+  ASSERT_TRUE(in_convex_hull(near_edge, stretched));
+  ASSERT_FALSE(in_convex_hull(
+      near_edge, Points(stretched.begin(), stretched.end() - 1)));
+  EXPECT_EQ(removal_robustness(near_edge, stretched, 1), 0);
+  // Prefilter: p sits 1.5e-6 past the x range of the points other than u,
+  // beyond the prefilter's slack but within the LP's scaled tolerance.
+  const Points wide = {{10.0, 0.0}, {-10.0, 1.0}, {-10.0, -1.0}, {11.0, 0.0}};
+  const std::vector<double> past_edge{10.0 + 1.5e-6, 0.0};
+  ASSERT_TRUE(in_convex_hull(past_edge, wide));
+  EXPECT_EQ(removal_robustness(past_edge, wide, 1), 0);
 }
 
 TEST(SafeArea, TZeroIsPlainHullMembership) {
