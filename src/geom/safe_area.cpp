@@ -46,7 +46,11 @@ std::size_t lp_iteration_cap(std::size_t rows, std::size_t cols) {
 }
 
 /// Solves coef(i, j) x_j = ws.rhs[i] (i < rows, j < cols), x >= 0.  Feasible
-/// when the residual optimum is <= tol; the basic solution is left in ws.x.
+/// when the residual optimum is <= tol AND the basic solution, left in ws.x,
+/// satisfies every row of the system as built within tol: with a pivot just
+/// above kPivotEps the tableau can degenerate until negative basic values
+/// cancel positive ones in the objective.  The residual is recomputed from
+/// `coef` rather than a copy of the tableau.
 template <typename Coef>
 bool lp_feasible(LpWorkspace& ws, std::size_t rows, std::size_t cols,
                  const Coef& coef, double tol) {
@@ -88,6 +92,13 @@ bool lp_feasible(LpWorkspace& ws, std::size_t rows, std::size_t cols,
     if (obj <= tol) {
       for (std::size_t i = 0; i < rows; ++i) {
         if (basis[i] < cols) ws.x[basis[i]] = std::max(0.0, b[i]);
+      }
+      for (std::size_t i = 0; i < rows; ++i) {
+        double residual = -ws.rhs[i];
+        for (std::size_t k = 0; k < rows; ++k) {
+          if (basis[k] < cols) residual += coef(i, basis[k]) * ws.x[basis[k]];
+        }
+        if (!(std::abs(residual) <= tol)) return false;
       }
       return true;
     }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <utility>
 
 #include "adversary/byzantine.hpp"
 #include "adversary/crash_plan.hpp"
@@ -170,6 +171,27 @@ TEST(ConvexSim, HullEscapeBreaksLaunderingButNotSafeArea) {
   EXPECT_TRUE(convex_rep.box_validity_ok);
   EXPECT_TRUE(convex_rep.convex_validity_ok);
   EXPECT_EQ(convex_rep.outputs_outside_hull, 0u);
+}
+
+TEST(ConvexSim, DegeneratePivotRunsStayInsideHull) {
+  // Two n = 13, t = 2, d = 3 runs that once ended outside the honest hull,
+  // one fault-free and one under two hull-escape attackers: a near-converged
+  // view made the LP accept a pivot of ~1e-11, and the tableau it left
+  // reported feasibility for a lambda that broke the system, so
+  // tverberg_point returned a point outside the view.  lp_feasible now
+  // rejects any answer whose lambda misses a row by more than tol.
+  for (const auto& [seed, attackers] :
+       {std::pair<std::uint64_t, std::uint32_t>{653, 0}, {3144, 2}}) {
+    auto cfg = convex_base({13, 2}, 3, 10, seed);
+    cfg.seed = seed;
+    add_hull_escape(cfg, attackers);
+    const auto rep = run(cfg);
+    EXPECT_TRUE(rep.all_output) << "seed " << seed;
+    EXPECT_TRUE(rep.box_validity_ok) << "seed " << seed;
+    EXPECT_TRUE(rep.convex_validity_ok)
+        << "seed " << seed << ": " << rep.outputs_outside_hull
+        << " outputs escaped the honest hull";
+  }
 }
 
 TEST(ConvexSim, AllSchedulersStayConvexValid) {

@@ -223,6 +223,32 @@ TEST(TverbergPoint, GridPartitionPointIsRobust) {
   EXPECT_GE(removal_robustness(*tv, grid, 1), 1);
 }
 
+TEST(TverbergPoint, TinyPivotViewStaysInsideHull) {
+  // A near-converged view (every point within 1e-3 of one center) on which
+  // the LP once accepted a 2.3e-11 pivot: the degenerate tableau still
+  // reported a residual optimum <= tol while its lambda broke the system
+  // (group 0 summed to 0.9973), and the returned point lay 7e-3 outside the
+  // view.  lp_feasible now checks lambda against the system as built.
+  const Points view = {
+      {-2.6936767102817223, -2.4234484285483866, 0.83692090681900988},
+      {-2.6935889753070192, -2.4228145204924196, 0.83670092333541546},
+      {-2.6937159026353448, -2.4233004418785509, 0.83709819805394869},
+      {-2.693343082757242, -2.4231260821337717, 0.83705471475697057},
+      {-2.6937398465356459, -2.4233848675183043, 0.83716067781604508},
+      {-2.6930935382133301, -2.4225127068148247, 0.83690952329387858},
+      {-2.6930313593948982, -2.4225774983920174, 0.83658827546364689},
+      {-2.6930337571914817, -2.4230413010174048, 0.83711381637376137},
+      {-2.6932079982875941, -2.4229257792186418, 0.83651126810730914},
+      {-2.693206724341366, -2.4232834403017209, 0.83742040773048543},
+      {-2.693552605313263, -2.4225385561860016, 0.83689045201989776}};
+  const auto tv = tverberg_point(view, 3);
+  ASSERT_TRUE(tv.has_value());
+  EXPECT_TRUE(in_convex_hull(*tv, view));
+  EXPECT_EQ(removal_robustness(*tv, view, 2), 2);
+  const auto sp = safe_midpoint(view, 2);
+  EXPECT_TRUE(in_convex_hull(sp.point, view));
+}
+
 TEST(RadonPoint, CertifiesLevelOneByConstruction) {
   const Points pts = {{0.0, 0.0}, {2.0, 0.0}, {0.0, 2.0}, {2.0, 2.0},
                       {1.0, 1.0}, {5.0, 5.0}};
