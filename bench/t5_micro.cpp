@@ -1,8 +1,9 @@
 // T5 — Substrate microbenchmarks (google-benchmark).
 //
 // Raw costs of the building blocks: averaging rules, codec, simulator event
-// loop, reliable broadcast (end to end and the Bracha hub alone), and the
-// analytic worst-case search.
+// loop, reliable broadcast (end to end and the Bracha hub alone), the
+// safe-area geometry of convex-valid vector AA, and the analytic worst-case
+// search.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -16,6 +17,7 @@
 #include "core/codec.hpp"
 #include "core/epsilon_driver.hpp"
 #include "core/multiset_ops.hpp"
+#include "geom/safe_area.hpp"
 #include "obs/trace.hpp"
 #include "rb/bracha.hpp"
 #include "runtime/thread_net.hpp"
@@ -171,6 +173,38 @@ void BM_BrachaHubWave(benchmark::State& state) {
 BENCHMARK(BM_BrachaHubWave)
     ->ArgNames({"n", "d"})
     ->ArgsProduct({{4, 16, 64}, {0, 3}});
+
+void BM_SafeMidpoint(benchmark::State& state) {
+  // One geom::safe_midpoint call, the geometry a convex-valid party runs
+  // per view freeze: a view of n - t entries in R^3 with n = 13.  Spread
+  // views are uniform in [-5, 5)^3; near-converged views scatter 1e-4
+  // around a random center.  The calls cycle over 16 seeded views.
+  constexpr std::uint32_t kN = 13, kDim = 3, kViews = 16;
+  const auto t = static_cast<std::uint32_t>(state.range(0));
+  const bool converged = state.range(1) != 0;
+  Rng rng(kN + t);
+  std::vector<std::vector<std::vector<double>>> views(kViews);
+  for (auto& view : views) {
+    std::vector<double> center(kDim);
+    for (double& c : center) c = rng.next_double(-5.0, 5.0);
+    view.assign(kN - t, center);
+    for (auto& p : view) {
+      for (std::size_t c = 0; c < kDim; ++c) {
+        p[c] = converged ? center[c] + 1e-4 * rng.next_double(-1.0, 1.0)
+                         : rng.next_double(-5.0, 5.0);
+      }
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(geom::safe_midpoint(views[i++ % kViews], t));
+  }
+  state.SetLabel(converged ? "near-converged views" : "spread views");
+}
+BENCHMARK(BM_SafeMidpoint)
+    ->ArgNames({"t", "converged"})
+    ->ArgsProduct({{1, 2}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ThreadStealExecutor(benchmark::State& state) {
   // Steal/claim overhead of the work-stealing executor end to end: the same

@@ -62,6 +62,34 @@
 // records the resulting convex-hull-validity verdict for every run, so the
 // degradation is measured, not hidden (bench/f6_multidim, box_vs_convex
 // section).
+//
+// LP workspace: every LP is a phase-1 simplex (Bland's rule) on one
+// row-major tableau held in a workspace that the outermost public call owns
+// and passes down to every solve it makes — no thread_local or static
+// state, and no allocation once the buffers have grown.  Subset hull tests
+// take an index list into the view instead of copying points.
+//
+// Exact replay skip: removal_robustness first solves the full-set LP and
+// records which columns ever entered its basis, its iteration count and
+// its row scales.  A removal set R reuses the full answer without solving
+// when no column of R ever entered, every row's scale over the kept points
+// equals the full scale bitwise (or both are <= tol, so neither row is
+// scaled), the kept subset passes its own bounding-box prefilter, and the
+// full run's iteration count is below the subset's cap.  The subset solve
+// would then do exactly the same floating-point work on every remaining
+// column: the kept columns carry identical entries, Bland's rule picks by
+// relative column order (the removed columns were never picked), and the
+// reduced costs, the ratio test and the pivot updates are column-local —
+// so it would reach the same basis, the same lambda and the same verdict.
+//
+// Residual contract: an LP answer counts as feasible only when its basic
+// solution satisfies every row of the system as built (after row
+// normalization) within SafeAreaOptions::tol.  The pivot threshold is
+// absolute, so a pivot just above it can degenerate the tableau until
+// negative basic values cancel positive ones in the phase-1 objective; the
+// check, recomputed from the inputs, rejects such answers (a point
+// tverberg_point returns is then truly in the hulls of its groups).  It
+// keeps the replay skip exact: a column that never entered has lambda 0.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +103,8 @@ namespace apxa::geom {
 
 struct SafeAreaOptions {
   /// Feasibility slack of the LP membership test (absolute, after row
-  /// normalization).  Points within tol of the hull count as inside.
+  /// normalization).  Points within tol of the hull count as inside; every
+  /// row of an accepted LP answer holds within tol.
   double tol = 1e-7;
   /// Enumerate all C(m,k) subset hulls only while the count stays below
   /// this; beyond it in_safe_area falls back to the (t+1)-partition witness
