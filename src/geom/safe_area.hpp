@@ -66,8 +66,9 @@
 // LP workspace: every LP is a phase-1 simplex (Bland's rule) on one
 // row-major tableau held in a workspace that the outermost public call owns
 // and passes down to every solve it makes — no thread_local or static
-// state, and no allocation once the buffers have grown.  Subset hull tests
-// take an index list into the view instead of copying points.
+// state, and a solve allocates nothing once the buffers have grown to the
+// call's largest system.  Subset hull tests take an index list into the
+// view instead of copying points.
 //
 // Exact replay skip: removal_robustness first solves the full-set LP and
 // records which columns ever entered its basis, its iteration count and

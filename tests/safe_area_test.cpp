@@ -140,7 +140,6 @@ TEST(RemovalRobustness, ReplaySkipMatchesFreshSolves) {
   EXPECT_GT(certified, 0);  // the comparison reaches the subset solves
 }
 
-
 TEST(RemovalRobustness, CentroidOfSquareSurvivesOneRemoval) {
   const Points sq = {{0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}};
   const std::vector<double> c{0.5, 0.5};
