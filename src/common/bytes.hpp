@@ -12,6 +12,7 @@
 //   - bitset        : length varint + packed bits (used by witness reports)
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -25,8 +26,39 @@ namespace apxa {
 using Bytes = std::vector<std::byte>;
 using BytesView = std::span<const std::byte>;
 
+/// Longest LEB128 encoding of a u64.
+inline constexpr std::size_t kMaxVarintBytes = 10;
+
+/// Encoded size of `v` as a LEB128 varint (1..kMaxVarintBytes).
+constexpr std::size_t varint_size(std::uint64_t v) {
+  return v < 0x80 ? 1 : (static_cast<std::size_t>(std::bit_width(v)) + 6) / 7;
+}
+
+/// Non-throwing varint read under ByteReader::get_varint's rules (at most
+/// kMaxVarintBytes bytes, no payload bits past bit 63).  On success stores the
+/// value in `out`, advances `pos` past it and returns true; on a truncated or
+/// overlong varint returns false.  For parsers that must stay total without
+/// the exception path (batch framing, link frames).
+inline bool read_varint(BytesView data, std::size_t& pos, std::uint64_t& out) {
+  out = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (pos >= data.size()) return false;
+    const auto b = static_cast<std::uint8_t>(data[pos++]);
+    // The 10th byte can only contribute bit 63: higher payload bits would
+    // wrap modulo 2^64 and let a forged overlong varint alias a small value.
+    if (shift == 63 && (b & 0x7e) != 0) return false;
+    out |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return true;
+  }
+  return false;  // varint too long
+}
+
 class ByteWriter {
  public:
+  /// `capacity` reserves the buffer up front: encoders pass their frame's
+  /// size bound so one frame costs one allocation.
+  explicit ByteWriter(std::size_t capacity = 0) { buf_.reserve(capacity); }
+
   void put_u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
 
   void put_varint(std::uint64_t v) {
@@ -43,6 +75,8 @@ class ByteWriter {
     std::memcpy(&bits, &v, sizeof(bits));
     for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(bits >> (8 * i)));
   }
+
+  void put_bytes(BytesView bytes) { buf_.insert(buf_.end(), bytes.begin(), bytes.end()); }
 
   /// Packed bit vector; first the bit count as varint, then ceil(k/8) bytes.
   void put_bits(const std::vector<bool>& bits) {
@@ -78,18 +112,8 @@ class ByteReader {
 
   std::uint64_t get_varint() {
     std::uint64_t v = 0;
-    int shift = 0;
-    for (;;) {
-      APXA_ENSURE(shift < 64, "varint too long");
-      std::uint8_t b = get_u8();
-      // The 10th byte can only contribute bit 63: higher payload bits would
-      // silently wrap modulo 2^64, letting a forged overlong varint alias a
-      // small value (e.g. 2^64 + k decoding as k past an instance-id bound).
-      APXA_ENSURE(shift < 63 || (b & 0x7e) == 0, "varint overflows 64 bits");
-      v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) break;
-      shift += 7;
-    }
+    APXA_ENSURE(read_varint(data_, pos_, v),
+                "varint truncated, too long or past 64 bits");
     return v;
   }
 

@@ -28,7 +28,7 @@ std::optional<MsgType> peek_type(BytesView payload) {
 }
 
 Bytes encode_round(const RoundMsg& m) {
-  ByteWriter w;
+  ByteWriter w(1 + varint_size(m.round) + 8 + varint_size(m.budget));
   w.put_u8(static_cast<std::uint8_t>(MsgType::kRound));
   w.put_varint(m.round);
   w.put_f64(m.value);
@@ -51,7 +51,7 @@ std::optional<RoundMsg> decode_round(BytesView payload) {
 }
 
 Bytes encode_done(const DoneMsg& m) {
-  ByteWriter w;
+  ByteWriter w(1 + varint_size(m.round) + 8);
   w.put_u8(static_cast<std::uint8_t>(MsgType::kDone));
   w.put_varint(m.round);
   w.put_f64(m.value);
@@ -72,7 +72,7 @@ std::optional<DoneMsg> decode_done(BytesView payload) {
 }
 
 Bytes encode_rb(const RbMsg& m) {
-  ByteWriter w;
+  ByteWriter w(1 + varint_size(m.instance) + varint_size(m.origin) + 8);
   w.put_u8(static_cast<std::uint8_t>(m.type));
   w.put_varint(m.instance);
   w.put_varint(m.origin);
@@ -99,7 +99,8 @@ std::optional<RbMsg> decode_rb(BytesView payload) {
 }
 
 Bytes encode_report(const ReportMsg& m) {
-  ByteWriter w;
+  ByteWriter w(1 + varint_size(m.iter) + varint_size(m.have.size()) +
+               (m.have.size() + 7) / 8);
   w.put_u8(static_cast<std::uint8_t>(MsgType::kReport));
   w.put_varint(m.iter);
   w.put_bits(m.have);
@@ -120,7 +121,8 @@ std::optional<ReportMsg> decode_report(BytesView payload) {
 }
 
 Bytes encode_rb_vec(const RbVecMsg& m) {
-  ByteWriter w;
+  ByteWriter w(1 + varint_size(m.instance) + varint_size(m.origin) +
+               varint_size(m.value.size()) + 8 * m.value.size());
   w.put_u8(static_cast<std::uint8_t>(m.type));
   w.put_varint(m.instance);
   w.put_varint(m.origin);

@@ -14,7 +14,7 @@ constexpr std::uint8_t kVecRoundTag = 7;
 }
 
 Bytes encode_vec_round(Round r, const std::vector<double>& v) {
-  ByteWriter w;
+  ByteWriter w(1 + varint_size(r) + varint_size(v.size()) + 8 * v.size());
   w.put_u8(kVecRoundTag);
   w.put_varint(r);
   w.put_varint(v.size());

@@ -1,34 +1,16 @@
 #include "net/envelope.hpp"
 
 #include <limits>
-#include <stdexcept>
 
 namespace apxa::net {
 
-namespace {
-
-// Totality guard shared by the envelope decoders: ByteReader overruns
-// (std::invalid_argument) become nullopt, mirroring core::detail::total_decode
-// without depending on the protocol layer.
-template <class F>
-auto total_decode(F&& decode) -> decltype(decode()) {
-  try {
-    return decode();
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace
-
 Bytes encode_envelope(std::uint32_t instance, BytesView inner) {
   APXA_ENSURE(!inner.empty(), "cannot envelope an empty frame");
-  ByteWriter w;
+  ByteWriter w(1 + varint_size(instance) + inner.size());
   w.put_u8(kEnvelopeTag);
   w.put_varint(instance);
-  Bytes out = std::move(w).take();
-  out.insert(out.end(), inner.begin(), inner.end());
-  return out;
+  w.put_bytes(inner);
+  return std::move(w).take();
 }
 
 bool is_envelope(BytesView frame) {
@@ -37,23 +19,23 @@ bool is_envelope(BytesView frame) {
 
 std::optional<EnvelopeView> decode_envelope(BytesView frame) {
   if (!is_envelope(frame)) return std::nullopt;
-  return total_decode([&]() -> std::optional<EnvelopeView> {
-    ByteReader r(frame);
-    r.get_u8();
-    const std::uint64_t instance = r.get_varint();
-    if (instance > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
-    if (r.remaining() == 0) return std::nullopt;  // envelopes carry a message
-    EnvelopeView v;
-    v.instance = static_cast<std::uint32_t>(instance);
-    v.payload = frame.subspan(frame.size() - r.remaining());
-    return v;
-  });
+  std::size_t pos = 1;
+  std::uint64_t instance = 0;
+  if (!read_varint(frame, pos, instance)) return std::nullopt;
+  if (instance > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  if (pos == frame.size()) return std::nullopt;  // envelopes carry a message
+  EnvelopeView v;
+  v.instance = static_cast<std::uint32_t>(instance);
+  v.payload = frame.subspan(pos);
+  return v;
 }
 
 Bytes encode_batch(std::span<const Bytes> frames) {
   APXA_ENSURE(!frames.empty() && frames.size() <= kMaxBatchFrames,
               "batch packs 1..kMaxBatchFrames frames");
-  ByteWriter w;
+  std::size_t size = 1 + varint_size(frames.size());
+  for (const Bytes& f : frames) size += varint_size(f.size()) + f.size();
+  ByteWriter w(size);
   w.put_u8(kBatchTag);
   w.put_varint(frames.size());
   for (const Bytes& f : frames) {
@@ -61,43 +43,25 @@ Bytes encode_batch(std::span<const Bytes> frames) {
     APXA_ENSURE(static_cast<std::uint8_t>(f[0]) != kBatchTag,
                 "batches do not nest");
     w.put_varint(f.size());
-    for (const std::byte b : f) w.put_u8(static_cast<std::uint8_t>(b));
+    w.put_bytes(f);
   }
   return std::move(w).take();
 }
 
 std::optional<std::vector<BytesView>> decode_batch(BytesView packet) {
-  if (packet.empty() || static_cast<std::uint8_t>(packet[0]) != kBatchTag) {
+  if (!detail::is_batch(packet) ||
+      !detail::parse_batch(packet, [](BytesView) {})) {
     return std::nullopt;
   }
-  return total_decode([&]() -> std::optional<std::vector<BytesView>> {
-    ByteReader r(packet);
-    r.get_u8();
-    const std::uint64_t count = r.get_varint();
-    if (count == 0 || count > kMaxBatchDecodeFrames) return std::nullopt;
-    std::vector<BytesView> frames;
-    frames.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t len = r.get_varint();
-      if (len == 0 || len > r.remaining()) return std::nullopt;
-      const BytesView frame =
-          packet.subspan(packet.size() - r.remaining(), len);
-      if (static_cast<std::uint8_t>(frame[0]) == kBatchTag) {
-        return std::nullopt;  // no recursion
-      }
-      frames.push_back(frame);
-      for (std::uint64_t j = 0; j < len; ++j) r.get_u8();
-    }
-    if (!r.done()) return std::nullopt;
-    return frames;
-  });
+  std::vector<BytesView> frames;
+  detail::parse_batch(packet, [&frames](BytesView f) { frames.push_back(f); });
+  return frames;
 }
 
 std::vector<BytesView> unpack_packet(BytesView packet) {
-  if (!packet.empty() && static_cast<std::uint8_t>(packet[0]) == kBatchTag) {
-    if (auto frames = decode_batch(packet)) return std::move(*frames);
-  }
-  return {packet};
+  std::vector<BytesView> frames;
+  for_each_frame(packet, [&frames](BytesView f) { frames.push_back(f); });
+  return frames;
 }
 
 }  // namespace apxa::net

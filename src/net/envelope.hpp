@@ -24,6 +24,13 @@
 // value or nullopt, never an exception.  Decoded views alias the input
 // buffer (zero copy on the delivery hot path); callers keep the packet alive
 // while using them.
+//
+// One parser, two faces.  detail::parse_batch is the only batch parser; it
+// never allocates or throws.  for_each_frame runs it to hand each logical
+// frame of a packet to a visitor, allocation free — the face every transport
+// and net::Metrics use per message.  decode_batch and unpack_packet collect
+// the same frames into a vector for callers that want one (tests, fuzz
+// targets, offline replay).
 #pragma once
 
 #include <cstdint>
@@ -75,11 +82,54 @@ Bytes encode_batch(std::span<const Bytes> frames);
 /// alias `packet`.
 std::optional<std::vector<BytesView>> decode_batch(BytesView packet);
 
-/// Split any packet into its logical frames: a batch yields its inner
-/// frames, anything else (envelope or legacy message) yields itself.  A
-/// malformed batch also yields itself — the protocol decoders downstream are
-/// total and will reject it, so a forged batch costs its sender one junk
-/// delivery, never a crash.
+namespace detail {
+
+/// The batch parser: walks `packet` (which must start with kBatchTag) and
+/// calls `emit(frame)` for each inner frame.  Returns false at the first
+/// malformation — count 0 or above kMaxBatchDecodeFrames, a truncated or
+/// zero length, a nested batch, trailing bytes — after emitting the frames
+/// before it, so callers that need all-or-nothing validate with a no-op
+/// emit first.  Never allocates, never throws.
+template <class Emit>
+bool parse_batch(BytesView packet, Emit&& emit) {
+  std::size_t pos = 1;  // past the tag
+  std::uint64_t count = 0;
+  if (!read_varint(packet, pos, count)) return false;
+  if (count == 0 || count > kMaxBatchDecodeFrames) return false;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint64_t len = 0;
+    if (!read_varint(packet, pos, len)) return false;
+    if (len == 0 || len > packet.size() - pos) return false;
+    const BytesView frame = packet.subspan(pos, len);
+    if (static_cast<std::uint8_t>(frame[0]) == kBatchTag) return false;  // no recursion
+    emit(frame);
+    pos += len;
+  }
+  return pos == packet.size();
+}
+
+inline bool is_batch(BytesView packet) {
+  return !packet.empty() && static_cast<std::uint8_t>(packet[0]) == kBatchTag;
+}
+
+}  // namespace detail
+
+/// Visit every logical frame of any packet, in order, without allocating: a
+/// well-formed batch yields its inner frames, anything else (envelope,
+/// legacy message, or a malformed batch) yields itself.  A forged batch thus
+/// costs its sender one junk delivery that the total protocol decoders
+/// downstream reject, never a crash.  Views alias `packet`.
+template <class Visit>
+void for_each_frame(BytesView packet, Visit&& visit) {
+  if (detail::is_batch(packet) &&
+      detail::parse_batch(packet, [](BytesView) {})) {
+    detail::parse_batch(packet, visit);
+    return;
+  }
+  visit(packet);
+}
+
+/// for_each_frame collected into a vector (allocates; off the hot path).
 std::vector<BytesView> unpack_packet(BytesView packet);
 
 }  // namespace apxa::net

@@ -10,11 +10,9 @@ void Metrics::note_send(ProcessId from, std::span<const std::byte> payload) {
   if (from < bytes_by.size()) bytes_by[from] += payload.size();
 
   // A batch packet carries several logical messages; everything else (an
-  // envelope or a bare protocol frame) is one.  unpack_packet is total, so a
-  // forged batch simply counts as one unknown-tag message.
-  for (const BytesView frame : unpack_packet(payload)) {
-    note_logical(from, frame);
-  }
+  // envelope or a bare protocol frame) is one.  for_each_frame is total, so
+  // a forged batch simply counts as one unknown-tag message.
+  for_each_frame(payload, [&](BytesView frame) { note_logical(from, frame); });
 }
 
 std::size_t Metrics::frame_tag(std::span<const std::byte> frame) {
@@ -36,18 +34,17 @@ void Metrics::note_delivery(std::span<const std::byte> payload, double latency) 
     if (latency * kLatencyBuckets == static_cast<double>(bucket)) --bucket;
     if (bucket >= kLatencyBuckets) bucket = kLatencyBuckets - 1;
   }
-  for (const BytesView frame_view : unpack_packet(payload)) {
-    std::span<const std::byte> frame = frame_view;
+  for_each_frame(payload, [&](BytesView frame) {
     if (is_envelope(frame)) {
       const auto env = decode_envelope(frame);
       if (!env) {
         ++latency_by_tag[0][bucket];
-        continue;
+        return;
       }
       frame = env->payload;
     }
     ++latency_by_tag[frame_tag(frame)][bucket];
-  }
+  });
 }
 
 std::uint64_t Metrics::latency_samples(std::size_t tag) const {

@@ -15,6 +15,13 @@
 //    so scalar and vector protocols run on the same engines.
 //  - Byzantine parties are ordinary Process implementations that misbehave;
 //    per-receiver send() already gives them full equivocation power.
+//  - Own-upcall contract: a process's state — and with it has_output() and
+//    any completion probe a transport runs on it — changes only inside its
+//    own on_start / on_message upcalls, never from another party's upcall or
+//    from outside.  Transports rely on it: net::SimNetwork re-checks only the
+//    receiver after each delivery, and the parallel simulator and
+//    rt::ThreadNetwork latch per-party done flags.  Processes must not share
+//    mutable protocol state with each other.
 #pragma once
 
 #include <optional>

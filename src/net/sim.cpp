@@ -169,6 +169,7 @@ void SimNetwork::crash_at_time(ProcessId p, double time) {
   APXA_ENSURE(p < params_.n, "crash id out of range");
   APXA_ENSURE(time >= 0.0, "crash time must be non-negative");
   crash_time_[p] = time;
+  next_crash_time_ = std::min(next_crash_time_, time);
 }
 
 void SimNetwork::enable_duplication(double prob, std::uint64_t seed) {
@@ -214,7 +215,7 @@ void SimNetwork::start() {
     procs_[p]->on_start(ctx);
     flush_sender(p);
   }
-  note_outputs();
+  for (ProcessId p = 0; p < params_.n; ++p) note_output(p);
 }
 
 void SimNetwork::do_send(ProcessId from, ProcessId to, Bytes payload) {
@@ -329,99 +330,132 @@ void SimNetwork::do_multicast(ProcessId from, const Bytes& payload) {
 }
 
 void SimNetwork::apply_timed_crashes(double up_to) {
+  if (up_to < next_crash_time_) return;
+  next_crash_time_ = kInf;
   for (ProcessId p = 0; p < params_.n; ++p) {
-    if (crash_time_[p] <= up_to && status_[p] == PartyStatus::kCorrect) {
+    if (status_[p] != PartyStatus::kCorrect) continue;
+    if (crash_time_[p] <= up_to) {
       status_[p] = PartyStatus::kCrashed;
       if (trace_) {
         trace_->record(obs::EventKind::kCrash, p, p, -1, crash_time_[p], now_);
       }
+    } else {
+      next_crash_time_ = std::min(next_crash_time_, crash_time_[p]);
     }
   }
 }
 
-void SimNetwork::note_outputs() {
+void SimNetwork::note_output(ProcessId p) {
+  if (output_time_[p] == kInf && procs_[p]->has_output()) output_time_[p] = now_;
+}
+
+void SimNetwork::latch_all_done(const PartyDone& done) {
+  done_flag_.assign(params_.n, 0);
+  for (ProcessId p = 0; p < params_.n; ++p) latch_done(p, done);
+}
+
+bool SimNetwork::probe_done(ProcessId p, const PartyDone& done) const {
+  return done ? done(p, *procs_[p]) : procs_[p]->has_output();
+}
+
+void SimNetwork::latch_done(ProcessId p, const PartyDone& done) {
+  if (status_[p] != PartyStatus::kCorrect || done_flag_[p]) return;
+  if (probe_done(p, done)) done_flag_[p] = 1;
+}
+
+bool SimNetwork::all_done() const {
   for (ProcessId p = 0; p < params_.n; ++p) {
-    if (output_time_[p] == kInf && procs_[p]->has_output()) {
-      output_time_[p] = now_;
-    }
+    if (status_[p] == PartyStatus::kCorrect && !done_flag_[p]) return false;
   }
+  return true;
+}
+
+bool SimNetwork::deliver(const Message& m) {
+  if (status_[m.to] == PartyStatus::kCrashed) {  // dropped silently
+    if (trace_) trace_->record(obs::EventKind::kDrop, m.from, m.to, -1, 0.0, now_);
+    return false;
+  }
+  scheduler_->on_deliver(m);
+  metrics_.note_delivery(m.payload, now_ - m.send_time);
+
+  // Side effects the upcall defers run AFTER the receiver's batch flush —
+  // the same slot the parallel commit walk executes them in — so traced
+  // event order and harness trace-map write order are mode-independent.
+  effects_.clear();
+  ContextImpl ctx(*this, m.to);
+  Process& proc = *procs_[m.to];
+  if (max_batch_ > 0) {
+    // Deliver EVERY frame of the packet before flushing the receiver's send
+    // buffers: an 8-frame batch advances up to 8 instances whose responses
+    // then pack into full batches again, so batching efficiency
+    // self-sustains down the cascade.  Frames are views into the packet.
+    if (trace_) {
+      std::size_t frames = 0;
+      for_each_frame(m.payload, [&frames](BytesView) { ++frames; });
+      trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1,
+                     static_cast<double>(frames), now_);
+    }
+    {
+      TlEffectsScope scope(&effects_);
+      for_each_frame(m.payload, [&](BytesView frame) {
+        ++metrics_.messages_delivered;
+        proc.on_message(ctx, m.from, frame);
+      });
+    }
+    flush_sender(m.to);
+  } else {
+    if (trace_) {
+      trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1, 1.0, now_);
+    }
+    TlEffectsScope scope(&effects_);
+    ++metrics_.messages_delivered;
+    proc.on_message(ctx, m.from, m.payload);
+  }
+  for (auto& fn : effects_) fn();
+  // Only the receiver ran, so only its output can have appeared (the
+  // own-upcall contract in net/process.hpp).
+  note_output(m.to);
+  return true;
+}
+
+template <class StopAfter>
+RunStatus SimNetwork::drive(StopAfter&& stop_after, std::uint64_t max_deliveries) {
+  std::uint64_t delivered = 0;
+  while (!queue_.empty()) {
+    if (delivered >= max_deliveries) return RunStatus::kBudgetExhausted;
+    const Pending next = pop_event();
+    now_ = std::max(now_, next.time);
+    apply_timed_crashes(now_);
+    if (!deliver(next.msg)) continue;
+    ++delivered;
+    if (stop_after(next.msg.to)) return RunStatus::kPredicateSatisfied;
+  }
+  return RunStatus::kQueueDrained;
 }
 
 RunStatus SimNetwork::run_until(const std::function<bool()>& pred,
                                 std::uint64_t max_deliveries) {
   APXA_ENSURE(started_, "call start() before run()");
   if (pred && pred()) return RunStatus::kPredicateSatisfied;
-  std::uint64_t delivered = 0;
-  std::vector<std::function<void()>> effects;
-  while (!queue_.empty()) {
-    if (delivered >= max_deliveries) return RunStatus::kBudgetExhausted;
-    const Pending next = pop_event();
-    now_ = std::max(now_, next.time);
-    apply_timed_crashes(now_);
-
-    const Message& m = next.msg;
-    if (status_[m.to] == PartyStatus::kCrashed) {  // dropped silently
-      if (trace_) trace_->record(obs::EventKind::kDrop, m.from, m.to, -1, 0.0, now_);
-      continue;
-    }
-    ++delivered;
-    scheduler_->on_deliver(m);
-    metrics_.note_delivery(m.payload, now_ - m.send_time);
-
-    // Side effects the upcall defers run AFTER the receiver's batch flush —
-    // the same slot the parallel commit walk executes them in — so traced
-    // event order and harness trace-map write order are mode-independent.
-    effects.clear();
-    ContextImpl ctx(*this, m.to);
-    if (max_batch_ > 0) {
-      // Deliver EVERY frame of the packet before flushing the receiver's
-      // send buffers: an 8-frame batch advances up to 8 instances whose
-      // responses then pack into full batches again, so batching efficiency
-      // self-sustains down the cascade.
-      const auto frames = unpack_packet(m.payload);
-      if (trace_) {
-        trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1,
-                       static_cast<double>(frames.size()), now_);
-      }
-      {
-        TlEffectsScope scope(&effects);
-        for (const BytesView frame : frames) {
-          ++metrics_.messages_delivered;
-          procs_[m.to]->on_message(ctx, m.from, Bytes(frame.begin(), frame.end()));
-        }
-      }
-      flush_sender(m.to);
-    } else {
-      if (trace_) {
-        trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1, 1.0, now_);
-      }
-      {
-        TlEffectsScope scope(&effects);
-        ++metrics_.messages_delivered;
-        procs_[m.to]->on_message(ctx, m.from, m.payload);
-      }
-    }
-    for (auto& fn : effects) fn();
-    note_outputs();
-    if (pred && pred()) return RunStatus::kPredicateSatisfied;
-  }
-  return RunStatus::kQueueDrained;
+  return drive([&pred](ProcessId) { return pred && pred(); }, max_deliveries);
 }
 
 RunStatus SimNetwork::run_until_done(const PartyDone& done,
                                      std::uint64_t max_deliveries) {
   if (workers_ > 1) return run_parallel(done, max_deliveries);
-  // Serial path: the exact global-conjunction predicate the serial backend
-  // has always used — byte-identical behavior, probe call order included.
-  auto pred = [this, &done] {
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (status_[p] != PartyStatus::kCorrect) continue;
-      const bool d = done ? done(p, *procs_[p]) : procs_[p]->has_output();
-      if (!d) return false;
-    }
-    return true;
-  };
-  return run_until(pred, max_deliveries);
+  APXA_ENSURE(started_, "call start() before run()");
+  // Same stopping point as run_until over the all-correct-done conjunction:
+  // probes are monotone and a delivery changes only its receiver, so each
+  // correct party is probed once here and afterwards only after its own
+  // events; the conjunction is a scan of the latched flags.
+  latch_all_done(done);
+  if (all_done()) return RunStatus::kPredicateSatisfied;
+  return drive(
+      [this, &done](ProcessId to) {
+        latch_done(to, done);
+        return all_done();
+      },
+      max_deliveries);
 }
 
 /// Barrier-style worker pool for run_parallel: run(njobs, task) executes
@@ -505,22 +539,8 @@ RunStatus SimNetwork::run_parallel(const PartyDone& done,
                                    std::uint64_t max_deliveries) {
   APXA_ENSURE(started_, "call start() before run()");
 
-  // Latched per-party done states (probes are monotone by contract — the
-  // same requirement rt::ThreadNetwork's latched done_ flags impose).
-  std::vector<std::uint8_t> done_flag(params_.n, 0);
-  auto probe = [this, &done](ProcessId p) {
-    return done ? done(p, *procs_[p]) : procs_[p]->has_output();
-  };
-  auto pred_holds = [this, &done_flag] {
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (status_[p] == PartyStatus::kCorrect && !done_flag[p]) return false;
-    }
-    return true;
-  };
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] == PartyStatus::kCorrect && probe(p)) done_flag[p] = 1;
-  }
-  if (pred_holds()) return RunStatus::kPredicateSatisfied;
+  latch_all_done(done);
+  if (all_done()) return RunStatus::kPredicateSatisfied;
 
   Crew crew(workers_);
   std::uint64_t delivered = 0;
@@ -537,51 +557,14 @@ RunStatus SimNetwork::run_parallel(const PartyDone& done,
     }
   };
 
-  // One event, exact serial semantics (the run_until body) with the latched
-  // per-party probe.  Returns kQueueDrained to mean "keep going".
-  std::vector<std::function<void()>> effects;
+  // One event, exact serial semantics (the run_until_done body).  Returns
+  // kQueueDrained to mean "keep going".
   auto deliver_serial = [&](std::size_t k) -> RunStatus {
     const Message& m = step[k].msg;
-    if (status_[m.to] == PartyStatus::kCrashed) {
-      if (trace_) trace_->record(obs::EventKind::kDrop, m.from, m.to, -1, 0.0, now_);
-      return RunStatus::kQueueDrained;
-    }
+    if (!deliver(m)) return RunStatus::kQueueDrained;
     ++delivered;
-    scheduler_->on_deliver(m);
-    metrics_.note_delivery(m.payload, now_ - m.send_time);
-    effects.clear();
-    ContextImpl ctx(*this, m.to);
-    if (max_batch_ > 0) {
-      const auto frames = unpack_packet(m.payload);
-      if (trace_) {
-        trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1,
-                       static_cast<double>(frames.size()), now_);
-      }
-      {
-        TlEffectsScope scope(&effects);
-        for (const BytesView frame : frames) {
-          ++metrics_.messages_delivered;
-          procs_[m.to]->on_message(ctx, m.from, Bytes(frame.begin(), frame.end()));
-        }
-      }
-      flush_sender(m.to);
-    } else {
-      if (trace_) {
-        trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1, 1.0, now_);
-      }
-      {
-        TlEffectsScope scope(&effects);
-        ++metrics_.messages_delivered;
-        procs_[m.to]->on_message(ctx, m.from, m.payload);
-      }
-    }
-    for (auto& fn : effects) fn();
-    note_outputs();
-    if (status_[m.to] == PartyStatus::kCorrect && !done_flag[m.to] &&
-        probe(m.to)) {
-      done_flag[m.to] = 1;
-    }
-    return pred_holds() ? RunStatus::kPredicateSatisfied : RunStatus::kQueueDrained;
+    latch_done(m.to, done);
+    return all_done() ? RunStatus::kPredicateSatisfied : RunStatus::kQueueDrained;
   };
 
   while (!queue_.empty()) {
@@ -658,17 +641,17 @@ RunStatus SimNetwork::run_parallel(const PartyDone& done,
         StageContext ctx(*this, to, &r.sends);
         TlEffectsScope scope(&r.effects);
         if (max_batch_ > 0) {
-          for (const BytesView frame : unpack_packet(m.payload)) {
+          for_each_frame(m.payload, [&](BytesView frame) {
             ++r.frames;
-            procs_[to]->on_message(ctx, m.from, Bytes(frame.begin(), frame.end()));
-          }
+            procs_[to]->on_message(ctx, m.from, frame);
+          });
         } else {
           r.frames = 1;
           procs_[to]->on_message(ctx, m.from, m.payload);
         }
         r.output_after = procs_[to]->has_output();
-        if (step_status_[to] == PartyStatus::kCorrect && !done_flag[to]) {
-          r.done_after = probe(to) ? 1 : 0;
+        if (step_status_[to] == PartyStatus::kCorrect && !done_flag_[to]) {
+          r.done_after = probe_done(to, done) ? 1 : 0;
         }
       }
     });
@@ -706,9 +689,9 @@ RunStatus SimNetwork::run_parallel(const PartyDone& done,
       for (auto& fn : r.effects) fn();
       if (r.output_after && output_time_[to] == kInf) output_time_[to] = now_;
       if (r.done_after == 1 && status_[to] == PartyStatus::kCorrect) {
-        done_flag[to] = 1;
+        done_flag_[to] = 1;
       }
-      if (pred_holds()) {
+      if (all_done()) {
         requeue_from(k + 1);
         return RunStatus::kPredicateSatisfied;
       }
@@ -749,7 +732,7 @@ std::vector<double> SimNetwork::correct_outputs() const {
   // Gated on output_time_, not the live process: after a parallel run stops
   // mid-step, overshoot upcalls may have produced outputs the serial loop
   // never saw; those have no committed output time and stay invisible.
-  // Serially the gate is a no-op — note_outputs records the time the moment
+  // Serially the gate is a no-op — note_output records the time the moment
   // an output appears.
   std::vector<double> out;
   for (ProcessId p = 0; p < params_.n; ++p) {

@@ -30,10 +30,19 @@
 // short run serially (exact mid-step stop semantics); completion probes must
 // be monotone (once true for a process, true forever — the same contract
 // rt::ThreadNetwork's latched done flags already impose).
+//
+// Cost per event: O(1) in n.  Serial and parallel runs share one delivery
+// helper (deliver), and a delivery changes only its receiver's state (the
+// own-upcall contract in net/process.hpp), so after each event only the
+// receiver's output time is noted and only the receiver's done probe is
+// re-run into a latched per-party flag; the all-correct-done conjunction is
+// a byte scan of those flags.  A batch's frames reach on_message as views
+// into the packet, never as copies.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -144,9 +153,11 @@ class SimNetwork final {
 
   /// Deliver until every correct party satisfies `done` (empty = "has
   /// produced an output"), the queue drains, or the budget is exhausted.
-  /// With parallel_workers() == 1 this is exactly run_until over the
-  /// all-correct-done conjunction; with workers > 1 it fans scheduler steps
-  /// out and commits them serially — same results, bit for bit.  After a
+  /// Stops exactly where run_until over the all-correct-done conjunction
+  /// would, but probes each correct party once up front and afterwards only
+  /// the receiver of each delivery, latching the answers (at most n +
+  /// deliveries probe calls).  With workers > 1 it fans scheduler steps out
+  /// and commits them serially — same results, bit for bit.  After a
   /// parallel run stops mid-step (predicate satisfied), the network must not
   /// be resumed: un-committed events are re-queued for status accounting,
   /// but their upcalls have already speculatively run.
@@ -224,7 +235,26 @@ class SimNetwork final {
   Pending pop_event();
   void flush_sender(ProcessId from);
   void apply_timed_crashes(double up_to);
-  void note_outputs();
+  void note_output(ProcessId p);
+
+  /// The one delivery path (run_until, run_until_done and run_parallel's
+  /// serial steps): drop if the receiver crashed, else account the delivery,
+  /// run the receiver's upcall(s) — one per frame of a batch, each a view
+  /// into the packet —, flush its batch buffers, run deferred side effects
+  /// and note the receiver's output time.  False when dropped.
+  bool deliver(const Message& m);
+  /// Serial event loop: pop, advance time, deliver; stops when
+  /// `stop_after(receiver)` holds after a delivery.
+  template <class StopAfter>
+  RunStatus drive(StopAfter&& stop_after, std::uint64_t max_deliveries);
+
+  /// Latched completion flags for run_until_done (serial and parallel):
+  /// latch_all_done probes every correct party once, latch_done re-probes
+  /// one party after its own event, all_done scans the flags.
+  bool probe_done(ProcessId p, const PartyDone& done) const;
+  void latch_all_done(const PartyDone& done);
+  void latch_done(ProcessId p, const PartyDone& done);
+  [[nodiscard]] bool all_done() const;
   RunStatus run_parallel(const PartyDone& done, std::uint64_t max_deliveries);
 
   SystemParams params_;
@@ -236,6 +266,11 @@ class SimNetwork final {
   std::vector<double> crash_time_;               // +inf if none
   std::vector<std::vector<ProcessId>> multicast_order_;
   std::vector<double> output_time_;
+  // Earliest crash_at_time not yet applied (a lower bound), so
+  // apply_timed_crashes costs one compare per event until it is due.
+  double next_crash_time_ = std::numeric_limits<double>::infinity();
+  std::vector<std::uint8_t> done_flag_;           // run_until_done latches
+  std::vector<std::function<void()>> effects_;   // serial deferred effects
 
   /// Min-heap on (time, seq), kept with push_heap/pop_heap so an event
   /// leaves it by move (priority_queue::top() is const: popping through it

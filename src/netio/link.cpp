@@ -29,19 +29,7 @@ struct TotalReader {
     return true;
   }
 
-  bool get_varint(std::uint64_t& out) {
-    out = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      std::uint8_t b = 0;
-      if (!get_u8(b)) return false;
-      // Reject 10-byte varints whose final byte carries bits past bit 63 —
-      // they would wrap modulo 2^64 and alias a small sequence number.
-      if (shift == 63 && (b & 0x7e) != 0) return false;
-      out |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-      if ((b & 0x80) == 0) return true;
-    }
-    return false;  // varint too long
-  }
+  bool get_varint(std::uint64_t& out) { return read_varint(data, pos, out); }
 
   [[nodiscard]] BytesView rest() const { return data.subspan(pos); }
 };

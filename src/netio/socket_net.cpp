@@ -322,9 +322,9 @@ void SocketNetwork::drain_pending(ProcessId p, const std::stop_token& st) {
       metrics_.note_delivery(d.payload, d.latency_s / kSocketLatencySpan);
     }
     if (max_batch_ > 0) {
-      for (const BytesView frame : net::unpack_packet(d.payload)) {
+      net::for_each_frame(d.payload, [&](BytesView frame) {
         deliver_frame(p, src, frame);
-      }
+      });
       flush_sender(p);
     } else {
       deliver_frame(p, src, d.payload);

@@ -283,7 +283,7 @@ void ThreadNetwork::publish(ProcessId p) {
 }
 
 void ThreadNetwork::deliver_one(ProcessId p, ProcessId from,
-                                const Bytes& payload) {
+                                BytesView payload) {
   if (trace_) trace_->record(obs::EventKind::kDeliver, from, p, -1, 1.0, 0.0);
   {
     std::scoped_lock lock(metrics_mu_);
@@ -365,9 +365,9 @@ void ThreadNetwork::run_party(std::uint32_t shard, ProcessId p,
       // Deliver EVERY frame of the packet, then flush the receiver's send
       // buffers once: a full batch advances several instances whose
       // responses pack into full batches again (self-sustaining msgs/packet).
-      for (const BytesView frame : net::unpack_packet(item.payload)) {
-        deliver_one(p, item.from, Bytes(frame.begin(), frame.end()));
-      }
+      net::for_each_frame(item.payload, [&](BytesView frame) {
+        deliver_one(p, item.from, frame);
+      });
       flush_sender(p);
     } else {
       deliver_one(p, item.from, item.payload);

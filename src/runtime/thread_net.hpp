@@ -186,7 +186,7 @@ class ThreadNetwork final {
   bool next_party(std::uint32_t shard, ProcessId& out, const std::stop_token& st);
   void run_party(std::uint32_t shard, ProcessId p, const std::stop_token& st);
   void enqueue_runnable(std::uint32_t shard, ProcessId p);
-  void deliver_one(ProcessId p, ProcessId from, const Bytes& payload);
+  void deliver_one(ProcessId p, ProcessId from, BytesView payload);
   void publish(ProcessId p);
   void post(ProcessId from, ProcessId to, Bytes payload);
   void post_packet(ProcessId from, ProcessId to, Bytes payload);
