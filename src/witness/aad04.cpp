@@ -34,15 +34,21 @@ void WitnessAaProcess::begin_iteration(net::Context& ctx) {
 }
 
 void WitnessAaProcess::on_message(net::Context& ctx, ProcessId from, BytesView payload) {
-  if (finished_) {
+  // Instance hygiene BEFORE the hub sees the message (as in the equalized
+  // collector, core/collect.cpp): no honest party broadcasts or reports at
+  // an iteration >= the budget, so such traffic is forged.  Echoing a forged
+  // out-of-budget RB instance would amplify it into Theta(n^2) honest
+  // messages and a permanent hub slot at every correct party; dropping it
+  // costs totality nothing.
+  if (const auto rb = core::decode_rb(payload)) {
     // Keep serving the reliable-broadcast layer even after outputting:
     // laggards' RB instances need our echoes/readies for totality.
-    hub_.handle(ctx, from, payload);
+    if (rb->instance < cfg_.iterations) hub_.handle(ctx, from, payload);
     return;
   }
-  if (hub_.handle(ctx, from, payload)) return;
+  if (finished_) return;
   if (const auto rep = core::decode_report(payload)) {
-    on_report(ctx, from, rep->iter, rep->have);
+    if (rep->iter < cfg_.iterations) on_report(ctx, from, rep->iter, rep->have);
     return;
   }
   // Other traffic (byzantine junk) is ignored.

@@ -5,7 +5,9 @@
 
 #include <chrono>
 #include <memory>
+#include <vector>
 
+#include "adversary/byzantine.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
 #include "core/epsilon_driver.hpp"
@@ -157,6 +159,80 @@ TEST(WitnessEdge, SingleIterationIsOneHalving) {
   // One iteration: outputs within the hull, spread at most half.
   EXPECT_LE(rep.worst_pair_gap, 0.5 + 1e-9);
   EXPECT_TRUE(rep.validity_ok);
+}
+
+/// Test double: counts what a process sends, never delivers.
+class CountingContext final : public net::Context {
+ public:
+  explicit CountingContext(SystemParams p) : params_(p) {}
+  void send(ProcessId, Bytes) override { ++sends; }
+  void multicast(const Bytes&) override { ++multicasts; }
+  [[nodiscard]] ProcessId self() const override { return 0; }
+  [[nodiscard]] SystemParams params() const override { return params_; }
+  int sends = 0, multicasts = 0;
+
+ private:
+  SystemParams params_;
+};
+
+TEST(WitnessEdge, OutOfBudgetInstancesGetNoReply) {
+  // No honest party broadcasts or reports at an iteration >= the budget, so
+  // SEND/ECHO/READY and REPORT traffic there is forged: a correct party must
+  // not echo it into Theta(n^2) honest messages (or keep state for it).
+  const SystemParams p{4, 1};
+  const std::uint32_t iterations = 3;
+  witness::WitnessConfig wc;
+  wc.params = p;
+  wc.input = 0.5;
+  wc.iterations = iterations;
+  witness::WitnessAaProcess proc(wc);
+  CountingContext ctx(p);
+  proc.on_start(ctx);
+  const int sends0 = ctx.sends, multicasts0 = ctx.multicasts;
+
+  const std::vector<bool> all(p.n, true);
+  for (const std::uint32_t inst : {iterations, std::uint32_t{1'000'000}}) {
+    proc.on_message(ctx, 1, encode_rb(RbMsg{MsgType::kRbSend, inst, 1, 7.0}));
+    for (ProcessId voter = 1; voter < p.n; ++voter) {
+      proc.on_message(ctx, voter, encode_rb(RbMsg{MsgType::kRbEcho, inst, 2, 7.0}));
+      proc.on_message(ctx, voter, encode_rb(RbMsg{MsgType::kRbReady, inst, 2, 7.0}));
+      proc.on_message(ctx, voter, encode_report(ReportMsg{inst, all}));
+    }
+  }
+  EXPECT_EQ(ctx.sends, sends0);
+  EXPECT_EQ(ctx.multicasts, multicasts0);
+  EXPECT_FALSE(proc.has_output());
+
+  // Control: the same SEND inside the budget is echoed.
+  proc.on_message(ctx, 1, encode_rb(RbMsg{MsgType::kRbSend, iterations - 1, 1, 7.0}));
+  EXPECT_GT(ctx.sends + ctx.multicasts, sends0 + multicasts0);
+}
+
+TEST(WitnessEdge, OutOfBudgetTrafficIsOnlyTheAttackersOwn) {
+  // n = 16, t = 5 equivocators, 10 iterations: the attackers escalate to
+  // their max_instances cap, but every message tagged at an iteration >= 10
+  // must be one of their own SENDs — honest parties add nothing there.
+  RunConfig cfg;
+  cfg.params = {16, 5};
+  cfg.protocol = ProtocolKind::kWitness;
+  cfg.inputs = linear_inputs(16, 0.0, 1.0);
+  cfg.fixed_rounds = 10;
+  cfg.seed = 2;
+  for (ProcessId b = 11; b < 16; ++b) {
+    adversary::ByzSpec spec;
+    spec.who = b;
+    spec.kind = adversary::ByzKind::kEquivocate;
+    cfg.byz.push_back(spec);
+  }
+  const auto rep = run_async(cfg);
+  ASSERT_TRUE(rep.all_output);
+  EXPECT_TRUE(rep.validity_ok);
+  std::uint64_t above = 0;
+  const auto& by_round = rep.metrics.sent_by_round;
+  for (std::size_t r = cfg.fixed_rounds; r < by_round.size(); ++r) above += by_round[r];
+  const std::uint64_t attackers = cfg.byz.size();
+  const std::uint64_t cap = adversary::ByzSpec{}.max_instances;
+  EXPECT_EQ(above, attackers * (cfg.params.n - 1) * (cap - cfg.fixed_rounds));
 }
 
 }  // namespace
