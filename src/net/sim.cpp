@@ -351,6 +351,7 @@ void SimNetwork::note_output(ProcessId p) {
 
 void SimNetwork::latch_all_done(const PartyDone& done) {
   done_flag_.assign(params_.n, 0);
+  done_scan_ = 0;
   for (ProcessId p = 0; p < params_.n; ++p) latch_done(p, done);
 }
 
@@ -363,11 +364,15 @@ void SimNetwork::latch_done(ProcessId p, const PartyDone& done) {
   if (probe_done(p, done)) done_flag_[p] = 1;
 }
 
-bool SimNetwork::all_done() const {
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] == PartyStatus::kCorrect && !done_flag_[p]) return false;
+bool SimNetwork::all_done() {
+  // A party that stops blocking (latched done, or no longer correct) never
+  // blocks again: flags only latch and no status returns to kCorrect.  So
+  // the scan resumes at the last blocker — O(n) per run, not per event.
+  while (done_scan_ < params_.n && (status_[done_scan_] != PartyStatus::kCorrect ||
+                                    done_flag_[done_scan_])) {
+    ++done_scan_;
   }
-  return true;
+  return done_scan_ == params_.n;
 }
 
 bool SimNetwork::deliver(const Message& m) {

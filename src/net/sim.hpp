@@ -36,8 +36,8 @@
 // own-upcall contract in net/process.hpp), so after each event only the
 // receiver's output time is noted and only the receiver's done probe is
 // re-run into a latched per-party flag; the all-correct-done conjunction is
-// a byte scan of those flags.  A batch's frames reach on_message as views
-// into the packet, never as copies.
+// a scan of those flags that resumes at the last blocking party.  A batch's
+// frames reach on_message as views into the packet, never as copies.
 #pragma once
 
 #include <cstdint>
@@ -250,11 +250,12 @@ class SimNetwork final {
 
   /// Latched completion flags for run_until_done (serial and parallel):
   /// latch_all_done probes every correct party once, latch_done re-probes
-  /// one party after its own event, all_done scans the flags.
+  /// one party after its own event, all_done scans the flags from the last
+  /// party that blocked.
   bool probe_done(ProcessId p, const PartyDone& done) const;
   void latch_all_done(const PartyDone& done);
   void latch_done(ProcessId p, const PartyDone& done);
-  [[nodiscard]] bool all_done() const;
+  [[nodiscard]] bool all_done();
   RunStatus run_parallel(const PartyDone& done, std::uint64_t max_deliveries);
 
   SystemParams params_;
@@ -270,6 +271,7 @@ class SimNetwork final {
   // apply_timed_crashes costs one compare per event until it is due.
   double next_crash_time_ = std::numeric_limits<double>::infinity();
   std::vector<std::uint8_t> done_flag_;           // run_until_done latches
+  ProcessId done_scan_ = 0;                       // first possibly-blocking party
   std::vector<std::function<void()>> effects_;   // serial deferred effects
 
   /// Min-heap on (time, seq), kept with push_heap/pop_heap so an event
