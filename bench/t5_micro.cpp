@@ -1,7 +1,7 @@
 // T5 — Substrate microbenchmarks (google-benchmark).
 //
 // Raw costs of the building blocks: averaging rules, codec, simulator event
-// loop, reliable broadcast (end to end and the Bracha hub alone), the
+// loop and its per-message dispatch, reliable broadcast (end to end and the Bracha hub alone), the
 // safe-area geometry of convex-valid vector AA, and the analytic worst-case
 // search.
 #include <benchmark/benchmark.h>
@@ -18,9 +18,11 @@
 #include "core/epsilon_driver.hpp"
 #include "core/multiset_ops.hpp"
 #include "geom/safe_area.hpp"
+#include "net/sim.hpp"
 #include "obs/trace.hpp"
 #include "rb/bracha.hpp"
 #include "runtime/thread_net.hpp"
+#include "sched/random_scheduler.hpp"
 
 namespace {
 
@@ -71,6 +73,75 @@ void BM_SimRoundProtocol(benchmark::State& state) {
   state.SetLabel("items = messages simulated");
 }
 BENCHMARK(BM_SimRoundProtocol)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
+
+/// Relay for BM_SimDelivery: starts `tokens` tokens with a hop budget,
+/// forwards every token it receives while budget remains, and decides after
+/// its first delivery — except the last party, which never decides, so the
+/// run ends by draining the queue with all other parties already done.
+class RelayProcess final : public net::Process {
+ public:
+  RelayProcess(std::uint32_t tokens, std::uint32_t hops)
+      : tokens_(tokens), hops_(hops) {}
+
+  void on_start(net::Context& ctx) override {
+    for (std::uint32_t i = 0; i < tokens_; ++i) forward(ctx, hops_);
+  }
+
+  void on_message(net::Context& ctx, ProcessId, BytesView payload) override {
+    ByteReader r(payload);
+    r.get_u8();
+    const auto left = static_cast<std::uint32_t>(r.get_varint());
+    if (ctx.self() + 1 < ctx.params().n) decided_ = true;
+    if (left > 0) forward(ctx, left - 1);
+  }
+
+  [[nodiscard]] bool has_output() const override { return decided_; }
+
+ private:
+  static void forward(net::Context& ctx, std::uint32_t left) {
+    const auto n = ctx.params().n;
+    ByteWriter w(1 + varint_size(left));
+    w.put_u8(0xF0);  // not a protocol tag: metrics file it as unknown
+    w.put_varint(left);
+    ctx.send((ctx.self() + 1 + left % (n - 1)) % n, std::move(w).take());
+  }
+
+  std::uint32_t tokens_;
+  std::uint32_t hops_;
+  bool decided_ = false;
+};
+
+void BM_SimDelivery(benchmark::State& state) {
+  // The simulator's per-message dispatch cost ("dispatch" in the per-layer
+  // breakdown): heap pop, delivery accounting, the upcall's one send and
+  // the completion checks, with a protocol that does almost nothing.  The
+  // same 64 tokens are in flight and 16,384 messages are delivered per run
+  // whatever n is, so only per-event work that scales with n can make
+  // ns_per_msg grow with n.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::uint32_t kTokens = 64;
+  constexpr std::uint32_t kHops = (1u << 14) / kTokens - 1;
+  std::uint64_t msgs = 0;
+  for (auto _ : state) {
+    net::SimNetwork net({n, (n - 1) / 3},
+                        std::make_unique<sched::RandomScheduler>(1));
+    for (ProcessId p = 0; p < n; ++p) {
+      net.add_process(std::make_unique<RelayProcess>(kTokens / n, kHops));
+    }
+    net.start();
+    benchmark::DoNotOptimize(net.run_until_done({}));
+    msgs += net.metrics().messages_delivered;
+  }
+  if (msgs != static_cast<std::uint64_t>(state.iterations()) * kTokens * (kHops + 1)) {
+    state.SkipWithError("a token was lost or duplicated");
+  }
+  state.counters["ns_per_msg"] = benchmark::Counter(
+      static_cast<double>(msgs) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(msgs));
+  state.SetLabel("items = messages delivered");
+}
+BENCHMARK(BM_SimDelivery)->ArgName("n")->Arg(4)->Arg(16)->Arg(64);
 
 void BM_WitnessIteration(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

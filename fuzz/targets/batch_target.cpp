@@ -5,9 +5,12 @@
 // inputs by precondition, so re-encoding decoded frames is always legal);
 // encode∘decode fixpoint when the decoded batch fits the send-side cap;
 // unpack_packet never loses bytes (frames partition the packet or the packet
-// is yielded whole).
+// is yielded whole); for_each_frame, the allocation-free face the transports
+// use, visits exactly the frames unpack_packet returns, in order — the
+// decoded batch's frames, or the packet itself.
 #include <algorithm>
 #include <span>
+#include <vector>
 
 #include "net/envelope.hpp"
 
@@ -21,6 +24,11 @@ constexpr const char* kName = "fuzz_batch";
 
 bool same_bytes(BytesView a, BytesView b) {
   return a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin());
+}
+
+/// Same view: the same bytes of the same buffer, not merely equal bytes.
+bool same_view(BytesView a, BytesView b) {
+  return a.data() == b.data() && a.size() == b.size();
 }
 }  // namespace
 
@@ -77,6 +85,26 @@ int batch_target(const std::uint8_t* data, std::size_t size) {
         APXA_FUZZ_REQUIRE(std::to_integer<std::uint8_t>(f[0]) != net::kBatchTag,
                           kName, "unpack never yields an inner batch");
       }
+    }
+
+    // for_each_frame visits exactly unpack_packet's frames, in order, and
+    // those are decode_batch's frames when the packet is a batch it accepts.
+    std::vector<BytesView> visited;
+    net::for_each_frame(packet, [&](BytesView f) { visited.push_back(f); });
+    APXA_FUZZ_REQUIRE(visited.size() == logical.size(), kName,
+                      "for_each_frame visits as many frames as unpack_packet");
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+      APXA_FUZZ_REQUIRE(same_view(visited[i], logical[i]), kName,
+                        "for_each_frame visits unpack_packet's frames in order");
+    }
+    const auto decoded = net::decode_batch(packet);
+    const std::vector<BytesView> expected =
+        decoded ? *decoded : std::vector<BytesView>{packet};
+    APXA_FUZZ_REQUIRE(visited.size() == expected.size(), kName,
+                      "for_each_frame splits exactly the batches decode_batch accepts");
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+      APXA_FUZZ_REQUIRE(same_view(visited[i], expected[i]), kName,
+                        "for_each_frame yields decode_batch's frames or the packet");
     }
   } catch (...) {
     fail(kName, "total decoder let an exception escape");

@@ -1,0 +1,151 @@
+// Allocation budget of the per-message hot path, counted by a replacement
+// global operator new: frame iteration and metrics accounting allocate
+// nothing, and each encoder allocates exactly its output buffer once.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "common/bytes.hpp"
+#include "core/codec.hpp"
+#include "core/multidim.hpp"
+#include "net/envelope.hpp"
+#include "net/metrics.hpp"
+
+namespace {
+
+// Only allocations made while `g_counting` is set are counted, so gtest's
+// own bookkeeping between measurements stays out of the numbers.
+bool g_counting = false;
+std::size_t g_allocs = 0;
+
+void* counted_alloc(std::size_t size) {
+  if (g_counting) ++g_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+/// Allocations made by `fn()`.
+template <class F>
+std::size_t allocations(F&& fn) {
+  g_allocs = 0;
+  g_counting = true;
+  fn();
+  g_counting = false;
+  return g_allocs;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace apxa {
+namespace {
+
+using namespace core;
+
+Bytes raw(std::initializer_list<int> bytes) {
+  Bytes out;
+  for (int b : bytes) out.push_back(static_cast<std::byte>(b));
+  return out;
+}
+
+/// Packets a transport sees: honest ones and byzantine forgeries.
+std::vector<Bytes> sample_packets() {
+  const Bytes bare = encode_rb(RbMsg{MsgType::kRbEcho, 3, 2, 0.25});
+  const Bytes env = net::encode_envelope(300, encode_round(RoundMsg{4, 1.5, 0}));
+  std::vector<Bytes> frames;
+  for (std::uint32_t i = 0; i < net::kMaxBatchFrames; ++i) {
+    frames.push_back(i % 2 == 0 ? net::encode_envelope(i, bare) : bare);
+  }
+  const Bytes batch = net::encode_batch(frames);
+  const Bytes truncated(batch.begin(), batch.end() - 3);
+  Bytes trailing = batch;
+  trailing.push_back(std::byte{0});
+  Bytes nested = raw({net::kBatchTag, 1, static_cast<int>(batch.size())});
+  nested.insert(nested.end(), batch.begin(), batch.end());
+  const Bytes count_zero = raw({net::kBatchTag, 0});
+  const Bytes count_65 = raw({net::kBatchTag, 65, 1, 1});
+  const Bytes lone_tag = raw({net::kBatchTag});
+  return {bare, env, batch, truncated, trailing, nested, count_zero, count_65, lone_tag};
+}
+
+TEST(AllocFree, ForEachFrameNeverAllocates) {
+  for (const Bytes& packet : sample_packets()) {
+    std::size_t frames = 0;
+    std::size_t bytes = 0;
+    EXPECT_EQ(allocations([&] {
+                net::for_each_frame(packet, [&](BytesView f) {
+                  ++frames;
+                  bytes += f.size();
+                });
+              }),
+              0u);
+    EXPECT_GE(frames, 1u);
+    EXPECT_GT(bytes, 0u);
+  }
+}
+
+TEST(AllocFree, ForEachFrameSplitsOnlyWellFormedBatches) {
+  const auto packets = sample_packets();
+  std::vector<std::size_t> counts;
+  for (const Bytes& packet : packets) {
+    std::size_t frames = 0;
+    net::for_each_frame(packet, [&](BytesView) { ++frames; });
+    counts.push_back(frames);
+  }
+  // bare, envelope, 8-frame batch, then six forgeries that pass whole.
+  const std::vector<std::size_t> expected{1, 1, net::kMaxBatchFrames, 1, 1, 1, 1, 1, 1};
+  EXPECT_EQ(counts, expected);
+}
+
+TEST(AllocFree, MetricsAccountingAfterWarmUp) {
+  const auto packets = sample_packets();
+  net::Metrics m;
+  m.reset(4);
+  // The first pass may grow the per-round and per-instance tables.
+  for (const Bytes& p : packets) {
+    m.note_send(1, p);
+    m.note_delivery(p, 0.5);
+  }
+  for (const Bytes& p : packets) {
+    EXPECT_EQ(allocations([&] { m.note_send(1, p); }), 0u);
+    EXPECT_EQ(allocations([&] { m.note_delivery(p, 0.5); }), 0u);
+  }
+}
+
+TEST(AllocFree, EncodersAllocateOnce) {
+  Bytes out;
+  EXPECT_EQ(allocations([&] { out = encode_rb(RbMsg{MsgType::kRbSend, 300, 15, 0.5}); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+  EXPECT_EQ(allocations([&] { out = encode_round(RoundMsg{200, 1.0, 7}); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+  const Bytes inner = out;
+  EXPECT_EQ(allocations([&] { out = net::encode_envelope(1u << 20, inner); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+
+  EXPECT_EQ(allocations([&] { out = encode_done(DoneMsg{9, 2.0}); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+  const ReportMsg rep{130, std::vector<bool>(17, true)};
+  EXPECT_EQ(allocations([&] { out = encode_report(rep); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+  const RbVecMsg vec{MsgType::kRbVecEcho, 5, 200, {1.0, 2.0, 3.0}};
+  EXPECT_EQ(allocations([&] { out = encode_rb_vec(vec); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+  const std::vector<double> point{1.0, -1.0};
+  EXPECT_EQ(allocations([&] { out = encode_vec_round(129, point); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+  const std::vector<Bytes> frames(net::kMaxBatchFrames, inner);
+  EXPECT_EQ(allocations([&] { out = net::encode_batch(frames); }), 1u);
+  EXPECT_EQ(out.size(), out.capacity());
+}
+
+}  // namespace
+}  // namespace apxa

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "exec/sim_backend.hpp"
+#include "harness/build.hpp"
 #include "net/envelope.hpp"
 #include "net/sim.hpp"
 #include "sched/fifo_scheduler.hpp"
@@ -324,6 +327,108 @@ TEST(SimBatching, ValidatesUsage) {
   net.add_process(std::make_unique<EchoProcess>());
   net.start();
   EXPECT_THROW(net.enable_batching(4), std::invalid_argument);
+}
+
+// --- run_until_done's latched flags against the global conjunction --------
+
+void expect_same_metrics(const Metrics& a, const Metrics& b) {
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.packets_sent, b.packets_sent);
+  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.packets_retransmitted, b.packets_retransmitted);
+  EXPECT_EQ(a.retransmit_bytes, b.retransmit_bytes);
+  EXPECT_EQ(a.sent_by, b.sent_by);
+  EXPECT_EQ(a.bytes_by, b.bytes_by);
+  EXPECT_EQ(a.sent_by_tag, b.sent_by_tag);
+  EXPECT_EQ(a.sent_by_round, b.sent_by_round);
+  EXPECT_EQ(a.sent_by_instance, b.sent_by_instance);
+  EXPECT_EQ(a.latency_by_tag, b.latency_by_tag);
+}
+
+TEST(SimDoneLatch, MatchesGlobalConjunction) {
+  using harness::ProtocolKind;
+  using harness::SchedKind;
+  struct Kind {
+    ProtocolKind protocol;
+    SystemParams params;
+  };
+  const Kind kinds[] = {{ProtocolKind::kCrashRound, {7, 2}},
+                        {ProtocolKind::kByzRound, {11, 2}},
+                        {ProtocolKind::kWitness, {7, 2}}};
+  const SchedKind scheds[] = {SchedKind::kRandom, SchedKind::kFifo,
+                              SchedKind::kGreedySplit, SchedKind::kTargeted,
+                              SchedKind::kClique};
+  for (const Kind& kind : kinds) {
+    for (const SchedKind sched : scheds) {
+      for (const bool live : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "protocol " << static_cast<int>(kind.protocol) << " sched "
+                     << static_cast<int>(sched) << (live ? " live" : " fixed"));
+        harness::RunConfig cfg;
+        cfg.params = kind.params;
+        cfg.protocol = kind.protocol;
+        cfg.sched = sched;
+        cfg.seed = 7;
+        cfg.fixed_rounds = 4;
+        cfg.mode = live ? core::TerminationMode::kLive
+                        : core::TerminationMode::kFixedRounds;
+        cfg.inputs = std::vector<double>(kind.params.n);
+        for (ProcessId p = 0; p < kind.params.n; ++p) {
+          cfg.inputs[p] = static_cast<double>(p) / kind.params.n;
+        }
+        // One fault from the protocol's own model, plus a timed crash below.
+        if (kind.protocol == ProtocolKind::kCrashRound) {
+          cfg.crashes.push_back({1, 5, {}});
+        } else {
+          adversary::ByzSpec b;
+          b.who = 1;
+          b.kind = adversary::ByzKind::kEquivocate;
+          cfg.byz.push_back(b);
+        }
+        const auto probe = harness::make_done_predicate(cfg);
+        auto done_of = [&probe](const Process& proc) {
+          return probe ? probe(proc) : proc.has_output();
+        };
+
+        exec::SimBackend latched(cfg.params, harness::make_scheduler(cfg));
+        exec::SimBackend global(cfg.params, harness::make_scheduler(cfg));
+        harness::stage(cfg, {}, latched);
+        harness::stage(cfg, {}, global);
+        SimNetwork& a = latched.network();
+        SimNetwork& b = global.network();
+        a.crash_at_time(3, 1.5);
+        b.crash_at_time(3, 1.5);
+        a.start();
+        b.start();
+
+        std::uint64_t probes = 0;
+        const RunStatus sa = a.run_until_done(
+            [&](ProcessId, const Process& proc) {
+              ++probes;
+              return done_of(proc);
+            });
+        const RunStatus sb = b.run_until([&] {
+          for (ProcessId p = 0; p < cfg.params.n; ++p) {
+            if (b.is_correct(p) && !done_of(b.process(p))) return false;
+          }
+          return true;
+        });
+
+        EXPECT_EQ(sa, sb);
+        EXPECT_EQ(a.now(), b.now());
+        EXPECT_EQ(a.correct_outputs(), b.correct_outputs());
+        for (ProcessId p = 0; p < cfg.params.n; ++p) {
+          EXPECT_EQ(a.status(p), b.status(p));
+          EXPECT_EQ(a.output_time(p), b.output_time(p));
+        }
+        expect_same_metrics(a.metrics(), b.metrics());
+        EXPECT_GT(a.metrics().messages_delivered, 0u);
+        EXPECT_LE(probes, cfg.params.n + a.metrics().messages_delivered);
+      }
+    }
+  }
 }
 
 }  // namespace
