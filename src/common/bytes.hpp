@@ -26,16 +26,13 @@ namespace apxa {
 using Bytes = std::vector<std::byte>;
 using BytesView = std::span<const std::byte>;
 
-/// Longest LEB128 encoding of a u64.
-inline constexpr std::size_t kMaxVarintBytes = 10;
-
-/// Encoded size of `v` as a LEB128 varint (1..kMaxVarintBytes).
+/// Encoded size of `v` as a LEB128 varint (1..10 bytes).
 constexpr std::size_t varint_size(std::uint64_t v) {
   return v < 0x80 ? 1 : (static_cast<std::size_t>(std::bit_width(v)) + 6) / 7;
 }
 
-/// Non-throwing varint read under ByteReader::get_varint's rules (at most
-/// kMaxVarintBytes bytes, no payload bits past bit 63).  On success stores the
+/// Non-throwing varint read under ByteReader::get_varint's rules (at most 10
+/// bytes, no payload bits past bit 63).  On success stores the
 /// value in `out`, advances `pos` past it and returns true; on a truncated or
 /// overlong varint returns false.  For parsers that must stay total without
 /// the exception path (batch framing, link frames).

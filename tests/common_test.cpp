@@ -88,13 +88,19 @@ TEST(Rng, ForkIndependent) {
 }
 
 TEST(Bytes, VarintRoundTrip) {
-  for (std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 300ull, 1ull << 20,
-                          1ull << 40, ~0ull}) {
+  for (std::uint64_t v : {0ull, 1ull, 127ull, 128ull, 300ull, 16383ull, 16384ull,
+                          1ull << 20, 1ull << 40, 1ull << 63, ~0ull}) {
     ByteWriter w;
     w.put_varint(v);
+    EXPECT_EQ(w.bytes().size(), varint_size(v));
     ByteReader r(w.bytes());
     EXPECT_EQ(r.get_varint(), v);
     EXPECT_TRUE(r.done());
+    std::size_t pos = 0;
+    std::uint64_t out = 0;
+    EXPECT_TRUE(read_varint(w.bytes(), pos, out));
+    EXPECT_EQ(out, v);
+    EXPECT_EQ(pos, w.bytes().size());
   }
 }
 
