@@ -17,12 +17,9 @@
 // thread) — compare p50/p99 within a backend, never across.
 //
 // APXA_F7_FULL=1 extends the K sweep to {1024, 4096} (minutes, kept out of
-// the CI smoke, which asserts the 16-row shape of the default sweep).  Two
-// further sections cover the PR 7 runtime work: `sim_parallel_identity`
-// re-runs a K=64 session on the parallel simulator and diffs every verdict
-// against the serial run (the bit-identity contract, gated in CI), and
-// `workers_scaling` sweeps the simulator worker pool and the stealing
-// executor's shard count at K=256.
+// the CI smoke, which asserts the 16-row shape of the default sweep).
+// `workers_scaling` sweeps the stealing executor's shard count at K=256, and
+// `trace_overhead` times the same session with the trace recorder off and on.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -132,17 +129,16 @@ Cell run_cell(harness::BackendKind backend, std::uint32_t batching,
   return cell;
 }
 
-/// One timed session run for the PR 7 sections: FIFO scheduler (constant
-/// delays collapse each round burst into one simulator step, so the worker
-/// pool has real fan-out), cap-8 batching, explicit worker/shard knobs.
+/// One timed session run for the K=256 sections: FIFO scheduler, cap-8
+/// batching, an explicit shard count (0 = the thread backend's default).
 struct TimedSession {
   harness::SessionReport report;
   double wall_ms = 0.0;
 };
 
 TimedSession run_timed_session(harness::BackendKind backend,
-                               std::size_t instances, std::uint32_t sim_workers,
-                               std::uint32_t shards, int reps,
+                               std::size_t instances, std::uint32_t shards,
+                               int reps,
                                obs::TraceSink* trace = nullptr) {
   TimedSession best;
   best.wall_ms = std::numeric_limits<double>::infinity();
@@ -150,7 +146,6 @@ TimedSession run_timed_session(harness::BackendKind backend,
     harness::SessionOptions opts;
     opts.batching = 8;
     opts.force_multiplex = true;
-    opts.sim_workers = sim_workers;
     opts.shards = shards;
     opts.trace = trace;
     harness::Session session(opts);
@@ -162,8 +157,8 @@ TimedSession run_timed_session(harness::BackendKind backend,
     const auto t1 = std::chrono::steady_clock::now();
     const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     if (!report.all_output) {
-      std::fprintf(stderr, "f7: backend=%d K=%zu workers=%u shards=%u failed\n",
-                   static_cast<int>(backend), instances, sim_workers, shards);
+      std::fprintf(stderr, "f7: backend=%d K=%zu shards=%u failed\n",
+                   static_cast<int>(backend), instances, shards);
       std::exit(1);
     }
     if (ms < best.wall_ms) {
@@ -172,34 +167,6 @@ TimedSession run_timed_session(harness::BackendKind backend,
     }
   }
   return best;
-}
-
-/// The bit-identity verdict the parallel simulator must satisfy: status,
-/// completion, every per-instance finish time and output, and the transport
-/// counters all byte-equal to the serial run.
-bool reports_identical(const harness::SessionReport& a,
-                       const harness::SessionReport& b) {
-  if (a.status != b.status || a.all_output != b.all_output) return false;
-  if (a.finish_times != b.finish_times) return false;
-  if (a.msgs_per_packet != b.msgs_per_packet) return false;
-  const auto& ma = a.metrics;
-  const auto& mb = b.metrics;
-  if (ma.messages_sent != mb.messages_sent ||
-      ma.packets_sent != mb.packets_sent ||
-      ma.messages_delivered != mb.messages_delivered ||
-      ma.payload_bytes != mb.payload_bytes ||
-      ma.sent_by_instance != mb.sent_by_instance) {
-    return false;
-  }
-  if (a.scalar_reports.size() != b.scalar_reports.size()) return false;
-  for (std::size_t i = 0; i < a.scalar_reports.size(); ++i) {
-    if (!a.scalar_reports[i] || !b.scalar_reports[i]) return false;
-    if (a.scalar_reports[i]->outputs != b.scalar_reports[i]->outputs ||
-        a.scalar_reports[i]->finish_time != b.scalar_reports[i]->finish_time) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -261,61 +228,10 @@ int main(int argc, char** argv) {
       "runtime the batched rows win throughput at high K (fewer packets =>\n"
       "fewer shard-mailbox lock/wake cycles).\n");
 
-  // --- parallel simulator bit-identity (CI-gated) ---------------------------
-  //
-  // The same K=64 FIFO session on 1/2/4 simulator workers, run WITH tracing
-  // enabled; every row's verdicts are diffed against the workers=1 baseline
-  // and the committed protocol-event trace digest (obs::protocol_digest)
-  // must byte-match too.  `identical` must read yes on every row —
-  // parallelism is a performance knob, never an observable one, with or
-  // without the trace recorder attached.
-  std::printf(
-      "\nsim_parallel_identity: K=64 FIFO session (traced), verdicts vs "
-      "workers=1\n"
-      "workers,wall_ms,inst_per_sec,p50_finish,p99_finish,messages,packets,"
-      "trace_digest,identical\n");
-  sink.begin_section("sim_parallel_identity",
-                     {"workers", "wall_ms", "inst_per_sec", "p50_finish",
-                      "p99_finish", "messages", "packets", "trace_digest",
-                      "identical"});
-  constexpr std::size_t kIdentityK = 64;
-  harness::SessionReport identity_base;
-  std::uint64_t identity_digest = 0;
-  for (const std::uint32_t workers : {1u, 2u, 4u}) {
-    obs::TraceSink trace;
-    const TimedSession ts = run_timed_session(harness::BackendKind::kSim,
-                                              kIdentityK, workers, 0, 1, &trace);
-    const std::uint64_t digest = obs::protocol_digest(trace.snapshot());
-    if (workers == 1) {
-      identity_base = ts.report;
-      identity_digest = digest;
-    }
-    const bool identical = reports_identical(identity_base, ts.report) &&
-                           digest == identity_digest;
-    const double ips = static_cast<double>(kIdentityK) / (ts.wall_ms / 1e3);
-    const double p50 = percentile(ts.report.finish_times, 0.50);
-    const double p99 = percentile(ts.report.finish_times, 0.99);
-    char digest_hex[32];
-    std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
-                  static_cast<unsigned long long>(digest));
-    std::printf("%u,%.3f,%.1f,%.6f,%.6f,%llu,%llu,%s,%s\n", workers, ts.wall_ms,
-                ips, p50, p99,
-                static_cast<unsigned long long>(ts.report.metrics.messages_sent),
-                static_cast<unsigned long long>(ts.report.metrics.packets_sent),
-                digest_hex, identical ? "yes" : "NO");
-    sink.add_row({std::to_string(workers), bench::fmt(ts.wall_ms),
-                  bench::fmt(ips, 1), bench::fmt(p50, 6), bench::fmt(p99, 6),
-                  bench::fmt_u(ts.report.metrics.messages_sent),
-                  bench::fmt_u(ts.report.metrics.packets_sent), digest_hex,
-                  identical ? "yes" : "NO"});
-  }
-
   // --- worker-pool scaling at K=256 -----------------------------------------
   //
-  // Wall time as the parallelism knob grows: the simulator's step fan-out
-  // (sim_workers) and the stealing executor's worker count (shards).  Both
-  // runs are the batched FIFO session, so rows are comparable down columns
-  // within a backend.
+  // Wall time as the stealing executor's worker count (shards) grows, on the
+  // batched FIFO session, with its claim/steal/idle telemetry.
   const std::uint32_t hw = std::max(1u, std::thread::hardware_concurrency());
   std::vector<std::uint32_t> pool_sizes = {1, 2, 4};
   if (std::find(pool_sizes.begin(), pool_sizes.end(), hw) == pool_sizes.end()) {
@@ -324,39 +240,25 @@ int main(int argc, char** argv) {
   std::printf(
       "\nworkers_scaling: K=256 FIFO batched session (executor telemetry)\n"
       "backend,knob,value,wall_ms,inst_per_sec,claims,steals,parties_run,"
-      "idle_spins,steps,fanned_steps,fanned_events\n");
+      "idle_spins\n");
   sink.begin_section("workers_scaling",
                      {"backend", "knob", "value", "wall_ms", "inst_per_sec",
-                      "claims", "steals", "parties_run", "idle_spins", "steps",
-                      "fanned_steps", "fanned_events"});
+                      "claims", "steals", "parties_run", "idle_spins"});
   constexpr std::size_t kScalingK = 256;
-  for (const auto backend :
-       {harness::BackendKind::kSim, harness::BackendKind::kThread}) {
-    const bool is_thread = backend == harness::BackendKind::kThread;
-    for (const std::uint32_t value : pool_sizes) {
-      const TimedSession ts = run_timed_session(
-          backend, kScalingK, is_thread ? 0 : value, is_thread ? value : 0,
-          is_thread ? 2 : 1);
-      const double ips = static_cast<double>(kScalingK) / (ts.wall_ms / 1e3);
-      const obs::ExecStats& es = ts.report.exec_stats;
-      std::printf("%s,%s,%u,%.3f,%.1f,%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
-                  is_thread ? "thread" : "sim",
-                  is_thread ? "shards" : "sim_workers", value, ts.wall_ms, ips,
-                  static_cast<unsigned long long>(es.claims),
-                  static_cast<unsigned long long>(es.steals),
-                  static_cast<unsigned long long>(es.parties_run),
-                  static_cast<unsigned long long>(es.idle_spins),
-                  static_cast<unsigned long long>(es.steps),
-                  static_cast<unsigned long long>(es.fanned_steps),
-                  static_cast<unsigned long long>(es.fanned_events));
-      sink.add_row({is_thread ? "thread" : "sim",
-                    is_thread ? "shards" : "sim_workers", std::to_string(value),
-                    bench::fmt(ts.wall_ms), bench::fmt(ips, 1),
-                    bench::fmt_u(es.claims), bench::fmt_u(es.steals),
-                    bench::fmt_u(es.parties_run), bench::fmt_u(es.idle_spins),
-                    bench::fmt_u(es.steps), bench::fmt_u(es.fanned_steps),
-                    bench::fmt_u(es.fanned_events)});
-    }
+  for (const std::uint32_t value : pool_sizes) {
+    const TimedSession ts =
+        run_timed_session(harness::BackendKind::kThread, kScalingK, value, 2);
+    const double ips = static_cast<double>(kScalingK) / (ts.wall_ms / 1e3);
+    const obs::ExecStats& es = ts.report.exec_stats;
+    std::printf("thread,shards,%u,%.3f,%.1f,%llu,%llu,%llu,%llu\n", value,
+                ts.wall_ms, ips, static_cast<unsigned long long>(es.claims),
+                static_cast<unsigned long long>(es.steals),
+                static_cast<unsigned long long>(es.parties_run),
+                static_cast<unsigned long long>(es.idle_spins));
+    sink.add_row({"thread", "shards", std::to_string(value),
+                  bench::fmt(ts.wall_ms), bench::fmt(ips, 1),
+                  bench::fmt_u(es.claims), bench::fmt_u(es.steals),
+                  bench::fmt_u(es.parties_run), bench::fmt_u(es.idle_spins)});
   }
 
   // --- trace-recording overhead (CI-gated via compare_bench.py) -------------
@@ -376,7 +278,7 @@ int main(int argc, char** argv) {
     for (const bool traced : {false, true}) {
       obs::TraceSink trace;
       const TimedSession ts =
-          run_timed_session(backend, kScalingK, 0, 0, is_thread ? 3 : 1,
+          run_timed_session(backend, kScalingK, 0, is_thread ? 3 : 1,
                             traced ? &trace : nullptr);
       const double ips = static_cast<double>(kScalingK) / (ts.wall_ms / 1e3);
       const std::uint64_t events = traced ? trace.recorded() : 0;

@@ -300,31 +300,6 @@ void BM_ThreadStealExecutor(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadStealExecutor)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_SimParallelStepBarrier(benchmark::State& state) {
-  // Per-step barrier cost of the deterministic parallel simulator: FIFO
-  // delays collapse each round burst into one step, so every step fans out
-  // across the worker pool and rejoins at the barrier.  Arg(1) is the
-  // serial event loop; the Arg(2)/Arg(4) deltas price the stage/commit
-  // machinery and the crew handshake per step.
-  const auto workers = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t msgs = 0;
-  for (auto _ : state) {
-    RunConfig cfg;
-    cfg.params = {32, 10};
-    cfg.protocol = ProtocolKind::kCrashRound;
-    cfg.inputs = linear_inputs(32, 0.0, 1.0);
-    cfg.fixed_rounds = 4;
-    cfg.sched = SchedKind::kFifo;
-    cfg.sim_workers = workers;
-    const auto rep = run_async(cfg);
-    msgs += rep.metrics.messages_delivered;
-    benchmark::DoNotOptimize(rep.outputs);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(msgs));
-  state.SetLabel("items = messages simulated");
-}
-BENCHMARK(BM_SimParallelStepBarrier)->Arg(1)->Arg(2)->Arg(4);
-
 void BM_TraceSinkRecord(benchmark::State& state) {
   // Hot-path cost of one enabled record(): thread-local ring lookup, one
   // relaxed fetch_add for the merge ticket, a wall-clock read, and seven

@@ -143,8 +143,7 @@ harness::RunReport run_with_injector(const harness::RunConfig& cfg,
   harness::validate(cfg);
   const auto backend = harness::make_backend(cfg);
 
-  // cfg.sim_workers == 1 forces the serial simulator, so plain map writes
-  // are safe (harness::execute defers them only for the parallel sim).
+  // The simulator runs every upcall on this thread: the trace needs no lock.
   harness::ScalarTrace trace;
   core::TraceFn trace_fn = [&trace](ProcessId p, Round r, double v) {
     trace[r][p] = v;
@@ -195,7 +194,6 @@ int state_machine_target(const std::uint8_t* data, std::size_t size) {
       cfg.epsilon = eps;
       cfg.sched = pick_sched(in);
       cfg.seed = in.u64();
-      cfg.sim_workers = 1;  // serial sim: plain trace writes in the injector path
 
       std::uint32_t byz_count = 0;
       if (shape == 0) {  // Fekete crash-model rounds, n > 2t

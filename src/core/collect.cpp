@@ -6,24 +6,16 @@
 #include "common/ensure.hpp"
 #include "core/codec.hpp"
 #include "core/multidim.hpp"
-#include "net/sim.hpp"
 
 namespace apxa::core {
 
 namespace {
 
-// Record the freeze against the committed serial event order: the engine may
-// fire inside a staged parallel-sim upcall, where a direct record would land
-// in worker-thread order.  defer_side_effect holds it until the triggering
-// delivery commits (and is an immediate call everywhere else).
 void note_view_freeze(obs::TraceSink* trace, ProcessId owner, Round r,
                       std::size_t view_size) {
   if (!trace) return;
-  net::SimNetwork::defer_side_effect([trace, owner, r, view_size] {
-    trace->record(obs::EventKind::kViewFreeze, owner, 0,
-                  static_cast<std::int64_t>(r),
-                  static_cast<double>(view_size), 0.0);
-  });
+  trace->record(obs::EventKind::kViewFreeze, owner, 0, static_cast<std::int64_t>(r),
+                static_cast<double>(view_size), 0.0);
 }
 
 // --- quorum collect ---------------------------------------------------------

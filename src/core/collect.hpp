@@ -113,9 +113,7 @@ class Collector {
 /// forged RB instance) without limit.  The equalized engine requires
 /// params.n > 3t (Bracha's bound).  `trace` (optional, must outlive the
 /// engine) records an obs::EventKind::kViewFreeze event each time a round's
-/// view freezes — party = owner, round = r, value = frozen-view size — routed
-/// through net::SimNetwork::defer_side_effect so traced parallel-sim runs
-/// stay bit-identical to serial ones.
+/// view freezes — party = owner, round = r, value = frozen-view size.
 std::unique_ptr<Collector> make_collector(CollectMode mode, SystemParams params,
                                           std::uint32_t dim, Round max_rounds,
                                           Collector::ViewFn on_view,

@@ -71,8 +71,8 @@ struct ExecResult {
   /// parties are false).  Size n.
   std::vector<bool> correct;
   net::Metrics metrics;
-  /// Executor telemetry: work-stealing counters on the threaded backend,
-  /// step-parallelism counters on the simulator.  Zeros on serial sim runs.
+  /// Executor telemetry: work-stealing counters on the threaded backend;
+  /// only the worker count elsewhere (see obs::ExecStats).
   obs::ExecStats exec_stats;
   /// Transport-internal state as JSONL lines, one per party — the socket
   /// backend reports per-party link-layer state (unacked queue depth,

@@ -31,9 +31,8 @@ ExecResult SimBackend::run(const ExecOptions& opts) {
   const auto n = net_.params().n;
   net_.start();
 
-  // Per-party probe: serially this reproduces the historical global
-  // all-correct-done conjunction byte for byte; with parallel workers the
-  // network fans scheduler steps out and stays bit-identical (see net/sim).
+  // Per-party probe: stops exactly where the global all-correct-done
+  // conjunction would (see net::SimNetwork::run_until_done).
   net::SimNetwork::PartyDone party_done;
   if (opts.done) {
     party_done = [&opts](ProcessId, const net::Process& proc) {

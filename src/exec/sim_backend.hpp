@@ -1,8 +1,8 @@
 // Backend adapter over the deterministic discrete-event simulator.
 //
 // Thin seam: forwards registration and fault injection to net::SimNetwork,
-// translates the per-process DonePredicate into a run_until() predicate over
-// all correct parties, and flattens the end state into an ExecResult.
+// hands the per-process DonePredicate to run_until_done() as a per-party
+// probe, and flattens the end state into an ExecResult.
 // Determinism is inherited from the simulator — identical configurations
 // replay bit-identically.
 #pragma once
@@ -24,11 +24,6 @@ class SimBackend final : public Backend {
   void crash_after_sends(ProcessId p, std::uint64_t count) override;
   void set_multicast_order(ProcessId p, std::vector<ProcessId> order) override;
   void enable_batching(std::uint32_t max_frames) override;
-  /// Deterministic within-run parallelism: fan scheduler steps across
-  /// `workers` threads (1 = serial; results are bit-identical either way).
-  void set_parallel_workers(std::uint32_t workers) {
-    net_.set_parallel_workers(workers);
-  }
   void set_trace(obs::TraceSink* sink) override { net_.set_trace(sink); }
   ExecResult run(const ExecOptions& opts) override;
 

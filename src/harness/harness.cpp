@@ -22,7 +22,7 @@ namespace apxa::harness {
 namespace {
 
 // Verdict-failure flight dump: opt-in via cfg.flight_dump + cfg.trace.  Runs
-// in finalize, after the backend has returned (workers joined / crew parked),
+// in finalize, after the backend has returned (its worker threads joined),
 // so the snapshot races with nothing.
 void maybe_dump_flight(const obs::TraceSink* sink, const std::string& path,
                        bool validity_ok, bool agreement_ok,
@@ -38,12 +38,8 @@ void maybe_dump_flight(const obs::TraceSink* sink, const std::string& path,
 
 std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
   switch (cfg.backend) {
-    case BackendKind::kSim: {
-      auto b = std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
-      const std::uint32_t w = net::resolved_sim_workers(cfg.sim_workers);
-      if (w > 1) b->set_parallel_workers(w);
-      return b;
-    }
+    case BackendKind::kSim:
+      return std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
     case BackendKind::kThread:
       return std::make_unique<exec::ThreadBackend>(cfg.params);
     case BackendKind::kSocket: {
@@ -58,22 +54,18 @@ std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
 RunReport execute(const RunConfig& cfg, exec::Backend& backend) {
   // Trace: values at round entry, per party.  Worker threads of the threaded
   // backend invoke the hook concurrently, hence the mutex (uncontended and
-  // irrelevant for timing on the simulator).  The write is routed through
-  // defer_side_effect so the parallel simulator can hold it back until the
-  // triggering delivery commits (immediate everywhere else).
+  // irrelevant for timing on the simulator).
   ScalarTrace trace;
   std::mutex trace_mu;
   obs::TraceSink* sink = cfg.trace;
   core::TraceFn trace_fn = [&trace, &trace_mu, sink](ProcessId p, Round r,
                                                      double v) {
-    net::SimNetwork::defer_side_effect([&trace, &trace_mu, sink, p, r, v] {
-      if (sink) {
-        sink->record(obs::EventKind::kRoundAdvance, p, 0,
-                     static_cast<std::int64_t>(r), v, 0.0);
-      }
-      std::scoped_lock lock(trace_mu);
-      trace[r][p] = v;
-    });
+    if (sink) {
+      sink->record(obs::EventKind::kRoundAdvance, p, 0,
+                   static_cast<std::int64_t>(r), v, 0.0);
+    }
+    std::scoped_lock lock(trace_mu);
+    trace[r][p] = v;
   };
 
   backend.set_trace(cfg.trace);
@@ -149,12 +141,8 @@ RunReport run(const RunConfig& cfg) {
 
 std::unique_ptr<exec::Backend> make_backend(const VectorRunConfig& cfg) {
   switch (cfg.backend) {
-    case BackendKind::kSim: {
-      auto b = std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
-      const std::uint32_t w = net::resolved_sim_workers(cfg.sim_workers);
-      if (w > 1) b->set_parallel_workers(w);
-      return b;
-    }
+    case BackendKind::kSim:
+      return std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
     case BackendKind::kThread:
       return std::make_unique<exec::ThreadBackend>(cfg.params);
     case BackendKind::kSocket: {
@@ -169,24 +157,21 @@ std::unique_ptr<exec::Backend> make_backend(const VectorRunConfig& cfg) {
 VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
   // Per-round vectors at round entry, per party; same concurrency contract
   // as the scalar trace (worker threads of the threaded backend invoke the
-  // hook concurrently, and the parallel simulator defers the write until the
-  // triggering delivery commits).
+  // hook concurrently).
   VectorTrace trace;
   std::mutex trace_mu;
   obs::TraceSink* sink = cfg.trace;
   core::VecTraceFn trace_fn = [&trace, &trace_mu, sink](
                                   ProcessId p, Round r,
                                   const std::vector<double>& v) {
-    net::SimNetwork::defer_side_effect([&trace, &trace_mu, sink, p, r, v] {
-      if (sink) {
-        // Scalar slot carries the first coordinate — enough to follow a
-        // party's trajectory in a trace viewer without widening the event.
-        sink->record(obs::EventKind::kRoundAdvance, p, 0,
-                     static_cast<std::int64_t>(r), v.empty() ? 0.0 : v[0], 0.0);
-      }
-      std::scoped_lock lock(trace_mu);
-      trace[r][p] = v;
-    });
+    if (sink) {
+      // Scalar slot carries the first coordinate — enough to follow a
+      // party's trajectory in a trace viewer without widening the event.
+      sink->record(obs::EventKind::kRoundAdvance, p, 0,
+                   static_cast<std::int64_t>(r), v.empty() ? 0.0 : v[0], 0.0);
+    }
+    std::scoped_lock lock(trace_mu);
+    trace[r][p] = v;
   };
 
   // Frozen-view trace (convex protocols only): what each honest party's
@@ -196,10 +181,8 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
   core::ViewTraceFn view_fn =
       [&views, &views_mu](ProcessId p, Round r,
                           const std::vector<core::CollectEntry>& view) {
-        net::SimNetwork::defer_side_effect([&views, &views_mu, p, r, view] {
-          std::scoped_lock lock(views_mu);
-          views[r][p] = view;
-        });
+        std::scoped_lock lock(views_mu);
+        views[r][p] = view;
       };
 
   backend.set_trace(cfg.trace);

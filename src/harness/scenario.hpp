@@ -87,14 +87,9 @@ struct RunConfig {
   /// Deterministic loss/reorder/delay injection at the socket boundary
   /// (socket backend only; ignored elsewhere).  Defaults to no injection.
   netio::FaultConfig socket_faults;
-  /// Simulator worker threads for within-run parallelism (bit-identical to
-  /// serial).  0 = resolve via APXA_SIM_WORKERS, default serial; see
-  /// net::resolved_sim_workers.  Ignored by the threaded backend.
-  std::uint32_t sim_workers = 0;
   /// Optional obs::TraceSink the transport records events into.  Must
-  /// outlive the run; null (default) disables tracing.  Protocol-domain
-  /// events are committed in serial order, so traced parallel-sim runs stay
-  /// bit-identical to serial ones.
+  /// outlive the run; null (default) disables tracing.  On the simulator
+  /// the protocol-domain events replay bit for bit from the config.
   obs::TraceSink* trace = nullptr;
   /// When non-empty AND tracing is on, a failed verdict (validity or
   /// eps-agreement) dumps the flight record (last events per party) to this
@@ -112,8 +107,7 @@ struct RunReport {
   double finish_time = 0.0;             ///< max output time (Delta units on sim)
   net::Metrics metrics;
   /// Executor telemetry (worker claims/steals/idle spins on the threaded
-  /// backend; step/fan-out counts on the parallel simulator).  Zero-filled
-  /// on serial sim runs.
+  /// backend).  Only `workers` is set on the simulator and socket backends.
   obs::ExecStats exec_stats;
   std::vector<double> spread_by_round;  ///< correct-party spread at round entry
   Round max_round_reached = 0;
@@ -159,10 +153,6 @@ struct VectorRunConfig {
   /// Deterministic loss/reorder/delay injection at the socket boundary
   /// (socket backend only); see RunConfig::socket_faults.
   netio::FaultConfig socket_faults;
-  /// Simulator worker threads for within-run parallelism (bit-identical to
-  /// serial).  0 = resolve via APXA_SIM_WORKERS, default serial; see
-  /// net::resolved_sim_workers.  Ignored by the threaded backend.
-  std::uint32_t sim_workers = 0;
   /// Optional trace sink; see RunConfig::trace.
   obs::TraceSink* trace = nullptr;
   /// Verdict-failure flight-dump path; see RunConfig::flight_dump.

@@ -98,13 +98,7 @@ class RouterProcess final : public net::Process {
     decided_[i] = true;
     const double t = clock_->now();
     clock_->time[i][self_] = t;
-    if (trace_) {
-      // Committed serial order, like every protocol-domain record: the
-      // deferral keeps traced parallel-sim runs bit-identical to serial.
-      net::SimNetwork::defer_side_effect([trace = trace_, self = self_, i, t] {
-        trace->record(obs::EventKind::kInstanceFinish, self, i, -1, t, t);
-      });
-    }
+    if (trace_) trace_->record(obs::EventKind::kInstanceFinish, self_, i, -1, t, t);
   }
 
   ProcessId self_;
@@ -250,35 +244,25 @@ SessionReport Session::run_multiplexed() {
   std::vector<std::vector<std::unique_ptr<net::Process>>> rows(K);
   for (std::size_t i = 0; i < K; ++i) {
     if (instances_[i].scalar) {
-      // Trace writes route through defer_side_effect so the parallel
-      // simulator holds them back until the triggering delivery commits
-      // (immediate everywhere else — see net::SimNetwork).
       core::TraceFn fn = [&straces, &trace_mu, i](ProcessId p, Round r,
                                                   double v) {
-        net::SimNetwork::defer_side_effect([&straces, &trace_mu, i, p, r, v] {
-          std::scoped_lock lock(trace_mu);
-          straces[i][r][p] = v;
-        });
+        std::scoped_lock lock(trace_mu);
+        straces[i][r][p] = v;
       };
       rows[i] = build_processes(*instances_[i].scalar, fn);
     } else {
       core::VecTraceFn fn = [&vtraces, &trace_mu, i](
                                 ProcessId p, Round r,
                                 const std::vector<double>& v) {
-        net::SimNetwork::defer_side_effect([&vtraces, &trace_mu, i, p, r, v] {
-          std::scoped_lock lock(trace_mu);
-          vtraces[i][r][p] = v;
-        });
+        std::scoped_lock lock(trace_mu);
+        vtraces[i][r][p] = v;
       };
       core::ViewTraceFn vfn =
           [&viewtraces, &trace_mu, i](
               ProcessId p, Round r,
               const std::vector<core::CollectEntry>& view) {
-            net::SimNetwork::defer_side_effect(
-                [&viewtraces, &trace_mu, i, p, r, view] {
-                  std::scoped_lock lock(trace_mu);
-                  viewtraces[i][r][p] = view;
-                });
+            std::scoped_lock lock(trace_mu);
+            viewtraces[i][r][p] = view;
           };
       rows[i] = build_processes(*instances_[i].vec, fn, vfn);
     }
@@ -294,8 +278,6 @@ SessionReport Session::run_multiplexed() {
                      : make_scheduler(*instances_.front().vec);
     auto sim = std::make_unique<exec::SimBackend>(shared.params,
                                                   std::move(sched));
-    const std::uint32_t w = net::resolved_sim_workers(opts_.sim_workers);
-    if (w > 1) sim->set_parallel_workers(w);
     auto* simp = sim.get();
     clock.now = [simp] { return simp->network().now(); };
     backend = std::move(sim);

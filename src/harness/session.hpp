@@ -48,11 +48,6 @@ struct SessionOptions {
   /// Worker count for the threaded backend's stealing executor; 0 = auto
   /// (min(n, hardware_concurrency)).  Ignored by the simulator.
   std::uint32_t shards = 0;
-  /// Simulator worker threads for within-run parallelism (bit-identical to
-  /// serial); 0 = resolve via APXA_SIM_WORKERS, then default serial, as
-  /// for single runs (net::resolved_sim_workers).  Ignored by the other
-  /// backends.
-  std::uint32_t sim_workers = 0;
   /// Run the multiplexed router path even for a size-1 session (testing /
   /// benchmarking the envelope overhead); default is to delegate size-1
   /// sessions to plain harness::run.

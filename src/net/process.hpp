@@ -19,8 +19,8 @@
 //    any completion probe a transport runs on it — changes only inside its
 //    own on_start / on_message upcalls, never from another party's upcall or
 //    from outside.  Transports rely on it: net::SimNetwork re-checks only the
-//    receiver after each delivery, and the parallel simulator and
-//    rt::ThreadNetwork latch per-party done flags.  Processes must not share
+//    receiver after each delivery, and it and rt::ThreadNetwork latch
+//    per-party done flags.  Processes must not share
 //    mutable protocol state with each other.
 #pragma once
 

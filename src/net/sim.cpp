@@ -1,13 +1,8 @@
 #include "net/sim.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <cstdlib>
 #include <limits>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <utility>
 
 #include "net/envelope.hpp"
@@ -16,42 +11,7 @@ namespace apxa::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// Deferred-side-effect staging target for the CURRENT thread: null outside
-// an upcall (defer_side_effect runs immediately), else the effect list the
-// current event commits with.  Both the serial delivery loop and the
-// parallel staging phase point this at the event's list, so harness hooks
-// fire in the SAME position of the event order either way — that uniformity
-// is what makes traced parallel runs bit-identical to serial ones.
-thread_local std::vector<std::function<void()>>* tl_effects = nullptr;
-
-// RAII so an upcall that throws cannot leave tl_effects dangling into the
-// next run on this thread.
-struct TlEffectsScope {
-  explicit TlEffectsScope(std::vector<std::function<void()>>* v) { tl_effects = v; }
-  ~TlEffectsScope() { tl_effects = nullptr; }
-};
 }  // namespace
-
-std::uint32_t resolved_sim_workers(std::uint32_t requested) {
-  if (requested > 0) return requested;
-  if (const char* env = std::getenv("APXA_SIM_WORKERS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return static_cast<std::uint32_t>(v);
-    }
-  }
-  return 1;
-}
-
-void SimNetwork::defer_side_effect(std::function<void()> fn) {
-  if (tl_effects != nullptr) {
-    tl_effects->push_back(std::move(fn));
-  } else {
-    fn();
-  }
-}
 
 /// Per-delivery context handed to processes; forwards sends to the network.
 class SimNetwork::ContextImpl final : public Context {
@@ -72,64 +32,6 @@ class SimNetwork::ContextImpl final : public Context {
  private:
   SimNetwork& net_;
   ProcessId self_;
-};
-
-/// Parallel-phase context: records the raw frames an upcall sends instead of
-/// enqueuing them, and mirrors do_send's crash-budget state machine onto the
-/// per-party SHADOW copies so the party's later in-step deliveries drop
-/// exactly as they would serially.  The commit walk replays the recorded
-/// frames through the real do_send, which redoes the accounting (metrics,
-/// batching, scheduler, duplication RNG) in serial order.
-class SimNetwork::StageContext final : public Context {
- public:
-  StageContext(SimNetwork& net, ProcessId self, std::vector<StagedSend>* out)
-      : net_(net), self_(self), out_(out) {}
-
-  void send(ProcessId to, Bytes payload) override {
-    APXA_ENSURE(to < net_.params_.n, "send: receiver out of range");
-    APXA_ENSURE(to != self_, "send: use local state instead of self-messages");
-    stage(to, std::move(payload));
-  }
-
-  void multicast(const Bytes& payload) override {
-    const auto& order = net_.multicast_order_[self_];
-    if (!order.empty()) {
-      for (ProcessId to : order) stage(to, payload);
-      return;
-    }
-    for (ProcessId to = 0; to < net_.params_.n; ++to) {
-      if (to == self_) continue;
-      stage(to, payload);
-    }
-  }
-
-  [[nodiscard]] ProcessId self() const override { return self_; }
-  [[nodiscard]] SystemParams params() const override { return net_.params_; }
-
- private:
-  void stage(ProcessId to, Bytes payload) {
-    // Shadow mirror of do_send's crash-budget state machine: only the
-    // sender's SHADOW status/counter move (owner-confined — `self_` is the
-    // party whose event group this worker owns).  The frame itself records
-    // unconditionally: the commit walk replays the real do_send, which
-    // re-decides drops and crashes against real state.
-    PartyStatus& st = net_.step_status_[self_];
-    if (st != PartyStatus::kCrashed) {
-      if (net_.step_sends_[self_] >= net_.crash_send_limit_[self_]) {
-        st = PartyStatus::kCrashed;
-      } else {
-        ++net_.step_sends_[self_];
-        if (net_.step_sends_[self_] >= net_.crash_send_limit_[self_]) {
-          st = PartyStatus::kCrashed;
-        }
-      }
-    }
-    out_->push_back(StagedSend{to, std::move(payload)});
-  }
-
-  SimNetwork& net_;
-  ProcessId self_;
-  std::vector<StagedSend>* out_;
 };
 
 SimNetwork::SimNetwork(SystemParams params, std::unique_ptr<sched::Scheduler> scheduler)
@@ -184,16 +86,6 @@ void SimNetwork::enable_batching(std::uint32_t max_frames) {
   APXA_ENSURE(!started_, "enable_batching must precede start()");
   max_batch_ = max_frames;
   batch_buf_.assign(params_.n, std::vector<std::vector<Bytes>>(params_.n));
-}
-
-void SimNetwork::set_parallel_workers(std::uint32_t workers) {
-  APXA_ENSURE(workers >= 1,
-              "set_parallel_workers: worker count must be >= 1 (0 is invalid; "
-              "pass 1 for serial or resolve the APXA_SIM_WORKERS default via "
-              "net::resolved_sim_workers)");
-  APXA_ENSURE(workers <= kMaxWorkers,
-              "set_parallel_workers: worker count exceeds kMaxWorkers (1024)");
-  workers_ = workers;
 }
 
 void SimNetwork::set_multicast_order(ProcessId p, std::vector<ProcessId> order) {
@@ -355,13 +247,9 @@ void SimNetwork::latch_all_done(const PartyDone& done) {
   for (ProcessId p = 0; p < params_.n; ++p) latch_done(p, done);
 }
 
-bool SimNetwork::probe_done(ProcessId p, const PartyDone& done) const {
-  return done ? done(p, *procs_[p]) : procs_[p]->has_output();
-}
-
 void SimNetwork::latch_done(ProcessId p, const PartyDone& done) {
   if (status_[p] != PartyStatus::kCorrect || done_flag_[p]) return;
-  if (probe_done(p, done)) done_flag_[p] = 1;
+  if (done ? done(p, *procs_[p]) : procs_[p]->has_output()) done_flag_[p] = 1;
 }
 
 bool SimNetwork::all_done() {
@@ -383,10 +271,6 @@ bool SimNetwork::deliver(const Message& m) {
   scheduler_->on_deliver(m);
   metrics_.note_delivery(m.payload, now_ - m.send_time);
 
-  // Side effects the upcall defers run AFTER the receiver's batch flush —
-  // the same slot the parallel commit walk executes them in — so traced
-  // event order and harness trace-map write order are mode-independent.
-  effects_.clear();
   ContextImpl ctx(*this, m.to);
   Process& proc = *procs_[m.to];
   if (max_batch_ > 0) {
@@ -400,23 +284,18 @@ bool SimNetwork::deliver(const Message& m) {
       trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1,
                      static_cast<double>(frames), now_);
     }
-    {
-      TlEffectsScope scope(&effects_);
-      for_each_frame(m.payload, [&](BytesView frame) {
-        ++metrics_.messages_delivered;
-        proc.on_message(ctx, m.from, frame);
-      });
-    }
+    for_each_frame(m.payload, [&](BytesView frame) {
+      ++metrics_.messages_delivered;
+      proc.on_message(ctx, m.from, frame);
+    });
     flush_sender(m.to);
   } else {
     if (trace_) {
       trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1, 1.0, now_);
     }
-    TlEffectsScope scope(&effects_);
     ++metrics_.messages_delivered;
     proc.on_message(ctx, m.from, m.payload);
   }
-  for (auto& fn : effects_) fn();
   // Only the receiver ran, so only its output can have appeared (the
   // own-upcall contract in net/process.hpp).
   note_output(m.to);
@@ -447,7 +326,6 @@ RunStatus SimNetwork::run_until(const std::function<bool()>& pred,
 
 RunStatus SimNetwork::run_until_done(const PartyDone& done,
                                      std::uint64_t max_deliveries) {
-  if (workers_ > 1) return run_parallel(done, max_deliveries);
   APXA_ENSURE(started_, "call start() before run()");
   // Same stopping point as run_until over the all-correct-done conjunction:
   // probes are monotone and a delivery changes only its receiver, so each
@@ -461,248 +339,6 @@ RunStatus SimNetwork::run_until_done(const PartyDone& done,
         return all_done();
       },
       max_deliveries);
-}
-
-/// Barrier-style worker pool for run_parallel: run(njobs, task) executes
-/// task(j) for j in [0, njobs) across the caller plus workers-1 threads and
-/// returns when all jobs finished.  Job claiming is a shared atomic counter;
-/// the generation handshake (mutex + cvs) publishes task/njobs to workers
-/// and workers' writes back to the caller.
-class SimNetwork::Crew {
- public:
-  explicit Crew(std::uint32_t workers) {
-    for (std::uint32_t i = 1; i < workers; ++i) {
-      threads_.emplace_back([this](std::stop_token st) { loop(st); });
-    }
-  }
-
-  ~Crew() {
-    {
-      std::scoped_lock lock(mu_);
-      for (auto& th : threads_) th.request_stop();
-    }
-    cv_.notify_all();
-    // jthread joins on destruction.
-  }
-
-  void run(std::size_t njobs, const std::function<void(std::size_t)>& task) {
-    {
-      std::scoped_lock lock(mu_);
-      task_ = &task;
-      njobs_ = njobs;
-      next_.store(0, std::memory_order_relaxed);
-      pending_ = threads_.size();
-      ++gen_;
-    }
-    cv_.notify_all();
-    work();  // the caller is worker 0
-    std::unique_lock lock(mu_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-    task_ = nullptr;
-  }
-
- private:
-  void loop(const std::stop_token& st) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        std::unique_lock lock(mu_);
-        cv_.wait(lock, [&] { return st.stop_requested() || gen_ != seen; });
-        if (st.stop_requested()) return;
-        seen = gen_;
-      }
-      work();
-      bool last = false;
-      {
-        std::scoped_lock lock(mu_);
-        last = (--pending_ == 0);
-      }
-      if (last) done_cv_.notify_one();
-    }
-  }
-
-  void work() {
-    for (;;) {
-      const std::size_t j = next_.fetch_add(1, std::memory_order_relaxed);
-      if (j >= njobs_) return;
-      (*task_)(j);
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::size_t njobs_ = 0;
-  std::atomic<std::size_t> next_{0};
-  std::size_t pending_ = 0;
-  std::uint64_t gen_ = 0;
-  std::vector<std::jthread> threads_;
-};
-
-RunStatus SimNetwork::run_parallel(const PartyDone& done,
-                                   std::uint64_t max_deliveries) {
-  APXA_ENSURE(started_, "call start() before run()");
-
-  latch_all_done(done);
-  if (all_done()) return RunStatus::kPredicateSatisfied;
-
-  Crew crew(workers_);
-  std::uint64_t delivered = 0;
-  std::vector<Pending> step;
-  std::vector<EventRecord> rec;
-  std::vector<std::vector<std::size_t>> groups;  // event indices per party
-  std::vector<ProcessId> group_owner;
-
-  // Re-queue events [k, end) of the current step — a mid-step stop keeps the
-  // same budget/status accounting the serial loop would report.
-  auto requeue_from = [this, &step](std::size_t k) {
-    for (std::size_t i = k; i < step.size(); ++i) {
-      push_event(std::move(step[i]));
-    }
-  };
-
-  // One event, exact serial semantics (the run_until_done body).  Returns
-  // kQueueDrained to mean "keep going".
-  auto deliver_serial = [&](std::size_t k) -> RunStatus {
-    const Message& m = step[k].msg;
-    if (!deliver(m)) return RunStatus::kQueueDrained;
-    ++delivered;
-    latch_done(m.to, done);
-    return all_done() ? RunStatus::kPredicateSatisfied : RunStatus::kQueueDrained;
-  };
-
-  while (!queue_.empty()) {
-    if (delivered >= max_deliveries) return RunStatus::kBudgetExhausted;
-
-    // Collect the scheduler step: every pending event at the minimal time.
-    // Sends produced by these upcalls land strictly later (delays are > 0),
-    // so the step is closed under execution.
-    const double step_time = queue_.front().time;
-    step.clear();
-    while (!queue_.empty() && queue_.front().time == step_time) {
-      step.push_back(pop_event());
-    }
-    now_ = std::max(now_, step_time);
-    apply_timed_crashes(now_);
-    ++steps_;
-
-    // Group by destination, preserving seq order inside each group.
-    groups.clear();
-    group_owner.clear();
-    {
-      std::vector<std::int32_t> slot(params_.n, -1);
-      for (std::size_t k = 0; k < step.size(); ++k) {
-        const ProcessId to = step[k].msg.to;
-        if (slot[to] < 0) {
-          slot[to] = static_cast<std::int32_t>(groups.size());
-          groups.emplace_back();
-          group_owner.push_back(to);
-        }
-        groups[static_cast<std::size_t>(slot[to])].push_back(k);
-      }
-    }
-
-    // Fan out only when it can pay off AND the budget cannot cut inside the
-    // step (drops consume no budget, so remaining >= step size is enough);
-    // otherwise fall back to the exact serial loop for this step.
-    const bool fan_out =
-        groups.size() >= 2 && (max_deliveries - delivered) >= step.size();
-    if (!fan_out) {
-      for (std::size_t k = 0; k < step.size(); ++k) {
-        if (delivered >= max_deliveries) {
-          requeue_from(k);
-          return RunStatus::kBudgetExhausted;
-        }
-        if (deliver_serial(k) == RunStatus::kPredicateSatisfied) {
-          requeue_from(k + 1);
-          return RunStatus::kPredicateSatisfied;
-        }
-      }
-      continue;
-    }
-
-    // Parallel phase: run the upcalls, stage everything.  Workers touch only
-    // their own party's process, shadow entries and event records; the crew
-    // barrier publishes their writes back to this thread.  Stage events are
-    // executor-domain (recorded from worker threads, timing-dependent); all
-    // protocol events wait for the commit walk below.
-    ++fanned_steps_;
-    rec.assign(step.size(), EventRecord{});
-    step_status_ = status_;
-    step_sends_ = sends_made_;
-    crew.run(groups.size(), [&](std::size_t g) {
-      const ProcessId to = group_owner[g];
-      for (const std::size_t k : groups[g]) {
-        const Message& m = step[k].msg;
-        EventRecord& r = rec[k];
-        if (step_status_[to] == PartyStatus::kCrashed) continue;  // dropped
-        r.delivered = true;
-        if (trace_) {
-          trace_->record(obs::EventKind::kStepStage, to,
-                         static_cast<std::uint32_t>(g), -1,
-                         static_cast<double>(step.size()), step_time);
-        }
-        StageContext ctx(*this, to, &r.sends);
-        TlEffectsScope scope(&r.effects);
-        if (max_batch_ > 0) {
-          for_each_frame(m.payload, [&](BytesView frame) {
-            ++r.frames;
-            procs_[to]->on_message(ctx, m.from, frame);
-          });
-        } else {
-          r.frames = 1;
-          procs_[to]->on_message(ctx, m.from, m.payload);
-        }
-        r.output_after = procs_[to]->has_output();
-        if (step_status_[to] == PartyStatus::kCorrect && !done_flag_[to]) {
-          r.done_after = probe_done(to, done) ? 1 : 0;
-        }
-      }
-    });
-    if (trace_) {
-      trace_->record(obs::EventKind::kStepCommit, 0,
-                     static_cast<std::uint32_t>(groups.size()), -1,
-                     static_cast<double>(step.size()), step_time);
-    }
-
-    // Serial commit walk: replay each committed event's sends through the
-    // real do_send in event-seq order, so crash accounting, batching,
-    // scheduler delay/on_deliver calls and duplication draws happen exactly
-    // as the serial loop would have made them.
-    for (std::size_t k = 0; k < step.size(); ++k) {
-      EventRecord& r = rec[k];
-      const Message& m = step[k].msg;
-      if (!r.delivered) {  // destination crashed: dropped silently
-        if (trace_) trace_->record(obs::EventKind::kDrop, m.from, m.to, -1, 0.0, now_);
-        continue;
-      }
-      const ProcessId to = m.to;
-      ++delivered;
-      ++fanned_events_;
-      scheduler_->on_deliver(m);
-      metrics_.note_delivery(m.payload, now_ - m.send_time);
-      metrics_.messages_delivered += r.frames;
-      if (trace_) {
-        trace_->record(obs::EventKind::kDeliver, m.from, to, -1,
-                       static_cast<double>(r.frames), now_);
-      }
-      for (StagedSend& s : r.sends) {
-        do_send(to, s.to, std::move(s.payload));
-      }
-      if (max_batch_ > 0) flush_sender(to);
-      for (auto& fn : r.effects) fn();
-      if (r.output_after && output_time_[to] == kInf) output_time_[to] = now_;
-      if (r.done_after == 1 && status_[to] == PartyStatus::kCorrect) {
-        done_flag_[to] = 1;
-      }
-      if (all_done()) {
-        requeue_from(k + 1);
-        return RunStatus::kPredicateSatisfied;
-      }
-    }
-  }
-  return RunStatus::kQueueDrained;
 }
 
 RunStatus SimNetwork::run(std::uint64_t max_deliveries) {
@@ -734,11 +370,9 @@ PartyStatus SimNetwork::status(ProcessId p) const {
 }
 
 std::vector<double> SimNetwork::correct_outputs() const {
-  // Gated on output_time_, not the live process: after a parallel run stops
-  // mid-step, overshoot upcalls may have produced outputs the serial loop
-  // never saw; those have no committed output time and stay invisible.
-  // Serially the gate is a no-op — note_output records the time the moment
-  // an output appears.
+  // Gated on output_time_ so these accessors agree with output_time() and
+  // all_correct_output().  The gate drops nothing: note_output records the
+  // time after every upcall, the only place an output can appear.
   std::vector<double> out;
   for (ProcessId p = 0; p < params_.n; ++p) {
     if (status_[p] != PartyStatus::kCorrect) continue;

@@ -31,8 +31,6 @@ const char* kind_name(EventKind k) noexcept {
     case EventKind::kClaim: return "claim";
     case EventKind::kSteal: return "steal";
     case EventKind::kIdle: return "idle";
-    case EventKind::kStepStage: return "step_stage";
-    case EventKind::kStepCommit: return "step_commit";
     case EventKind::kRetransmit: return "retransmit";
   }
   return "unknown";

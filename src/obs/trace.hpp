@@ -8,13 +8,13 @@
 // so the disabled cost is one predictable branch and no function call.
 //
 // Determinism contract: protocol-domain events (send / deliver / drop /
-// crash / round-advance / view-freeze / instance-finish) must be recorded
-// from the simulator's committed serial order — never from inside a parallel
-// staging upcall — so a parallel sim run's protocol trace is bit-identical
-// to the serial run's.  Executor-domain events (claim / steal / idle, step
-// stage / commit) are timing-dependent by nature; protocol_events() and
-// protocol_digest() exclude them, along with the two fields that cannot
-// reproduce (wall clocks, and seq tickets interleaved with executor events).
+// crash / round-advance / view-freeze / instance-finish) are recorded where
+// they happen in the simulator's single event loop, so two sim runs of one
+// config record the same protocol stream.  Executor-domain events (claim /
+// steal / idle, retransmit) are timing-dependent by nature;
+// protocol_events() and protocol_digest() exclude them, along with the two
+// fields that cannot reproduce (wall clocks, and seq tickets interleaved
+// with executor events).
 #pragma once
 
 #include <atomic>
@@ -40,8 +40,6 @@ enum class EventKind : std::uint8_t {
   kClaim,       // worker popped a runnable party off its own shard
   kSteal,       // worker stole a runnable party from another shard
   kIdle,        // worker found no runnable party and waited
-  kStepStage,   // sim worker staged one event of a fanned step
-  kStepCommit,  // sim committed a fanned step (value = events in step)
   kRetransmit,  // socket link layer re-sent an unacked datagram (value =
                 // wire bytes); timing-dependent, hence executor-domain
 };

@@ -4,8 +4,9 @@
 // export formats.  Harness-level cases check that traced runs actually
 // record the event kinds each layer owns — transports (send/deliver/drop/
 // crash), the round engines (round-advance), the collect engine
-// (view-freeze) and the threaded executor (claim/steal/idle) — and that
-// executor telemetry surfaces in the reports.
+// (view-freeze) and the threaded executor (claim/steal/idle) — that
+// executor telemetry surfaces in the reports, and that traced sim runs
+// replay their protocol trace and report bit for bit.
 //
 // Runs in the TSan lane (name matched by the CI regex): the per-thread
 // rings plus the relaxed global ticket are exactly the code a data race
@@ -18,7 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "adversary/crash_plan.hpp"
 #include "harness/harness.hpp"
+#include "harness/session.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
 
@@ -116,9 +119,9 @@ TEST(TraceSink, ThreadLocalCacheRoutesAcrossSinks) {
 TEST(TraceDomains, ProtocolFilterExcludesExecutorEvents) {
   TraceSink sink;
   sink.record(EventKind::kSend, 0, 1, 0, 1.0, 0.5);
-  sink.record(EventKind::kStepStage, 1, 0, -1, 1.0, 0.5);
+  sink.record(EventKind::kIdle, 1, 0, -1, 1.0, 0.5);
   sink.record(EventKind::kDeliver, 0, 1, 0, 1.0, 1.0);
-  sink.record(EventKind::kStepCommit, 0, 1, -1, 2.0, 1.0);
+  sink.record(EventKind::kClaim, 0, 1, -1, 2.0, 1.0);
   sink.record(EventKind::kClaim, 0, 3, -1, 0.0, 0.0);
   sink.record(EventKind::kInstanceFinish, 3, 0, -1, 2.0, 2.0);
 
@@ -134,7 +137,7 @@ TEST(TraceDomains, DigestIgnoresExecutorNoiseButSeesProtocolChanges) {
     TraceSink sink;
     sink.record(EventKind::kSend, 0, 1, 0, send_value, 0.5);
     if (with_noise) {
-      sink.record(EventKind::kStepStage, 7, 0, -1, 1.0, 0.5);
+      sink.record(EventKind::kClaim, 7, 0, -1, 1.0, 0.5);
       sink.record(EventKind::kIdle, 2, 0, -1, 0.0, 0.0);
     }
     sink.record(EventKind::kDeliver, 0, 1, 0, send_value, 1.0);
@@ -149,7 +152,7 @@ TEST(TraceDomains, KindNamesCoverEveryKind) {
        {EventKind::kSend, EventKind::kDeliver, EventKind::kDrop,
         EventKind::kCrash, EventKind::kRoundAdvance, EventKind::kViewFreeze,
         EventKind::kInstanceFinish, EventKind::kClaim, EventKind::kSteal,
-        EventKind::kIdle, EventKind::kStepStage, EventKind::kStepCommit}) {
+        EventKind::kIdle, EventKind::kRetransmit}) {
     EXPECT_STRNE(kind_name(k), "");
   }
   EXPECT_TRUE(is_protocol_event(EventKind::kInstanceFinish));
@@ -283,23 +286,284 @@ TEST(TraceHarness, ThreadRunSurfacesExecutorTelemetry) {
   EXPECT_GT(protocol, 0u);
 }
 
-TEST(TraceHarness, SimParallelRunCountsFannedSteps) {
-  using namespace apxa::harness;
-  const SystemParams p{8, 2};
+}  // namespace
+}  // namespace apxa::obs
+
+// --- traced sim replay --------------------------------------------------------
+//
+// The simulator records every protocol-domain event inline, from its one
+// event loop, so running a config twice must replay the trace and the
+// report bit for bit.
+
+namespace apxa::harness {
+namespace {
+
+// --- exact-equality comparators ---------------------------------------------
+//
+// EXPECT_EQ on doubles (not EXPECT_DOUBLE_EQ): bit-identity is the claim, so
+// even a 1-ulp drift is a bug.
+
+void expect_metrics_eq(const net::Metrics& a, const net::Metrics& b) {
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.packets_sent, b.packets_sent);
+  EXPECT_EQ(a.messages_delivered, b.messages_delivered);
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.sent_by, b.sent_by);
+  EXPECT_EQ(a.bytes_by, b.bytes_by);
+  EXPECT_EQ(a.sent_by_tag, b.sent_by_tag);
+  EXPECT_EQ(a.sent_by_round, b.sent_by_round);
+  EXPECT_EQ(a.sent_by_instance, b.sent_by_instance);
+}
+
+void expect_report_eq(const RunReport& a, const RunReport& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.all_output, b.all_output);
+  EXPECT_EQ(a.outputs, b.outputs);
+  EXPECT_EQ(a.validity_ok, b.validity_ok);
+  EXPECT_EQ(a.worst_pair_gap, b.worst_pair_gap);
+  EXPECT_EQ(a.agreement_ok, b.agreement_ok);
+  EXPECT_EQ(a.finish_time, b.finish_time);
+  expect_metrics_eq(a.metrics, b.metrics);
+  EXPECT_EQ(a.spread_by_round, b.spread_by_round);
+  EXPECT_EQ(a.max_round_reached, b.max_round_reached);
+  EXPECT_EQ(a.round_factors, b.round_factors);
+}
+
+void expect_vector_report_eq(const VectorRunReport& a, const VectorRunReport& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.all_output, b.all_output);
+  EXPECT_EQ(a.outputs, b.outputs);
+  EXPECT_EQ(a.box_validity_ok, b.box_validity_ok);
+  EXPECT_EQ(a.convex_validity_ok, b.convex_validity_ok);
+  EXPECT_EQ(a.outputs_outside_hull, b.outputs_outside_hull);
+  EXPECT_EQ(a.worst_linf_gap, b.worst_linf_gap);
+  EXPECT_EQ(a.worst_l2_gap, b.worst_l2_gap);
+  EXPECT_EQ(a.agreement_ok, b.agreement_ok);
+  EXPECT_EQ(a.finish_time, b.finish_time);
+  expect_metrics_eq(a.metrics, b.metrics);
+  EXPECT_EQ(a.linf_spread_by_round, b.linf_spread_by_round);
+  EXPECT_EQ(a.max_round_reached, b.max_round_reached);
+  EXPECT_EQ(a.rounds_to_eps, b.rounds_to_eps);
+  EXPECT_EQ(a.reached_eps, b.reached_eps);
+  EXPECT_EQ(a.view_overlap_measured, b.view_overlap_measured);
+  EXPECT_EQ(a.view_overlap_min, b.view_overlap_min);
+  EXPECT_EQ(a.view_overlap_ok, b.view_overlap_ok);
+  EXPECT_EQ(a.msgs_value, b.msgs_value);
+  EXPECT_EQ(a.msgs_rb_send, b.msgs_rb_send);
+  EXPECT_EQ(a.msgs_rb_echo, b.msgs_rb_echo);
+  EXPECT_EQ(a.msgs_rb_ready, b.msgs_rb_ready);
+  EXPECT_EQ(a.msgs_report, b.msgs_report);
+}
+
+constexpr SchedKind kAllScheds[] = {SchedKind::kRandom, SchedKind::kFifo,
+                                    SchedKind::kGreedySplit, SchedKind::kTargeted,
+                                    SchedKind::kClique};
+
+const char* sched_name(SchedKind s) {
+  switch (s) {
+    case SchedKind::kRandom: return "random";
+    case SchedKind::kFifo: return "fifo";
+    case SchedKind::kGreedySplit: return "greedy_split";
+    case SchedKind::kTargeted: return "targeted";
+    case SchedKind::kClique: return "clique";
+  }
+  return "?";
+}
+
+// Field by field over the protocol-domain events, then their digest.
+void expect_trace_eq(const obs::TraceSink& a, const obs::TraceSink& b) {
+  const auto ea = obs::protocol_events(a.snapshot());
+  const auto eb = obs::protocol_events(b.snapshot());
+  ASSERT_EQ(ea.size(), eb.size());
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(ea[i].kind, eb[i].kind);
+    EXPECT_EQ(ea[i].party, eb[i].party);
+    EXPECT_EQ(ea[i].peer, eb[i].peer);
+    EXPECT_EQ(ea[i].round, eb[i].round);
+    EXPECT_EQ(ea[i].value, eb[i].value);
+    EXPECT_EQ(ea[i].vtime, eb[i].vtime);
+  }
+  EXPECT_EQ(obs::protocol_digest(ea), obs::protocol_digest(eb));
+}
+
+RunConfig scalar_replay_cfg(ProtocolKind kind, SchedKind sched) {
   RunConfig cfg;
-  cfg.params = p;
-  cfg.protocol = ProtocolKind::kCrashRound;
-  cfg.fixed_rounds = 4;
-  cfg.inputs = linear_inputs(p.n, 0.0, 1.0);
-  cfg.sched = SchedKind::kFifo;  // constant delays -> wide equal-time steps
-  cfg.backend = BackendKind::kSim;
-  cfg.sim_workers = 4;
-  const RunReport rep = run(cfg);
-  EXPECT_TRUE(rep.all_output);
-  EXPECT_GT(rep.exec_stats.steps, 0u);
-  EXPECT_GT(rep.exec_stats.fanned_steps, 0u);
-  EXPECT_GT(rep.exec_stats.fanned_events, 0u);
+  cfg.protocol = kind;
+  cfg.sched = sched;
+  cfg.epsilon = 1e-2;
+  adversary::ByzSpec b;
+  switch (kind) {
+    case ProtocolKind::kCrashRound:
+      cfg.params = {5, 1};
+      cfg.fixed_rounds = 6;
+      cfg.seed = 11;
+      cfg.crashes = {adversary::partial_multicast_crash(cfg.params, 4,
+                                                        /*full_rounds=*/1, {0, 1})};
+      break;
+    case ProtocolKind::kByzRound:
+      cfg.params = {6, 1};  // n > 5t for the DLPSW-async protocol
+      cfg.fixed_rounds = 8;
+      cfg.epsilon = 5e-2;
+      cfg.seed = 13;
+      b.who = 0;
+      b.kind = adversary::ByzKind::kEquivocate;
+      b.lo = -5.0;
+      b.hi = 5.0;
+      cfg.byz = {b};
+      break;
+    default:  // kWitness
+      cfg.params = {4, 1};  // n > 3t for the witness technique
+      cfg.fixed_rounds = 3;
+      cfg.epsilon = 0.2;
+      cfg.seed = 17;
+      b.who = 3;
+      b.kind = adversary::ByzKind::kSilent;
+      cfg.byz = {b};
+      break;
+  }
+  cfg.inputs = linear_inputs(cfg.params.n, 0.0, 1.0);
+  return cfg;
+}
+
+VectorRunConfig vector_replay_cfg(ProtocolKind kind, SchedKind sched) {
+  VectorRunConfig cfg;
+  cfg.protocol = kind;
+  cfg.sched = sched;
+  cfg.dim = 2;
+  cfg.epsilon = 1e-2;
+  adversary::ByzSpec b;
+  switch (kind) {
+    case ProtocolKind::kVectorCrash: {
+      cfg.params = {5, 1};
+      cfg.fixed_rounds = 8;
+      Rng rng(17);
+      cfg.inputs = random_vector_inputs(rng, cfg.params.n, 2, 0.0, 1.0);
+      cfg.seed = 19;
+      cfg.crashes = {adversary::partial_multicast_crash(cfg.params, 4,
+                                                        /*full_rounds=*/1, {0, 1})};
+      break;
+    }
+    case ProtocolKind::kVectorByz:
+      cfg.params = {6, 1};
+      cfg.fixed_rounds = 8;
+      cfg.epsilon = 5e-2;
+      cfg.inputs = corner_split_inputs(cfg.params.n, 2, cfg.params.n / 2, 0.0, 1.0);
+      cfg.seed = 23;
+      b.who = 0;
+      b.kind = adversary::ByzKind::kEquivocate;
+      b.lo = -5.0;
+      b.hi = 5.0;
+      cfg.byz = {b};
+      break;
+    case ProtocolKind::kVectorConvex: {
+      cfg.params = {7, 1};  // n > 3t
+      cfg.fixed_rounds = 6;
+      Rng rng(31);
+      cfg.inputs = random_vector_inputs(rng, cfg.params.n, 2, -5.0, 5.0);
+      cfg.seed = 29;
+      b.who = 0;
+      b.kind = adversary::ByzKind::kHullEscape;
+      b.lo = -5.0;
+      b.hi = 5.0;
+      b.seed = 1;
+      cfg.byz = {b};
+      break;
+    }
+    default: {  // kVectorConvexRB: Theta(n^3) traffic per round
+      cfg.params = {7, 1};  // n > 3t
+      cfg.fixed_rounds = 4;
+      Rng rng(37);
+      cfg.inputs = random_vector_inputs(rng, cfg.params.n, 2, -5.0, 5.0);
+      cfg.seed = 37;
+      break;
+    }
+  }
+  return cfg;
+}
+
+/// The 6-instance session with cap-8 batching and a crash budget of 30
+/// logical sends, traced into `trace`.
+SessionReport batched_crash_session(obs::TraceSink* trace) {
+  std::vector<RunConfig> cfgs;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    const SystemParams p{5, 1};
+    RunConfig cfg;
+    cfg.params = p;
+    cfg.protocol = ProtocolKind::kCrashRound;
+    cfg.fixed_rounds = 4 + (k % 3);
+    cfg.epsilon = 1e-2;
+    cfg.inputs = linear_inputs(p.n, 0.0, 1.0 + 0.25 * static_cast<double>(k));
+    cfg.sched = SchedKind::kRandom;
+    cfg.seed = 41;
+    cfgs.push_back(cfg);
+  }
+  SessionOptions opts;
+  opts.batching = 8;
+  opts.force_multiplex = true;
+  opts.trace = trace;
+  adversary::CrashSpec s;
+  s.who = 4;
+  s.after_sends = 30;  // logical sends across all 6 instances
+  opts.crashes = {s};
+  return run_session(cfgs, opts);
+}
+
+TEST(TraceReplay, TracedSimRunsReplayBitForBit) {
+  for (const SchedKind sched : kAllScheds) {
+    SCOPED_TRACE(sched_name(sched));
+    for (const ProtocolKind kind : {ProtocolKind::kCrashRound, ProtocolKind::kByzRound,
+                                    ProtocolKind::kWitness}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      RunConfig cfg = scalar_replay_cfg(kind, sched);
+      obs::TraceSink ta;
+      obs::TraceSink tb;
+      cfg.trace = &ta;
+      const RunReport a = run(cfg);
+      cfg.trace = &tb;
+      const RunReport b = run(cfg);
+      EXPECT_FALSE(obs::protocol_events(ta.snapshot()).empty());
+      expect_report_eq(a, b);
+      expect_trace_eq(ta, tb);
+    }
+    for (const ProtocolKind kind :
+         {ProtocolKind::kVectorCrash, ProtocolKind::kVectorByz,
+          ProtocolKind::kVectorConvex, ProtocolKind::kVectorConvexRB}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      VectorRunConfig cfg = vector_replay_cfg(kind, sched);
+      obs::TraceSink ta;
+      obs::TraceSink tb;
+      cfg.trace = &ta;
+      const VectorRunReport a = run(cfg);
+      cfg.trace = &tb;
+      const VectorRunReport b = run(cfg);
+      EXPECT_FALSE(obs::protocol_events(ta.snapshot()).empty());
+      expect_vector_report_eq(a, b);
+      expect_trace_eq(ta, tb);
+    }
+  }
+
+  // The session path adds router kInstanceFinish records and batched
+  // kDeliver events to the stream.
+  obs::TraceSink ta;
+  obs::TraceSink tb;
+  const SessionReport a = batched_crash_session(&ta);
+  const SessionReport b = batched_crash_session(&tb);
+  expect_trace_eq(ta, tb);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.all_output, b.all_output);
+  EXPECT_EQ(a.finish_times, b.finish_times);
+  EXPECT_EQ(a.msgs_per_packet, b.msgs_per_packet);
+  expect_metrics_eq(a.metrics, b.metrics);
+  ASSERT_EQ(a.scalar_reports.size(), b.scalar_reports.size());
+  for (std::size_t i = 0; i < a.scalar_reports.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(a.scalar_reports[i].has_value());
+    ASSERT_TRUE(b.scalar_reports[i].has_value());
+    expect_report_eq(*a.scalar_reports[i], *b.scalar_reports[i]);
+  }
 }
 
 }  // namespace
-}  // namespace apxa::obs
+}  // namespace apxa::harness

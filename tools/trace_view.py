@@ -25,7 +25,7 @@ PROTOCOL_KINDS = {
     "send", "deliver", "drop", "crash",
     "round_advance", "view_freeze", "instance_finish",
 }
-EXECUTOR_KINDS = {"claim", "steal", "idle", "step_stage", "step_commit"}
+EXECUTOR_KINDS = {"claim", "steal", "idle"}
 
 
 def load_events(path):
