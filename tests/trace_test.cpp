@@ -14,16 +14,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "adversary/crash_plan.hpp"
+#include "core/async_byz.hpp"
 #include "harness/harness.hpp"
 #include "harness/session.hpp"
+#include "net/sim.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "sched/random_scheduler.hpp"
 
 namespace apxa::obs {
 namespace {
@@ -293,7 +299,7 @@ TEST(TraceHarness, ThreadRunSurfacesExecutorTelemetry) {
 //
 // The simulator records every protocol-domain event inline, from its one
 // event loop, so running a config twice must replay the trace and the
-// report bit for bit.
+// report bit for bit, and attaching a trace must not change the run.
 
 namespace apxa::harness {
 namespace {
@@ -483,11 +489,13 @@ VectorRunConfig vector_replay_cfg(ProtocolKind kind, SchedKind sched) {
   return cfg;
 }
 
-/// The 6-instance session with cap-8 batching and a crash budget of 30
-/// logical sends, traced into `trace`.
-SessionReport batched_crash_session(obs::TraceSink* trace) {
+/// `instances` crash-round instances (n = 5, t = 1) behind one batched,
+/// multiplexed session with a crash budget of 30 logical sends, traced into
+/// `trace` (may be null).
+SessionReport batched_crash_session(obs::TraceSink* trace,
+                                    std::size_t instances = 6) {
   std::vector<RunConfig> cfgs;
-  for (std::uint64_t k = 0; k < 6; ++k) {
+  for (std::uint64_t k = 0; k < instances; ++k) {
     const SystemParams p{5, 1};
     RunConfig cfg;
     cfg.params = p;
@@ -505,52 +513,12 @@ SessionReport batched_crash_session(obs::TraceSink* trace) {
   opts.trace = trace;
   adversary::CrashSpec s;
   s.who = 4;
-  s.after_sends = 30;  // logical sends across all 6 instances
+  s.after_sends = 30;  // logical sends across all instances
   opts.crashes = {s};
   return run_session(cfgs, opts);
 }
 
-TEST(TraceReplay, TracedSimRunsReplayBitForBit) {
-  for (const SchedKind sched : kAllScheds) {
-    SCOPED_TRACE(sched_name(sched));
-    for (const ProtocolKind kind : {ProtocolKind::kCrashRound, ProtocolKind::kByzRound,
-                                    ProtocolKind::kWitness}) {
-      SCOPED_TRACE(static_cast<int>(kind));
-      RunConfig cfg = scalar_replay_cfg(kind, sched);
-      obs::TraceSink ta;
-      obs::TraceSink tb;
-      cfg.trace = &ta;
-      const RunReport a = run(cfg);
-      cfg.trace = &tb;
-      const RunReport b = run(cfg);
-      EXPECT_FALSE(obs::protocol_events(ta.snapshot()).empty());
-      expect_report_eq(a, b);
-      expect_trace_eq(ta, tb);
-    }
-    for (const ProtocolKind kind :
-         {ProtocolKind::kVectorCrash, ProtocolKind::kVectorByz,
-          ProtocolKind::kVectorConvex, ProtocolKind::kVectorConvexRB}) {
-      SCOPED_TRACE(static_cast<int>(kind));
-      VectorRunConfig cfg = vector_replay_cfg(kind, sched);
-      obs::TraceSink ta;
-      obs::TraceSink tb;
-      cfg.trace = &ta;
-      const VectorRunReport a = run(cfg);
-      cfg.trace = &tb;
-      const VectorRunReport b = run(cfg);
-      EXPECT_FALSE(obs::protocol_events(ta.snapshot()).empty());
-      expect_vector_report_eq(a, b);
-      expect_trace_eq(ta, tb);
-    }
-  }
-
-  // The session path adds router kInstanceFinish records and batched
-  // kDeliver events to the stream.
-  obs::TraceSink ta;
-  obs::TraceSink tb;
-  const SessionReport a = batched_crash_session(&ta);
-  const SessionReport b = batched_crash_session(&tb);
-  expect_trace_eq(ta, tb);
+void expect_session_eq(const SessionReport& a, const SessionReport& b) {
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.all_output, b.all_output);
   EXPECT_EQ(a.finish_times, b.finish_times);
@@ -563,6 +531,217 @@ TEST(TraceReplay, TracedSimRunsReplayBitForBit) {
     ASSERT_TRUE(b.scalar_reports[i].has_value());
     expect_report_eq(*a.scalar_reports[i], *b.scalar_reports[i]);
   }
+}
+
+/// Runs `kind`'s replay config under every scheduler twice, each run with a
+/// TraceSink attached, and requires the two reports and protocol traces to
+/// match exactly.
+void expect_scalar_replay(ProtocolKind kind) {
+  for (const SchedKind sched : kAllScheds) {
+    SCOPED_TRACE(sched_name(sched));
+    RunConfig cfg = scalar_replay_cfg(kind, sched);
+    obs::TraceSink ta;
+    obs::TraceSink tb;
+    cfg.trace = &ta;
+    const RunReport a = run(cfg);
+    cfg.trace = &tb;
+    const RunReport b = run(cfg);
+    EXPECT_FALSE(obs::protocol_events(ta.snapshot()).empty());
+    expect_report_eq(a, b);
+    expect_trace_eq(ta, tb);
+  }
+}
+
+void expect_vector_replay(ProtocolKind kind) {
+  for (const SchedKind sched : kAllScheds) {
+    SCOPED_TRACE(sched_name(sched));
+    VectorRunConfig cfg = vector_replay_cfg(kind, sched);
+    obs::TraceSink ta;
+    obs::TraceSink tb;
+    cfg.trace = &ta;
+    const VectorRunReport a = run(cfg);
+    cfg.trace = &tb;
+    const VectorRunReport b = run(cfg);
+    EXPECT_FALSE(obs::protocol_events(ta.snapshot()).empty());
+    expect_vector_report_eq(a, b);
+    expect_trace_eq(ta, tb);
+  }
+}
+
+TEST(TraceReplay, CrashRoundAllSchedulers) {
+  expect_scalar_replay(ProtocolKind::kCrashRound);
+}
+
+TEST(TraceReplay, ByzRoundAllSchedulers) {
+  expect_scalar_replay(ProtocolKind::kByzRound);
+}
+
+TEST(TraceReplay, WitnessAllSchedulers) {
+  expect_scalar_replay(ProtocolKind::kWitness);
+}
+
+TEST(TraceReplay, VectorCrashAllSchedulers) {
+  expect_vector_replay(ProtocolKind::kVectorCrash);
+}
+
+TEST(TraceReplay, VectorByzAllSchedulers) {
+  expect_vector_replay(ProtocolKind::kVectorByz);
+}
+
+TEST(TraceReplay, VectorConvexAllSchedulers) {
+  expect_vector_replay(ProtocolKind::kVectorConvex);
+}
+
+TEST(TraceReplay, VectorConvexRbAllSchedulers) {
+  expect_vector_replay(ProtocolKind::kVectorConvexRB);
+}
+
+TEST(TraceReplay, MultiplexedSessionWithBatchingAndCrashes) {
+  // The session path adds router kInstanceFinish records and batched
+  // kDeliver events to the stream.
+  obs::TraceSink ta;
+  obs::TraceSink tb;
+  const SessionReport a = batched_crash_session(&ta);
+  const SessionReport b = batched_crash_session(&tb);
+  EXPECT_FALSE(obs::protocol_events(ta.snapshot()).empty());
+  expect_trace_eq(ta, tb);
+  expect_session_eq(a, b);
+}
+
+TEST(TraceReplay, LargeUntracedSessionReplays) {
+  const SessionReport a = batched_crash_session(nullptr, 16);
+  const SessionReport b = batched_crash_session(nullptr, 16);
+  EXPECT_EQ(a.scalar_reports.size(), 16u);
+  expect_session_eq(a, b);
+}
+
+TEST(TraceReplay, BudgetExhaustionCutsAtTheSameDelivery) {
+  // A budget that lands mid-run stops the loop after exactly that many
+  // deliveries (drops to the crashed party do not count), and a second run
+  // leaves the same partial state.
+  for (const std::uint64_t budget : {37u, 138u, 517u}) {
+    SCOPED_TRACE(budget);
+    RunConfig cfg = scalar_replay_cfg(ProtocolKind::kCrashRound, SchedKind::kRandom);
+    cfg.fixed_rounds = 50;  // never finishes inside the budget
+    cfg.max_deliveries = budget;
+    const RunReport a = run(cfg);
+    const RunReport b = run(cfg);
+    EXPECT_EQ(a.status, net::RunStatus::kBudgetExhausted);
+    EXPECT_EQ(a.metrics.messages_delivered, budget);
+    expect_report_eq(a, b);
+  }
+}
+
+TEST(TraceReplay, DuplicationRngReplays) {
+  // Link duplication draws one RNG sample per send; the same duplication
+  // seed must duplicate the same messages, run after run.
+  const SystemParams p{5, 1};
+  auto run_once = [&p] {
+    net::SimNetwork net(p, std::make_unique<sched::RandomScheduler>(5));
+    net.enable_duplication(0.5, 7);
+    for (ProcessId i = 0; i < p.n; ++i) {
+      net.add_process(std::make_unique<core::RoundAaProcess>(
+          core::crash_aa_config(p, static_cast<double>(i), 4)));
+    }
+    net.start();
+    EXPECT_EQ(net.run_until_done({}), net::RunStatus::kPredicateSatisfied);
+    return std::tuple{net.correct_outputs(), net.metrics().messages_sent,
+                      net.metrics().messages_delivered, net.now()};
+  };
+  const auto a = run_once();
+  const auto b = run_once();
+  EXPECT_EQ(a, b);
+  // Some, not all, messages were duplicated.
+  EXPECT_GT(std::get<2>(a), 0u);
+  EXPECT_LT(std::get<2>(a), 2 * std::get<1>(a));
+}
+
+TEST(TraceReplay, TracingDoesNotPerturbScalarRuns) {
+  for (const SchedKind sched : kAllScheds) {
+    SCOPED_TRACE(sched_name(sched));
+    for (const ProtocolKind kind : {ProtocolKind::kCrashRound, ProtocolKind::kByzRound,
+                                    ProtocolKind::kWitness}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      RunConfig cfg = scalar_replay_cfg(kind, sched);
+      const RunReport untraced = run(cfg);
+      obs::TraceSink trace;
+      cfg.trace = &trace;
+      expect_report_eq(untraced, run(cfg));
+    }
+  }
+}
+
+TEST(TraceReplay, TracingDoesNotPerturbVectorRuns) {
+  for (const SchedKind sched : kAllScheds) {
+    SCOPED_TRACE(sched_name(sched));
+    for (const ProtocolKind kind :
+         {ProtocolKind::kVectorCrash, ProtocolKind::kVectorByz,
+          ProtocolKind::kVectorConvex, ProtocolKind::kVectorConvexRB}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      VectorRunConfig cfg = vector_replay_cfg(kind, sched);
+      const VectorRunReport untraced = run(cfg);
+      obs::TraceSink trace;
+      cfg.trace = &trace;
+      expect_vector_report_eq(untraced, run(cfg));
+    }
+  }
+}
+
+TEST(TraceReplay, TracingDoesNotPerturbSessions) {
+  obs::TraceSink trace;
+  expect_session_eq(batched_crash_session(nullptr), batched_crash_session(&trace));
+}
+
+TEST(TraceReplay, DigestSeparatesSeeds) {
+  // The replay checks have teeth only if the digest tracks the schedule.
+  auto digest = [](std::uint64_t seed) {
+    RunConfig cfg = scalar_replay_cfg(ProtocolKind::kCrashRound, SchedKind::kRandom);
+    cfg.seed = seed;
+    obs::TraceSink trace;
+    cfg.trace = &trace;
+    (void)run(cfg);
+    return obs::protocol_digest(obs::protocol_events(trace.snapshot()));
+  };
+  EXPECT_EQ(digest(11), digest(11));
+  EXPECT_NE(digest(11), digest(12));
+}
+
+TEST(TraceReplay, UpcallEventsPrecedeTheFlushedBatch) {
+  // Round advances and instance finishes are recorded inside the upcall, so
+  // in a batched run none of them follows a send its party flushed after
+  // the delivery that caused it: the last send/deliver event touching the
+  // party before each such record is a delivery to that party.
+  obs::TraceSink trace;
+  (void)batched_crash_session(&trace);
+  std::vector<int> last(5, 0);  // 0 none, 1 delivered to, 2 sent from
+  std::uint64_t checked = 0;
+  for (const auto& e : obs::protocol_events(trace.snapshot())) {
+    switch (e.kind) {
+      case obs::EventKind::kDeliver: last[e.peer] = 1; break;
+      case obs::EventKind::kSend: last[e.party] = 2; break;
+      case obs::EventKind::kRoundAdvance:
+      case obs::EventKind::kInstanceFinish:
+        if (last[e.party] == 0) break;  // start-up round entries
+        ++checked;
+        EXPECT_EQ(last[e.party], 1) << obs::kind_name(e.kind) << " party "
+                                    << e.party << " round " << e.round;
+        break;
+      default: break;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(TraceReplay, SimReportsOneWorker) {
+  // The simulator has one event loop; APXA_SIM_WORKERS no longer exists
+  // and must not change what any simulated run reports.
+  ASSERT_EQ(::setenv("APXA_SIM_WORKERS", "4", 1), 0);
+  RunConfig scalar = scalar_replay_cfg(ProtocolKind::kCrashRound, SchedKind::kFifo);
+  VectorRunConfig vec = vector_replay_cfg(ProtocolKind::kVectorCrash, SchedKind::kFifo);
+  EXPECT_EQ(run(scalar).exec_stats.workers, 1u);
+  EXPECT_EQ(run(vec).exec_stats.workers, 1u);
+  EXPECT_EQ(batched_crash_session(nullptr).exec_stats.workers, 1u);
+  ASSERT_EQ(::unsetenv("APXA_SIM_WORKERS"), 0);
 }
 
 }  // namespace
