@@ -1,9 +1,9 @@
 // T5 — Substrate microbenchmarks (google-benchmark).
 //
 // Raw costs of the building blocks: averaging rules, codec, simulator event
-// loop and its per-message dispatch, reliable broadcast (end to end and the Bracha hub alone), the
-// safe-area geometry of convex-valid vector AA, and the analytic worst-case
-// search.
+// loop and its per-message dispatch, the transport send path (net::Outbox),
+// reliable broadcast (end to end and the Bracha hub alone), the safe-area
+// geometry of convex-valid vector AA, and the analytic worst-case search.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -18,6 +18,8 @@
 #include "core/epsilon_driver.hpp"
 #include "core/multiset_ops.hpp"
 #include "geom/safe_area.hpp"
+#include "net/envelope.hpp"
+#include "net/outbox.hpp"
 #include "net/sim.hpp"
 #include "obs/trace.hpp"
 #include "rb/bracha.hpp"
@@ -162,13 +164,47 @@ void BM_WitnessIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_WitnessIteration)->Arg(8)->Arg(16)->Arg(32);
 
+void BM_OutboxMulticast(benchmark::State& state) {
+  // The transport send path every backend shares ("send path" in the
+  // per-layer breakdown): crash-budget checks, batch buffering, send
+  // accounting and, per multicast, the one shared buffer and the flush after
+  // the upcall.  The wire is a no-op, so no transport cost is included; the
+  // payload copy handed to multicast stands for the protocol's encode.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto cap = static_cast<std::uint32_t>(state.range(1));
+  std::uint64_t packets = 0;
+  net::Outbox out({n, (n - 1) / 3},
+                  [&packets](ProcessId, ProcessId, net::Payload packet) {
+                    benchmark::DoNotOptimize(packet.view().data());
+                    ++packets;
+                  });
+  if (cap > 0) out.enable_batching(cap);
+  const Bytes frame = net::encode_envelope(
+      static_cast<std::uint32_t>(state.range(0)), encode_round(RoundMsg{3, 0.5, 0}));
+  std::uint64_t sends = 0;
+  for (auto _ : state) {
+    out.multicast(0, frame);
+    out.flush(0);
+    sends += n - 1;
+  }
+  benchmark::DoNotOptimize(packets);
+  state.counters["ns_per_send"] = benchmark::Counter(
+      static_cast<double>(sends) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(sends));
+  state.SetLabel("items = logical sends");
+}
+BENCHMARK(BM_OutboxMulticast)
+    ->ArgNames({"n", "cap"})
+    ->ArgsProduct({{4, 16, 64}, {0, 8}});
+
 /// Test double for the hub benches: counts outgoing messages, sends
 /// nothing anywhere.
 class CountingContext final : public net::Context {
  public:
   explicit CountingContext(SystemParams p) : params_(p) {}
   void send(ProcessId, Bytes) override { ++sends; }
-  void multicast(const Bytes&) override { ++sends; }
+  void multicast(Bytes) override { ++sends; }
   [[nodiscard]] ProcessId self() const override { return 0; }
   [[nodiscard]] SystemParams params() const override { return params_; }
   std::uint64_t sends = 0;

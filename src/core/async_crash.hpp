@@ -24,8 +24,9 @@
 //     Parties that finish announce DONE; receivers treat the frozen value as
 //     that sender's value for every later round (liveness).  This mode is a
 //     *reconstructed heuristic*: fully adversarial schedulers can defeat any
-//     local-estimate termination rule (see bench/t7 and DESIGN.md §6 — this
-//     gap is precisely what the follow-on witness technique closes), so the
+//     local-estimate termination rule (see bench/t7 and
+//     sched/clique_scheduler.hpp — this gap is precisely what the follow-on
+//     witness technique closes), so the
 //     harness measures its violation rate instead of assuming safety.
 //   kLive — never outputs; runs forever.  Used by the convergence-rate
 //     experiments, which watch the per-round spread from outside.

@@ -1,10 +1,10 @@
 // Theoretical convergence-rate predictors.
 //
 // These formulas are the reconstructed theorem statements the benchmark
-// harness compares measurements against (see the mismatch note in DESIGN.md:
-// the PODC'87 text was unavailable, so each constant is taken from the
-// standard literature and *validated empirically* by bench/t1 and bench/f2;
-// EXPERIMENTS.md records measured vs predicted for every entry).
+// harness compares measurements against.  The PODC'87 text was unavailable,
+// so each constant is taken from the standard literature and *validated
+// empirically*: bench/t1 and bench/f2 print measured vs predicted for every
+// entry (README.md, "Benchmarks", says how to run them).
 //
 // Summary of the landscape the 1987 paper establishes:
 //   - asynchronous, crash faults, mean rule: per-round convergence factor

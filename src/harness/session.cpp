@@ -33,7 +33,7 @@ class SubContext final : public net::Context {
     outer_.send(to, net::encode_envelope(instance_, payload));
   }
 
-  void multicast(const Bytes& payload) override {
+  void multicast(Bytes payload) override {
     outer_.multicast(net::encode_envelope(instance_, payload));
   }
 

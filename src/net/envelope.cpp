@@ -31,21 +31,9 @@ std::optional<EnvelopeView> decode_envelope(BytesView frame) {
 }
 
 Bytes encode_batch(std::span<const Bytes> frames) {
-  APXA_ENSURE(!frames.empty() && frames.size() <= kMaxBatchFrames,
-              "batch packs 1..kMaxBatchFrames frames");
-  std::size_t size = 1 + varint_size(frames.size());
-  for (const Bytes& f : frames) size += varint_size(f.size()) + f.size();
-  ByteWriter w(size);
-  w.put_u8(kBatchTag);
-  w.put_varint(frames.size());
-  for (const Bytes& f : frames) {
-    APXA_ENSURE(!f.empty(), "cannot batch an empty frame");
-    APXA_ENSURE(static_cast<std::uint8_t>(f[0]) != kBatchTag,
-                "batches do not nest");
-    w.put_varint(f.size());
-    w.put_bytes(f);
-  }
-  return std::move(w).take();
+  Bytes packet(detail::batch_size(frames));
+  detail::write_batch(frames, packet.data());
+  return packet;
 }
 
 std::optional<std::vector<BytesView>> decode_batch(BytesView packet) {

@@ -33,6 +33,7 @@
 // targets, offline replay).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -74,7 +75,8 @@ bool is_envelope(BytesView frame);
 
 /// Pack `frames` (each an envelope or legacy message, NOT a batch) into one
 /// batch packet.  Requires 1 <= |frames| <= kMaxBatchFrames and every frame
-/// non-empty.
+/// non-empty.  The packet is one allocation; detail::write_batch encodes
+/// the same bytes from views of any frame type (net::Outbox's payloads).
 Bytes encode_batch(std::span<const Bytes> frames);
 
 /// Total decoder; nullopt unless `packet` is a well-formed batch whose inner
@@ -110,6 +112,41 @@ bool parse_batch(BytesView packet, Emit&& emit) {
 
 inline bool is_batch(BytesView packet) {
   return !packet.empty() && static_cast<std::uint8_t>(packet[0]) == kBatchTag;
+}
+
+/// Encoded size of the batch packet of `frames` (each convertible to
+/// BytesView), checking encode_batch's requirements.
+template <class Frame>
+std::size_t batch_size(std::span<const Frame> frames) {
+  APXA_ENSURE(!frames.empty() && frames.size() <= kMaxBatchFrames,
+              "batch packs 1..kMaxBatchFrames frames");
+  std::size_t size = 1 + varint_size(frames.size());
+  for (const Frame& frame : frames) {
+    const BytesView f = frame;
+    APXA_ENSURE(!f.empty(), "cannot batch an empty frame");
+    APXA_ENSURE(static_cast<std::uint8_t>(f[0]) != kBatchTag, "batches do not nest");
+    size += varint_size(f.size()) + f.size();
+  }
+  return size;
+}
+
+inline std::byte* put_varint(std::byte* out, std::uint64_t v) {
+  for (; v >= 0x80; v >>= 7) *out++ = static_cast<std::byte>((v & 0x7f) | 0x80);
+  *out++ = static_cast<std::byte>(v);
+  return out;
+}
+
+/// Writes the batch packet of `frames` to `out`, which holds batch_size(frames)
+/// bytes.
+template <class Frame>
+void write_batch(std::span<const Frame> frames, std::byte* out) {
+  *out++ = static_cast<std::byte>(kBatchTag);
+  out = put_varint(out, frames.size());
+  for (const Frame& frame : frames) {
+    const BytesView f = frame;
+    out = put_varint(out, f.size());
+    out = std::copy(f.begin(), f.end(), out);
+  }
 }
 
 }  // namespace detail

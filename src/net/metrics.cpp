@@ -15,6 +15,35 @@ void Metrics::note_send(ProcessId from, std::span<const std::byte> payload) {
   for_each_frame(payload, [&](BytesView frame) { note_logical(from, frame); });
 }
 
+namespace {
+
+void add_counts(std::vector<std::uint64_t>& into, const std::vector<std::uint64_t>& from) {
+  if (into.size() < from.size()) into.resize(from.size(), 0);
+  for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
+}
+
+}  // namespace
+
+void Metrics::merge(const Metrics& o) {
+  messages_sent += o.messages_sent;
+  packets_sent += o.packets_sent;
+  messages_delivered += o.messages_delivered;
+  messages_dropped += o.messages_dropped;
+  payload_bytes += o.payload_bytes;
+  packets_retransmitted += o.packets_retransmitted;
+  retransmit_bytes += o.retransmit_bytes;
+  add_counts(sent_by, o.sent_by);
+  add_counts(bytes_by, o.bytes_by);
+  for (std::size_t t = 0; t <= kMaxTag; ++t) {
+    sent_by_tag[t] += o.sent_by_tag[t];
+    for (std::size_t b = 0; b < kLatencyBuckets; ++b) {
+      latency_by_tag[t][b] += o.latency_by_tag[t][b];
+    }
+  }
+  add_counts(sent_by_round, o.sent_by_round);
+  add_counts(sent_by_instance, o.sent_by_instance);
+}
+
 std::size_t Metrics::frame_tag(std::span<const std::byte> frame) {
   // Tag attribution from the shared wire convention
   // [tag][round-or-instance varint] (core/codec.hpp).  Unknown or malformed

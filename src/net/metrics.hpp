@@ -83,9 +83,15 @@ struct Metrics {
 
   /// Account one physical send: one packet, its wire bytes, and one logical
   /// message per batch frame it carries (per-sender, per-tag, per-round and
-  /// per-instance).  Both transports call this from their send path (under
-  /// the metrics lock on the threaded backend).
+  /// per-instance).  net::Outbox calls this on the sender's own slot, from
+  /// the thread running the sender.
   void note_send(ProcessId from, std::span<const std::byte> payload);
+
+  /// Add `o`'s counts to these, field by field: the sum of per-party slots
+  /// equals accounting their sends and deliveries in one Metrics.  The
+  /// per-round and per-instance tables take the longer length, as one
+  /// Metrics grown by both streams would.
+  void merge(const Metrics& o);
 
   /// Account one link-layer retransmission: physical bytes only (see
   /// packets_retransmitted).  Never touches logical counters.

@@ -42,7 +42,9 @@ class Context {
   virtual void send(ProcessId to, Bytes payload) = 0;
 
   /// Send payload to every other party (n - 1 point-to-point messages).
-  virtual void multicast(const Bytes& payload) = 0;
+  /// Taken by value: the transport wraps it once and shares it among the
+  /// receivers.
+  virtual void multicast(Bytes payload) = 0;
 
   [[nodiscard]] virtual ProcessId self() const = 0;
   [[nodiscard]] virtual SystemParams params() const = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "net/envelope.hpp"
@@ -13,39 +12,18 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-/// Per-delivery context handed to processes; forwards sends to the network.
-class SimNetwork::ContextImpl final : public Context {
- public:
-  ContextImpl(SimNetwork& net, ProcessId self) : net_(net), self_(self) {}
-
-  void send(ProcessId to, Bytes payload) override {
-    APXA_ENSURE(to < net_.params_.n, "send: receiver out of range");
-    APXA_ENSURE(to != self_, "send: use local state instead of self-messages");
-    net_.do_send(self_, to, std::move(payload));
-  }
-
-  void multicast(const Bytes& payload) override { net_.do_multicast(self_, payload); }
-
-  [[nodiscard]] ProcessId self() const override { return self_; }
-  [[nodiscard]] SystemParams params() const override { return net_.params_; }
-
- private:
-  SimNetwork& net_;
-  ProcessId self_;
-};
-
 SimNetwork::SimNetwork(SystemParams params, std::unique_ptr<sched::Scheduler> scheduler)
-    : params_(params), scheduler_(std::move(scheduler)) {
+    : params_(params),
+      scheduler_(std::move(scheduler)),
+      outbox_(params, [this](ProcessId from, ProcessId to, Payload packet) {
+        schedule(from, to, std::move(packet));
+      }) {
   APXA_ENSURE(params_.n >= 1, "need at least one party");
   APXA_ENSURE(params_.t < params_.n, "t must be < n");
   APXA_ENSURE(scheduler_ != nullptr, "scheduler required");
-  status_.assign(params_.n, PartyStatus::kCorrect);
-  sends_made_.assign(params_.n, 0);
-  crash_send_limit_.assign(params_.n, kNoLimit);
+  byzantine_.assign(params_.n, 0);
   crash_time_.assign(params_.n, kInf);
-  multicast_order_.resize(params_.n);
   output_time_.assign(params_.n, kInf);
-  metrics_.reset(params_.n);
 }
 
 void SimNetwork::add_process(std::unique_ptr<Process> p) {
@@ -58,13 +36,11 @@ void SimNetwork::add_process(std::unique_ptr<Process> p) {
 void SimNetwork::mark_byzantine(ProcessId p) {
   APXA_ENSURE(p < params_.n, "byzantine id out of range");
   APXA_ENSURE(!started_, "mark_byzantine must precede start()");
-  status_[p] = PartyStatus::kByzantine;
+  byzantine_[p] = 1;
 }
 
 void SimNetwork::crash_after_sends(ProcessId p, std::uint64_t count) {
-  APXA_ENSURE(p < params_.n, "crash id out of range");
-  crash_send_limit_[p] = count;
-  if (sends_made_[p] >= count) status_[p] = PartyStatus::kCrashed;
+  outbox_.crash_after_sends(p, count);
 }
 
 void SimNetwork::crash_at_time(ProcessId p, double time) {
@@ -81,19 +57,12 @@ void SimNetwork::enable_duplication(double prob, std::uint64_t seed) {
 }
 
 void SimNetwork::enable_batching(std::uint32_t max_frames) {
-  APXA_ENSURE(max_frames >= 1 && max_frames <= kMaxBatchFrames,
-              "batch cap must be in [1, kMaxBatchFrames]");
   APXA_ENSURE(!started_, "enable_batching must precede start()");
-  max_batch_ = max_frames;
-  batch_buf_.assign(params_.n, std::vector<std::vector<Bytes>>(params_.n));
+  outbox_.enable_batching(max_frames);
 }
 
 void SimNetwork::set_multicast_order(ProcessId p, std::vector<ProcessId> order) {
-  APXA_ENSURE(p < params_.n, "multicast order id out of range");
-  for (ProcessId q : order) {
-    APXA_ENSURE(q < params_.n && q != p, "multicast order must list other parties");
-  }
-  multicast_order_[p] = std::move(order);
+  outbox_.set_multicast_order(p, std::move(order));
 }
 
 void SimNetwork::start() {
@@ -102,78 +71,16 @@ void SimNetwork::start() {
   started_ = true;
   apply_timed_crashes(0.0);
   for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] == PartyStatus::kCrashed) continue;
-    ContextImpl ctx(*this, p);
+    if (outbox_.crashed(p)) continue;
+    OutboxContext ctx(outbox_, p);
     procs_[p]->on_start(ctx);
-    flush_sender(p);
+    outbox_.flush(p);
   }
   for (ProcessId p = 0; p < params_.n; ++p) note_output(p);
 }
 
-void SimNetwork::do_send(ProcessId from, ProcessId to, Bytes payload) {
-  if (status_[from] == PartyStatus::kCrashed) {
-    // Every send attempted by an already-crashed party counts as dropped
-    // (same accounting on both backends — see rt::ThreadNetwork::post).
-    ++metrics_.messages_dropped;
-    if (trace_) trace_->record(obs::EventKind::kDrop, from, to, -1, 0.0, now_);
-    return;
-  }
-  if (sends_made_[from] >= crash_send_limit_[from]) {
-    // The crash fires exactly at this send: the message is lost.
-    status_[from] = PartyStatus::kCrashed;
-    ++metrics_.messages_dropped;
-    if (trace_) {
-      trace_->record(obs::EventKind::kCrash, from, from, -1,
-                     static_cast<double>(sends_made_[from]), now_);
-      trace_->record(obs::EventKind::kDrop, from, to, -1, 0.0, now_);
-    }
-    return;
-  }
-  ++sends_made_[from];
-
-  // Batching buffers the LOGICAL frame per destination; the crash accounting
-  // above already happened, so a crash firing on a later frame of the same
-  // multicast still lets this one flush.  Frames that are themselves batch
-  // packets (byzantine forgeries) never nest — they go out as their own
-  // packet and the receiver's total decoders reject them.
-  if (max_batch_ > 0 && !payload.empty() &&
-      static_cast<std::uint8_t>(payload[0]) != kBatchTag) {
-    auto& buf = batch_buf_[from][to];
-    buf.push_back(std::move(payload));
-    if (buf.size() >= max_batch_) {
-      Bytes packet = encode_batch(std::span<const Bytes>(buf));
-      buf.clear();
-      enqueue_packet(from, to, std::move(packet));
-    }
-  } else {
-    enqueue_packet(from, to, std::move(payload));
-  }
-
-  // A send-limit crash that lands exactly on the new count takes effect now,
-  // so a multicast in progress stops at this receiver.
-  if (sends_made_[from] >= crash_send_limit_[from]) {
-    status_[from] = PartyStatus::kCrashed;
-    if (trace_) {
-      trace_->record(obs::EventKind::kCrash, from, from, -1,
-                     static_cast<double>(sends_made_[from]), now_);
-    }
-  }
-}
-
-void SimNetwork::enqueue_packet(ProcessId from, ProcessId to, Bytes payload) {
-  Message m;
-  m.seq = next_seq_++;
-  m.from = from;
-  m.to = to;
-  m.send_time = now_;
-  m.payload = std::move(payload);
-
-  metrics_.note_send(from, m.payload);
-  if (trace_) {
-    trace_->record(obs::EventKind::kSend, from, to, -1,
-                   static_cast<double>(m.payload.size()), now_);
-  }
-
+void SimNetwork::schedule(ProcessId from, ProcessId to, Payload payload) {
+  Message m{next_seq_++, from, to, now_, std::move(payload)};
   const double d = sched::clamp_delay(scheduler_->delay(m));
   if (duplication_rng_ && duplication_rng_->next_bool(duplication_prob_)) {
     Message dup = m;  // same seq: it is the same message, delivered twice
@@ -195,39 +102,13 @@ SimNetwork::Pending SimNetwork::pop_event() {
   return p;
 }
 
-void SimNetwork::flush_sender(ProcessId from) {
-  if (max_batch_ == 0) return;
-  // Destination-id order keeps flushes deterministic.  Pre-crash frames
-  // flush even if `from` has since crashed: they were sent before the crash.
-  for (ProcessId to = 0; to < params_.n; ++to) {
-    auto& buf = batch_buf_[from][to];
-    if (buf.empty()) continue;
-    Bytes packet = buf.size() == 1
-                       ? std::move(buf.front())
-                       : encode_batch(std::span<const Bytes>(buf));
-    buf.clear();
-    enqueue_packet(from, to, std::move(packet));
-  }
-}
-
-void SimNetwork::do_multicast(ProcessId from, const Bytes& payload) {
-  if (!multicast_order_[from].empty()) {
-    for (ProcessId to : multicast_order_[from]) do_send(from, to, payload);
-    return;
-  }
-  for (ProcessId to = 0; to < params_.n; ++to) {
-    if (to == from) continue;
-    do_send(from, to, payload);
-  }
-}
-
 void SimNetwork::apply_timed_crashes(double up_to) {
   if (up_to < next_crash_time_) return;
   next_crash_time_ = kInf;
   for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] != PartyStatus::kCorrect) continue;
+    if (!correct(p)) continue;
     if (crash_time_[p] <= up_to) {
-      status_[p] = PartyStatus::kCrashed;
+      outbox_.crash(p);
       if (trace_) {
         trace_->record(obs::EventKind::kCrash, p, p, -1, crash_time_[p], now_);
       }
@@ -248,7 +129,7 @@ void SimNetwork::latch_all_done(const PartyDone& done) {
 }
 
 void SimNetwork::latch_done(ProcessId p, const PartyDone& done) {
-  if (status_[p] != PartyStatus::kCorrect || done_flag_[p]) return;
+  if (!correct(p) || done_flag_[p]) return;
   if (done ? done(p, *procs_[p]) : procs_[p]->has_output()) done_flag_[p] = 1;
 }
 
@@ -256,24 +137,24 @@ bool SimNetwork::all_done() {
   // A party that stops blocking (latched done, or no longer correct) never
   // blocks again: flags only latch and no status returns to kCorrect.  So
   // the scan resumes at the last blocker — O(n) per run, not per event.
-  while (done_scan_ < params_.n && (status_[done_scan_] != PartyStatus::kCorrect ||
-                                    done_flag_[done_scan_])) {
+  while (done_scan_ < params_.n && (!correct(done_scan_) || done_flag_[done_scan_])) {
     ++done_scan_;
   }
   return done_scan_ == params_.n;
 }
 
 bool SimNetwork::deliver(const Message& m) {
-  if (status_[m.to] == PartyStatus::kCrashed) {  // dropped silently
+  if (outbox_.crashed(m.to)) {  // dropped silently
     if (trace_) trace_->record(obs::EventKind::kDrop, m.from, m.to, -1, 0.0, now_);
     return false;
   }
   scheduler_->on_deliver(m);
-  metrics_.note_delivery(m.payload, now_ - m.send_time);
+  Metrics& metrics = outbox_.metrics_of(m.to);
+  metrics.note_delivery(m.payload, now_ - m.send_time);
 
-  ContextImpl ctx(*this, m.to);
+  OutboxContext ctx(outbox_, m.to);
   Process& proc = *procs_[m.to];
-  if (max_batch_ > 0) {
+  if (outbox_.batching()) {
     // Deliver EVERY frame of the packet before flushing the receiver's send
     // buffers: an 8-frame batch advances up to 8 instances whose responses
     // then pack into full batches again, so batching efficiency
@@ -285,15 +166,15 @@ bool SimNetwork::deliver(const Message& m) {
                      static_cast<double>(frames), now_);
     }
     for_each_frame(m.payload, [&](BytesView frame) {
-      ++metrics_.messages_delivered;
+      ++metrics.messages_delivered;
       proc.on_message(ctx, m.from, frame);
     });
-    flush_sender(m.to);
+    outbox_.flush(m.to);
   } else {
     if (trace_) {
       trace_->record(obs::EventKind::kDeliver, m.from, m.to, -1, 1.0, now_);
     }
-    ++metrics_.messages_delivered;
+    ++metrics.messages_delivered;
     proc.on_message(ctx, m.from, m.payload);
   }
   // Only the receiver ran, so only its output can have appeared (the
@@ -347,7 +228,7 @@ RunStatus SimNetwork::run(std::uint64_t max_deliveries) {
 
 bool SimNetwork::all_correct_output() const {
   for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] == PartyStatus::kCorrect && output_time_[p] == kInf) {
+    if (correct(p) && output_time_[p] == kInf) {
       return false;
     }
   }
@@ -365,8 +246,9 @@ const Process& SimNetwork::process(ProcessId p) const {
 }
 
 PartyStatus SimNetwork::status(ProcessId p) const {
-  APXA_ENSURE(p < status_.size(), "process id out of range");
-  return status_[p];
+  APXA_ENSURE(p < params_.n, "process id out of range");
+  if (outbox_.crashed(p)) return PartyStatus::kCrashed;
+  return byzantine_[p] ? PartyStatus::kByzantine : PartyStatus::kCorrect;
 }
 
 std::vector<double> SimNetwork::correct_outputs() const {
@@ -375,8 +257,7 @@ std::vector<double> SimNetwork::correct_outputs() const {
   // time after every upcall, the only place an output can appear.
   std::vector<double> out;
   for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] != PartyStatus::kCorrect) continue;
-    if (output_time_[p] == kInf) continue;
+    if (!correct(p) || output_time_[p] == kInf) continue;
     if (const auto y = procs_[p]->output()) out.push_back(*y);
   }
   return out;
@@ -385,8 +266,7 @@ std::vector<double> SimNetwork::correct_outputs() const {
 std::vector<std::vector<double>> SimNetwork::correct_vector_outputs() const {
   std::vector<std::vector<double>> out;
   for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] != PartyStatus::kCorrect) continue;
-    if (output_time_[p] == kInf) continue;
+    if (!correct(p) || output_time_[p] == kInf) continue;
     if (auto y = procs_[p]->vector_output()) out.push_back(std::move(*y));
   }
   return out;

@@ -23,6 +23,9 @@
 // re-run into a latched per-party flag; the all-correct-done conjunction is
 // a scan of those flags that resumes at the last blocking party.  A batch's
 // frames reach on_message as views into the packet, never as copies.
+//
+// Sends go through net::Outbox (crash budgets, multicast order, batching,
+// send tracing and accounting); the simulator's wire is its event heap.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,7 @@
 #include "common/rng.hpp"
 #include "net/message.hpp"
 #include "net/metrics.hpp"
+#include "net/outbox.hpp"
 #include "net/process.hpp"
 #include "net/status.hpp"
 #include "obs/telemetry.hpp"
@@ -52,6 +56,10 @@ class SimNetwork final {
   /// The scheduler decides per-message delays; the network owns it.
   SimNetwork(SystemParams params, std::unique_ptr<sched::Scheduler> scheduler);
 
+  /// Not movable: the Outbox's wire points back at this network.
+  SimNetwork(const SimNetwork&) = delete;
+  SimNetwork& operator=(const SimNetwork&) = delete;
+
   /// Register party `id == number of parties added so far`.  All n parties
   /// must be added before start().
   void add_process(std::unique_ptr<Process> p);
@@ -60,17 +68,15 @@ class SimNetwork final {
   /// "correct parties" accessors skip it).  Must be called before start().
   void mark_byzantine(ProcessId p);
 
-  /// Crash `p` immediately before its (count+1)-th send: the first `count`
-  /// sends of its lifetime go out, everything after is dropped, and `p`
-  /// receives no further deliveries.  count == 0 crashes it at startup.
+  /// Crash `p` immediately before its (count+1)-th logical send (see
+  /// net::Outbox); it then receives no further deliveries.
   void crash_after_sends(ProcessId p, std::uint64_t count);
 
   /// Crash `p` at the first event at or after virtual time `time`.
   void crash_at_time(ProcessId p, double time);
 
-  /// Override the receiver order used by p's multicasts.  Combined with
-  /// crash_after_sends this lets the adversary pick exactly which subset of
-  /// receivers a crashing multicast reaches.
+  /// Receiver order of p's multicasts, so the adversary picks which subset
+  /// a crashing multicast reaches.
   void set_multicast_order(ProcessId p, std::vector<ProcessId> order);
 
   /// Enable link-level duplication: each sent message is delivered a second
@@ -79,18 +85,17 @@ class SimNetwork final {
   /// protocols must be idempotent, and this knob proves they are.
   void enable_duplication(double prob, std::uint64_t seed);
 
-  /// Enable per-destination send batching: frames produced during one upcall
-  /// are buffered per receiver and flushed as one batch packet (cap
-  /// `max_frames` <= net::kMaxBatchFrames) when the upcall returns.  Crash
-  /// semantics stay LOGICAL: crash_after_sends counts frames, and frames
-  /// buffered before the crash point still flush.  Off by default — the
-  /// unbatched path is byte-identical to pre-batching builds.
+  /// Per-destination send batching (net::Outbox), flushed after each
+  /// upcall.  Off by default.
   void enable_batching(std::uint32_t max_frames);
 
   /// Attach a trace sink (null disables tracing; the default).  Events are
   /// recorded in the event loop's order, so a traced run replays its
   /// protocol stream bit for bit.  The sink must outlive the network.
-  void set_trace(obs::TraceSink* sink) { trace_ = sink; }
+  void set_trace(obs::TraceSink* sink) {
+    trace_ = sink;
+    outbox_.set_trace(sink, &now_);
+  }
   [[nodiscard]] obs::TraceSink* trace() const { return trace_; }
 
   /// Executor counters: the event loop is one thread and fills no others.
@@ -136,7 +141,8 @@ class SimNetwork final {
   }
   [[nodiscard]] SystemParams params() const { return params_; }
   [[nodiscard]] double now() const { return now_; }
-  [[nodiscard]] const Metrics& metrics() const { return metrics_; }
+  /// The per-party slots merged (valid at any point of the run).
+  [[nodiscard]] Metrics metrics() const { return outbox_.metrics(); }
 
   /// Outputs of all currently-correct parties (in id order) that have output.
   [[nodiscard]] std::vector<double> correct_outputs() const;
@@ -160,14 +166,14 @@ class SimNetwork final {
     }
   };
 
-  class ContextImpl;
-
-  void do_send(ProcessId from, ProcessId to, Bytes payload);
-  void do_multicast(ProcessId from, const Bytes& payload);
-  void enqueue_packet(ProcessId from, ProcessId to, Bytes payload);
+  /// The Outbox's wire: schedule one packet's delivery (and its duplicate).
+  void schedule(ProcessId from, ProcessId to, Payload payload);
   void push_event(Pending p);
   Pending pop_event();
-  void flush_sender(ProcessId from);
+  /// Neither crashed nor byzantine.
+  [[nodiscard]] bool correct(ProcessId p) const {
+    return !byzantine_[p] && !outbox_.crashed(p);
+  }
   void apply_timed_crashes(double up_to);
   void note_output(ProcessId p);
 
@@ -192,11 +198,8 @@ class SimNetwork final {
   SystemParams params_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   std::vector<std::unique_ptr<Process>> procs_;
-  std::vector<PartyStatus> status_;
-  std::vector<std::uint64_t> sends_made_;
-  std::vector<std::uint64_t> crash_send_limit_;  // kNoLimit if none
+  std::vector<std::uint8_t> byzantine_;
   std::vector<double> crash_time_;               // +inf if none
-  std::vector<std::vector<ProcessId>> multicast_order_;
   std::vector<double> output_time_;
   // Earliest crash_at_time not yet applied (a lower bound), so
   // apply_timed_crashes costs one compare per event until it is due.
@@ -209,17 +212,13 @@ class SimNetwork final {
   /// copies every payload).  The (time, seq) keys are unique, so the order
   /// is exactly priority_queue's.
   std::vector<Pending> queue_;
-  Metrics metrics_;
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;
   bool started_ = false;
   double duplication_prob_ = 0.0;
   std::optional<Rng> duplication_rng_;
-  std::uint32_t max_batch_ = 0;  // 0 = batching off
-  std::vector<std::vector<std::vector<Bytes>>> batch_buf_;  // [from][to]
   obs::TraceSink* trace_ = nullptr;
-
-  static constexpr std::uint64_t kNoLimit = UINT64_MAX;
+  Outbox outbox_;
 };
 
 }  // namespace apxa::net

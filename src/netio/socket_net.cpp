@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
 #include <sstream>
 #include <utility>
 
@@ -16,47 +15,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 using Clock = std::chrono::steady_clock;
 }  // namespace
 
-class SocketNetwork::ContextImpl final : public net::Context {
- public:
-  ContextImpl(SocketNetwork& net, ProcessId self, const std::stop_token& st)
-      : net_(net), self_(self), st_(st) {}
-
-  void send(ProcessId to, Bytes payload) override {
-    APXA_ENSURE(to < net_.params_.n, "send: receiver out of range");
-    APXA_ENSURE(to != self_, "send: no self-messages");
-    net_.post(self_, to, std::move(payload));
-  }
-
-  void multicast(const Bytes& payload) override {
-    const auto& order = net_.multicast_order_[self_];
-    if (!order.empty()) {
-      for (ProcessId to : order) net_.post(self_, to, payload);
-      return;
-    }
-    for (ProcessId to = 0; to < net_.params_.n; ++to) {
-      if (to == self_) continue;
-      net_.post(self_, to, payload);
-    }
-  }
-
-  [[nodiscard]] ProcessId self() const override { return self_; }
-  [[nodiscard]] SystemParams params() const override { return net_.params_; }
-  [[nodiscard]] const std::stop_token& stop_token() const { return st_; }
-
- private:
-  SocketNetwork& net_;
-  ProcessId self_;
-  const std::stop_token& st_;
-};
-
 SocketNetwork::SocketNetwork(SystemParams params)
     : params_(params),
       parties_(params.n),
-      crashed_(params.n),
       byzantine_(params.n, false),
-      sends_made_(params.n),
-      send_limit_(params.n, kNoLimit),
-      multicast_order_(params.n),
+      outbox_(params,
+              [this](ProcessId from, ProcessId to, net::Payload packet) {
+                link_send(from, to, packet, stop_token_of(from));
+              }),
       unacked_now_(params.n),
       has_output_(params.n),
       has_scalar_(params.n),
@@ -67,17 +33,8 @@ SocketNetwork::SocketNetwork(SystemParams params)
   APXA_ENSURE(params_.n >= 1 && params_.t < params_.n, "bad system params");
   // One socket fd per local party; stay well under default fd limits.
   APXA_ENSURE(params_.n <= 512, "socket backend supports at most 512 parties");
-  for (std::uint32_t i = 0; i < params_.n; ++i) {
-    crashed_[i] = false;
-    sends_made_[i] = 0;
-    unacked_now_[i] = 0;
-    has_output_[i] = false;
-    has_scalar_[i] = false;
-    output_value_[i] = 0.0;
-    output_time_[i] = kInf;
-    done_[i] = false;
-  }
-  metrics_.reset(params_.n);
+  // The atomic flags and values start zeroed (vector value-initializes).
+  for (std::uint32_t i = 0; i < params_.n; ++i) output_time_[i] = kInf;
 }
 
 SocketNetwork::~SocketNetwork() {
@@ -111,23 +68,17 @@ void SocketNetwork::set_party_remote(ProcessId p) {
 
 void SocketNetwork::crash(ProcessId p) {
   APXA_ENSURE(p < params_.n, "crash id out of range");
-  crashed_[p] = true;
+  outbox_.crash(p);
 }
 
 void SocketNetwork::crash_after_sends(ProcessId p, std::uint64_t count) {
-  APXA_ENSURE(p < params_.n, "crash id out of range");
   APXA_ENSURE(!started_.load(), "crash_after_sends must precede run()");
-  send_limit_[p] = count;
-  if (count == 0) crashed_[p] = true;
+  outbox_.crash_after_sends(p, count);
 }
 
 void SocketNetwork::set_multicast_order(ProcessId p, std::vector<ProcessId> order) {
-  APXA_ENSURE(p < params_.n, "multicast order id out of range");
   APXA_ENSURE(!started_.load(), "set_multicast_order must precede run()");
-  for (ProcessId q : order) {
-    APXA_ENSURE(q < params_.n && q != p, "multicast order must list other parties");
-  }
-  multicast_order_[p] = std::move(order);
+  outbox_.set_multicast_order(p, std::move(order));
 }
 
 void SocketNetwork::mark_byzantine(ProcessId p) {
@@ -142,16 +93,14 @@ void SocketNetwork::set_done_predicate(DonePredicate pred) {
 }
 
 void SocketNetwork::enable_batching(std::uint32_t max_frames) {
-  APXA_ENSURE(max_frames >= 1 && max_frames <= net::kMaxBatchFrames,
-              "batch cap must be in [1, kMaxBatchFrames]");
   APXA_ENSURE(!started_.load(), "enable_batching must precede run()");
-  max_batch_ = max_frames;
-  batch_buf_.assign(params_.n, std::vector<std::vector<Bytes>>(params_.n));
+  outbox_.enable_batching(max_frames);
 }
 
 void SocketNetwork::set_trace(obs::TraceSink* sink) {
   APXA_ENSURE(!started_.load(), "set_trace must precede run()");
   trace_ = sink;
+  outbox_.set_trace(sink);
 }
 
 void SocketNetwork::set_fault_config(const netio::FaultConfig& cfg) {
@@ -176,79 +125,7 @@ void SocketNetwork::set_linger(std::chrono::milliseconds linger) {
   linger_ = linger;
 }
 
-void SocketNetwork::post(ProcessId from, ProcessId to, Bytes payload) {
-  // Same logical-send accounting as the other transports: the crash budget
-  // counts FRAMES at the moment the protocol sends them, before batching and
-  // before any link-layer framing or retransmission.  A party's sends all
-  // happen on its own socket thread, so the counter needs no cross-send
-  // synchronization.
-  if (crashed_[from].load(std::memory_order_relaxed)) {
-    if (trace_) trace_->record(obs::EventKind::kDrop, from, to, -1, 0.0, 0.0);
-    std::scoped_lock lock(metrics_mu_);
-    ++metrics_.messages_dropped;
-    return;
-  }
-  const std::uint64_t made = sends_made_[from].fetch_add(1, std::memory_order_relaxed);
-  if (made >= send_limit_[from]) {
-    crashed_[from].store(true, std::memory_order_relaxed);
-    if (trace_) {
-      trace_->record(obs::EventKind::kCrash, from, from, -1,
-                     static_cast<double>(made), 0.0);
-      trace_->record(obs::EventKind::kDrop, from, to, -1, 0.0, 0.0);
-    }
-    std::scoped_lock lock(metrics_mu_);
-    ++metrics_.messages_dropped;
-    return;
-  }
-
-  if (max_batch_ > 0 && !payload.empty() &&
-      static_cast<std::uint8_t>(payload[0]) != net::kBatchTag) {
-    auto& buf = batch_buf_[from][to];
-    buf.push_back(std::move(payload));
-    if (buf.size() >= max_batch_) {
-      Bytes packet = net::encode_batch(std::span<const Bytes>(buf));
-      buf.clear();
-      post_packet(from, to, std::move(packet));
-    }
-  } else {
-    post_packet(from, to, std::move(payload));
-  }
-
-  if (made + 1 >= send_limit_[from]) {
-    crashed_[from].store(true, std::memory_order_relaxed);
-    if (trace_) {
-      trace_->record(obs::EventKind::kCrash, from, from, -1,
-                     static_cast<double>(made + 1), 0.0);
-    }
-  }
-}
-
-void SocketNetwork::post_packet(ProcessId from, ProcessId to, Bytes payload) {
-  if (trace_) {
-    trace_->record(obs::EventKind::kSend, from, to, -1,
-                   static_cast<double>(payload.size()), 0.0);
-  }
-  {
-    std::scoped_lock lock(metrics_mu_);
-    metrics_.note_send(from, payload);
-  }
-  link_send(from, to, payload, stop_token_of(from));
-}
-
-void SocketNetwork::flush_sender(ProcessId from) {
-  if (max_batch_ == 0) return;
-  for (ProcessId to = 0; to < params_.n; ++to) {
-    auto& buf = batch_buf_[from][to];
-    if (buf.empty()) continue;
-    Bytes packet = buf.size() == 1
-                       ? std::move(buf.front())
-                       : net::encode_batch(std::span<const Bytes>(buf));
-    buf.clear();
-    post_packet(from, to, std::move(packet));
-  }
-}
-
-void SocketNetwork::link_send(ProcessId from, ProcessId to, const Bytes& packet,
+void SocketNetwork::link_send(ProcessId from, ProcessId to, BytesView packet,
                               const std::stop_token& st) {
   Party& me = parties_[from];
   netio::PeerLink& link = me.links[to];
@@ -316,16 +193,13 @@ void SocketNetwork::drain_pending(ProcessId p, const std::stop_token& st) {
     // deduplicated); a crashed party additionally drops the PROTOCOL
     // delivery, mirroring the other transports where crashed parties stop
     // processing but the wire keeps moving.
-    if (crashed_[p].load(std::memory_order_relaxed)) continue;
-    {
-      std::scoped_lock lock(metrics_mu_);
-      metrics_.note_delivery(d.payload, d.latency_s / kSocketLatencySpan);
-    }
-    if (max_batch_ > 0) {
+    if (outbox_.crashed(p)) continue;
+    outbox_.metrics_of(p).note_delivery(d.payload, d.latency_s / kSocketLatencySpan);
+    if (outbox_.batching()) {
       net::for_each_frame(d.payload, [&](BytesView frame) {
         deliver_frame(p, src, frame);
       });
-      flush_sender(p);
+      outbox_.flush(p);
     } else {
       deliver_frame(p, src, d.payload);
     }
@@ -335,11 +209,8 @@ void SocketNetwork::drain_pending(ProcessId p, const std::stop_token& st) {
 
 void SocketNetwork::deliver_frame(ProcessId p, ProcessId from, BytesView frame) {
   if (trace_) trace_->record(obs::EventKind::kDeliver, from, p, -1, 1.0, 0.0);
-  {
-    std::scoped_lock lock(metrics_mu_);
-    ++metrics_.messages_delivered;
-  }
-  ContextImpl ctx(*this, p, stop_token_of(p));
+  ++outbox_.metrics_of(p).messages_delivered;
+  net::OutboxContext ctx(outbox_, p);
   parties_[p].proc->on_message(ctx, from, frame);
 }
 
@@ -364,10 +235,7 @@ void SocketNetwork::service_timers(ProcessId p, const std::stop_token& st) {
       // Physical-only accounting: retransmissions never touch the logical
       // counters (messages_sent, per-tag/round/instance), so msgs_per_packet
       // and message-complexity numbers stay loss-invariant.
-      {
-        std::scoped_lock lock(metrics_mu_);
-        metrics_.note_retransmit(r.size());
-      }
+      outbox_.metrics_of(p).note_retransmit(r.size());
       if (trace_) {
         trace_->record(obs::EventKind::kRetransmit, p, q, -1,
                        static_cast<double>(r.size()), 0.0);
@@ -397,7 +265,7 @@ void SocketNetwork::publish(ProcessId p) {
       has_output_[p].store(true, std::memory_order_release);
     }
   }
-  if (!byzantine_[p] && !crashed_[p].load(std::memory_order_relaxed) &&
+  if (!byzantine_[p] && !outbox_.crashed(p) &&
       !done_[p].load(std::memory_order_acquire)) {
     const bool d = done_pred_ ? done_pred_(*parties_[p].proc)
                               : has_output_[p].load(std::memory_order_acquire);
@@ -410,10 +278,10 @@ void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
   current_stop_[p] = &st;
   if (!me.started) {
     me.started = true;
-    if (!crashed_[p].load(std::memory_order_relaxed)) {
-      ContextImpl ctx(*this, p, st);
+    if (!outbox_.crashed(p)) {
+      net::OutboxContext ctx(outbox_, p);
       me.proc->on_start(ctx);
-      flush_sender(p);
+      outbox_.flush(p);
       publish(p);
     }
   }
@@ -505,7 +373,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout) {
   auto all_done = [this] {
     for (ProcessId p = 0; p < params_.n; ++p) {
       if (parties_[p].remote) continue;
-      if (crashed_[p].load() || byzantine_[p]) continue;
+      if (outbox_.crashed(p) || byzantine_[p]) continue;
       if (!done_[p].load(std::memory_order_acquire)) return false;
     }
     return true;
@@ -626,7 +494,7 @@ std::vector<std::vector<double>> SocketNetwork::correct_vector_outputs() const {
 
 bool SocketNetwork::is_correct(ProcessId p) const {
   APXA_ENSURE(p < params_.n, "process id out of range");
-  return !crashed_[p].load() && !byzantine_[p];
+  return !outbox_.crashed(p) && !byzantine_[p];
 }
 
 bool SocketNetwork::is_local(ProcessId p) const {

@@ -22,19 +22,18 @@
 //     only, and a linger window keeps the link layer retransmitting after
 //     the local decision so slower peers still converge.
 //
-// Fault injection mirrors the other transports (crash_after_sends counts
-// LOGICAL sends, multicast order, byzantine bookkeeping, per-destination
-// batching), and a deterministic loss/reorder/delay shim (netio/fault.hpp)
-// at the socket boundary makes retransmission paths CI-testable: fault
-// decisions are a pure function of the seed, while the perfect link restores
-// eventual delivery above them.
+// Sends go through net::Outbox, the send path all transports share, whose
+// wire here is link_send.  A deterministic loss/reorder/delay shim
+// (netio/fault.hpp) at the socket boundary makes retransmission paths
+// CI-testable: fault decisions are a pure function of the seed, while the
+// perfect link restores eventual delivery above them.
 //
-// Metrics: logical accounting is IDENTICAL to the other transports
-// (note_send per original packet; retransmissions count only in
-// packets_retransmitted / retransmit_bytes, so messages_sent and
-// msgs_per_packet stay batching- and loss-invariant).  Delivery latency is
-// real wall clock, recorded into the per-tag histogram scaled by
-// kSocketLatencySpan (the full histogram range spans that many seconds).
+// Metrics: each party's socket thread writes only that party's Outbox slot.
+// Retransmissions count only in packets_retransmitted / retransmit_bytes,
+// so messages_sent and msgs_per_packet stay batching- and loss-invariant.
+// Delivery latency is real wall clock, recorded into the per-tag histogram
+// scaled by kSocketLatencySpan (the full histogram range spans that many
+// seconds).
 #pragma once
 
 #include <atomic>
@@ -43,7 +42,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -51,6 +49,7 @@
 
 #include "common/ids.hpp"
 #include "net/metrics.hpp"
+#include "net/outbox.hpp"
 #include "net/process.hpp"
 #include "netio/fault.hpp"
 #include "netio/link.hpp"
@@ -91,9 +90,8 @@ class SocketNetwork final {
   /// Mark a party crashed: future sends and deliveries drop.  Safe while
   /// running.
   void crash(ProcessId p);
-  /// Crash `p` immediately before its (count+1)-th LOGICAL send (transport-
-  /// parity semantics; count == 0 crashes it at startup).  Must precede
-  /// run().
+  /// Crash `p` immediately before its (count+1)-th logical send (see
+  /// net::Outbox).  Must precede run().
   void crash_after_sends(ProcessId p, std::uint64_t count);
   /// Receiver order used by p's multicasts.  Must precede run().
   void set_multicast_order(ProcessId p, std::vector<ProcessId> order);
@@ -102,9 +100,7 @@ class SocketNetwork final {
   void mark_byzantine(ProcessId p);
   /// Completion probe run() waits on.  Must precede run().
   void set_done_predicate(DonePredicate pred);
-  /// Per-destination send batching (cap <= net::kMaxBatchFrames frames per
-  /// packet); crash budgets keep counting logical sends.  Must precede
-  /// run().
+  /// Per-destination send batching (net::Outbox).  Must precede run().
   void enable_batching(std::uint32_t max_frames);
   /// Trace sink (null disables; the default).  Link-layer send / deliver /
   /// drop / retransmit events are recorded from the party threads.  Must
@@ -133,7 +129,8 @@ class SocketNetwork final {
 
   [[nodiscard]] std::vector<double> correct_outputs() const;
   [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
-  [[nodiscard]] const net::Metrics& metrics() const { return metrics_; }
+  /// The per-party metrics slots merged; call once run() returned.
+  [[nodiscard]] net::Metrics metrics() const { return outbox_.metrics(); }
   [[nodiscard]] SystemParams params() const { return params_; }
   [[nodiscard]] bool is_correct(ProcessId p) const;
   [[nodiscard]] bool is_local(ProcessId p) const;
@@ -175,13 +172,9 @@ class SocketNetwork final {
     std::deque<std::pair<ProcessId, netio::Delivered>> pending;
   };
 
-  class ContextImpl;
-
   void party_loop(ProcessId p, std::stop_token st);
-  void post(ProcessId from, ProcessId to, Bytes payload);
-  void post_packet(ProcessId from, ProcessId to, Bytes payload);
-  void flush_sender(ProcessId from);
-  void link_send(ProcessId from, ProcessId to, const Bytes& packet,
+  /// The Outbox's wire: hand one packet to the perfect link to `to`.
+  void link_send(ProcessId from, ProcessId to, BytesView packet,
                  const std::stop_token& st);
   /// Shim verdict + socket write for one encoded link datagram.
   void emit_datagram(ProcessId from, ProcessId to, Bytes dgram,
@@ -205,13 +198,8 @@ class SocketNetwork final {
   std::uint16_t base_port_ = 0;                    // 0 = ephemeral
   std::chrono::milliseconds linger_{0};
 
-  std::vector<std::atomic<bool>> crashed_;
   std::vector<bool> byzantine_;
-  std::vector<std::atomic<std::uint64_t>> sends_made_;
-  std::vector<std::uint64_t> send_limit_;
-  std::vector<std::vector<ProcessId>> multicast_order_;
-  std::uint32_t max_batch_ = 0;
-  std::vector<std::vector<std::vector<Bytes>>> batch_buf_;  // [from][to]
+  net::Outbox outbox_;
   std::vector<std::atomic<std::uint64_t>> unacked_now_;  // per local party
 
   std::vector<std::atomic<bool>> has_output_;
@@ -223,8 +211,6 @@ class SocketNetwork final {
   DonePredicate done_pred_;
   std::chrono::steady_clock::time_point start_time_;
   std::vector<std::jthread> threads_;
-  net::Metrics metrics_;
-  std::mutex metrics_mu_;
   std::atomic<bool> started_{false};
   obs::TraceSink* trace_ = nullptr;
   obs::ExecStats exec_stats_;
@@ -234,8 +220,6 @@ class SocketNetwork final {
   std::vector<const std::stop_token*> current_stop_;
   std::vector<std::string> link_jsonl_;   // snapshot taken at end of run()
   netio::LinkStats link_totals_;
-
-  static constexpr std::uint64_t kNoLimit = UINT64_MAX;
 };
 
 }  // namespace apxa::rt

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <span>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -15,43 +14,13 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-class ThreadNetwork::ContextImpl final : public net::Context {
- public:
-  ContextImpl(ThreadNetwork& net, ProcessId self) : net_(net), self_(self) {}
-
-  void send(ProcessId to, Bytes payload) override {
-    APXA_ENSURE(to < net_.params_.n, "send: receiver out of range");
-    APXA_ENSURE(to != self_, "send: no self-messages");
-    net_.post(self_, to, std::move(payload));
-  }
-
-  void multicast(const Bytes& payload) override {
-    const auto& order = net_.multicast_order_[self_];
-    if (!order.empty()) {
-      for (ProcessId to : order) net_.post(self_, to, payload);
-      return;
-    }
-    for (ProcessId to = 0; to < net_.params_.n; ++to) {
-      if (to == self_) continue;
-      net_.post(self_, to, payload);
-    }
-  }
-
-  [[nodiscard]] ProcessId self() const override { return self_; }
-  [[nodiscard]] SystemParams params() const override { return net_.params_; }
-
- private:
-  ThreadNetwork& net_;
-  ProcessId self_;
-};
-
 ThreadNetwork::ThreadNetwork(SystemParams params)
     : params_(params),
-      crashed_(params.n),
       byzantine_(params.n, false),
-      sends_made_(params.n),
-      send_limit_(params.n, kNoLimit),
-      multicast_order_(params.n),
+      outbox_(params,
+              [this](ProcessId from, ProcessId to, net::Payload packet) {
+                push_mail(from, to, std::move(packet));
+              }),
       has_output_(params.n),
       has_scalar_(params.n),
       output_value_(params.n),
@@ -65,17 +34,11 @@ ThreadNetwork::ThreadNetwork(SystemParams params)
   for (std::uint32_t s = 0; s < shard_count_; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
+  // The atomic flags and values start zeroed (vector value-initializes).
   for (std::uint32_t i = 0; i < params_.n; ++i) {
     mail_.push_back(std::make_unique<Mailbox>());
-    crashed_[i] = false;
-    sends_made_[i] = 0;
-    has_output_[i] = false;
-    has_scalar_[i] = false;
-    output_value_[i] = 0.0;
     output_time_[i] = kInf;
-    done_[i] = false;
   }
-  metrics_.reset(params_.n);
 }
 
 ThreadNetwork::~ThreadNetwork() {
@@ -93,23 +56,17 @@ void ThreadNetwork::add_process(std::unique_ptr<net::Process> p) {
 
 void ThreadNetwork::crash(ProcessId p) {
   APXA_ENSURE(p < params_.n, "crash id out of range");
-  crashed_[p] = true;
+  outbox_.crash(p);
 }
 
 void ThreadNetwork::crash_after_sends(ProcessId p, std::uint64_t count) {
-  APXA_ENSURE(p < params_.n, "crash id out of range");
   APXA_ENSURE(!started_.load(), "crash_after_sends must precede run()");
-  send_limit_[p] = count;
-  if (count == 0) crashed_[p] = true;
+  outbox_.crash_after_sends(p, count);
 }
 
 void ThreadNetwork::set_multicast_order(ProcessId p, std::vector<ProcessId> order) {
-  APXA_ENSURE(p < params_.n, "multicast order id out of range");
   APXA_ENSURE(!started_.load(), "set_multicast_order must precede run()");
-  for (ProcessId q : order) {
-    APXA_ENSURE(q < params_.n && q != p, "multicast order must list other parties");
-  }
-  multicast_order_[p] = std::move(order);
+  outbox_.set_multicast_order(p, std::move(order));
 }
 
 void ThreadNetwork::mark_byzantine(ProcessId p) {
@@ -140,11 +97,8 @@ void ThreadNetwork::set_shards(std::uint32_t shards) {
 }
 
 void ThreadNetwork::enable_batching(std::uint32_t max_frames) {
-  APXA_ENSURE(max_frames >= 1 && max_frames <= net::kMaxBatchFrames,
-              "batch cap must be in [1, kMaxBatchFrames]");
   APXA_ENSURE(!started_.load(), "enable_batching must precede run()");
-  max_batch_ = max_frames;
-  batch_buf_.assign(params_.n, std::vector<std::vector<Bytes>>(params_.n));
+  outbox_.enable_batching(max_frames);
 }
 
 std::uint32_t ThreadNetwork::shards() const { return shard_count_; }
@@ -152,77 +106,14 @@ std::uint32_t ThreadNetwork::shards() const { return shard_count_; }
 void ThreadNetwork::set_trace(obs::TraceSink* sink) {
   APXA_ENSURE(!started_.load(), "set_trace must precede run()");
   trace_ = sink;
+  outbox_.set_trace(sink);
 }
 
-void ThreadNetwork::post(ProcessId from, ProcessId to, Bytes payload) {
-  // A party's sends all come from the thread currently holding its ownership
-  // token, so the crash check, send counter and limit comparison need no
-  // cross-send synchronization.  The counter tracks LOGICAL sends — frames,
-  // not the packets batching later flushes — so crash_after_sends semantics
-  // are identical batched and unbatched.
-  if (crashed_[from].load(std::memory_order_relaxed)) {
-    // Every send attempted by an already-crashed party counts as dropped
-    // (same accounting on both backends — see net::SimNetwork::do_send).
-    if (trace_) trace_->record(obs::EventKind::kDrop, from, to, -1, 0.0, 0.0);
-    std::scoped_lock lock(metrics_mu_);
-    ++metrics_.messages_dropped;
-    return;
-  }
-  const std::uint64_t made = sends_made_[from].fetch_add(1, std::memory_order_relaxed);
-  if (made >= send_limit_[from]) {
-    // The crash fires exactly at this send: the message is lost, and a
-    // multicast in progress stops here (simulator-parity semantics).  Frames
-    // already buffered for batching were sent BEFORE the crash and still
-    // flush — see flush_sender.
-    crashed_[from].store(true, std::memory_order_relaxed);
-    if (trace_) {
-      trace_->record(obs::EventKind::kCrash, from, from, -1,
-                     static_cast<double>(made), 0.0);
-      trace_->record(obs::EventKind::kDrop, from, to, -1, 0.0, 0.0);
-    }
-    std::scoped_lock lock(metrics_mu_);
-    ++metrics_.messages_dropped;
-    return;
-  }
-
-  if (max_batch_ > 0 && !payload.empty() &&
-      static_cast<std::uint8_t>(payload[0]) != net::kBatchTag) {
-    auto& buf = batch_buf_[from][to];
-    buf.push_back(std::move(payload));
-    if (buf.size() >= max_batch_) {
-      Bytes packet = net::encode_batch(std::span<const Bytes>(buf));
-      buf.clear();
-      post_packet(from, to, std::move(packet));
-    }
-  } else {
-    post_packet(from, to, std::move(payload));
-  }
-
-  // A send-limit crash that lands exactly on the new count takes effect now
-  // (simulator parity: SimNetwork::do_send's post-enqueue check), so a party
-  // whose budget covers all the sends it ever makes still stops receiving.
-  if (made + 1 >= send_limit_[from]) {
-    crashed_[from].store(true, std::memory_order_relaxed);
-    if (trace_) {
-      trace_->record(obs::EventKind::kCrash, from, from, -1,
-                     static_cast<double>(made + 1), 0.0);
-    }
-  }
-}
-
-void ThreadNetwork::post_packet(ProcessId from, ProcessId to, Bytes payload) {
-  if (trace_) {
-    trace_->record(obs::EventKind::kSend, from, to, -1,
-                   static_cast<double>(payload.size()), 0.0);
-  }
-  {
-    std::scoped_lock lock(metrics_mu_);
-    metrics_.note_send(from, payload);
-  }
+void ThreadNetwork::push_mail(ProcessId from, ProcessId to, net::Payload packet) {
   Mailbox& mb = *mail_[to];
   {
     std::scoped_lock lock(mb.mu);
-    mb.queue.push_back(Item{from, to, std::move(payload)});
+    mb.queue.push_back(Item{from, std::move(packet)});
   }
   // Claim-at-enqueue: if nobody owns the receiver, this thread wins the
   // token on its behalf and schedules it on its home shard.  If the exchange
@@ -239,21 +130,6 @@ void ThreadNetwork::enqueue_runnable(std::uint32_t shard, ProcessId p) {
     sh.runnable.push_back(p);
   }
   sh.cv.notify_one();
-}
-
-void ThreadNetwork::flush_sender(ProcessId from) {
-  if (max_batch_ == 0) return;
-  // Destination-id order; pre-crash frames flush even if `from` has since
-  // crashed — they were logically sent before the crash point.
-  for (ProcessId to = 0; to < params_.n; ++to) {
-    auto& buf = batch_buf_[from][to];
-    if (buf.empty()) continue;
-    Bytes packet = buf.size() == 1
-                       ? std::move(buf.front())
-                       : net::encode_batch(std::span<const Bytes>(buf));
-    buf.clear();
-    post_packet(from, to, std::move(packet));
-  }
 }
 
 void ThreadNetwork::publish(ProcessId p) {
@@ -274,7 +150,7 @@ void ThreadNetwork::publish(ProcessId p) {
   }
   // The completion probe contract only covers correct parties (it may
   // downcast to the honest-protocol type), so skip byzantine/crashed ones.
-  if (!byzantine_[p] && !crashed_[p].load(std::memory_order_relaxed) &&
+  if (!byzantine_[p] && !outbox_.crashed(p) &&
       !done_[p].load(std::memory_order_acquire)) {
     const bool d = done_pred_ ? done_pred_(*procs_[p])
                               : has_output_[p].load(std::memory_order_acquire);
@@ -285,11 +161,8 @@ void ThreadNetwork::publish(ProcessId p) {
 void ThreadNetwork::deliver_one(ProcessId p, ProcessId from,
                                 BytesView payload) {
   if (trace_) trace_->record(obs::EventKind::kDeliver, from, p, -1, 1.0, 0.0);
-  {
-    std::scoped_lock lock(metrics_mu_);
-    ++metrics_.messages_delivered;
-  }
-  ContextImpl ctx(*this, p);
+  ++outbox_.metrics_of(p).messages_delivered;
+  net::OutboxContext ctx(outbox_, p);
   procs_[p]->on_message(ctx, from, payload);
 }
 
@@ -343,10 +216,10 @@ void ThreadNetwork::run_party(std::uint32_t shard, ProcessId p,
   Mailbox& mb = *mail_[p];
   if (!mb.started) {
     mb.started = true;
-    if (!crashed_[p].load(std::memory_order_relaxed)) {
-      ContextImpl ctx(*this, p);
+    if (!outbox_.crashed(p)) {
+      net::OutboxContext ctx(outbox_, p);
       procs_[p]->on_start(ctx);
-      flush_sender(p);
+      outbox_.flush(p);
       publish(p);
     }
   }
@@ -360,15 +233,15 @@ void ThreadNetwork::run_party(std::uint32_t shard, ProcessId p,
   }
   for (Item& item : batch) {
     if (st.stop_requested()) break;
-    if (crashed_[p].load(std::memory_order_relaxed)) continue;
-    if (max_batch_ > 0) {
+    if (outbox_.crashed(p)) continue;
+    if (outbox_.batching()) {
       // Deliver EVERY frame of the packet, then flush the receiver's send
       // buffers once: a full batch advances several instances whose
       // responses pack into full batches again (self-sustaining msgs/packet).
       net::for_each_frame(item.payload, [&](BytesView frame) {
         deliver_one(p, item.from, frame);
       });
-      flush_sender(p);
+      outbox_.flush(p);
     } else {
       deliver_one(p, item.from, item.payload);
     }
@@ -421,7 +294,7 @@ bool ThreadNetwork::run(std::chrono::milliseconds timeout) {
   const auto deadline = start_time_ + timeout;
   auto all_done = [this] {
     for (ProcessId p = 0; p < params_.n; ++p) {
-      if (crashed_[p].load() || byzantine_[p]) continue;
+      if (outbox_.crashed(p) || byzantine_[p]) continue;
       if (!done_[p].load(std::memory_order_acquire)) return false;
     }
     return true;
@@ -480,7 +353,7 @@ std::vector<std::vector<double>> ThreadNetwork::correct_vector_outputs() const {
 
 bool ThreadNetwork::is_correct(ProcessId p) const {
   APXA_ENSURE(p < params_.n, "process id out of range");
-  return !crashed_[p].load() && !byzantine_[p];
+  return !outbox_.crashed(p) && !byzantine_[p];
 }
 
 bool ThreadNetwork::has_output(ProcessId p) const {

@@ -24,26 +24,14 @@
 // completion predicate holds; threads drain and join (jthread joins on
 // destruction — CP.25's joining-thread discipline).
 //
-// Optional per-destination batching (enable_batching) buffers the frames a
-// party sends during one upcall and flushes them as one batch packet per
-// receiver (net/envelope.hpp framing) when the upcall returns; receivers
-// unpack and deliver the logical frames one by one.
-//
-// Fault injection mirrors the simulator's semantics so crash scenarios are
-// portable across backends:
-//   crash(p)                  — immediate: all future sends/deliveries drop;
-//   crash_after_sends(p, k)   — the party's first k LOGICAL sends go out, the
-//                               (k+1)-th is dropped and the party stops (a
-//                               multicast in progress reaches only the
-//                               receivers already sent to; under batching the
-//                               count is frames, not packets, and pre-crash
-//                               buffered frames still flush);
-//   set_multicast_order(p, o) — receiver order used by p's multicasts, so the
-//                               adversary picks which subset a crashing
-//                               multicast reaches;
-//   mark_byzantine(p)         — bookkeeping: excluded from completion waits
-//                               and the correct-party accessors (the process
-//                               still runs and misbehaves on its own).
+// Sends go through net::Outbox (crash budgets, multicast order, batching,
+// send tracing; semantics as on the simulator), whose wire here pushes a
+// packet into the receiver's mailbox and claims it.  Metrics go to the
+// Outbox's per-party slots, each written only by the worker running that
+// party, so neither sends nor deliveries take a lock for accounting.
+// crash(p) drops p's future sends and deliveries at once; mark_byzantine(p)
+// is bookkeeping that excludes p from completion waits and the
+// correct-party accessors.
 #pragma once
 
 #include <atomic>
@@ -58,6 +46,7 @@
 
 #include "common/ids.hpp"
 #include "net/metrics.hpp"
+#include "net/outbox.hpp"
 #include "net/process.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -128,7 +117,8 @@ class ThreadNetwork final {
   /// Vector outputs of the correct parties (in id order) that have decided;
   /// scalar protocols appear as 1-vectors (net::Process adapts).
   [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
-  [[nodiscard]] const net::Metrics& metrics() const { return metrics_; }
+  /// The per-party metrics slots merged; call once run() returned.
+  [[nodiscard]] net::Metrics metrics() const { return outbox_.metrics(); }
   [[nodiscard]] SystemParams params() const { return params_; }
   /// Worker count run() will use (resolved from n / hardware / set_shards).
   [[nodiscard]] std::uint32_t shards() const;
@@ -146,8 +136,7 @@ class ThreadNetwork final {
  private:
   struct Item {
     ProcessId from;
-    ProcessId to;
-    Bytes payload;
+    net::Payload payload;
   };
 
   /// Per-party mailbox.  `claimed` is the ownership token: the holder is the
@@ -180,17 +169,14 @@ class ThreadNetwork final {
     std::uint64_t idle_spins = 0;
   };
 
-  class ContextImpl;
-
   void worker_loop(std::uint32_t shard, std::stop_token st);
   bool next_party(std::uint32_t shard, ProcessId& out, const std::stop_token& st);
   void run_party(std::uint32_t shard, ProcessId p, const std::stop_token& st);
   void enqueue_runnable(std::uint32_t shard, ProcessId p);
   void deliver_one(ProcessId p, ProcessId from, BytesView payload);
   void publish(ProcessId p);
-  void post(ProcessId from, ProcessId to, Bytes payload);
-  void post_packet(ProcessId from, ProcessId to, Bytes payload);
-  void flush_sender(ProcessId from);
+  /// The Outbox's wire: push into the receiver's mailbox and claim it.
+  void push_mail(ProcessId from, ProcessId to, net::Payload packet);
   /// Home shard — where a newly runnable party is first enqueued; it may
   /// then migrate to whichever worker processes it.
   [[nodiscard]] std::uint32_t home_shard(ProcessId p) const {
@@ -202,13 +188,8 @@ class ThreadNetwork final {
   std::vector<std::unique_ptr<Mailbox>> mail_;     // one per party
   std::vector<std::unique_ptr<Shard>> shards_;     // one per worker
   std::uint32_t shard_count_ = 1;                  // resolved in ctor
-  std::vector<std::atomic<bool>> crashed_;
   std::vector<bool> byzantine_;                    // set before run()
-  std::vector<std::atomic<std::uint64_t>> sends_made_;
-  std::vector<std::uint64_t> send_limit_;          // kNoLimit if none
-  std::vector<std::vector<ProcessId>> multicast_order_;
-  std::uint32_t max_batch_ = 0;                    // 0 = batching off
-  std::vector<std::vector<std::vector<Bytes>>> batch_buf_;  // [from][to]
+  net::Outbox outbox_;
   // Output/completion mirrors: each owner thread publishes its parties'
   // state here so the coordinator can poll without racing on Process state.
   // output_vec_[p] and has_scalar_[p] are written once by p's owner before
@@ -223,14 +204,11 @@ class ThreadNetwork final {
   DonePredicate done_pred_;                        // set before run()
   std::chrono::steady_clock::time_point start_time_;
   std::vector<std::jthread> threads_;
-  net::Metrics metrics_;
-  std::mutex metrics_mu_;
   std::atomic<bool> started_{false};
   obs::TraceSink* trace_ = nullptr;
   std::vector<WorkerCounters> worker_stats_;  // sized at run()
   obs::ExecStats exec_stats_;                 // aggregated when run() stops
 
-  static constexpr std::uint64_t kNoLimit = UINT64_MAX;
   static constexpr std::uint32_t kMaxShards = 4096;
 };
 

@@ -6,8 +6,9 @@
 // n - t round values, clique members can complete every round using clique
 // traffic alone and remain ignorant of the outsiders' values for many rounds
 // — the schedule that defeats local-spread-estimate round budgeting (see
-// DESIGN.md §6 and bench/t7): clique members legitimately believe the spread
-// is tiny, finish early, and freeze, while outsiders hold far-away values.
+// bench/t7 and the scheduler list in docs/ARCHITECTURE.md): clique members
+// legitimately believe the spread is tiny, finish early, and freeze, while
+// outsiders hold far-away values.
 //
 // This is legal asynchrony: every message still arrives within Delta = 1.
 #pragma once

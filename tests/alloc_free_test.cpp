@@ -1,6 +1,7 @@
 // Allocation budget of the per-message hot path, counted by a replacement
 // global operator new: frame iteration and metrics accounting allocate
-// nothing, and each encoder allocates exactly its output buffer once.
+// nothing, each encoder allocates exactly its output buffer once, and a
+// multicast allocates its one shared buffer whatever the number of receivers.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -13,6 +14,7 @@
 #include "core/multidim.hpp"
 #include "net/envelope.hpp"
 #include "net/metrics.hpp"
+#include "net/outbox.hpp"
 
 namespace {
 
@@ -145,6 +147,31 @@ TEST(AllocFree, EncodersAllocateOnce) {
   const std::vector<Bytes> frames(net::kMaxBatchFrames, inner);
   EXPECT_EQ(allocations([&] { out = net::encode_batch(frames); }), 1u);
   EXPECT_EQ(out.size(), out.capacity());
+}
+
+TEST(AllocFree, OutboxMulticastAllocatesNothingPerReceiver) {
+  // One multicast and the flush after its upcall, with a wire that drops
+  // the packet: the only allocation is the shared buffer, for every n, with
+  // batching off or on.  Copying the payload per receiver would cost n - 1.
+  const Bytes frame = net::encode_envelope(3, encode_round(RoundMsg{2, 0.5, 0}));
+  for (const std::uint32_t cap : {0u, 8u}) {
+    for (const std::uint32_t n : {4u, 16u, 64u}) {
+      net::Outbox out({n, (n - 1) / 3}, [](ProcessId, ProcessId, net::Payload) {});
+      if (cap > 0) out.enable_batching(cap);
+      // Warm up: the per-round and per-instance tables and batch buffers grow
+      // on first use.
+      out.multicast(0, frame);
+      out.flush(0);
+      Bytes payload = frame;
+      EXPECT_EQ(allocations([&] {
+                  out.multicast(0, std::move(payload));
+                  out.flush(0);
+                }),
+                1u)
+          << "n = " << n << ", cap = " << cap;
+      EXPECT_EQ(out.metrics().messages_sent, 2u * (n - 1));
+    }
+  }
 }
 
 }  // namespace

@@ -188,7 +188,7 @@ class CountingContext final : public net::Context {
  public:
   explicit CountingContext(SystemParams p) : params_(p) {}
   void send(ProcessId, Bytes) override { ++sends; }
-  void multicast(const Bytes&) override { ++multicasts; }
+  void multicast(Bytes) override { ++multicasts; }
   [[nodiscard]] ProcessId self() const override { return 0; }
   [[nodiscard]] SystemParams params() const override { return params_; }
   int sends = 0, multicasts = 0;
@@ -306,7 +306,7 @@ TEST(Bracha, OutOfRangeOriginDiscardedNotFatal) {
   class NoopContext final : public net::Context {
    public:
     void send(ProcessId, Bytes) override { FAIL() << "unexpected send"; }
-    void multicast(const Bytes&) override { FAIL() << "unexpected multicast"; }
+    void multicast(Bytes) override { FAIL() << "unexpected multicast"; }
     [[nodiscard]] ProcessId self() const override { return 0; }
     [[nodiscard]] SystemParams params() const override { return {4, 1}; }
   } ctx;
@@ -479,7 +479,7 @@ TEST(VecBracha, ScalarAndVectorHubsIgnoreEachOthersWire) {
   class NoopContext final : public net::Context {
    public:
     void send(ProcessId, Bytes) override { FAIL() << "unexpected send"; }
-    void multicast(const Bytes&) override { FAIL() << "unexpected multicast"; }
+    void multicast(Bytes) override { FAIL() << "unexpected multicast"; }
     [[nodiscard]] ProcessId self() const override { return 0; }
     [[nodiscard]] SystemParams params() const override { return {4, 1}; }
   } ctx;

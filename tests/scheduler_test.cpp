@@ -16,7 +16,7 @@ net::Message round_msg(ProcessId from, ProcessId to, Round r, double value) {
   net::Message m;
   m.from = from;
   m.to = to;
-  m.payload = core::encode_round(core::RoundMsg{r, value, 0});
+  m.payload = net::Payload(core::encode_round(core::RoundMsg{r, value, 0}));
   return m;
 }
 
@@ -72,7 +72,7 @@ TEST(GreedySplit, NonValueTrafficNeutral) {
   net::Message m;
   m.from = 0;
   m.to = 1;
-  m.payload = core::encode_done(core::DoneMsg{1, 2.0});
+  m.payload = net::Payload(core::encode_done(core::DoneMsg{1, 2.0}));
   EXPECT_EQ(s.delay(m), 0.5);
 }
 

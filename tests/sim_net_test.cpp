@@ -41,16 +41,18 @@ class EchoProcess final : public Process {
   std::optional<double> out_;
 };
 
-SimNetwork make_echo_net(SystemParams p, std::uint64_t seed = 1) {
-  SimNetwork net(p, std::make_unique<sched::RandomScheduler>(seed));
+/// Held by pointer: a network is not movable (its Outbox wire points at it).
+std::unique_ptr<SimNetwork> make_echo_net(SystemParams p, std::uint64_t seed = 1) {
+  auto net = std::make_unique<SimNetwork>(p, std::make_unique<sched::RandomScheduler>(seed));
   for (std::uint32_t i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<EchoProcess>());
+    net->add_process(std::make_unique<EchoProcess>());
   }
   return net;
 }
 
 TEST(SimNetwork, AllToAllDelivery) {
-  auto net = make_echo_net({4, 1});
+  const auto net_owner = make_echo_net({4, 1});
+  SimNetwork& net = *net_owner;
   net.start();
   EXPECT_EQ(net.run(), RunStatus::kQueueDrained);
   EXPECT_TRUE(net.all_correct_output());
@@ -60,7 +62,8 @@ TEST(SimNetwork, AllToAllDelivery) {
 
 TEST(SimNetwork, DeterministicReplay) {
   auto run_once = [](std::uint64_t seed) {
-    auto net = make_echo_net({6, 1}, seed);
+    const auto net_owner = make_echo_net({6, 1}, seed);
+    SimNetwork& net = *net_owner;
     net.start();
     net.run();
     return net.now();
@@ -71,7 +74,8 @@ TEST(SimNetwork, DeterministicReplay) {
 
 TEST(SimNetwork, DelaysRespectDelta) {
   // With all messages sent at time 0, everything arrives by Delta = 1.
-  auto net = make_echo_net({5, 1});
+  const auto net_owner = make_echo_net({5, 1});
+  SimNetwork& net = *net_owner;
   net.start();
   net.run();
   EXPECT_LE(net.now(), 1.0);
@@ -79,7 +83,8 @@ TEST(SimNetwork, DelaysRespectDelta) {
 }
 
 TEST(SimNetwork, CrashAtStartupSilencesParty) {
-  auto net = make_echo_net({4, 1});
+  const auto net_owner = make_echo_net({4, 1});
+  SimNetwork& net = *net_owner;
   net.crash_after_sends(0, 0);
   net.start();
   net.run();
@@ -91,7 +96,8 @@ TEST(SimNetwork, CrashAtStartupSilencesParty) {
 }
 
 TEST(SimNetwork, PartialMulticastCrash) {
-  auto net = make_echo_net({5, 1});
+  const auto net_owner = make_echo_net({5, 1});
+  SimNetwork& net = *net_owner;
   // Party 0 crashes after 2 sends of its 4-message multicast.
   net.crash_after_sends(0, 2);
   net.start();
@@ -101,7 +107,8 @@ TEST(SimNetwork, PartialMulticastCrash) {
 }
 
 TEST(SimNetwork, MulticastOrderControlsSurvivors) {
-  auto net = make_echo_net({5, 1});
+  const auto net_owner = make_echo_net({5, 1});
+  SimNetwork& net = *net_owner;
   net.set_multicast_order(0, {3, 4, 1, 2});
   net.crash_after_sends(0, 2);  // only 3 and 4 get party 0's message
   net.start();
@@ -113,7 +120,8 @@ TEST(SimNetwork, MulticastOrderControlsSurvivors) {
 }
 
 TEST(SimNetwork, CrashedReceiverDropsDeliveries) {
-  auto net = make_echo_net({4, 1});
+  const auto net_owner = make_echo_net({4, 1});
+  SimNetwork& net = *net_owner;
   net.crash_at_time(2, 0.0);
   net.start();
   net.run();
@@ -122,7 +130,8 @@ TEST(SimNetwork, CrashedReceiverDropsDeliveries) {
 }
 
 TEST(SimNetwork, RunUntilPredicate) {
-  auto net = make_echo_net({4, 1});
+  const auto net_owner = make_echo_net({4, 1});
+  SimNetwork& net = *net_owner;
   net.start();
   const auto st = net.run_until(
       [&net]() { return net.metrics().messages_delivered >= 3; });
@@ -172,7 +181,8 @@ TEST(SimNetwork, ConfigValidation) {
 }
 
 TEST(SimNetwork, ByzantineMarkExcludedFromCorrect) {
-  auto net = make_echo_net({4, 1});
+  const auto net_owner = make_echo_net({4, 1});
+  SimNetwork& net = *net_owner;
   net.mark_byzantine(3);
   net.start();
   net.run();
@@ -182,7 +192,8 @@ TEST(SimNetwork, ByzantineMarkExcludedFromCorrect) {
 }
 
 TEST(SimNetwork, OutputTimeRecorded) {
-  auto net = make_echo_net({4, 1});
+  const auto net_owner = make_echo_net({4, 1});
+  SimNetwork& net = *net_owner;
   net.start();
   net.run();
   for (ProcessId p = 0; p < 4; ++p) {
@@ -192,7 +203,8 @@ TEST(SimNetwork, OutputTimeRecorded) {
 }
 
 TEST(SimNetwork, PayloadBytesAccounted) {
-  auto net = make_echo_net({3, 1});
+  const auto net_owner = make_echo_net({3, 1});
+  SimNetwork& net = *net_owner;
   net.start();
   net.run();
   // 6 messages of 1 byte each.
@@ -257,10 +269,12 @@ TEST(SimBatching, PacksBurstsAndCountsLogicalMessages) {
 TEST(SimBatching, SingleFrameFlushesAsRawPacket) {
   // One frame in the buffer at flush time goes out unframed: a batched run
   // of single-message upcalls has the same wire bytes as an unbatched one.
-  auto unbatched = make_echo_net({4, 1});
+  const auto unbatched_owner = make_echo_net({4, 1});
+  SimNetwork& unbatched = *unbatched_owner;
   unbatched.start();
   unbatched.run();
-  auto batched = make_echo_net({4, 1});
+  const auto batched_owner = make_echo_net({4, 1});
+  SimNetwork& batched = *batched_owner;
   batched.enable_batching(8);
   batched.start();
   batched.run();

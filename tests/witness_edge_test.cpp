@@ -166,7 +166,7 @@ class CountingContext final : public net::Context {
  public:
   explicit CountingContext(SystemParams p) : params_(p) {}
   void send(ProcessId, Bytes) override { ++sends; }
-  void multicast(const Bytes&) override { ++multicasts; }
+  void multicast(Bytes) override { ++multicasts; }
   [[nodiscard]] ProcessId self() const override { return 0; }
   [[nodiscard]] SystemParams params() const override { return params_; }
   int sends = 0, multicasts = 0;
