@@ -17,6 +17,7 @@
 #include "core/codec.hpp"
 #include "core/epsilon_driver.hpp"
 #include "core/multiset_ops.hpp"
+#include "core/round_engine.hpp"
 #include "geom/safe_area.hpp"
 #include "net/envelope.hpp"
 #include "net/outbox.hpp"
@@ -47,6 +48,29 @@ BENCHMARK(BM_ApplyAverager)
     ->Args({static_cast<int>(Averager::kMean), 1024})
     ->Args({static_cast<int>(Averager::kDlpswAsync), 64})
     ->Args({static_cast<int>(Averager::kDlpswAsync), 1024});
+
+void BM_RoundCollectorRound(benchmark::State& state) {
+  // The round-based protocols' per-round bookkeeping (the scalar "view
+  // freeze"): the own value, a value from every other party (those past the
+  // quorum are dropped), the frozen view read once, and the old round
+  // forgotten.  Averaging is BM_ApplyAverager's.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  RoundCollector c(SystemParams{n, (n - 1) / 3});
+  Round r = 0;
+  for (auto _ : state) {
+    c.add_own(r, 0.5);
+    for (ProcessId p = 1; p < n; ++p) c.add_remote(p, r, static_cast<double>(p));
+    const auto& view = c.view(r);
+    benchmark::DoNotOptimize(view.data());
+    c.forget_before(++r);
+  }
+  state.counters["ns_per_round"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("items = rounds collected");
+}
+BENCHMARK(BM_RoundCollectorRound)->ArgName("n")->Arg(4)->Arg(16)->Arg(64);
 
 void BM_CodecRoundTrip(benchmark::State& state) {
   const RoundMsg m{123456, 0.123456789, 42};
@@ -183,7 +207,7 @@ void BM_OutboxMulticast(benchmark::State& state) {
       static_cast<std::uint32_t>(state.range(0)), encode_round(RoundMsg{3, 0.5, 0}));
   std::uint64_t sends = 0;
   for (auto _ : state) {
-    out.multicast(0, frame);
+    out.multicast(0, net::Payload(frame));
     out.flush(0);
     sends += n - 1;
   }
@@ -203,8 +227,8 @@ BENCHMARK(BM_OutboxMulticast)
 class CountingContext final : public net::Context {
  public:
   explicit CountingContext(SystemParams p) : params_(p) {}
-  void send(ProcessId, Bytes) override { ++sends; }
-  void multicast(Bytes) override { ++sends; }
+  void send(ProcessId, net::Payload) override { ++sends; }
+  void multicast(net::Payload) override { ++sends; }
   [[nodiscard]] ProcessId self() const override { return 0; }
   [[nodiscard]] SystemParams params() const override { return params_; }
   std::uint64_t sends = 0;

@@ -144,9 +144,9 @@ harness::RunReport run_with_injector(const harness::RunConfig& cfg,
   const auto backend = harness::make_backend(cfg);
 
   // The simulator runs every upcall on this thread: the trace needs no lock.
-  harness::ScalarTrace trace;
+  harness::ScalarTrace trace(cfg.params.n, harness::trace_rounds(cfg));
   core::TraceFn trace_fn = [&trace](ProcessId p, Round r, double v) {
-    trace[r][p] = v;
+    trace.record(p, r, v);
   };
 
   std::vector<Bytes> frames;
@@ -169,7 +169,7 @@ harness::RunReport run_with_injector(const harness::RunConfig& cfg,
   opts.max_deliveries = cfg.max_deliveries;
   opts.done = harness::make_done_predicate(cfg);
   const exec::ExecResult res = backend->run(opts);
-  return harness::finalize(cfg, res, trace);
+  return harness::finalize(cfg, res, res.metrics, trace);
 }
 
 void judge(const char* what, const oracle::Verdict& v) {

@@ -12,6 +12,7 @@
 //   - bitset        : length varint + packed bits (used by witness reports)
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -96,6 +97,35 @@ class ByteWriter {
 
  private:
   Bytes buf_;
+};
+
+/// ByteWriter's primitives over a buffer the caller already sized exactly:
+/// encoders use it to write a frame straight into the buffer that will carry
+/// it (a Bytes of the frame's size, or a transport Payload).
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::byte* out) : out_(out) {}
+
+  void put_u8(std::uint8_t v) { *out_++ = static_cast<std::byte>(v); }
+
+  void put_varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) put_u8(static_cast<std::uint8_t>(v) | 0x80);
+    put_u8(static_cast<std::uint8_t>(v));
+  }
+
+  void put_f64(double v) {
+    std::uint64_t bits;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int i = 0; i < 8; ++i) put_u8(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+
+  void put_bytes(BytesView bytes) {
+    out_ = std::copy(bytes.begin(), bytes.end(), out_);
+  }
+
+ private:
+  std::byte* out_;
 };
 
 class ByteReader {

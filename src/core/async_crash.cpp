@@ -8,8 +8,27 @@
 
 namespace apxa::core {
 
+namespace {
+
+/// First round the party can never collect (see the header's round bound).
+Round round_end(const RoundAaConfig& cfg) {
+  switch (cfg.mode) {
+    case TerminationMode::kFixedRounds:
+      return cfg.fixed_rounds;
+    case TerminationMode::kAdaptive:
+      return std::max<Round>(cfg.budget_cap, 1);
+    case TerminationMode::kLive:
+      break;
+  }
+  return kNoRound;
+}
+
+}  // namespace
+
 RoundAaProcess::RoundAaProcess(RoundAaConfig cfg)
-    : cfg_(std::move(cfg)), collector_(cfg_.params) {
+    : cfg_(std::move(cfg)),
+      collector_(cfg_.params, round_end(cfg_),
+                 cfg_.mode == TerminationMode::kLive ? kLiveLookahead : kNoRound) {
   const auto n = cfg_.params.n;
   const auto t = cfg_.params.t;
   APXA_ENSURE(t >= 1, "round-based AA expects t >= 1 (use t=1 for failure-free runs)");
@@ -46,7 +65,7 @@ void RoundAaProcess::begin_round(net::Context& ctx) {
   if (cfg_.trace) cfg_.trace(self_, round_, value_);
   collector_.add_own(round_, value_);
   inject_done_values(round_);
-  ctx.multicast(encode_round(RoundMsg{round_, value_, budget_}));
+  ctx.multicast(round_payload(RoundMsg{round_, value_, budget_}));
 }
 
 void RoundAaProcess::adopt_budget(Round b) {
@@ -113,12 +132,13 @@ void RoundAaProcess::on_message(net::Context& ctx, ProcessId from, BytesView pay
 
 void RoundAaProcess::try_advance(net::Context& ctx) {
   while (!finished_ && collector_.ready(round_)) {
-    std::vector<double> view = collector_.view(round_);
+    const auto view = collector_.view(round_);
+    view_.assign(view.begin(), view.end());
 
     if (cfg_.mode == TerminationMode::kAdaptive && !budget_known_) {
       // Budget from the round-0 view's spread (laundered under byzantine
       // faults so fake extremes cannot inflate the estimate unboundedly).
-      std::vector<double> est = view;
+      std::vector<double> est = view_;
       std::sort(est.begin(), est.end());
       if (cfg_.byzantine_safe_estimate && est.size() > 2 * cfg_.params.t) {
         est = reduce(est, cfg_.params.t);
@@ -129,7 +149,7 @@ void RoundAaProcess::try_advance(net::Context& ctx) {
           1, rounds_needed(cfg_.adaptive_slack * spread(est), cfg_.epsilon, k)));
     }
 
-    value_ = apply_averager(cfg_.averager, std::move(view), cfg_.params.t);
+    value_ = apply_averager(cfg_.averager, std::span<double>(view_), cfg_.params.t);
     widen_range(value_);
     ++round_;
     collector_.forget_before(round_);
@@ -147,7 +167,7 @@ void RoundAaProcess::finish(net::Context& ctx) {
   output_ = value_;
   finished_ = true;
   if (cfg_.mode == TerminationMode::kAdaptive) {
-    ctx.multicast(encode_done(DoneMsg{round_, value_}));
+    ctx.multicast(done_payload(DoneMsg{round_, value_}));
   }
 }
 

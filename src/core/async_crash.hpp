@@ -30,11 +30,17 @@
 //     harness measures its violation rate instead of assuming safety.
 //   kLive — never outputs; runs forever.  Used by the convergence-rate
 //     experiments, which watch the per-round spread from outside.
+//
+// Round bound: a party buffers values only for rounds it can still collect —
+// below fixed_rounds (kFixedRounds), below budget_cap (kAdaptive, at least
+// round 0), or less than kLiveLookahead ahead of its current round (kLive).
+// Forged round numbers past the bound cost an honest party nothing.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "core/multiset_ops.hpp"
@@ -44,6 +50,10 @@
 namespace apxa::core {
 
 enum class TerminationMode : std::uint8_t { kFixedRounds, kAdaptive, kLive };
+
+/// kLive parties drop values for rounds this far or further ahead of their
+/// current round.
+inline constexpr Round kLiveLookahead = 256;
 
 /// Observation hook: (party, round, value at round entry).  Round entry 0
 /// reports the input; entry r reports the value after r averaging steps.
@@ -90,6 +100,7 @@ class RoundAaProcess final : public net::Process {
 
   RoundAaConfig cfg_;
   RoundCollector collector_;
+  std::vector<double> view_;  // the averaged round's view; reused every round
   double value_ = 0.0;
   Round round_ = 0;
   Round budget_ = 0;

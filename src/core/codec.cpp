@@ -27,13 +27,40 @@ std::optional<MsgType> peek_type(BytesView payload) {
   return static_cast<MsgType>(raw);
 }
 
-Bytes encode_round(const RoundMsg& m) {
-  ByteWriter w(1 + varint_size(m.round) + 8 + varint_size(m.budget));
+namespace {
+
+std::size_t round_size(const RoundMsg& m) {
+  return 1 + varint_size(m.round) + 8 + varint_size(m.budget);
+}
+
+void write_round(const RoundMsg& m, std::byte* out) {
+  SpanWriter w(out);
   w.put_u8(static_cast<std::uint8_t>(MsgType::kRound));
   w.put_varint(m.round);
   w.put_f64(m.value);
   w.put_varint(m.budget);
-  return std::move(w).take();
+}
+
+std::size_t done_size(const DoneMsg& m) { return 1 + varint_size(m.round) + 8; }
+
+void write_done(const DoneMsg& m, std::byte* out) {
+  SpanWriter w(out);
+  w.put_u8(static_cast<std::uint8_t>(MsgType::kDone));
+  w.put_varint(m.round);
+  w.put_f64(m.value);
+}
+
+}  // namespace
+
+Bytes encode_round(const RoundMsg& m) {
+  Bytes frame(round_size(m));
+  write_round(m, frame.data());
+  return frame;
+}
+
+net::Payload round_payload(const RoundMsg& m) {
+  return net::Payload::build(round_size(m),
+                             [&m](std::byte* out) { write_round(m, out); });
 }
 
 std::optional<RoundMsg> decode_round(BytesView payload) {
@@ -51,11 +78,14 @@ std::optional<RoundMsg> decode_round(BytesView payload) {
 }
 
 Bytes encode_done(const DoneMsg& m) {
-  ByteWriter w(1 + varint_size(m.round) + 8);
-  w.put_u8(static_cast<std::uint8_t>(MsgType::kDone));
-  w.put_varint(m.round);
-  w.put_f64(m.value);
-  return std::move(w).take();
+  Bytes frame(done_size(m));
+  write_done(m, frame.data());
+  return frame;
+}
+
+net::Payload done_payload(const DoneMsg& m) {
+  return net::Payload::build(done_size(m),
+                             [&m](std::byte* out) { write_done(m, out); });
 }
 
 std::optional<DoneMsg> decode_done(BytesView payload) {

@@ -32,6 +32,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "net/message.hpp"
 #include "sched/scheduler.hpp"
 
 namespace apxa::core {
@@ -107,6 +108,11 @@ std::optional<RoundMsg> decode_round(BytesView payload);
 
 Bytes encode_done(const DoneMsg& m);
 std::optional<DoneMsg> decode_done(BytesView payload);
+
+/// encode_round / encode_done straight into a transport buffer: the same
+/// bytes in one allocation that every receiver of a multicast shares.
+net::Payload round_payload(const RoundMsg& m);
+net::Payload done_payload(const DoneMsg& m);
 
 Bytes encode_rb(const RbMsg& m);
 std::optional<RbMsg> decode_rb(BytesView payload);

@@ -55,7 +55,9 @@ enum class Averager : std::uint8_t {
 
 /// Apply an averager to a (not necessarily sorted) multiset.  `t` is the
 /// fault bound used by the reduce/select based rules.  Throws if the multiset
-/// is too small for the requested reduction.
+/// is too small for the requested reduction.  The span form sorts `values`
+/// in place and allocates nothing.
+double apply_averager(Averager a, std::span<double> values, std::uint32_t t);
 double apply_averager(Averager a, std::vector<double> values, std::uint32_t t);
 
 /// True when the averager discards extremes and therefore tolerates byzantine

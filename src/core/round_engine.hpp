@@ -9,10 +9,19 @@
 //
 // Duplicate round-r values from the same sender are dropped (only byzantine
 // parties produce them; taking the first is the standard convention).
+//
+// Storage is a power-of-two ring of round slots over two flat arrays (values
+// and contributors, `quorum` wide per slot), indexed by round modulo the ring
+// size.  The ring starts at two slots — the current round and the next, which
+// is as far as fast parties usually run ahead — and doubles only when a
+// future round inside the round bound arrives.  The bound keeps a byzantine
+// sender that sprays forged round numbers from growing honest parties'
+// memory: rounds at or past `end`, rounds `lookahead` or more ahead of the
+// oldest live round, and rounds already forgotten are dropped on arrival.
 #pragma once
 
-#include <map>
-#include <optional>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -21,26 +30,31 @@ namespace apxa::core {
 
 class RoundCollector {
  public:
-  explicit RoundCollector(SystemParams params);
+  /// Rounds >= end, and rounds >= (oldest live round) + lookahead, are
+  /// dropped on arrival; kNoRound leaves either side unbounded.
+  explicit RoundCollector(SystemParams params, Round end = kNoRound,
+                          Round lookahead = kNoRound);
 
   /// Record this party's own round-r value.  Must be called exactly once per
-  /// round, in increasing round order.
+  /// round, in increasing round order, for rounds inside the bound.
   void add_own(Round r, double value);
 
   /// Record a round-r value received from another party.  Values arriving
-  /// after the round's view froze are dropped, as are duplicates.
+  /// after the round's view froze are dropped, as are duplicates and rounds
+  /// outside the bound.
   void add_remote(ProcessId from, Round r, double value);
 
   /// Whether round r's view is complete (own value present and quorum met).
   [[nodiscard]] bool ready(Round r) const;
 
   /// The frozen view of round r (exactly n - t values, own included), in
-  /// arrival order.  Only valid once ready(r).
-  [[nodiscard]] const std::vector<double>& view(Round r) const;
+  /// arrival order.  Only valid once ready(r), and only until the next
+  /// add_own / add_remote / forget_before call.
+  [[nodiscard]] std::span<const double> view(Round r) const;
 
   /// Senders that contributed to round r's view so far (own id included once
-  /// add_own was called).
-  [[nodiscard]] const std::vector<ProcessId>& contributors(Round r) const;
+  /// add_own was called), parallel to the values; same lifetime as view().
+  [[nodiscard]] std::span<const ProcessId> contributors(Round r) const;
 
   /// Drop state for rounds < r (keeps memory bounded in long runs).
   void forget_before(Round r);
@@ -48,18 +62,30 @@ class RoundCollector {
   [[nodiscard]] SystemParams params() const { return params_; }
 
  private:
-  struct Slot {
-    std::vector<double> values;         // arrival order, frozen at quorum
-    std::vector<ProcessId> contributors;  // parallel to values
+  struct SlotState {
+    std::uint32_t count = 0;  // values held, arrival order
     bool own_added = false;
     bool frozen = false;
   };
 
-  Slot& slot(Round r);
-  void maybe_freeze(Slot& s) const;
+  [[nodiscard]] bool accepts(Round r) const;
+  /// Ring index of a live round, or npos.
+  [[nodiscard]] std::size_t find(Round r) const;
+  /// Ring index of an accepted round, doubling the ring if r lies past it.
+  std::size_t slot(Round r);
+  void grow(Round r);
+
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   SystemParams params_;
-  std::map<Round, Slot> slots_;
+  std::size_t quorum_;
+  Round end_;
+  Round lookahead_;
+  Round base_ = 0;                 // oldest live round
+  std::size_t mask_ = 1;           // ring size - 1
+  std::vector<SlotState> state_;   // [slot]
+  std::vector<double> values_;     // [slot * quorum + i]
+  std::vector<ProcessId> from_;    // parallel to values_; kNoProcess = self
 };
 
 }  // namespace apxa::core

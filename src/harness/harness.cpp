@@ -36,6 +36,17 @@ void maybe_dump_flight(const obs::TraceSink* sink, const std::string& path,
 
 }  // namespace
 
+Round trace_rounds(const RunConfig& cfg) {
+  // Round protocols in adaptive mode stop by budget_cap (build_processes
+  // keeps its default); everything else by fixed_rounds.  Both trace the
+  // value they finish with at the bound itself.
+  const bool adaptive = cfg.mode == core::TerminationMode::kAdaptive &&
+                        cfg.protocol != ProtocolKind::kWitness;
+  const Round bound =
+      adaptive ? std::max<Round>(core::RoundAaConfig{}.budget_cap, 1) : cfg.fixed_rounds;
+  return bound + 1;
+}
+
 std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
   switch (cfg.backend) {
     case BackendKind::kSim:
@@ -55,7 +66,7 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend) {
   // Trace: values at round entry, per party.  Worker threads of the threaded
   // backend invoke the hook concurrently, hence the mutex (uncontended and
   // irrelevant for timing on the simulator).
-  ScalarTrace trace;
+  ScalarTrace trace(cfg.params.n, trace_rounds(cfg));
   std::mutex trace_mu;
   obs::TraceSink* sink = cfg.trace;
   core::TraceFn trace_fn = [&trace, &trace_mu, sink](ProcessId p, Round r,
@@ -65,7 +76,7 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend) {
                    static_cast<std::int64_t>(r), v, 0.0);
     }
     std::scoped_lock lock(trace_mu);
-    trace[r][p] = v;
+    trace.record(p, r, v);
   };
 
   backend.set_trace(cfg.trace);
@@ -76,17 +87,17 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend) {
   opts.timeout = cfg.thread_timeout;
   opts.done = make_done_predicate(cfg);
   const exec::ExecResult res = backend.run(opts);
-  return finalize(cfg, res, trace);
+  return finalize(cfg, res, res.metrics, trace);
 }
 
 RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
-                   const ScalarTrace& trace) {
+                   const net::Metrics& metrics, const ScalarTrace& trace) {
   const auto n = cfg.params.n;
   RunReport rep;
   rep.status = res.status;
   rep.all_output = res.all_correct_output;
   rep.outputs = res.outputs;
-  rep.metrics = res.metrics;
+  rep.metrics = metrics;
   rep.exec_stats = res.exec_stats;
 
   // Validity hull: inputs of every non-byzantine party (crash faults do not
@@ -114,10 +125,12 @@ RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
   }
 
   // Per-round spreads over parties that stayed correct to the end.
-  for (const auto& [round, entries] : trace) {
-    std::vector<double> vals;
-    for (const auto& [p, v] : entries) {
-      if (res.correct[p]) vals.push_back(v);
+  std::vector<double> vals;
+  vals.reserve(n);
+  for (Round round = 0; round < trace.rounds(); ++round) {
+    vals.clear();
+    for (ProcessId p = 0; p < n; ++p) {
+      if (res.correct[p] && trace.has(round, p)) vals.push_back(trace.at(round, p));
     }
     if (vals.empty()) continue;
     std::sort(vals.begin(), vals.end());
@@ -192,17 +205,18 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
   opts.max_deliveries = cfg.max_deliveries;
   opts.timeout = cfg.thread_timeout;
   const exec::ExecResult res = backend.run(opts);
-  return finalize(cfg, res, trace, views);
+  return finalize(cfg, res, res.metrics, trace, views);
 }
 
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
-                         const VectorTrace& trace, const ViewTrace& views) {
+                         const net::Metrics& metrics, const VectorTrace& trace,
+                         const ViewTrace& views) {
   const auto n = cfg.params.n;
   VectorRunReport rep;
   rep.status = res.status;
   rep.all_output = res.all_correct_output;
   rep.outputs = res.vector_outputs;
-  rep.metrics = res.metrics;
+  rep.metrics = metrics;
   rep.exec_stats = res.exec_stats;
 
   // Box validity: the bounding box of every non-byzantine party's input

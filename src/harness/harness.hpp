@@ -15,6 +15,8 @@
 //   execute(cfg, be)    — stage and run on a caller-constructed backend.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -25,12 +27,53 @@
 
 namespace apxa::harness {
 
-/// Round-entry value traces collected during a run (party -> value at each
-/// round).  Shared by execute() and harness::Session.
-using ScalarTrace = std::map<Round, std::map<ProcessId, double>>;
+/// Round-entry values of a scalar run: a flat [round x party] table.  Sized
+/// up front from the config's round bound (trace_rounds), so recording a
+/// value allocates nothing unless a run outlives the bound (kLive horizons
+/// watched from outside); the table then doubles.  Shared by execute() and
+/// harness::Session.
+class ScalarTrace {
+ public:
+  ScalarTrace() = default;
+  ScalarTrace(std::uint32_t n, Round rounds)
+      : n_(n), values_(static_cast<std::size_t>(rounds) * n), set_(values_.size()) {}
+
+  /// Party p entered round r holding v (a later record overwrites).
+  void record(ProcessId p, Round r, double v) {
+    const std::size_t i = static_cast<std::size_t>(r) * n_ + p;
+    if (i >= values_.size()) {
+      const std::size_t size = std::max(i + n_ - p, 2 * values_.size());
+      values_.resize(size);
+      set_.resize(size);
+    }
+    values_[i] = v;
+    set_[i] = 1;
+  }
+
+  /// Rows held (every recorded round is below this).
+  [[nodiscard]] Round rounds() const {
+    return n_ == 0 ? 0 : static_cast<Round>(values_.size() / n_);
+  }
+  [[nodiscard]] bool has(Round r, ProcessId p) const {
+    return set_[static_cast<std::size_t>(r) * n_ + p] != 0;
+  }
+  [[nodiscard]] double at(Round r, ProcessId p) const {
+    return values_[static_cast<std::size_t>(r) * n_ + p];
+  }
+
+ private:
+  std::uint32_t n_ = 0;
+  std::vector<double> values_;      // [round * n + party]
+  std::vector<std::uint8_t> set_;   // parallel: 1 once recorded
+};
+
 using VectorTrace = std::map<Round, std::map<ProcessId, std::vector<double>>>;
 using ViewTrace =
     std::map<Round, std::map<ProcessId, std::vector<core::CollectEntry>>>;
+
+/// Rows a scalar run's trace needs: round-entry values run from round 0 to
+/// the config's round bound.
+Round trace_rounds(const RunConfig& cfg);
 
 /// Construct the backend the config asks for (simulator backends get the
 /// config's scheduler; the threaded runtime ignores sched/seed).
@@ -64,11 +107,14 @@ VectorRunReport run(const VectorRunConfig& cfg);
 // report (validity hull, eps-agreement, spread trace, phase attribution).
 // execute() is stage + run + finalize; harness::Session reuses finalize on
 // per-instance synthetic ExecResults so multiplexed verdicts are computed by
-// the exact same code as single-instance ones.
+// the exact same code as single-instance ones.  The report's metrics come
+// from `metrics`, not res.metrics, so a session copies its transport's
+// metrics once per report instead of into every synthetic ExecResult first.
 
 RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
-                   const ScalarTrace& trace);
+                   const net::Metrics& metrics, const ScalarTrace& trace);
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
-                         const VectorTrace& trace, const ViewTrace& views);
+                         const net::Metrics& metrics, const VectorTrace& trace,
+                         const ViewTrace& views);
 
 }  // namespace apxa::harness

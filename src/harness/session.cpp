@@ -19,32 +19,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Context handed to a sub-process: wraps every outgoing frame in this
-/// instance's envelope before forwarding to the router's transport context.
-/// Attacker processes get wrapped too, so byzantine traffic is well-formed
-/// at the envelope layer (its INNER bytes are still whatever the attacker
-/// forged).
-class SubContext final : public net::Context {
- public:
-  SubContext(net::Context& outer, std::uint32_t instance)
-      : outer_(outer), instance_(instance) {}
-
-  void send(ProcessId to, Bytes payload) override {
-    outer_.send(to, net::encode_envelope(instance_, payload));
-  }
-
-  void multicast(Bytes payload) override {
-    outer_.multicast(net::encode_envelope(instance_, payload));
-  }
-
-  [[nodiscard]] ProcessId self() const override { return outer_.self(); }
-  [[nodiscard]] SystemParams params() const override { return outer_.params(); }
-
- private:
-  net::Context& outer_;
-  std::uint32_t instance_;
-};
-
 /// Per-(instance, party) decide times.  Routers write disjoint slots (their
 /// own party column) from their owning delivery thread, so no lock is
 /// needed; `now` reads virtual time on the simulator, wall time on the
@@ -71,7 +45,7 @@ class RouterProcess final : public net::Process {
 
   void on_start(net::Context& ctx) override {
     for (std::uint32_t i = 0; i < subs_.size(); ++i) {
-      SubContext sub(ctx, i);
+      net::EnvelopeContext sub(ctx, i);
       subs_[i]->on_start(sub);
       note_decided(i);
     }
@@ -80,7 +54,7 @@ class RouterProcess final : public net::Process {
   void on_message(net::Context& ctx, ProcessId from, BytesView payload) override {
     const auto env = net::decode_envelope(payload);
     if (!env || env->instance >= subs_.size()) return;
-    SubContext sub(ctx, env->instance);
+    net::EnvelopeContext sub(ctx, env->instance);
     subs_[env->instance]->on_message(sub, from, env->payload);
     note_decided(env->instance);
   }
@@ -244,10 +218,13 @@ SessionReport Session::run_multiplexed() {
   std::vector<std::vector<std::unique_ptr<net::Process>>> rows(K);
   for (std::size_t i = 0; i < K; ++i) {
     if (instances_[i].scalar) {
+      // Sized to the instance's round bound here, so recording under the
+      // lock never allocates.
+      straces[i] = ScalarTrace(n, trace_rounds(*instances_[i].scalar));
       core::TraceFn fn = [&straces, &trace_mu, i](ProcessId p, Round r,
                                                   double v) {
         std::scoped_lock lock(trace_mu);
-        straces[i][r][p] = v;
+        straces[i].record(p, r, v);
       };
       rows[i] = build_processes(*instances_[i].scalar, fn);
     } else {
@@ -339,13 +316,12 @@ SessionReport Session::run_multiplexed() {
 
   for (std::size_t i = 0; i < K; ++i) {
     // Synthetic per-instance ExecResult: this instance's outputs and decide
-    // times, the session's correctness flags and transport metrics.  Fed to
-    // the same finalize() as single-instance runs.
+    // times and the session's correctness flags, fed to the same finalize()
+    // as single-instance runs together with the session's transport metrics.
     exec::ExecResult ri;
     ri.status = res.status;
     ri.correct = res.correct;
     ri.output_times = clock.time[i];
-    ri.metrics = res.metrics;
     ri.exec_stats = res.exec_stats;
     ri.all_correct_output = true;
     for (ProcessId p = 0; p < n; ++p) {
@@ -362,12 +338,12 @@ SessionReport Session::run_multiplexed() {
     }
     if (!ri.all_correct_output) out.all_output = false;
     if (instances_[i].scalar) {
-      RunReport r = finalize(*instances_[i].scalar, ri, straces[i]);
+      RunReport r = finalize(*instances_[i].scalar, ri, res.metrics, straces[i]);
       out.finish_times[i] = r.finish_time;
       out.scalar_reports[i] = std::move(r);
     } else {
       VectorRunReport r =
-          finalize(*instances_[i].vec, ri, vtraces[i], viewtraces[i]);
+          finalize(*instances_[i].vec, ri, res.metrics, vtraces[i], viewtraces[i]);
       out.finish_times[i] = r.finish_time;
       out.vector_reports[i] = std::move(r);
     }

@@ -5,12 +5,16 @@
 namespace apxa::net {
 
 Bytes encode_envelope(std::uint32_t instance, BytesView inner) {
-  APXA_ENSURE(!inner.empty(), "cannot envelope an empty frame");
-  ByteWriter w(1 + varint_size(instance) + inner.size());
-  w.put_u8(kEnvelopeTag);
-  w.put_varint(instance);
-  w.put_bytes(inner);
-  return std::move(w).take();
+  Bytes frame(detail::envelope_size(instance, inner));
+  detail::write_envelope(instance, inner, frame.data());
+  return frame;
+}
+
+Payload envelope_payload(std::uint32_t instance, BytesView inner) {
+  return Payload::build(detail::envelope_size(instance, inner),
+                        [instance, inner](std::byte* out) {
+                          detail::write_envelope(instance, inner, out);
+                        });
 }
 
 bool is_envelope(BytesView frame) {

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "net/process.hpp"
 
 namespace apxa::net {
 
@@ -65,6 +66,34 @@ struct EnvelopeView {
 
 /// Frame one protocol message for instance `instance`.
 Bytes encode_envelope(std::uint32_t instance, BytesView inner);
+
+/// encode_envelope into one shared Payload buffer.
+Payload envelope_payload(std::uint32_t instance, BytesView inner);
+
+/// The Context an instance's protocol process sees inside a multiplexed
+/// session: every send is framed in the instance's envelope on its way to
+/// the party's transport context.  Header and inner frame are written into
+/// one buffer that all receivers of a multicast share.
+class EnvelopeContext final : public Context {
+ public:
+  EnvelopeContext(Context& outer, std::uint32_t instance)
+      : outer_(outer), instance_(instance) {}
+
+  using Context::multicast;
+  using Context::send;
+  void send(ProcessId to, Payload payload) override {
+    outer_.send(to, envelope_payload(instance_, payload));
+  }
+  void multicast(Payload payload) override {
+    outer_.multicast(envelope_payload(instance_, payload));
+  }
+  [[nodiscard]] ProcessId self() const override { return outer_.self(); }
+  [[nodiscard]] SystemParams params() const override { return outer_.params(); }
+
+ private:
+  Context& outer_;
+  std::uint32_t instance_;
+};
 
 /// Total decoder; nullopt unless `frame` is [kEnvelopeTag][varint][>=1 byte].
 std::optional<EnvelopeView> decode_envelope(BytesView frame);
@@ -110,6 +139,12 @@ bool parse_batch(BytesView packet, Emit&& emit) {
   return pos == packet.size();
 }
 
+/// Encoded size of the envelope of `inner`, which must be non-empty.
+inline std::size_t envelope_size(std::uint32_t instance, BytesView inner) {
+  APXA_ENSURE(!inner.empty(), "cannot envelope an empty frame");
+  return 1 + varint_size(instance) + inner.size();
+}
+
 inline bool is_batch(BytesView packet) {
   return !packet.empty() && static_cast<std::uint8_t>(packet[0]) == kBatchTag;
 }
@@ -130,22 +165,26 @@ std::size_t batch_size(std::span<const Frame> frames) {
   return size;
 }
 
-inline std::byte* put_varint(std::byte* out, std::uint64_t v) {
-  for (; v >= 0x80; v >>= 7) *out++ = static_cast<std::byte>((v & 0x7f) | 0x80);
-  *out++ = static_cast<std::byte>(v);
-  return out;
+/// Writes the envelope of `inner` to `out`, which holds
+/// envelope_size(instance, inner) bytes.
+inline void write_envelope(std::uint32_t instance, BytesView inner, std::byte* out) {
+  SpanWriter w(out);
+  w.put_u8(kEnvelopeTag);
+  w.put_varint(instance);
+  w.put_bytes(inner);
 }
 
 /// Writes the batch packet of `frames` to `out`, which holds batch_size(frames)
 /// bytes.
 template <class Frame>
 void write_batch(std::span<const Frame> frames, std::byte* out) {
-  *out++ = static_cast<std::byte>(kBatchTag);
-  out = put_varint(out, frames.size());
+  SpanWriter w(out);
+  w.put_u8(kBatchTag);
+  w.put_varint(frames.size());
   for (const Frame& frame : frames) {
     const BytesView f = frame;
-    out = put_varint(out, f.size());
-    out = std::copy(f.begin(), f.end(), out);
+    w.put_varint(f.size());
+    w.put_bytes(f);
   }
 }
 

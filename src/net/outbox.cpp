@@ -100,14 +100,13 @@ void Outbox::send(ProcessId from, ProcessId to, Payload frame) {
   if (sends_made_[from] >= send_limit_[from]) note_crash(from);
 }
 
-void Outbox::multicast(ProcessId from, Bytes payload) {
-  const Payload shared(payload);
+void Outbox::multicast(ProcessId from, const Payload& payload) {
   if (!multicast_order_[from].empty()) {
-    for (ProcessId to : multicast_order_[from]) send(from, to, shared);
+    for (ProcessId to : multicast_order_[from]) send(from, to, payload);
     return;
   }
   for (ProcessId to = 0; to < params_.n; ++to) {
-    if (to != from) send(from, to, shared);
+    if (to != from) send(from, to, payload);
   }
 }
 
@@ -140,10 +139,10 @@ Metrics Outbox::metrics() const {
   return all;
 }
 
-void OutboxContext::send(ProcessId to, Bytes payload) {
+void OutboxContext::send(ProcessId to, Payload payload) {
   APXA_ENSURE(to < out_.params().n, "send: receiver out of range");
   APXA_ENSURE(to != self_, "send: no self-messages");
-  out_.send(self_, to, Payload(payload));
+  out_.send(self_, to, std::move(payload));
 }
 
 }  // namespace apxa::net

@@ -15,9 +15,9 @@
 //  - kSend / kDrop / kCrash tracing, stamped with the transport's clock;
 //  - accounting into one net::Metrics slot per party.
 //
-// A multicast is wrapped once into an immutable shared Payload, and every
-// receiver's packet and batch buffer holds a reference to it, so nothing is
-// copied or allocated per receiver; a batch packet is encoded once, from
+// A multicast arrives as one immutable shared Payload, and every receiver's
+// packet and batch buffer holds a reference to it, so nothing is copied or
+// allocated per receiver; a batch packet is encoded once, from
 // views of its frames.  The transport supplies only the Wire callback that
 // puts one packet on the wire: a heap push, a mailbox push, a link send.
 //
@@ -73,8 +73,9 @@ class Outbox {
 
   /// One logical send from `from` to `to`.
   void send(ProcessId from, ProcessId to, Payload frame);
-  /// One logical send to every other party, in p's multicast order.
-  void multicast(ProcessId from, Bytes payload);
+  /// One logical send to every other party, in p's multicast order; every
+  /// receiver shares `payload`'s buffer.
+  void multicast(ProcessId from, const Payload& payload);
   /// Flush `from`'s batch buffers in receiver-id order (no-op unbatched).
   void flush(ProcessId from);
 
@@ -115,8 +116,10 @@ class OutboxContext final : public Context {
  public:
   OutboxContext(Outbox& out, ProcessId self) : out_(out), self_(self) {}
 
-  void send(ProcessId to, Bytes payload) override;
-  void multicast(Bytes payload) override { out_.multicast(self_, std::move(payload)); }
+  using Context::multicast;
+  using Context::send;
+  void send(ProcessId to, Payload payload) override;
+  void multicast(Payload payload) override { out_.multicast(self_, payload); }
   [[nodiscard]] ProcessId self() const override { return self_; }
   [[nodiscard]] SystemParams params() const override { return out_.params(); }
 

@@ -29,6 +29,7 @@
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "net/message.hpp"
 
 namespace apxa::net {
 
@@ -39,12 +40,15 @@ class Context {
 
   /// Send payload to one party.  Sending to self is a usage error; protocols
   /// consume their own values directly.
-  virtual void send(ProcessId to, Bytes payload) = 0;
+  virtual void send(ProcessId to, Payload payload) = 0;
 
-  /// Send payload to every other party (n - 1 point-to-point messages).
-  /// Taken by value: the transport wraps it once and shares it among the
-  /// receivers.
-  virtual void multicast(Bytes payload) = 0;
+  /// Send payload to every other party (n - 1 point-to-point messages).  The
+  /// receivers share the one buffer.
+  virtual void multicast(Payload payload) = 0;
+
+  /// The same sends from encoded bytes: one copy into a shared buffer.
+  void send(ProcessId to, BytesView payload) { send(to, Payload(payload)); }
+  void multicast(BytesView payload) { multicast(Payload(payload)); }
 
   [[nodiscard]] virtual ProcessId self() const = 0;
   [[nodiscard]] virtual SystemParams params() const = 0;

@@ -1,6 +1,7 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace apxa::obs {
@@ -42,6 +43,17 @@ bool is_protocol_event(EventKind k) noexcept {
 
 thread_local TraceSink::TlSlot TraceSink::tl_slot_;
 
+TraceSink::Ring::Ring(std::size_t cap)
+    : chunk_shift(static_cast<unsigned>(std::countr_zero(std::min(cap, kChunkEvents)))),
+      chunk_mask((std::size_t{1} << chunk_shift) - 1),
+      chunks(cap >> chunk_shift),
+      mask(cap - 1) {}
+
+TraceEvent* TraceSink::Ring::add_chunk(std::size_t c) noexcept {
+  chunks[c] = std::make_unique_for_overwrite<TraceEvent[]>(chunk_mask + 1);
+  return chunks[c].get();
+}
+
 TraceSink::TraceSink(std::size_t ring_capacity)
     : id_(next_sink_id()),
       capacity_(round_up_pow2(std::max<std::size_t>(ring_capacity, 64))) {}
@@ -73,10 +85,10 @@ std::vector<TraceEvent> TraceSink::snapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [owner, r] : rings_) {
       const std::uint64_t count =
-          std::min<std::uint64_t>(r->head, r->buf.size());
+          std::min<std::uint64_t>(r->head, r->capacity());
       out.reserve(out.size() + count);
       for (std::uint64_t i = r->head - count; i < r->head; ++i) {
-        out.push_back(r->buf[i & r->mask]);
+        out.push_back(r->at(i));
       }
     }
   }
@@ -89,7 +101,7 @@ std::uint64_t TraceSink::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t lost = 0;
   for (const auto& [owner, r] : rings_) {
-    if (r->head > r->buf.size()) lost += r->head - r->buf.size();
+    if (r->head > r->capacity()) lost += r->head - r->capacity();
   }
   return lost;
 }

@@ -1,10 +1,12 @@
 // obs — structured run tracing.
 //
 // TraceSink is a low-overhead event recorder: each writer thread appends to
-// its own fixed-size ring buffer, a global relaxed counter hands out
+// its own fixed-capacity ring buffer, a global relaxed counter hands out
 // merge-order tickets, and snapshot() (quiescent readers only) merges the
-// rings back into one seq-ordered stream.  A null sink pointer is the
-// disabled state: every call site guards with `if (sink) sink->record(...)`,
+// rings back into one seq-ordered stream.  A ring's memory arrives in
+// uninitialized chunks as its writer reaches them, so a short run pays for
+// the events it records, not for the whole capacity.  A null sink pointer is
+// the disabled state: every call site guards with `if (sink) sink->record(...)`,
 // so the disabled cost is one predictable branch and no function call.
 //
 // Determinism contract: protocol-domain events (send / deliver / drop /
@@ -23,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace apxa::obs {
@@ -47,20 +50,25 @@ enum class EventKind : std::uint8_t {
 const char* kind_name(EventKind k) noexcept;
 bool is_protocol_event(EventKind k) noexcept;
 
+// Trivially default-constructible, so ring chunks are allocated without
+// being zero-filled: record() writes every field.
 struct TraceEvent {
-  std::uint64_t seq = 0;      // global merge-order ticket
-  EventKind kind = EventKind::kSend;
-  std::uint32_t party = 0;    // acting party (worker id for executor events)
-  std::uint32_t peer = 0;     // destination / victim shard / instance
-  std::int64_t round = -1;    // protocol round when known, else -1
-  double value = 0.0;         // kind-specific payload (see EventKind)
-  double vtime = 0.0;         // simulator virtual time (0 on thread backend)
-  std::uint64_t wall_ns = 0;  // monotonic wall clock at record time
+  std::uint64_t seq;      // global merge-order ticket
+  EventKind kind;
+  std::uint32_t party;    // acting party (worker id for executor events)
+  std::uint32_t peer;     // destination / victim shard / instance
+  std::int64_t round;     // protocol round when known, else -1
+  double value;           // kind-specific payload (see EventKind)
+  double vtime;           // simulator virtual time (0 on thread backend)
+  std::uint64_t wall_ns;  // monotonic wall clock at record time
 };
+static_assert(std::is_trivially_default_constructible_v<TraceEvent>);
 
 class TraceSink {
  public:
   static constexpr std::size_t kDefaultRingCapacity = std::size_t{1} << 15;
+  /// Events per ring chunk (smaller rings are one chunk).
+  static constexpr std::size_t kChunkEvents = std::size_t{1} << 10;
 
   // ring_capacity is rounded up to a power of two; every writer thread gets
   // its own ring of that many events (oldest overwritten on wrap).
@@ -72,7 +80,7 @@ class TraceSink {
   void record(EventKind kind, std::uint32_t party, std::uint32_t peer,
               std::int64_t round, double value, double vtime) noexcept {
     Ring& r = *ring();
-    TraceEvent& e = r.buf[r.head & r.mask];
+    TraceEvent& e = r.slot(r.head);
     e.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     e.kind = kind;
     e.party = party;
@@ -100,8 +108,26 @@ class TraceSink {
 
  private:
   struct Ring {
-    explicit Ring(std::size_t cap) : buf(cap), mask(cap - 1) {}
-    std::vector<TraceEvent> buf;
+    explicit Ring(std::size_t cap);
+    /// Where the i-th event ever written goes (wrapping at the capacity).
+    TraceEvent& slot(std::uint64_t i) noexcept {
+      const std::size_t at = i & mask;
+      TraceEvent* chunk = chunks[at >> chunk_shift].get();
+      if (chunk == nullptr) [[unlikely]] chunk = add_chunk(at >> chunk_shift);
+      return chunk[at & chunk_mask];
+    }
+    /// A written event (i within the last capacity() writes).
+    const TraceEvent& at(std::uint64_t i) const noexcept {
+      const std::size_t at = i & mask;
+      return chunks[at >> chunk_shift][at & chunk_mask];
+    }
+    std::size_t capacity() const noexcept { return mask + 1; }
+    /// Allocates chunk c, the first time the writer reaches it.
+    TraceEvent* add_chunk(std::size_t c) noexcept;
+
+    unsigned chunk_shift;    // log2 of the events per chunk
+    std::size_t chunk_mask;  // events per chunk - 1
+    std::vector<std::unique_ptr<TraceEvent[]>> chunks;
     std::size_t mask;
     std::uint64_t head = 0;  // events ever written to this ring
   };

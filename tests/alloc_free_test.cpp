@@ -1,17 +1,21 @@
 // Allocation budget of the per-message hot path, counted by a replacement
-// global operator new: frame iteration and metrics accounting allocate
-// nothing, each encoder allocates exactly its output buffer once, and a
-// multicast allocates its one shared buffer whatever the number of receivers.
+// global operator new: frame iteration, metrics accounting and the round
+// collector allocate nothing, each encoder allocates exactly its output
+// buffer once, and a multicast — enveloped or not — allocates its one shared
+// buffer whatever the number of receivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "core/async_crash.hpp"
 #include "core/codec.hpp"
 #include "core/multidim.hpp"
+#include "core/round_engine.hpp"
 #include "net/envelope.hpp"
 #include "net/metrics.hpp"
 #include "net/outbox.hpp"
@@ -160,11 +164,10 @@ TEST(AllocFree, OutboxMulticastAllocatesNothingPerReceiver) {
       if (cap > 0) out.enable_batching(cap);
       // Warm up: the per-round and per-instance tables and batch buffers grow
       // on first use.
-      out.multicast(0, frame);
+      out.multicast(0, net::Payload(frame));
       out.flush(0);
-      Bytes payload = frame;
       EXPECT_EQ(allocations([&] {
-                  out.multicast(0, std::move(payload));
+                  out.multicast(0, net::Payload(frame));
                   out.flush(0);
                 }),
                 1u)
@@ -172,6 +175,81 @@ TEST(AllocFree, OutboxMulticastAllocatesNothingPerReceiver) {
       EXPECT_EQ(out.metrics().messages_sent, 2u * (n - 1));
     }
   }
+}
+
+TEST(AllocFree, EnvelopedMulticastIsOneBuffer) {
+  // A session's instance multicasts through an EnvelopeContext: the
+  // envelope header and the inner frame go into one buffer that every
+  // receiver shares, byte for byte what encode_envelope produces.
+  constexpr std::uint32_t kInstance = 300;
+  const net::Payload inner(encode_round(RoundMsg{2, 0.5, 0}));
+  const Bytes expected = net::encode_envelope(kInstance, inner);
+  for (const std::uint32_t cap : {0u, 8u}) {
+    for (const std::uint32_t n : {4u, 16u, 64u}) {
+      net::Payload last;
+      net::Outbox out({n, (n - 1) / 3}, [&last](ProcessId, ProcessId, net::Payload p) {
+        last = std::move(p);
+      });
+      if (cap > 0) out.enable_batching(cap);
+      net::OutboxContext party(out, 0);
+      net::EnvelopeContext ctx(party, kInstance);
+      // Warm up the per-instance tables and batch buffers.
+      ctx.multicast(inner);
+      out.flush(0);
+      EXPECT_EQ(allocations([&] {
+                  ctx.multicast(inner);
+                  out.flush(0);
+                }),
+                1u)
+          << "n = " << n << ", cap = " << cap;
+      const BytesView wire = last;
+      EXPECT_TRUE(std::equal(wire.begin(), wire.end(), expected.begin(), expected.end()));
+      EXPECT_EQ(out.metrics().messages_sent, 2u * (n - 1));
+    }
+  }
+}
+
+TEST(AllocFree, RoundCollectorSteadyStateAllocatesNothing) {
+  // Own value, every remote value (some a round early), the frozen view and
+  // forget_before, round after round: the two-slot ring is reused.
+  for (const std::uint32_t n : {4u, 16u, 64u}) {
+    const std::uint32_t t = (n - 1) / 3;
+    RoundCollector c(SystemParams{n, t});
+    double sum = 0.0;
+    EXPECT_EQ(allocations([&] {
+                for (Round r = 0; r < 64; ++r) {
+                  c.add_own(r, 1.0);
+                  for (ProcessId p = 1; p < n; ++p) {
+                    c.add_remote(p, r, static_cast<double>(p));
+                    if (p % 2 == 0) c.add_remote(p, r + 1, -1.0);
+                  }
+                  for (const double v : c.view(r)) sum += v;
+                  c.forget_before(r + 1);
+                }
+              }),
+              0u)
+        << "n = " << n;
+    EXPECT_GT(sum, 0.0);
+  }
+}
+
+TEST(AllocFree, ForgedRoundStormAllocatesNothing) {
+  // A byzantine sender spraying distinct round numbers past the party's
+  // round bound: a fixed-round party (bound = fixed_rounds) and a live one
+  // (bound = kLiveLookahead ahead of its current round) keep nothing.
+  constexpr Round kFixedRounds = 64;
+  RoundCollector fixed(SystemParams{16, 5}, kFixedRounds);
+  RoundCollector live(SystemParams{16, 5}, kNoRound, kLiveLookahead);
+  live.forget_before(1000);
+  EXPECT_EQ(allocations([&] {
+              for (Round k = 0; k < 50'000; ++k) {
+                fixed.add_remote(1, kFixedRounds + k, 0.5);
+                live.add_remote(1, 1000 + kLiveLookahead + k, 0.5);
+              }
+            }),
+            0u);
+  EXPECT_TRUE(fixed.contributors(0).empty());
+  EXPECT_TRUE(live.contributors(1000).empty());
 }
 
 }  // namespace

@@ -187,8 +187,8 @@ TEST(Bracha, MessageComplexityQuadratic) {
 class CountingContext final : public net::Context {
  public:
   explicit CountingContext(SystemParams p) : params_(p) {}
-  void send(ProcessId, Bytes) override { ++sends; }
-  void multicast(Bytes) override { ++multicasts; }
+  void send(ProcessId, net::Payload) override { ++sends; }
+  void multicast(net::Payload) override { ++multicasts; }
   [[nodiscard]] ProcessId self() const override { return 0; }
   [[nodiscard]] SystemParams params() const override { return params_; }
   int sends = 0, multicasts = 0;
@@ -305,8 +305,8 @@ TEST(Bracha, OutOfRangeOriginDiscardedNotFatal) {
   // consume and drop it, not throw out of an honest party's message loop.
   class NoopContext final : public net::Context {
    public:
-    void send(ProcessId, Bytes) override { FAIL() << "unexpected send"; }
-    void multicast(Bytes) override { FAIL() << "unexpected multicast"; }
+    void send(ProcessId, net::Payload) override { FAIL() << "unexpected send"; }
+    void multicast(net::Payload) override { FAIL() << "unexpected multicast"; }
     [[nodiscard]] ProcessId self() const override { return 0; }
     [[nodiscard]] SystemParams params() const override { return {4, 1}; }
   } ctx;
@@ -478,8 +478,8 @@ TEST(VecBracha, ScalarAndVectorHubsIgnoreEachOthersWire) {
   // Rejection happens at decode, before any send reaches the context.
   class NoopContext final : public net::Context {
    public:
-    void send(ProcessId, Bytes) override { FAIL() << "unexpected send"; }
-    void multicast(Bytes) override { FAIL() << "unexpected multicast"; }
+    void send(ProcessId, net::Payload) override { FAIL() << "unexpected send"; }
+    void multicast(net::Payload) override { FAIL() << "unexpected multicast"; }
     [[nodiscard]] ProcessId self() const override { return 0; }
     [[nodiscard]] SystemParams params() const override { return {4, 1}; }
   } ctx;

@@ -150,7 +150,7 @@ Bytes frame(Round r) { return core::encode_round(core::RoundMsg{r, 1.0, 0}); }
 TEST(Outbox, MulticastSharesOneBuffer) {
   Recorder rec(5);
   const Bytes f = frame(3);
-  rec.out.multicast(2, f);
+  rec.out.multicast(2, Payload(f));
   ASSERT_EQ(rec.sent.size(), 4u);
   std::vector<ProcessId> to;
   for (const auto& s : rec.sent) {
@@ -174,7 +174,7 @@ TEST(Outbox, CrashBudgetLandsMidMulticast) {
   rec.out.set_trace(&sink, &clock);
   rec.out.set_multicast_order(0, {5, 4, 3, 2, 1});
   rec.out.crash_after_sends(0, 2);
-  rec.out.multicast(0, frame(0));
+  rec.out.multicast(0, Payload(frame(0)));
   ASSERT_EQ(rec.sent.size(), 2u);
   EXPECT_EQ(rec.sent[0].to, 5u);
   EXPECT_EQ(rec.sent[1].to, 4u);
@@ -238,7 +238,7 @@ TEST(Outbox, BufferedFramesFlushAfterACrash) {
   Recorder rec(4);
   rec.out.enable_batching(8);
   rec.out.crash_after_sends(0, 2);
-  rec.out.multicast(0, frame(1));  // two frames buffered, then the crash
+  rec.out.multicast(0, Payload(frame(1)));  // two frames buffered, then the crash
   EXPECT_TRUE(rec.out.crashed(0));
   EXPECT_TRUE(rec.sent.empty());
   rec.out.flush(0);
@@ -258,7 +258,7 @@ TEST(Outbox, ForgedBatchesAndEmptyFramesBypassTheBuffers) {
 
 TEST(Outbox, EachPartyAccountsToItsOwnSlot) {
   Recorder rec(3);
-  rec.out.multicast(1, frame(0));
+  rec.out.multicast(1, Payload(frame(0)));
   rec.out.send(2, 0, Payload(frame(0)));
   EXPECT_EQ(rec.out.metrics_of(0).messages_sent, 0u);
   EXPECT_EQ(rec.out.metrics_of(1).messages_sent, 2u);
@@ -278,7 +278,7 @@ TEST(Outbox, SendsFromManyThreadsNeedNoLock) {
   for (ProcessId p = 0; p < kN; ++p) {
     threads.emplace_back([&out, p] {
       for (int r = 0; r < kRounds; ++r) {
-        out.multicast(p, frame(static_cast<Round>(r % 8)));
+        out.multicast(p, Payload(frame(static_cast<Round>(r % 8))));
         ++out.metrics_of(p).messages_delivered;
         out.flush(p);
       }

@@ -6,6 +6,10 @@
 namespace apxa::core {
 namespace {
 
+std::vector<double> values(std::span<const double> view) {
+  return {view.begin(), view.end()};
+}
+
 TEST(RoundCollector, FreezesAtQuorum) {
   RoundCollector c(SystemParams{5, 1});  // quorum 4
   c.add_own(0, 10.0);
@@ -25,7 +29,7 @@ TEST(RoundCollector, LateArrivalsIgnoredAfterFreeze) {
   c.add_remote(2, 0, 3.0);
   ASSERT_TRUE(c.ready(0));
   c.add_remote(3, 0, 99.0);  // too late
-  EXPECT_EQ(c.view(0), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(values(c.view(0)), (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
 TEST(RoundCollector, DuplicateSenderDropped) {
@@ -36,7 +40,7 @@ TEST(RoundCollector, DuplicateSenderDropped) {
   EXPECT_FALSE(c.ready(0));
   c.add_remote(2, 0, 3.0);
   ASSERT_TRUE(c.ready(0));
-  EXPECT_EQ(c.view(0), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(values(c.view(0)), (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
 TEST(RoundCollector, OwnValueAlwaysInView) {
@@ -49,7 +53,7 @@ TEST(RoundCollector, OwnValueAlwaysInView) {
   EXPECT_FALSE(c.ready(0));
   c.add_own(0, 1.0);
   ASSERT_TRUE(c.ready(0));
-  const auto& v = c.view(0);
+  const auto v = c.view(0);
   EXPECT_EQ(v.size(), 3u);
   EXPECT_NE(std::find(v.begin(), v.end(), 1.0), v.end());
 }
@@ -103,6 +107,54 @@ TEST(RoundCollector, MinimalSystem) {
   EXPECT_FALSE(c.ready(0));
   c.add_remote(2, 0, 6.0);
   EXPECT_TRUE(c.ready(0));
+}
+
+TEST(RoundCollector, FarFutureRoundsSurviveRingGrowth) {
+  // Rounds buffered well ahead of the current one widen the ring; each
+  // keeps its values, in arrival order, through every later growth.
+  RoundCollector c(SystemParams{4, 1});
+  for (Round r = 0; r < 10; ++r) {
+    c.add_remote(1, 9 - r, 10.0 * (9 - r) + 1);
+    c.add_remote(2, 9 - r, 10.0 * (9 - r) + 2);
+  }
+  for (Round r = 0; r < 10; ++r) {
+    c.add_own(r, -1.0);
+    ASSERT_TRUE(c.ready(r)) << r;
+    EXPECT_EQ(values(c.view(r)), (std::vector<double>{10.0 * r + 1, 10.0 * r + 2, -1.0}));
+    c.forget_before(r + 1);
+  }
+}
+
+TEST(RoundCollector, RoundsPastTheEndAreDropped) {
+  RoundCollector c(SystemParams{4, 1}, /*end=*/2);
+  c.add_remote(1, 2, 5.0);
+  c.add_remote(1, 1'000'000, 5.0);
+  EXPECT_THROW(c.add_own(2, 1.0), std::invalid_argument);
+  c.add_own(1, 1.0);
+  c.add_remote(2, 1, 2.0);
+  c.add_remote(3, 1, 3.0);
+  EXPECT_TRUE(c.ready(1));
+}
+
+TEST(RoundCollector, LookaheadDropsOnlyUntilTheRoundComesNear) {
+  RoundCollector c(SystemParams{4, 1}, kNoRound, /*lookahead=*/2);
+  c.add_remote(1, 2, 5.0);  // 2 rounds ahead of round 0: dropped
+  c.forget_before(1);
+  c.add_remote(3, 2, 7.0);  // 1 round ahead of round 1: kept
+  c.add_own(2, 1.0);
+  EXPECT_FALSE(c.ready(2));
+  c.add_remote(1, 2, 5.0);
+  ASSERT_TRUE(c.ready(2));
+  EXPECT_EQ(values(c.view(2)), (std::vector<double>{7.0, 1.0, 5.0}));
+}
+
+TEST(RoundCollector, ForgottenRoundsStayForgotten) {
+  RoundCollector c(SystemParams{4, 1});
+  c.forget_before(5);
+  c.add_remote(1, 4, 1.0);  // below the oldest live round
+  EXPECT_FALSE(c.ready(4));
+  EXPECT_THROW(static_cast<void>(c.contributors(4)), std::invalid_argument);
+  EXPECT_TRUE(c.contributors(5).empty());
 }
 
 }  // namespace

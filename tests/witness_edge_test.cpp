@@ -165,8 +165,8 @@ TEST(WitnessEdge, SingleIterationIsOneHalving) {
 class CountingContext final : public net::Context {
  public:
   explicit CountingContext(SystemParams p) : params_(p) {}
-  void send(ProcessId, Bytes) override { ++sends; }
-  void multicast(Bytes) override { ++multicasts; }
+  void send(ProcessId, net::Payload) override { ++sends; }
+  void multicast(net::Payload) override { ++multicasts; }
   [[nodiscard]] ProcessId self() const override { return 0; }
   [[nodiscard]] SystemParams params() const override { return params_; }
   int sends = 0, multicasts = 0;
