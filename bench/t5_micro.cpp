@@ -140,25 +140,29 @@ class RelayProcess final : public net::Process {
 void BM_SimDelivery(benchmark::State& state) {
   // The simulator's per-message dispatch cost ("dispatch" in the per-layer
   // breakdown): heap pop, delivery accounting, the upcall's one send and
-  // the completion checks, with a protocol that does almost nothing.  The
-  // same 64 tokens are in flight and 16,384 messages are delivered per run
+  // the completion checks, with a protocol that does almost nothing.
+  // `tokens` messages are in flight and 16,384 are delivered per run
   // whatever n is, so only per-event work that scales with n can make
-  // ns_per_msg grow with n.
+  // ns_per_msg grow with n.  64 tokens are ~3 levels of the 4-ary event
+  // heap; 2,048 match the queue depth of an n = 16 witness run with five
+  // equivocators (~1,400 events on average, ~5,000 at peak), where the
+  // heap's levels cost most.
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  constexpr std::uint32_t kTokens = 64;
-  constexpr std::uint32_t kHops = (1u << 14) / kTokens - 1;
+  const auto tokens = static_cast<std::uint32_t>(state.range(1));
+  constexpr std::uint32_t kMessages = 1u << 14;
+  const std::uint32_t hops = kMessages / tokens - 1;
   std::uint64_t msgs = 0;
   for (auto _ : state) {
     net::SimNetwork net({n, (n - 1) / 3},
                         std::make_unique<sched::RandomScheduler>(1));
     for (ProcessId p = 0; p < n; ++p) {
-      net.add_process(std::make_unique<RelayProcess>(kTokens / n, kHops));
+      net.add_process(std::make_unique<RelayProcess>(tokens / n, hops));
     }
     net.start();
     benchmark::DoNotOptimize(net.run_until_done({}));
     msgs += net.metrics().messages_delivered;
   }
-  if (msgs != static_cast<std::uint64_t>(state.iterations()) * kTokens * (kHops + 1)) {
+  if (msgs != static_cast<std::uint64_t>(state.iterations()) * kMessages) {
     state.SkipWithError("a token was lost or duplicated");
   }
   state.counters["ns_per_msg"] = benchmark::Counter(
@@ -167,7 +171,12 @@ void BM_SimDelivery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(msgs));
   state.SetLabel("items = messages delivered");
 }
-BENCHMARK(BM_SimDelivery)->ArgName("n")->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_SimDelivery)
+    ->ArgNames({"n", "tokens"})
+    ->Args({4, 64})
+    ->Args({16, 64})
+    ->Args({64, 64})
+    ->Args({16, 2048});
 
 void BM_WitnessIteration(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -10,7 +10,8 @@ namespace apxa::adversary {
 using core::encode_round;
 using core::RoundMsg;
 
-ByzRoundProcess::ByzRoundProcess(ByzSpec spec) : spec_(spec), rng_(spec.seed) {}
+ByzRoundProcess::ByzRoundProcess(ByzSpec spec)
+    : spec_(spec), rng_(spec.seed), emitted_(spec.max_instances, false) {}
 
 void ByzRoundProcess::on_start(net::Context& ctx) { emit_round(ctx, 0); }
 
@@ -40,7 +41,8 @@ void ByzRoundProcess::emit_round(net::Context& ctx, Round r) {
       senders_seen_.size() < ctx.params().quorum()) {
     return;
   }
-  if (!emitted_.insert(r).second) return;
+  if (emitted_[r]) return;
+  emitted_[r] = true;
 
   const auto n = ctx.params().n;
   const std::uint32_t budget = spec_.inflate_budget;
@@ -90,6 +92,7 @@ ByzVectorProcess::ByzVectorProcess(ByzSpec spec, std::uint32_t dim,
       dim_(dim),
       wire_(wire),
       rng_(spec.seed),
+      emitted_(spec.max_instances, false),
       seen_lo_(dim, 0.0),
       seen_hi_(dim, 0.0) {}
 
@@ -154,7 +157,8 @@ void ByzVectorProcess::emit_round(net::Context& ctx, Round r) {
       senders_seen_.size() < ctx.params().quorum()) {
     return;
   }
-  if (!emitted_.insert(r).second) return;
+  if (emitted_[r]) return;
+  emitted_[r] = true;
 
   const auto n = ctx.params().n;
   std::vector<double> v(dim_, 0.0);
@@ -210,7 +214,8 @@ void ByzVectorProcess::emit_round(net::Context& ctx, Round r) {
   }
 }
 
-ByzWitnessProcess::ByzWitnessProcess(ByzSpec spec) : spec_(spec), rng_(spec.seed) {}
+ByzWitnessProcess::ByzWitnessProcess(ByzSpec spec)
+    : spec_(spec), rng_(spec.seed), emitted_(spec.max_instances, false) {}
 
 void ByzWitnessProcess::on_start(net::Context& ctx) { emit_iteration(ctx, 0); }
 
@@ -228,36 +233,45 @@ void ByzWitnessProcess::on_message(net::Context& ctx, ProcessId from, BytesView 
   emit_iteration(ctx, iter + 1);
 }
 
+double ByzWitnessProcess::camp_value(bool low_camp) const {
+  switch (spec_.kind) {
+    case ByzKind::kExtremeLow:
+      return spec_.lo;
+    case ByzKind::kEquivocate:
+    case ByzKind::kSpoiler:
+      return low_camp ? spec_.lo : spec_.hi;
+    case ByzKind::kExtremeHigh:
+    case ByzKind::kHullEscape:  // scalar witness protocol: plain high extreme
+    case ByzKind::kSilent:
+    case ByzKind::kNoise:
+      break;
+  }
+  return spec_.hi;
+}
+
 void ByzWitnessProcess::emit_iteration(net::Context& ctx, std::uint32_t iter) {
   if (spec_.kind == ByzKind::kSilent) return;
-  if (iter >= spec_.max_instances) return;
-  if (!emitted_.insert(iter).second) return;
+  if (iter >= spec_.max_instances || emitted_[iter]) return;
+  emitted_[iter] = true;
   const auto n = ctx.params().n;
+  auto send_of = [&](double v) {
+    return core::rb_payload(
+        core::RbMsg{core::MsgType::kRbSend, iter, ctx.self(), v});
+  };
+  // One shared SEND buffer per camp; noise draws and encodes per receiver.
+  const bool noise = spec_.kind == ByzKind::kNoise;
+  net::Payload low, high;
+  if (!noise) {
+    low = send_of(camp_value(true));
+    high = send_of(camp_value(false));
+  }
   for (ProcessId to = 0; to < n; ++to) {
     if (to == ctx.self()) continue;
-    double v = 0.0;
-    switch (spec_.kind) {
-      case ByzKind::kSilent:
-        return;
-      case ByzKind::kExtremeLow:
-        v = spec_.lo;
-        break;
-      case ByzKind::kExtremeHigh:
-        v = spec_.hi;
-        break;
-      case ByzKind::kEquivocate:
-      case ByzKind::kSpoiler:
-        v = (to < n / 2) ? spec_.lo : spec_.hi;
-        break;
-      case ByzKind::kNoise:
-        v = rng_.next_double(spec_.lo, spec_.hi);
-        break;
-      case ByzKind::kHullEscape:
-        v = spec_.hi;  // scalar witness protocol: plain high extreme
-        break;
+    if (noise) {
+      ctx.send(to, send_of(rng_.next_double(spec_.lo, spec_.hi)));
+    } else {
+      ctx.send(to, to < n / 2 ? low : high);
     }
-    ctx.send(to, core::encode_rb(core::RbMsg{core::MsgType::kRbSend, iter,
-                                             ctx.self(), v}));
   }
 }
 

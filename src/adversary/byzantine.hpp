@@ -34,6 +34,7 @@
 
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
@@ -81,7 +82,7 @@ class ByzRoundProcess final : public net::Process {
 
   ByzSpec spec_;
   Rng rng_;
-  std::set<Round> emitted_;
+  std::vector<bool> emitted_;  ///< rounds attacked, max_instances bits
   double seen_lo_ = 0.0, seen_hi_ = 0.0;
   bool seen_any_ = false;
   std::set<ProcessId> senders_seen_;  ///< distinct senders; gates hull-escape
@@ -126,7 +127,7 @@ class ByzVectorProcess final : public net::Process {
   std::uint32_t dim_;
   VectorWire wire_;
   Rng rng_;
-  std::set<Round> emitted_;
+  std::vector<bool> emitted_;  ///< rounds attacked, max_instances bits
   std::vector<double> seen_lo_, seen_hi_;  // per-coordinate observed extremes
   bool seen_any_ = false;
   std::set<ProcessId> senders_seen_;  ///< distinct senders; gates hull-escape
@@ -145,10 +146,12 @@ class ByzWitnessProcess final : public net::Process {
 
  private:
   void emit_iteration(net::Context& ctx, std::uint32_t iter);
+  /// The SEND value of the low (ids < n/2) or high camp; not for kNoise.
+  [[nodiscard]] double camp_value(bool low_camp) const;
 
   ByzSpec spec_;
   Rng rng_;
-  std::set<std::uint32_t> emitted_;
+  std::vector<bool> emitted_;  ///< iterations attacked, max_instances bits
 };
 
 }  // namespace apxa::adversary

@@ -101,13 +101,44 @@ std::optional<DoneMsg> decode_done(BytesView payload) {
   });
 }
 
-Bytes encode_rb(const RbMsg& m) {
-  ByteWriter w(1 + varint_size(m.instance) + varint_size(m.origin) + 8);
+namespace {
+
+std::size_t rb_size(const RbMsg& m) {
+  return 1 + varint_size(m.instance) + varint_size(m.origin) + 8;
+}
+
+void write_rb(const RbMsg& m, std::byte* out) {
+  SpanWriter w(out);
   w.put_u8(static_cast<std::uint8_t>(m.type));
   w.put_varint(m.instance);
   w.put_varint(m.origin);
   w.put_f64(m.value);
-  return std::move(w).take();
+}
+
+std::size_t rb_vec_size(const RbVecMsg& m) {
+  return 1 + varint_size(m.instance) + varint_size(m.origin) +
+         varint_size(m.value.size()) + 8 * m.value.size();
+}
+
+void write_rb_vec(const RbVecMsg& m, std::byte* out) {
+  SpanWriter w(out);
+  w.put_u8(static_cast<std::uint8_t>(m.type));
+  w.put_varint(m.instance);
+  w.put_varint(m.origin);
+  w.put_varint(m.value.size());
+  for (double x : m.value) w.put_f64(x);
+}
+
+}  // namespace
+
+Bytes encode_rb(const RbMsg& m) {
+  Bytes frame(rb_size(m));
+  write_rb(m, frame.data());
+  return frame;
+}
+
+net::Payload rb_payload(const RbMsg& m) {
+  return net::Payload::build(rb_size(m), [&m](std::byte* out) { write_rb(m, out); });
 }
 
 std::optional<RbMsg> decode_rb(BytesView payload) {
@@ -151,14 +182,14 @@ std::optional<ReportMsg> decode_report(BytesView payload) {
 }
 
 Bytes encode_rb_vec(const RbVecMsg& m) {
-  ByteWriter w(1 + varint_size(m.instance) + varint_size(m.origin) +
-               varint_size(m.value.size()) + 8 * m.value.size());
-  w.put_u8(static_cast<std::uint8_t>(m.type));
-  w.put_varint(m.instance);
-  w.put_varint(m.origin);
-  w.put_varint(m.value.size());
-  for (double x : m.value) w.put_f64(x);
-  return std::move(w).take();
+  Bytes frame(rb_vec_size(m));
+  write_rb_vec(m, frame.data());
+  return frame;
+}
+
+net::Payload rb_vec_payload(const RbVecMsg& m) {
+  return net::Payload::build(rb_vec_size(m),
+                             [&m](std::byte* out) { write_rb_vec(m, out); });
 }
 
 std::optional<RbVecMsg> decode_rb_vec(BytesView payload) {

@@ -116,12 +116,16 @@ net::Payload done_payload(const DoneMsg& m);
 
 Bytes encode_rb(const RbMsg& m);
 std::optional<RbMsg> decode_rb(BytesView payload);
+/// encode_rb straight into a transport buffer (as round_payload): the Bracha
+/// hub's SEND/ECHO/READY multicasts cost one allocation each.
+net::Payload rb_payload(const RbMsg& m);
 
 Bytes encode_report(const ReportMsg& m);
 std::optional<ReportMsg> decode_report(BytesView payload);
 
 Bytes encode_rb_vec(const RbVecMsg& m);
 std::optional<RbVecMsg> decode_rb_vec(BytesView payload);
+net::Payload rb_vec_payload(const RbVecMsg& m);
 
 /// Scheduler probe that exposes ROUND messages' (round, value) to value-aware
 /// adversaries.  Works for every round-based protocol in the library.

@@ -171,9 +171,10 @@ class EqualizedCollector final : public Collector {
     // tags traffic with a round >= the budget, and echoing a forged
     // out-of-budget RB instance would amplify it into Theta(n^2) honest
     // messages and a permanent hub slot at every correct party.
-    if (auto rb = decode_rb_vec(payload)) {
+    if (const auto rb = decode_rb_vec(payload)) {
       if (rb->instance >= max_rounds_) return true;
-      if (hub_.handle(ctx, from, payload)) recheck(ctx);
+      hub_.handle(ctx, from, *rb);
+      recheck(ctx);
       return true;
     }
     if (const auto rep = decode_report(payload)) {

@@ -85,21 +85,71 @@ void SimNetwork::schedule(ProcessId from, ProcessId to, Payload payload) {
   if (duplication_rng_ && duplication_rng_->next_bool(duplication_prob_)) {
     Message dup = m;  // same seq: it is the same message, delivered twice
     const double dd = sched::clamp_delay(scheduler_->delay(dup));
-    push_event(Pending{now_ + dd, next_seq_++, std::move(dup)});
+    push_event(Pending{Pending::key_of(now_ + dd, next_seq_++), std::move(dup)});
   }
-  push_event(Pending{now_ + d, m.seq, std::move(m)});
+  push_event(Pending{Pending::key_of(now_ + d, m.seq), std::move(m)});
 }
 
+namespace {
+
+constexpr std::size_t kArity = 4;
+
+std::size_t parent_of(std::size_t i) { return (i - 1) / kArity; }
+
+/// `if_true` when `c`, else `if_false`, without a branch.
+std::size_t select(bool c, std::size_t if_true, std::size_t if_false) {
+  return if_false ^ ((if_true ^ if_false) & (std::size_t{0} - c));
+}
+
+}  // namespace
+
 void SimNetwork::push_event(Pending p) {
-  queue_.push_back(std::move(p));
-  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
+  // A fresh event usually lands near the bottom (its time is now + delay),
+  // so the hole rarely climbs more than a level.
+  std::size_t hole = queue_.size();
+  queue_.emplace_back();
+  while (hole > 0 && p.key < queue_[parent_of(hole)].key) {
+    queue_[hole] = std::move(queue_[parent_of(hole)]);
+    hole = parent_of(hole);
+  }
+  queue_[hole] = std::move(p);
 }
 
 SimNetwork::Pending SimNetwork::pop_event() {
-  std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
-  Pending p = std::move(queue_.back());
+  Pending top = std::move(queue_.front());
+  Pending last = std::move(queue_.back());
   queue_.pop_back();
-  return p;
+  const std::size_t size = queue_.size();
+  if (size == 0) return top;
+  // Bottom-up: walk the root's hole down to a leaf along least children
+  // (no compare against `last`, whose place is almost always near the
+  // bottom), then sift `last` up from there.
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = kArity * hole + 1;
+    std::size_t least = first;
+    if (first + kArity <= size) {
+      const std::size_t a = select(queue_[first + 1].key < queue_[first].key,
+                                   first + 1, first);
+      const std::size_t b = select(queue_[first + 3].key < queue_[first + 2].key,
+                                   first + 3, first + 2);
+      least = select(queue_[b].key < queue_[a].key, b, a);
+    } else if (first < size) {
+      for (std::size_t c = first + 1; c < size; ++c) {
+        least = select(queue_[c].key < queue_[least].key, c, least);
+      }
+    } else {
+      break;
+    }
+    queue_[hole] = std::move(queue_[least]);
+    hole = least;
+  }
+  while (hole > 0 && last.key < queue_[parent_of(hole)].key) {
+    queue_[hole] = std::move(queue_[parent_of(hole)]);
+    hole = parent_of(hole);
+  }
+  queue_[hole] = std::move(last);
+  return top;
 }
 
 void SimNetwork::apply_timed_crashes(double up_to) {
@@ -189,7 +239,7 @@ RunStatus SimNetwork::drive(StopAfter&& stop_after, std::uint64_t max_deliveries
   while (!queue_.empty()) {
     if (delivered >= max_deliveries) return RunStatus::kBudgetExhausted;
     const Pending next = pop_event();
-    now_ = std::max(now_, next.time);
+    now_ = std::max(now_, next.time());
     apply_timed_crashes(now_);
     if (!deliver(next.msg)) continue;
     ++delivered;

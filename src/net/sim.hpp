@@ -28,6 +28,7 @@
 // send tracing and accounting); the simulator's wire is its event heap.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -156,13 +157,20 @@ class SimNetwork final {
   [[nodiscard]] double output_time(ProcessId p) const;
 
  private:
+  /// (time, seq) as one unsigned 128-bit key: the high half is the
+  /// delivery time's bit pattern, the low half the tiebreak seq.  For
+  /// finite times >= +0 the IEEE-754 bit pattern orders like the value, so
+  /// one integer compare orders events without a data-dependent branch.
+  __extension__ using EventKey = unsigned __int128;
+
   struct Pending {
-    double time;        // delivery time
-    std::uint64_t seq;  // tiebreak
+    EventKey key;
     Message msg;
-    bool operator>(const Pending& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
+    [[nodiscard]] static EventKey key_of(double time, std::uint64_t seq) {
+      return (EventKey{std::bit_cast<std::uint64_t>(time)} << 64) | seq;
+    }
+    [[nodiscard]] double time() const {
+      return std::bit_cast<double>(static_cast<std::uint64_t>(key >> 64));
     }
   };
 
@@ -207,10 +215,17 @@ class SimNetwork final {
   std::vector<std::uint8_t> done_flag_;           // run_until_done latches
   ProcessId done_scan_ = 0;                       // first possibly-blocking party
 
-  /// Min-heap on (time, seq), kept with push_heap/pop_heap so an event
-  /// leaves it by move (priority_queue::top() is const: popping through it
-  /// copies every payload).  The (time, seq) keys are unique, so the order
-  /// is exactly priority_queue's.
+  /// Min-heap on EventKey, 4-ary and held in place (whole events, no
+  /// key-over-slab indirection).  An n = 16 witness run with five
+  /// equivocators holds ~1,300 events on average and ~4,000 at peak: ~5
+  /// levels of a 4-ary heap instead of ~10 of a binary one.  Its random
+  /// (time, seq) keys made the binary heap's compare at each level a coin
+  /// flip for the branch predictor; here each level picks the least of its
+  /// four children with branch-free selects, and the only branches left
+  /// are the loop bounds.  Sifts move a hole, not swapped pairs.  Keys are
+  /// unique, so the pop order is the (time, seq) order of any correct
+  /// priority queue.  Every delivery time must be finite and >= +0 (now +
+  /// sched::clamp_delay), or its key misorders.
   std::vector<Pending> queue_;
   std::uint64_t next_seq_ = 0;
   double now_ = 0.0;

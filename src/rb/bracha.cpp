@@ -7,56 +7,6 @@
 
 namespace apxa::rb {
 
-using core::MsgType;
-
-// --- wire adapters ----------------------------------------------------------
-
-template <>
-struct RbWire<double> {
-  struct Decoded {
-    MsgType type;
-    std::uint32_t instance;
-    ProcessId origin;
-    double value;
-  };
-  static constexpr MsgType kSend = MsgType::kRbSend;
-  static constexpr MsgType kEcho = MsgType::kRbEcho;
-  static constexpr MsgType kReady = MsgType::kRbReady;
-
-  static Bytes encode(MsgType type, std::uint32_t instance, ProcessId origin,
-                      const double& value) {
-    return core::encode_rb(core::RbMsg{type, instance, origin, value});
-  }
-  static std::optional<Decoded> decode(BytesView payload) {
-    const auto m = core::decode_rb(payload);
-    if (!m) return std::nullopt;
-    return Decoded{m->type, m->instance, m->origin, m->value};
-  }
-};
-
-template <>
-struct RbWire<std::vector<double>> {
-  struct Decoded {
-    MsgType type;
-    std::uint32_t instance;
-    ProcessId origin;
-    std::vector<double> value;
-  };
-  static constexpr MsgType kSend = MsgType::kRbVecSend;
-  static constexpr MsgType kEcho = MsgType::kRbVecEcho;
-  static constexpr MsgType kReady = MsgType::kRbVecReady;
-
-  static Bytes encode(MsgType type, std::uint32_t instance, ProcessId origin,
-                      const std::vector<double>& value) {
-    return core::encode_rb_vec(core::RbVecMsg{type, instance, origin, value});
-  }
-  static std::optional<Decoded> decode(BytesView payload) {
-    auto m = core::decode_rb_vec(payload);
-    if (!m) return std::nullopt;
-    return Decoded{m->type, m->instance, m->origin, std::move(m->value)};
-  }
-};
-
 // --- vote identity ----------------------------------------------------------
 
 namespace {
@@ -93,18 +43,6 @@ bool first_vote(std::uint64_t* bitmap, ProcessId voter) {
   return true;
 }
 
-std::uint64_t key_of(std::uint32_t instance, ProcessId origin) {
-  return (std::uint64_t{instance} << 32) | origin;
-}
-
-std::uint32_t instance_of(std::uint64_t key) {
-  return static_cast<std::uint32_t>(key >> 32);
-}
-
-ProcessId origin_of(std::uint64_t key) {
-  return static_cast<ProcessId>(key & 0xffffffffu);
-}
-
 }  // namespace
 
 // --- hub --------------------------------------------------------------------
@@ -119,85 +57,105 @@ BasicBrachaHub<Value>::BasicBrachaHub(SystemParams params, DeliverFn on_deliver)
 }
 
 template <class Value>
-typename BasicBrachaHub<Value>::Slot& BasicBrachaHub<Value>::slot(Key key) {
-  return slots_.try_emplace(key, words_).first->second;
+typename BasicBrachaHub<Value>::Slot& BasicBrachaHub<Value>::slot(
+    std::uint32_t instance, ProcessId origin) {
+  if (last_block_ == nullptr || last_instance_ != instance) {
+    auto [it, fresh] = blocks_.try_emplace(instance);
+    Block& b = it->second;
+    if (fresh) {
+      b.slots.resize(params_.n);
+      b.voters.assign(2 * words_ * params_.n, 0);
+      for (std::size_t o = 0; o < params_.n; ++o) {
+        b.slots[o].voters = b.voters.data() + 2 * words_ * o;
+      }
+    }
+    last_instance_ = instance;
+    last_block_ = &b;
+  }
+  return last_block_->slots[origin];
 }
 
 template <class Value>
 void BasicBrachaHub<Value>::broadcast(net::Context& ctx, std::uint32_t instance,
                                       const Value& value) {
-  const Key key = key_of(instance, ctx.self());
-  ctx.multicast(RbWire<Value>::encode(RbWire<Value>::kSend, instance, ctx.self(),
-                                      value));
+  const ProcessId self = ctx.self();
+  ctx.multicast(RbWire<Value>::encode(RbWire<Value>::kSend, instance, self, value));
   // Process our own SEND locally: echo it.
-  send_echo(ctx, key, slot(key), value);
+  send_echo(ctx, instance, self, slot(instance, self), value);
 }
 
 template <class Value>
-void BasicBrachaHub<Value>::send_echo(net::Context& ctx, Key key, Slot& s,
+void BasicBrachaHub<Value>::send_echo(net::Context& ctx, std::uint32_t instance,
+                                      ProcessId origin, Slot& s,
                                       const Value& value) {
   if (s.echoed) return;
   s.echoed = true;
-  ctx.multicast(RbWire<Value>::encode(RbWire<Value>::kEcho, instance_of(key),
-                                      origin_of(key), value));
-  add_echo(ctx, key, s, ctx.self(), value);
+  ctx.multicast(RbWire<Value>::encode(RbWire<Value>::kEcho, instance, origin, value));
+  add_echo(ctx, instance, origin, s, ctx.self(), value);
 }
 
 template <class Value>
-void BasicBrachaHub<Value>::send_ready(net::Context& ctx, Key key, Slot& s,
+void BasicBrachaHub<Value>::send_ready(net::Context& ctx, std::uint32_t instance,
+                                       ProcessId origin, Slot& s,
                                        const Value& value) {
   if (s.ready_sent) return;
   s.ready_sent = true;
-  ctx.multicast(RbWire<Value>::encode(RbWire<Value>::kReady, instance_of(key),
-                                      origin_of(key), value));
-  add_ready(ctx, key, s, ctx.self(), value);
+  ctx.multicast(RbWire<Value>::encode(RbWire<Value>::kReady, instance, origin, value));
+  add_ready(ctx, instance, origin, s, ctx.self(), value);
 }
 
 template <class Value>
-void BasicBrachaHub<Value>::add_echo(net::Context& ctx, Key key, Slot& s,
-                                     ProcessId voter, const Value& value) {
+void BasicBrachaHub<Value>::add_echo(net::Context& ctx, std::uint32_t instance,
+                                     ProcessId origin, Slot& s, ProcessId voter,
+                                     const Value& value) {
   // First vote per voter wins (see Slot): caps the state a vote-flooding
   // byzantine can create, and costs honest traffic nothing.
-  if (!first_vote(s.voters.data(), voter)) return;
+  if (!first_vote(s.voters, voter)) return;
   if (count_vote(s.echoes, value) >= params_.quorum()) {
-    send_ready(ctx, key, s, value);
+    send_ready(ctx, instance, origin, s, value);
   }
 }
 
 template <class Value>
-void BasicBrachaHub<Value>::add_ready(net::Context& ctx, Key key, Slot& s,
-                                      ProcessId voter, const Value& value) {
-  if (!first_vote(s.voters.data() + words_, voter)) return;
+void BasicBrachaHub<Value>::add_ready(net::Context& ctx, std::uint32_t instance,
+                                      ProcessId origin, Slot& s, ProcessId voter,
+                                      const Value& value) {
+  if (!first_vote(s.voters + words_, voter)) return;
   const std::uint32_t votes = count_vote(s.readies, value);
-  if (votes >= params_.t + 1) send_ready(ctx, key, s, value);
+  if (votes >= params_.t + 1) send_ready(ctx, instance, origin, s, value);
   if (votes >= 2 * params_.t + 1 && !s.delivered) {
     s.delivered = true;
-    deliver_(ctx, instance_of(key), origin_of(key), value);
+    deliver_(ctx, instance, origin, value);
   }
 }
 
 template <class Value>
 bool BasicBrachaHub<Value>::handle(net::Context& ctx, ProcessId from,
                                    BytesView payload) {
-  auto m = RbWire<Value>::decode(payload);
+  const auto m = RbWire<Value>::decode(payload);
   if (!m) return false;
+  handle(ctx, from, *m);
+  return true;
+}
+
+template <class Value>
+void BasicBrachaHub<Value>::handle(net::Context& ctx, ProcessId from,
+                                   const Msg& m) {
   // Out-of-range origins are byzantine garbage, not a caller bug: discard
   // like every other malformed input (throwing here would let one forged
   // message crash every honest party).  Out-of-range senders have no voter
   // bit and are discarded the same way.
-  if (m->origin >= params_.n || from >= params_.n) return true;
-  const Key key = key_of(m->instance, m->origin);
-  Slot& s = slot(key);
-  if (m->type == RbWire<Value>::kSend) {
+  if (m.origin >= params_.n || from >= params_.n) return;
+  Slot& s = slot(m.instance, m.origin);
+  if (m.type == RbWire<Value>::kSend) {
     // Authenticated channels: a SEND for origin o is only honored when it
     // arrives from o itself (byzantine parties cannot forge senders).
-    if (from == m->origin) send_echo(ctx, key, s, m->value);
-  } else if (m->type == RbWire<Value>::kEcho) {
-    add_echo(ctx, key, s, from, m->value);
+    if (from == m.origin) send_echo(ctx, m.instance, m.origin, s, m.value);
+  } else if (m.type == RbWire<Value>::kEcho) {
+    add_echo(ctx, m.instance, m.origin, s, from, m.value);
   } else {
-    add_ready(ctx, key, s, from, m->value);
+    add_ready(ctx, m.instance, m.origin, s, from, m.value);
   }
-  return true;
 }
 
 template class BasicBrachaHub<double>;

@@ -54,29 +54,73 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "core/codec.hpp"
+#include "net/message.hpp"
 #include "net/process.hpp"
 
 namespace apxa::rb {
 
 /// Wire adapter: how a hub's value type is encoded as SEND/ECHO/READY
 /// messages.  Specialized for double (RbMsg, tags 3-5) and
-/// std::vector<double> (RbVecMsg, tags 8-10) in bracha.cpp; the two tag
-/// ranges are disjoint, so a scalar and a vector hub never consume each
-/// other's traffic.
+/// std::vector<double> (RbVecMsg, tags 8-10) below; the two tag ranges are
+/// disjoint, so a scalar and a vector hub never consume each other's
+/// traffic.  Encoding writes straight into the shared transport buffer.
 template <class Value>
 struct RbWire;
 
+template <>
+struct RbWire<double> {
+  using Msg = core::RbMsg;
+  static constexpr core::MsgType kSend = core::MsgType::kRbSend;
+  static constexpr core::MsgType kEcho = core::MsgType::kRbEcho;
+  static constexpr core::MsgType kReady = core::MsgType::kRbReady;
+  static net::Payload encode(core::MsgType type, std::uint32_t instance,
+                             ProcessId origin, const double& value) {
+    return core::rb_payload(core::RbMsg{type, instance, origin, value});
+  }
+  static std::optional<Msg> decode(BytesView payload) {
+    return core::decode_rb(payload);
+  }
+};
+
+template <>
+struct RbWire<std::vector<double>> {
+  using Msg = core::RbVecMsg;
+  static constexpr core::MsgType kSend = core::MsgType::kRbVecSend;
+  static constexpr core::MsgType kEcho = core::MsgType::kRbVecEcho;
+  static constexpr core::MsgType kReady = core::MsgType::kRbVecReady;
+  static net::Payload encode(core::MsgType type, std::uint32_t instance,
+                             ProcessId origin, const std::vector<double>& value) {
+    return core::rb_vec_payload(core::RbVecMsg{type, instance, origin, value});
+  }
+  static std::optional<Msg> decode(BytesView payload) {
+    return core::decode_rb_vec(payload);
+  }
+};
+
 /// Bracha RB hub carrying `Value` payloads.  Votes are tallied per distinct
 /// WIRE value (see Slot), so Value needs no ordering.
+///
+/// Slot storage: one contiguous block of n slots per instance (slot o is
+/// origin o), with the block's voter bitmaps in one array beside it.
+/// Blocks live in a map keyed by instance and are created on the first
+/// message naming it, so a forged instance number costs one block, never
+/// state proportional to the number.  The block of the last instance used
+/// is cached, so the steady state of a wave looks a slot up without
+/// hashing.  Blocks never move once created: a Slot& stays valid while the
+/// delivery callback broadcasts (and so creates blocks) reentrantly.
 template <class Value>
 class BasicBrachaHub {
  public:
+  /// The decoded wire message: core::RbMsg or core::RbVecMsg.
+  using Msg = typename RbWire<Value>::Msg;
+
   /// Called exactly once per (instance, origin) on delivery — the
   /// `delivered` latch below enforces the at-most-once half, the READY
   /// quorum the at-least half.
@@ -85,6 +129,9 @@ class BasicBrachaHub {
 
   /// Requires params.n > 3t and a non-null callback (throws otherwise).
   BasicBrachaHub(SystemParams params, DeliverFn on_deliver);
+  /// Not copyable: the cached block points into this hub's own map.
+  BasicBrachaHub(const BasicBrachaHub&) = delete;
+  BasicBrachaHub& operator=(const BasicBrachaHub&) = delete;
 
   /// Reliably broadcast `value` under `instance` (the caller is the origin).
   /// Multicasts SEND and processes the local copy immediately (own ECHO).
@@ -95,9 +142,14 @@ class BasicBrachaHub {
   /// party — even after the owning protocol has output — or laggards lose
   /// the echoes/readies totality depends on.
   bool handle(net::Context& ctx, ProcessId from, BytesView payload);
+  /// The same for a message the owner has already decoded.
+  void handle(net::Context& ctx, ProcessId from, const Msg& m);
 
-  /// Number of (instance, origin) slots with state (diagnostics).
-  [[nodiscard]] std::size_t live_slots() const { return slots_.size(); }
+  /// Number of (instance, origin) slots allocated: n per instance that has
+  /// state (diagnostics).
+  [[nodiscard]] std::size_t live_slots() const {
+    return blocks_.size() * params_.n;
+  }
 
  private:
   /// Distinct values voted for, each with its vote count.
@@ -118,34 +170,39 @@ class BasicBrachaHub {
   /// value) without bound at every honest party.  With it each tally holds
   /// at most n entries and a slot's state is bounded by n voters.
   struct Slot {
-    explicit Slot(std::size_t words) : voters(2 * words, 0) {}
     bool echoed = false;
     bool ready_sent = false;
     bool delivered = false;
     Tally echoes;
     Tally readies;
-    /// Voter bitmaps, n bits each: ECHO voters in the first half of the
-    /// words, READY voters in the second.
+    /// Voter bitmaps, n bits each, in the block's bitmap array: ECHO voters
+    /// in the first `words_` words, READY voters in the next `words_`.
+    std::uint64_t* voters = nullptr;
+  };
+
+  /// The n slots of one instance and their voter bitmaps.
+  struct Block {
+    std::vector<Slot> slots;
     std::vector<std::uint64_t> voters;
   };
 
-  /// (instance << 32) | origin.
-  using Key = std::uint64_t;
-
-  Slot& slot(Key key);
-  void add_echo(net::Context& ctx, Key key, Slot& s, ProcessId voter,
-                const Value& value);
-  void add_ready(net::Context& ctx, Key key, Slot& s, ProcessId voter,
-                 const Value& value);
-  void send_echo(net::Context& ctx, Key key, Slot& s, const Value& value);
-  void send_ready(net::Context& ctx, Key key, Slot& s, const Value& value);
+  Slot& slot(std::uint32_t instance, ProcessId origin);
+  void add_echo(net::Context& ctx, std::uint32_t instance, ProcessId origin,
+                Slot& s, ProcessId voter, const Value& value);
+  void add_ready(net::Context& ctx, std::uint32_t instance, ProcessId origin,
+                 Slot& s, ProcessId voter, const Value& value);
+  void send_echo(net::Context& ctx, std::uint32_t instance, ProcessId origin,
+                 Slot& s, const Value& value);
+  void send_ready(net::Context& ctx, std::uint32_t instance, ProcessId origin,
+                  Slot& s, const Value& value);
 
   SystemParams params_;
   DeliverFn deliver_;
   std::size_t words_;  // 64-bit words per voter bitmap
-  /// Node-based, so a Slot& stays valid while the delivery callback
-  /// broadcasts (and so inserts) reentrantly.
-  std::unordered_map<Key, Slot> slots_;
+  /// Node-based, so a Block (and its Slots) never moves.
+  std::unordered_map<std::uint32_t, Block> blocks_;
+  std::uint32_t last_instance_ = 0;
+  Block* last_block_ = nullptr;  // blocks_[last_instance_], or null
 };
 
 /// Scalar hub: the transport of the AAD'04 witness protocol.

@@ -41,7 +41,8 @@ class Scheduler {
   virtual void on_deliver(const net::Message& m) { (void)m; }
 };
 
-/// Clamp helper shared by implementations: keeps delays legal.
+/// Clamp helper shared by implementations: keeps delays legal, in
+/// [1e-9, 1]; NaN maps to Delta = 1.
 double clamp_delay(double d);
 
 }  // namespace apxa::sched

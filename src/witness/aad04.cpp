@@ -43,7 +43,7 @@ void WitnessAaProcess::on_message(net::Context& ctx, ProcessId from, BytesView p
   if (const auto rb = core::decode_rb(payload)) {
     // Keep serving the reliable-broadcast layer even after outputting:
     // laggards' RB instances need our echoes/readies for totality.
-    if (rb->instance < cfg_.iterations) hub_.handle(ctx, from, payload);
+    if (rb->instance < cfg_.iterations) hub_.handle(ctx, from, *rb);
     return;
   }
   if (finished_) return;

@@ -145,6 +145,12 @@ TEST(AllocFree, EncodersAllocateOnce) {
   const RbVecMsg vec{MsgType::kRbVecEcho, 5, 200, {1.0, 2.0, 3.0}};
   EXPECT_EQ(allocations([&] { out = encode_rb_vec(vec); }), 1u);
   EXPECT_EQ(out.size(), out.capacity());
+  net::Payload shared;
+  EXPECT_EQ(allocations([&] {
+              shared = rb_payload(RbMsg{MsgType::kRbReady, 300, 15, 0.5});
+            }),
+            1u);
+  EXPECT_EQ(allocations([&] { shared = rb_vec_payload(vec); }), 1u);
   const std::vector<double> point{1.0, -1.0};
   EXPECT_EQ(allocations([&] { out = encode_vec_round(129, point); }), 1u);
   EXPECT_EQ(out.size(), out.capacity());

@@ -325,6 +325,53 @@ TEST(Bracha, OutOfRangeOriginDiscardedNotFatal) {
   EXPECT_EQ(deliveries, 0);
 }
 
+TEST(Bracha, ForgedHugeInstanceCostsOneBlock) {
+  // Slots live in one block of n per instance, created on first use: an
+  // instance number near 2^32 must cost one block, not state proportional
+  // to the number.
+  const SystemParams p{4, 1};
+  CountingContext ctx(p);
+  BrachaHub hub(p, [](net::Context&, std::uint32_t, ProcessId, const double&) {});
+  const std::uint32_t huge = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_TRUE(hub.handle(
+      ctx, 1, core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, huge, 2, 1.0})));
+  EXPECT_EQ(hub.live_slots(), p.n);
+  EXPECT_TRUE(hub.handle(
+      ctx, 3, core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, huge, 1, 1.0})));
+  EXPECT_EQ(hub.live_slots(), p.n);
+  EXPECT_TRUE(hub.handle(
+      ctx, 3, core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, 0, 1, 1.0})));
+  EXPECT_EQ(hub.live_slots(), 2 * p.n);
+}
+
+TEST(Bracha, SlotSurvivesReentrantBroadcasts) {
+  // The delivery callback can run inside a nested add_ready (the hub's own
+  // READY), and the outer add_ready reads its slot again after it returns.  Broadcasting under many fresh instances
+  // from the callback creates blocks (and grows the block map) meanwhile;
+  // the slot must stay put and deliver exactly once.
+  const SystemParams p{4, 1};
+  CountingContext ctx(p);
+  int deliveries = 0;
+  BrachaHub* self = nullptr;
+  BrachaHub hub(p, [&](net::Context& c, std::uint32_t inst, ProcessId,
+                       const double&) {
+    ++deliveries;
+    if (inst != 0) return;
+    for (std::uint32_t i = 1; i <= 200; ++i) self->broadcast(c, i, 0.5);
+  });
+  self = &hub;
+  // READYs from 1 and 3 reach t + 1 = 2: the hub joins with its own READY,
+  // which is the 2t + 1 = 3rd and delivers inside the outer add_ready.
+  hub.handle(ctx, 2, scalar_vote(core::MsgType::kRbSend, 7.0));
+  hub.handle(ctx, 1, scalar_vote(core::MsgType::kRbReady, 7.0));
+  hub.handle(ctx, 3, scalar_vote(core::MsgType::kRbReady, 7.0));
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(hub.live_slots(), 201 * p.n);
+  // A late READY for the delivered slot changes nothing.
+  hub.handle(ctx, 2, scalar_vote(core::MsgType::kRbReady, 7.0));
+  EXPECT_EQ(deliveries, 1);
+}
+
 TEST(Bracha, RequiresNGreaterThan3T) {
   const SystemParams bad{6, 2};
   EXPECT_THROW(BrachaHub(bad, [](net::Context&, std::uint32_t, ProcessId, double) {}),

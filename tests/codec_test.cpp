@@ -45,6 +45,28 @@ TEST(Codec, RbMsgRoundTrip) {
   }
 }
 
+TEST(Codec, PayloadEncodersWriteTheSameBytes) {
+  // The *_payload encoders write into a shared transport buffer; their bytes
+  // must equal the Bytes encoders' (multicasts and unicasts mix on the wire).
+  auto same = [](const net::Payload& p, const Bytes& b) {
+    const BytesView v = p.view();
+    return std::equal(v.begin(), v.end(), b.begin(), b.end());
+  };
+  for (MsgType t : {MsgType::kRbSend, MsgType::kRbEcho, MsgType::kRbReady}) {
+    const RbMsg m{t, 300, 15, -0.75};
+    EXPECT_TRUE(same(rb_payload(m), encode_rb(m)));
+  }
+  for (MsgType t :
+       {MsgType::kRbVecSend, MsgType::kRbVecEcho, MsgType::kRbVecReady}) {
+    const RbVecMsg m{t, 200, 130, {1.5, -2.0, 0.25}};
+    EXPECT_TRUE(same(rb_vec_payload(m), encode_rb_vec(m)));
+  }
+  const RoundMsg r{129, 0.5, 7};
+  EXPECT_TRUE(same(round_payload(r), encode_round(r)));
+  const DoneMsg d{129, 0.5};
+  EXPECT_TRUE(same(done_payload(d), encode_done(d)));
+}
+
 TEST(Codec, ReportMsgRoundTrip) {
   ReportMsg m;
   m.iter = 3;

@@ -2,6 +2,8 @@
 // behavior of the greedy split-brain adversary.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/codec.hpp"
 #include "sched/clique_scheduler.hpp"
 #include "sched/crash_timing_scheduler.hpp"
@@ -24,6 +26,17 @@ TEST(ClampDelay, KeepsDelaysLegal) {
   EXPECT_EQ(clamp_delay(5.0), 1.0);
   EXPECT_EQ(clamp_delay(-1.0), 1e-9);
   EXPECT_EQ(clamp_delay(0.25), 0.25);
+  EXPECT_EQ(clamp_delay(0.0), 1e-9);
+  EXPECT_EQ(clamp_delay(1.0), 1.0);
+  EXPECT_EQ(clamp_delay(std::numeric_limits<double>::infinity()), 1.0);
+  EXPECT_EQ(clamp_delay(-std::numeric_limits<double>::infinity()), 1e-9);
+}
+
+TEST(ClampDelay, NanBecomesDelta) {
+  // std::clamp passes NaN through; a NaN delay would leave (0, Delta] and
+  // break the simulator's (time, seq) event order.
+  EXPECT_EQ(clamp_delay(std::numeric_limits<double>::quiet_NaN()), 1.0);
+  EXPECT_EQ(clamp_delay(-std::numeric_limits<double>::quiet_NaN()), 1.0);
 }
 
 TEST(RandomScheduler, DelaysInUnitInterval) {

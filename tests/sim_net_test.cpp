@@ -2,10 +2,14 @@
 // metrics accounting, liveness guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "exec/sim_backend.hpp"
 #include "harness/build.hpp"
 #include "net/envelope.hpp"
@@ -210,6 +214,107 @@ TEST(SimNetwork, PayloadBytesAccounted) {
   // 6 messages of 1 byte each.
   EXPECT_EQ(net.metrics().payload_bytes, 6u);
   EXPECT_EQ(net.metrics().payload_bits(), 48u);
+}
+
+// --- event order --------------------------------------------------------------
+
+/// Scheduler for the event-order test.  Its delays mix heavy ties (a
+/// constant 0.5, and 0 or negative delays that clamp to the 1e-9 floor)
+/// with uniform random ones.  It replays the simulator's key of every event
+/// it schedules: the k-th delay() call is the event with seq k, duplicates
+/// included, due at send time + clamp_delay(delay).  On each delivery it
+/// requires the simulator's clock to equal the due time of the earliest
+/// pending copy of that message (a duplicate shares its message's seq) and
+/// the (time, seq) keys to rise strictly.
+class OrderCheckingScheduler final : public sched::Scheduler {
+ public:
+  using Key = std::pair<double, std::uint64_t>;
+
+  explicit OrderCheckingScheduler(std::uint64_t seed) : rng_(seed) {}
+
+  double delay(const Message& m) override {
+    double d = 0.5;
+    switch (rng_.next_below(4)) {
+      case 0: break;
+      case 1: d = 0.0; break;
+      case 2: d = -2.0; break;
+      default: d = rng_.next_double(); break;
+    }
+    copies_[m.seq].push_back({m.send_time + sched::clamp_delay(d), scheduled_++});
+    max_in_flight_ = std::max(max_in_flight_, scheduled_ - delivered_);
+    return d;
+  }
+
+  void on_deliver(const Message& m) override {
+    auto& copies = copies_[m.seq];
+    ASSERT_FALSE(copies.empty()) << "delivery of an unscheduled copy";
+    const auto first = std::min_element(copies.begin(), copies.end());
+    const Key key = *first;
+    copies.erase(first);
+    EXPECT_EQ(net->now(), key.first);
+    if (delivered_ > 0) {
+      EXPECT_LT(last_, key);
+    }
+    last_ = key;
+    ++delivered_;
+  }
+
+  const SimNetwork* net = nullptr;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t max_in_flight_ = 0;
+
+ private:
+  Rng rng_;
+  std::map<std::uint64_t, std::vector<Key>> copies_;  // message seq -> due keys
+  Key last_{};
+};
+
+/// Starts `tokens` tokens and forwards every token it receives, one hop
+/// budget less, to a receiver chosen by the budget left.
+class TokenRelay final : public Process {
+ public:
+  TokenRelay(std::uint32_t tokens, std::uint32_t hops) : tokens_(tokens), hops_(hops) {}
+
+  void on_start(Context& ctx) override {
+    for (std::uint32_t i = 0; i < tokens_; ++i) forward(ctx, hops_, i);
+  }
+
+  void on_message(Context& ctx, ProcessId, BytesView payload) override {
+    ByteReader r(payload);
+    r.get_u8();
+    const auto left = static_cast<std::uint32_t>(r.get_varint());
+    if (left > 0) forward(ctx, left - 1, left);
+  }
+
+ private:
+  static void forward(Context& ctx, std::uint32_t left, std::uint32_t salt) {
+    const auto n = ctx.params().n;
+    ByteWriter w(1 + varint_size(left));
+    w.put_u8(0xF0);
+    w.put_varint(left);
+    ctx.send((ctx.self() + 1 + salt % (n - 1)) % n, std::move(w).take());
+  }
+
+  std::uint32_t tokens_;
+  std::uint32_t hops_;
+};
+
+TEST(SimEventOrder, DeliversInStrictlyIncreasingTimeSeqOrder) {
+  const SystemParams p{8, 2};
+  auto sched_owner = std::make_unique<OrderCheckingScheduler>(5);
+  OrderCheckingScheduler& sched = *sched_owner;
+  SimNetwork net(p, std::move(sched_owner));
+  sched.net = &net;
+  for (ProcessId q = 0; q < p.n; ++q) {
+    net.add_process(std::make_unique<TokenRelay>(/*tokens=*/640, /*hops=*/4));
+  }
+  net.enable_duplication(0.25, 9);
+  net.start();
+  EXPECT_EQ(net.run(), RunStatus::kQueueDrained);
+  EXPECT_EQ(sched.delivered_, sched.scheduled_);
+  EXPECT_GE(sched.max_in_flight_, 4096u);
+  EXPECT_GT(net.metrics().messages_delivered, net.metrics().messages_sent);
 }
 
 // --- send batching & logical-message accounting ------------------------------

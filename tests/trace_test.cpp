@@ -490,10 +490,11 @@ VectorRunConfig vector_replay_cfg(ProtocolKind kind, SchedKind sched) {
 }
 
 /// `instances` crash-round instances (n = 5, t = 1) behind one batched,
-/// multiplexed session with a crash budget of 30 logical sends, traced into
-/// `trace` (may be null).
+/// multiplexed session with a crash budget of 30 logical sends, under
+/// `sched`, traced into `trace` (may be null).
 SessionReport batched_crash_session(obs::TraceSink* trace,
-                                    std::size_t instances = 6) {
+                                    std::size_t instances = 6,
+                                    SchedKind sched = SchedKind::kRandom) {
   std::vector<RunConfig> cfgs;
   for (std::uint64_t k = 0; k < instances; ++k) {
     const SystemParams p{5, 1};
@@ -503,7 +504,7 @@ SessionReport batched_crash_session(obs::TraceSink* trace,
     cfg.fixed_rounds = 4 + (k % 3);
     cfg.epsilon = 1e-2;
     cfg.inputs = linear_inputs(p.n, 0.0, 1.0 + 0.25 * static_cast<double>(k));
-    cfg.sched = SchedKind::kRandom;
+    cfg.sched = sched;
     cfg.seed = 41;
     cfgs.push_back(cfg);
   }
@@ -730,6 +731,46 @@ TEST(TraceReplay, UpcallEventsPrecedeTheFlushedBatch) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// Golden protocol digests, recorded before the simulator's event heap and
+// the Bracha hub's slot storage were rewritten.  Any change to the order in
+// which the simulator delivers events, or to what a party sends in
+// response, changes them.  Update them only for a change that is meant to
+// move simulated runs, and say so.
+TEST(TraceGolden, WitnessN16EquivocatorsDigest) {
+  RunConfig cfg;
+  cfg.params = {16, 5};
+  cfg.protocol = ProtocolKind::kWitness;
+  cfg.sched = SchedKind::kRandom;
+  cfg.fixed_rounds = 2;
+  cfg.epsilon = 0.5;
+  cfg.seed = 23;
+  cfg.inputs = linear_inputs(cfg.params.n, 0.0, 1.0);
+  for (const ProcessId who : {1u, 4u, 7u, 10u, 13u}) {
+    adversary::ByzSpec b;
+    b.who = who;
+    b.kind = adversary::ByzKind::kEquivocate;
+    b.lo = -5.0;
+    b.hi = 5.0;
+    cfg.byz.push_back(b);
+  }
+  obs::TraceSink trace(std::size_t{1} << 18);
+  cfg.trace = &trace;
+  const RunReport rep = run(cfg);
+  ASSERT_EQ(trace.dropped(), 0u);
+  EXPECT_TRUE(rep.all_output);
+  EXPECT_EQ(obs::protocol_digest(obs::protocol_events(trace.snapshot())),
+            0x50dff5b5f4813d37ull);
+}
+
+TEST(TraceGolden, FifoCrashSessionDigest) {
+  obs::TraceSink trace(std::size_t{1} << 16);
+  const SessionReport rep = batched_crash_session(&trace, 6, SchedKind::kFifo);
+  ASSERT_EQ(trace.dropped(), 0u);
+  EXPECT_TRUE(rep.all_output);
+  EXPECT_EQ(obs::protocol_digest(obs::protocol_events(trace.snapshot())),
+            0xbdfdde633455a09full);
 }
 
 TEST(TraceReplay, SimReportsOneWorker) {
