@@ -2,8 +2,9 @@
 //
 // Raw costs of the building blocks: averaging rules, codec, simulator event
 // loop and its per-message dispatch, the transport send path (net::Outbox),
-// reliable broadcast (end to end and the Bracha hub alone), the safe-area
-// geometry of convex-valid vector AA, and the analytic worst-case search.
+// the socket backend's perfect link (netio::PeerLink), reliable broadcast
+// (end to end and the Bracha hub alone), the safe-area geometry of
+// convex-valid vector AA, and the analytic worst-case search.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -22,6 +23,7 @@
 #include "net/envelope.hpp"
 #include "net/outbox.hpp"
 #include "net/sim.hpp"
+#include "netio/link.hpp"
 #include "obs/trace.hpp"
 #include "rb/bracha.hpp"
 #include "runtime/thread_net.hpp"
@@ -230,6 +232,37 @@ void BM_OutboxMulticast(benchmark::State& state) {
 BENCHMARK(BM_OutboxMulticast)
     ->ArgNames({"n", "cap"})
     ->ArgsProduct({{4, 16, 64}, {0, 8}});
+
+void BM_PeerLinkRoundTrip(benchmark::State& state) {
+  // The socket backend's perfect link without the socket: frame a packet as
+  // DATA, receive and dedup it, ack it back (an RTT sample for the sender's
+  // retransmit timeout) and run the sender's retransmit scan.  Time enters
+  // as an explicit clock stepping 100 us per frame, about a loopback RTT.
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const Bytes packet(bytes, std::byte{0x5a});
+  netio::PeerLink sender, receiver;
+  std::vector<netio::Delivered> got;
+  std::vector<Bytes> resends;
+  auto now = netio::PeerLink::TimePoint{} + std::chrono::hours(1);
+  std::uint64_t frames = 0;
+  for (auto _ : state) {
+    const Bytes dgram = sender.make_data(packet, now);
+    now += std::chrono::microseconds(100);
+    got.clear();
+    receiver.on_datagram(dgram, now, got);
+    const auto ack = receiver.take_ack_frame();
+    sender.on_datagram(*ack, now, got);
+    sender.collect_retransmits(now, resends);
+    benchmark::DoNotOptimize(got.data());
+    benchmark::DoNotOptimize(resends.data());
+    ++frames;
+  }
+  state.counters["ns_per_frame"] = benchmark::Counter(
+      static_cast<double>(frames) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(frames));
+}
+BENCHMARK(BM_PeerLinkRoundTrip)->ArgName("bytes")->Arg(32)->Arg(512);
 
 /// Test double for the hub benches: counts outgoing messages, sends
 /// nothing anywhere.

@@ -6,6 +6,7 @@
 #include "common/ensure.hpp"
 #include "core/codec.hpp"
 #include "core/multidim.hpp"
+#include "geom/geom.hpp"
 
 namespace apxa::core {
 
@@ -78,8 +79,12 @@ class QuorumCollector final : public Collector {
   void add_remote(ProcessId from, Round r, std::vector<double> v) {
     if (r < round_) return;       // settled round: the view is gone
     if (r >= max_rounds_) return; // beyond the budget: byzantine garbage
+    if (v.size() != dim_ || !geom::all_finite(v)) {
+      ++malformed_;
+      return;
+    }
     Slot& s = slots_[r];
-    if (s.frozen || v.size() != dim_) return;
+    if (s.frozen) return;
     // One point per sender per round: sender-authenticated channels cap the
     // byzantine mass of any frozen view at t entries, which is precisely
     // what the safe-area rule tolerates.
@@ -197,11 +202,14 @@ class EqualizedCollector final : public Collector {
 
   void on_deliver(net::Context& ctx, std::uint32_t instance, ProcessId origin,
                   const std::vector<double>& value) {
-    // Wrong-dimension points are discarded at every honest party alike (RB
-    // agreement makes the delivered bytes identical), so reports stay
-    // consistent: an origin discarded here is never listed by an honest
-    // reporter either.
-    if (value.size() != dim_) return;
+    // Malformed points (wrong dimension, non-finite coordinates) are
+    // discarded at every honest party alike (RB agreement makes the
+    // delivered bytes identical), so reports stay consistent: an origin
+    // discarded here is never listed by an honest reporter either.
+    if (value.size() != dim_ || !geom::all_finite(value)) {
+      ++malformed_;
+      return;
+    }
     rounds_[instance].delivered.emplace(origin, value);
     recheck(ctx);
   }

@@ -102,10 +102,19 @@ class Collector {
   /// True for the equalized engine: laggards' RB instances need this party's
   /// echoes/readies for totality (same obligation as witness/aad04.hpp).
   [[nodiscard]] virtual bool serve_when_done() const = 0;
+
+  /// Remote points discarded as malformed: the wrong dimension or a NaN or
+  /// infinite coordinate (no correct party sends one, and one admitted into
+  /// a view would poison every average it enters).
+  [[nodiscard]] std::uint64_t malformed() const { return malformed_; }
+
+ protected:
+  std::uint64_t malformed_ = 0;
 };
 
 /// Build a collect engine.  `dim` is the expected point dimension (entries
-/// of other sizes are discarded as malformed); `on_view` must be non-null.
+/// of other sizes, or with a non-finite coordinate, are discarded as
+/// malformed); `on_view` must be non-null.
 /// `max_rounds` is the owner's round budget: traffic tagged with a round or
 /// instance >= max_rounds is dropped outright — no honest party ever emits
 /// it, and without the bound a byzantine peer could grow per-round state

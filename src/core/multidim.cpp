@@ -74,7 +74,7 @@ void VectorAaProcess::add_own(Round r, const std::vector<double>& v) {
 
 void VectorAaProcess::add_remote(ProcessId from, Round r, std::vector<double> v) {
   Slot& s = slot(r);
-  if (s.frozen || v.size() != cfg_.dim) return;
+  if (s.frozen || v.size() != cfg_.dim || !geom::all_finite(v)) return;
   if (std::find(s.contributors.begin(), s.contributors.end(), from) !=
       s.contributors.end()) {
     return;

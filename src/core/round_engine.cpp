@@ -1,6 +1,7 @@
 #include "core/round_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/ensure.hpp"
 
@@ -66,6 +67,10 @@ void RoundCollector::add_own(Round r, double value) {
 
 void RoundCollector::add_remote(ProcessId from, Round r, double value) {
   APXA_ENSURE(from < params_.n, "sender out of range");
+  if (!std::isfinite(value)) {
+    ++malformed_;
+    return;
+  }
   if (!accepts(r)) return;
   const std::size_t i = slot(r);
   SlotState& s = state_[i];

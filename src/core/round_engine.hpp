@@ -8,7 +8,9 @@
 // buffered: an asynchronous run lets fast parties race ahead of slow ones.
 //
 // Duplicate round-r values from the same sender are dropped (only byzantine
-// parties produce them; taking the first is the standard convention).
+// parties produce them; taking the first is the standard convention), and so
+// are non-finite values: a NaN or infinity admitted into a view would poison
+// every average it enters, and no correct party ever sends one.
 //
 // Storage is a power-of-two ring of round slots over two flat arrays (values
 // and contributors, `quorum` wide per slot), indexed by round modulo the ring
@@ -41,7 +43,7 @@ class RoundCollector {
 
   /// Record a round-r value received from another party.  Values arriving
   /// after the round's view froze are dropped, as are duplicates and rounds
-  /// outside the bound.
+  /// outside the bound; non-finite values are dropped and counted.
   void add_remote(ProcessId from, Round r, double value);
 
   /// Whether round r's view is complete (own value present and quorum met).
@@ -60,6 +62,8 @@ class RoundCollector {
   void forget_before(Round r);
 
   [[nodiscard]] SystemParams params() const { return params_; }
+  /// Non-finite remote values dropped so far.
+  [[nodiscard]] std::uint64_t malformed() const { return malformed_; }
 
  private:
   struct SlotState {
@@ -86,6 +90,7 @@ class RoundCollector {
   std::vector<SlotState> state_;   // [slot]
   std::vector<double> values_;     // [slot * quorum + i]
   std::vector<ProcessId> from_;    // parallel to values_; kNoProcess = self
+  std::uint64_t malformed_ = 0;
 };
 
 }  // namespace apxa::core

@@ -11,9 +11,15 @@ namespace apxa::geom {
 bool Box::contains(std::span<const double> v, double slack) const {
   APXA_ENSURE(v.size() == lo.size(), "box/point dimension mismatch");
   for (std::size_t c = 0; c < v.size(); ++c) {
-    if (v[c] < lo[c] - slack || v[c] > hi[c] + slack) return false;
+    // Negated so that a NaN coordinate, which compares false, is outside.
+    if (!(v[c] >= lo[c] - slack && v[c] <= hi[c] + slack)) return false;
   }
   return true;
+}
+
+bool all_finite(std::span<const double> v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double x) { return std::isfinite(x); });
 }
 
 double Box::max_side() const {

@@ -45,13 +45,17 @@ struct Box {
     return static_cast<std::uint32_t>(lo.size());
   }
 
-  /// True when every coordinate of `v` lies in [lo_c - slack, hi_c + slack].
+  /// True when every coordinate of `v` lies in [lo_c - slack, hi_c + slack]
+  /// (a NaN coordinate lies nowhere).
   [[nodiscard]] bool contains(std::span<const double> v,
                               double slack = 1e-9) const;
 
   /// Length of the longest side — the L-infinity diameter of the box.
   [[nodiscard]] double max_side() const;
 };
+
+/// True when no coordinate of `v` is NaN or infinite.
+[[nodiscard]] bool all_finite(std::span<const double> v);
 
 /// Bounding box of a non-empty set of equal-dimension points.
 Box box_hull(std::span<const std::vector<double>> points);

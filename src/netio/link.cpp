@@ -8,6 +8,11 @@ namespace apxa::netio {
 
 namespace {
 
+// Lowest retransmit timeout the RTT estimate may set.  Loopback round trips
+// take ~100 us; the floor keeps a run of unusually fast samples from firing
+// retransmits at a receiver that merely has not been scheduled yet.
+constexpr std::chrono::microseconds kRtoFloor{50};
+
 std::uint64_t micros_since_epoch(PeerLink::TimePoint tp) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -47,19 +52,20 @@ PeerLink::PeerLink(LinkConfig cfg) : cfg_(cfg) {
 
 Bytes PeerLink::encode_data(std::uint64_t seq, BytesView payload,
                             TimePoint now) {
-  ByteWriter w;
+  const std::size_t n_acks =
+      std::min<std::size_t>(pending_acks_.size(), cfg_.max_acks_per_frame);
+  // Tag, three varints of at most 10 bytes each, the acks, the payload.
+  ByteWriter w(1 + 10 * (3 + n_acks) + payload.size());
   w.put_u8(kDataTag);
   w.put_varint(seq);
   w.put_varint(micros_since_epoch(now));
-  const std::size_t n_acks =
-      std::min<std::size_t>(pending_acks_.size(), cfg_.max_acks_per_frame);
   w.put_varint(n_acks);
   for (std::size_t i = 0; i < n_acks; ++i) w.put_varint(pending_acks_[i]);
   pending_acks_.erase(
       pending_acks_.begin(),
       pending_acks_.begin() + static_cast<std::ptrdiff_t>(n_acks));
   stats_.acks_sent += n_acks;
-  for (const std::byte b : payload) w.put_u8(static_cast<std::uint8_t>(b));
+  w.put_bytes(payload);
   return std::move(w).take();
 }
 
@@ -73,8 +79,7 @@ Bytes PeerLink::make_data(BytesView payload, TimePoint now) {
   const std::uint64_t seq = next_seq_++;
   InFlight f;
   f.payload.assign(payload.begin(), payload.end());
-  f.deadline = now + cfg_.rto_initial;
-  f.rto = cfg_.rto_initial;
+  f.sent = now;
   Bytes dgram = encode_data(seq, payload, now);
   unacked_.emplace_back(seq, std::move(f));
   note_unacked_peak();
@@ -82,12 +87,50 @@ Bytes PeerLink::make_data(BytesView payload, TimePoint now) {
   return dgram;
 }
 
-void PeerLink::ack_one(std::uint64_t seq) {
+void PeerLink::ack_one(std::uint64_t seq, TimePoint now) {
   ++stats_.acks_received;
   const auto it =
       std::find_if(unacked_.begin(), unacked_.end(),
                    [seq](const auto& e) { return e.first == seq; });
-  if (it != unacked_.end()) unacked_.erase(it);
+  if (it == unacked_.end()) return;
+  // Karn's rule: only a frame sent once says which transmission was acked.
+  if (it->second.resent == 0 && now >= it->second.sent) {
+    sample_rtt(now - it->second.sent);
+  }
+  unacked_.erase(it);
+}
+
+void PeerLink::sample_rtt(Clock::duration rtt) {
+  // RFC 6298 section 2: the first sample seeds SRTT and RTTVAR, later ones
+  // are folded in with gains 1/8 and 1/4.
+  if (!rtt_sampled_) {
+    rtt_sampled_ = true;
+    srtt_ = rtt;
+    rttvar_ = rtt / 2;
+    return;
+  }
+  const Clock::duration err = srtt_ > rtt ? srtt_ - rtt : rtt - srtt_;
+  rttvar_ = (3 * rttvar_ + err) / 4;
+  srtt_ = (7 * srtt_ + rtt) / 8;
+}
+
+std::optional<PeerLink::Clock::duration> PeerLink::srtt() const {
+  if (!rtt_sampled_) return std::nullopt;
+  return srtt_;
+}
+
+std::optional<PeerLink::Clock::duration> PeerLink::rttvar() const {
+  if (!rtt_sampled_) return std::nullopt;
+  return rttvar_;
+}
+
+PeerLink::TimePoint PeerLink::deadline(const InFlight& f) const {
+  const Clock::duration cap = cfg_.rto_max;
+  Clock::duration rto =
+      rtt_sampled_ ? std::max<Clock::duration>(kRtoFloor, 2 * srtt_)
+                   : Clock::duration(cfg_.rto_initial);
+  for (unsigned i = 0; i < f.resent && rto < cap; ++i) rto *= 2;
+  return f.sent + std::min(rto, cap);
 }
 
 void PeerLink::on_datagram(BytesView dgram, TimePoint now,
@@ -109,8 +152,8 @@ void PeerLink::on_datagram(BytesView dgram, TimePoint now,
     }
     return true;
   };
-  const auto apply_acks = [this, &acks] {
-    for (std::uint64_t seq : acks) ack_one(seq);
+  const auto apply_acks = [this, &acks, now] {
+    for (std::uint64_t seq : acks) ack_one(seq, now);
   };
   std::uint8_t tag = 0;
   if (!rd.get_u8(tag)) {
@@ -170,9 +213,9 @@ void PeerLink::on_datagram(BytesView dgram, TimePoint now,
 
 void PeerLink::collect_retransmits(TimePoint now, std::vector<Bytes>& out) {
   for (auto& [seq, f] : unacked_) {
-    if (f.deadline > now) continue;
-    f.rto = std::min(f.rto * 2, cfg_.rto_max);
-    f.deadline = now + f.rto;
+    if (deadline(f) > now) continue;
+    f.sent = now;
+    ++f.resent;
     ++stats_.retransmits;
     out.push_back(encode_data(seq, f.payload, now));
   }
@@ -196,7 +239,7 @@ std::optional<Bytes> PeerLink::take_ack_frame() {
 PeerLink::TimePoint PeerLink::next_deadline() const {
   TimePoint earliest = TimePoint::max();
   for (const auto& [seq, f] : unacked_) {
-    earliest = std::min(earliest, f.deadline);
+    earliest = std::min(earliest, deadline(f));
   }
   return earliest;
 }

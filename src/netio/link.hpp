@@ -20,6 +20,17 @@
 //
 // Acks piggyback on DATA frames going the other way and are also flushed as
 // pure ACK datagrams, so one-directional traffic still gets acknowledged.
+//
+// The retransmit timeout follows the link's measured round-trip time.  Each
+// ack of a frame that was never retransmitted yields one RTT sample (Karn's
+// rule: the ack of a resent frame cannot tell which copy it answers); the
+// samples feed the SRTT/RTTVAR estimator of RFC 6298, and the timeout is
+// max(floor, 2 * SRTT), the probe timeout of RFC 8985 (floor in link.cpp).
+// Until the first sample it is LinkConfig::rto_initial.  A frame's deadline
+// is its last send time plus that timeout doubled per retransmission, capped
+// at rto_max, and is always computed from the CURRENT estimate, so frames
+// queued before the first sample speed up as soon as it arrives.
+//
 // The resend queue is bounded (LinkConfig::max_unacked); when it fills, the
 // caller must pump its socket for acks before sending more — backpressure,
 // not silent dropping.
@@ -58,11 +69,12 @@ inline constexpr std::uint8_t kAckTag = 0xA2;
 inline constexpr std::uint32_t kMaxAcksDecode = 1024;
 
 struct LinkConfig {
-  /// First-retransmit timeout.  Loopback RTT is tens of microseconds, so a
-  /// couple of milliseconds keeps retransmits rare at 0% loss while still
-  /// recovering quickly under injected loss.
+  /// Retransmit timeout until the link's first RTT sample; afterwards the
+  /// timeout tracks the measured RTT (header comment).  Conservative on
+  /// purpose: it only covers the first round trip of a link.
   std::chrono::microseconds rto_initial{2'000};
-  /// Backoff cap (doubling per attempt stops here).
+  /// Backoff cap: no deadline lies further than this past a frame's last
+  /// send, however many times it was resent.
   std::chrono::microseconds rto_max{64'000};
   /// Bounded resend queue: at most this many unacked DATA frames in flight
   /// per link.  Senders hitting the bound must pump acks (backpressure).
@@ -118,9 +130,9 @@ class PeerLink {
   /// input is counted and ignored.
   void on_datagram(BytesView dgram, TimePoint now, std::vector<Delivered>& out);
 
-  /// Encoded DATA frames whose retransmit deadline has passed (deadline and
-  /// backoff are advanced; stats.retransmits counts each).  Retransmissions
-  /// carry a fresh timestamp and the current pending acks.
+  /// Encoded DATA frames whose retransmit deadline has passed (each one's
+  /// send time and backoff are advanced; stats.retransmits counts each).
+  /// Retransmissions carry a fresh timestamp and the current pending acks.
   void collect_retransmits(TimePoint now, std::vector<Bytes>& out);
 
   /// Pure ACK datagram when acks are pending and no DATA is about to carry
@@ -136,18 +148,26 @@ class PeerLink {
   /// Highest sequence number ever received from the peer (0 = none).
   [[nodiscard]] std::uint64_t last_seq_seen() const { return last_seq_seen_; }
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
+  /// RFC 6298 smoothed RTT and RTT variation; nullopt before the first
+  /// sample.
+  [[nodiscard]] std::optional<Clock::duration> srtt() const;
+  [[nodiscard]] std::optional<Clock::duration> rttvar() const;
 
  private:
   struct InFlight {
-    Bytes payload;             // the transport packet (not the DATA framing)
-    TimePoint deadline;
-    std::chrono::microseconds rto;
+    Bytes payload;       // the transport packet (not the DATA framing)
+    TimePoint sent;      // last transmission
+    unsigned resent = 0; // retransmissions so far; 0 = ack is an RTT sample
   };
 
   Bytes encode_data(std::uint64_t seq, BytesView payload, TimePoint now);
   void note_unacked_peak();
-  /// Remove `seq` from the resend queue (ack consumption).
-  void ack_one(std::uint64_t seq);
+  /// Remove `seq` from the resend queue (ack consumption), sampling the RTT
+  /// if the frame was sent only once.
+  void ack_one(std::uint64_t seq, TimePoint now);
+  void sample_rtt(Clock::duration rtt);
+  /// Retransmit deadline of `f` under the current RTT estimate.
+  [[nodiscard]] TimePoint deadline(const InFlight& f) const;
 
   LinkConfig cfg_;
   LinkStats stats_;
@@ -155,6 +175,9 @@ class PeerLink {
   // Sender side (self -> peer).
   std::uint64_t next_seq_ = 1;
   std::vector<std::pair<std::uint64_t, InFlight>> unacked_;  // seq-ordered
+  bool rtt_sampled_ = false;
+  Clock::duration srtt_{0};
+  Clock::duration rttvar_{0};
 
   // Receiver side (peer -> self).  Everything below `contiguous_` (exclusive
   // upper frontier: all seqs in [1, contiguous_] received) is a duplicate;

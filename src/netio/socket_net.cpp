@@ -171,15 +171,15 @@ void SocketNetwork::pump_socket(ProcessId p, std::uint32_t wait_us) {
   Party& me = parties_[p];
   if (wait_us > 0) me.sock.wait_readable(wait_us);
   netio::UdpAddress src_addr;
-  std::vector<netio::Delivered> got;
-  while (auto dgram = me.sock.recv_from(src_addr)) {
+  while (const auto size = me.sock.recv_into(me.rx, src_addr)) {
     const auto it = port_to_id_.find(src_addr.port);
     if (it == port_to_id_.end()) continue;  // stray datagram, not a peer
     const ProcessId src = it->second;
     if (src == p) continue;
-    got.clear();
-    me.links[src].on_datagram(*dgram, Clock::now(), got);
-    for (auto& d : got) me.pending.emplace_back(src, std::move(d));
+    me.got.clear();
+    me.links[src].on_datagram(BytesView(me.rx).first(*size), Clock::now(),
+                              me.got);
+    for (auto& d : me.got) me.pending.emplace_back(src, std::move(d));
   }
 }
 
@@ -225,13 +225,12 @@ void SocketNetwork::service_timers(ProcessId p, const std::stop_token& st) {
     me.delayed.pop_front();
     me.sock.send_to(addr_[d.to], d.dgram);
   }
-  std::vector<Bytes> resends;
   for (ProcessId q = 0; q < params_.n; ++q) {
     if (q == p) continue;
     netio::PeerLink& link = me.links[q];
-    resends.clear();
-    link.collect_retransmits(now, resends);
-    for (Bytes& r : resends) {
+    me.resends.clear();
+    link.collect_retransmits(now, me.resends);
+    for (Bytes& r : me.resends) {
       // Physical-only accounting: retransmissions never touch the logical
       // counters (messages_sent, per-tag/round/instance), so msgs_per_packet
       // and message-complexity numbers stay loss-invariant.
@@ -287,7 +286,7 @@ void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
   }
   while (!st.stop_requested()) {
     // Wait until the earliest timer (retransmit deadline or shim release) or
-    // at most 1 ms; incoming datagrams cut the wait short via poll().
+    // at most 1 ms; incoming datagrams cut the wait short via ppoll().
     std::uint32_t wait_us = 1'000;
     const auto now = Clock::now();
     auto earliest = Clock::time_point::max();
@@ -302,10 +301,9 @@ void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
       wait_us = earliest <= now
                     ? 0
                     : static_cast<std::uint32_t>(std::min<std::int64_t>(
-                          1'000,
-                          std::chrono::duration_cast<std::chrono::microseconds>(
-                              earliest - now)
-                              .count()));
+                          1'000, std::chrono::ceil<std::chrono::microseconds>(
+                                     earliest - now)
+                                     .count()));
     }
     pump_socket(p, wait_us);
     drain_pending(p, st);
@@ -347,6 +345,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout) {
     if (party.remote) continue;
     party.sock.bind(base_port_ == 0 ? 0 : static_cast<std::uint16_t>(base_port_ + p));
     party.links.assign(params_.n, netio::PeerLink(link_cfg_));
+    party.rx.resize(netio::kMaxDatagram);
     if (fault_cfg_.enabled()) {
       party.shim = std::make_unique<netio::FaultShim>(fault_cfg_, p);
     }

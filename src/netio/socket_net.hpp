@@ -170,6 +170,10 @@ class SocketNetwork final {
     /// Deliveries decoded while pumping for resend-queue capacity mid-send;
     /// drained by the main loop so protocol upcalls never nest.
     std::deque<std::pair<ProcessId, netio::Delivered>> pending;
+    // Buffers reused by every pump and timer pass (allocated once).
+    Bytes rx;                              // netio::kMaxDatagram bytes
+    std::vector<netio::Delivered> got;     // one datagram's deliveries
+    std::vector<Bytes> resends;            // one link's due retransmits
   };
 
   void party_loop(ProcessId p, std::stop_token st);

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -16,11 +17,6 @@
 namespace apxa::netio {
 
 namespace {
-
-// Largest datagram the backend ever sends: a batch packet caps at 8 frames
-// of bounded protocol messages, far below this.  Oversized receives are
-// truncated by the kernel and then rejected by the total link decoders.
-constexpr std::size_t kMaxDatagram = 64 * 1024;
 
 sockaddr_in loopback_addr(std::uint16_t port) {
   sockaddr_in addr{};
@@ -80,25 +76,27 @@ bool UdpSocket::send_to(const UdpAddress& to, BytesView datagram) {
   return sent == static_cast<ssize_t>(datagram.size());
 }
 
-std::optional<Bytes> UdpSocket::recv_from(UdpAddress& from) {
+std::optional<std::size_t> UdpSocket::recv_into(std::span<std::byte> buf,
+                                                 UdpAddress& from) {
   APXA_ENSURE(fd_ >= 0, "recv on unbound socket");
-  Bytes buf(kMaxDatagram);
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
   const ssize_t got = ::recvfrom(fd_, buf.data(), buf.size(), 0,
                                  reinterpret_cast<sockaddr*>(&addr), &len);
   if (got < 0) return std::nullopt;  // EWOULDBLOCK or transient error
-  buf.resize(static_cast<std::size_t>(got));
   from.port = ntohs(addr.sin_port);
-  return buf;
+  return static_cast<std::size_t>(got);
 }
 
 bool UdpSocket::wait_readable(std::uint32_t timeout_us) {
   APXA_ENSURE(fd_ >= 0, "wait on unbound socket");
   pollfd pfd{fd_, POLLIN, 0};
-  // poll() rounds to milliseconds; sub-millisecond waits still yield the CPU.
-  const int timeout_ms = static_cast<int>(timeout_us / 1000);
-  const int rc = ::poll(&pfd, 1, timeout_ms);
+  // ppoll() takes a timespec: the retransmit timers run at tens of
+  // microseconds, which poll()'s millisecond timeout would round to 0 (a
+  // busy spin).
+  const timespec timeout{static_cast<time_t>(timeout_us / 1'000'000),
+                         static_cast<long>(timeout_us % 1'000'000) * 1'000};
+  const int rc = ::ppoll(&pfd, 1, &timeout, nullptr);
   return rc > 0 && (pfd.revents & POLLIN) != 0;
 }
 

@@ -13,12 +13,20 @@
 // without a network.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "common/bytes.hpp"
 
 namespace apxa::netio {
+
+/// Receive-buffer size that holds any datagram the backend sends: a batch
+/// packet caps at 8 frames of bounded protocol messages, far below this.
+/// Larger datagrams are truncated by the kernel and then rejected by the
+/// total link decoders.
+inline constexpr std::size_t kMaxDatagram = 64 * 1024;
 
 /// Loopback UDP address: 127.0.0.1:port.
 struct UdpAddress {
@@ -47,12 +55,15 @@ class UdpSocket {
   /// retransmission recovers.
   bool send_to(const UdpAddress& to, BytesView datagram);
 
-  /// Non-blocking receive; nullopt when nothing is queued.  `from` receives
-  /// the sender's port.
-  std::optional<Bytes> recv_from(UdpAddress& from);
+  /// Non-blocking receive of one datagram into `buf` (size it kMaxDatagram);
+  /// returns the datagram's length, or nullopt when nothing is queued.
+  /// `from` receives the sender's port.
+  std::optional<std::size_t> recv_into(std::span<std::byte> buf,
+                                       UdpAddress& from);
 
   /// Block until the socket is readable or `timeout_us` elapsed (0 = just
-  /// poll).  Returns true when readable.
+  /// poll), to the microsecond: sub-millisecond timer waits sleep rather
+  /// than spin.  Returns true when readable.
   bool wait_readable(std::uint32_t timeout_us);
 
   void close();

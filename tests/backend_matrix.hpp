@@ -11,25 +11,6 @@
 
 namespace apxa::harness {
 
-// TSan multiplies per-upcall CPU cost by ~1-2 orders of magnitude, which
-// turns the wall-clock socket backend's run budget into a false timeout for
-// the compute-heavy parity rows (exact-LP convex rounds, large byzantine
-// vector runs).  Those suites skip their socket rows under TSan; race
-// coverage of netio under TSan comes from the SocketNet/scalar-parity rows
-// (cheap upcalls), and the socket rows of every suite still run in the
-// Release and ASan lanes.
-#if defined(__SANITIZE_THREAD__)
-#define APXA_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define APXA_TSAN_BUILD 1
-#endif
-#endif
-#ifndef APXA_TSAN_BUILD
-#define APXA_TSAN_BUILD 0
-#endif
-inline constexpr bool kTsanBuild = APXA_TSAN_BUILD != 0;
-
 struct BackendCase {
   BackendKind backend = BackendKind::kSim;
   double loss = 0.0;     ///< socket-boundary drop probability per attempt

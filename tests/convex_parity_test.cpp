@@ -49,12 +49,6 @@ void add_hull_escape(VectorRunConfig& cfg, std::uint32_t count) {
 
 class ConvexParity : public ::testing::TestWithParam<BackendCase> {
  protected:
-  void SetUp() override {
-    if (kTsanBuild && GetParam().backend == BackendKind::kSocket)
-      GTEST_SKIP() << "socket rows exceed wall-clock budgets under TSan "
-                      "instrumentation; covered by the ASan socket lane";
-  }
-
   VectorRunReport run_on_backend(VectorRunConfig cfg) {
     apply_backend_case(cfg, GetParam());
     cfg.thread_timeout = 60s;

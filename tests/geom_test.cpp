@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/sync_engine.hpp"
 #include "geom/geom.hpp"
@@ -38,6 +39,20 @@ TEST(Geom, BoxContainsWithSlack) {
   EXPECT_TRUE(box.contains(std::vector<double>{1.0 + 1e-12, 0.0}));
   EXPECT_THROW(static_cast<void>(box.contains(std::vector<double>{0.0})),
                std::invalid_argument);
+}
+
+TEST(Geom, BoxExcludesNonFiniteCoordinates) {
+  // NaN compares false against both bounds, so a plain "below lo or above
+  // hi" test used to call a NaN output box-valid.
+  const Box box = box_hull(kPoints);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(box.contains(std::vector<double>{nan, 0.0}));
+  EXPECT_FALSE(box.contains(std::vector<double>{0.5, nan}));
+  EXPECT_FALSE(box.contains(std::vector<double>{0.5, inf}));
+  EXPECT_TRUE(all_finite(std::vector<double>{0.5, -1e300}));
+  EXPECT_FALSE(all_finite(std::vector<double>{0.5, -inf}));
+  EXPECT_FALSE(all_finite(std::vector<double>{nan}));
 }
 
 TEST(Geom, BoxHullRejectsBadInput) {

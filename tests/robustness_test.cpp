@@ -4,14 +4,19 @@
 // when fed garbage or driven at its edges.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "adversary/byzantine.hpp"
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
+#include "core/collect.hpp"
 #include "core/epsilon_driver.hpp"
 #include "core/multidim.hpp"
 #include "core/round_engine.hpp"
+#include "geom/geom.hpp"
+#include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "sched/random_scheduler.hpp"
 
@@ -249,6 +254,160 @@ TEST(ByzCaps, RoundAttackerBounded) {
   // the attacker's send count stayed within 5 rounds x 3 receivers.
   net.run(20'000);
   EXPECT_LE(net.metrics().sent_by[3], 5u * 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Non-finite byzantine values.  The codec carries NaN and infinity bit for
+// bit (reliable broadcast must tally wire values exactly), so the places
+// that admit remote values into a view drop them instead: one NaN in a view
+// makes every average NaN, and an infinity drags the safe-area midpoint
+// outside the honest hull.
+// ---------------------------------------------------------------------------
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+class NullContext final : public net::Context {
+ public:
+  explicit NullContext(SystemParams p) : params_(p) {}
+  void send(ProcessId, net::Payload) override {}
+  void multicast(net::Payload) override {}
+  [[nodiscard]] ProcessId self() const override { return 0; }
+  [[nodiscard]] SystemParams params() const override { return params_; }
+
+ private:
+  SystemParams params_;
+};
+
+TEST(NonFinite, RoundCollectorDropsAndCountsThem) {
+  RoundCollector c(SystemParams{4, 1});
+  c.add_own(0, 1.0);
+  c.add_remote(1, 0, kNan);
+  c.add_remote(2, 0, -kInf);
+  EXPECT_FALSE(c.ready(0));
+  EXPECT_EQ(c.malformed(), 2u);
+  c.add_remote(1, 0, 2.0);  // the sender's first finite value still counts
+  c.add_remote(3, 0, 3.0);
+  ASSERT_TRUE(c.ready(0));
+  for (const double v : c.view(0)) EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(NonFinite, QuorumCollectorDropsAndCountsThem) {
+  const SystemParams p{4, 1};
+  NullContext ctx(p);
+  int views = 0;
+  auto c = make_collector(
+      CollectMode::kQuorum, p, /*dim=*/2, /*max_rounds=*/4,
+      [&](net::Context&, Round, const std::vector<CollectEntry>& view) {
+        ++views;
+        for (const auto& e : view) EXPECT_TRUE(geom::all_finite(e.value));
+      });
+  c->begin_round(ctx, 0, {0.0, 0.0});
+  EXPECT_TRUE(c->handle(ctx, 1, encode_vec_round(0, {kNan, 1.0})));
+  EXPECT_TRUE(c->handle(ctx, 2, encode_vec_round(0, {1.0, kInf})));
+  EXPECT_EQ(c->malformed(), 2u);
+  EXPECT_EQ(views, 0);
+  c->handle(ctx, 1, encode_vec_round(0, {1.0, 1.0}));
+  c->handle(ctx, 3, encode_vec_round(0, {2.0, 2.0}));
+  EXPECT_EQ(views, 1);
+}
+
+TEST(NonFinite, EqualizedCollectorDropsRbDeliveredNan) {
+  // 2t + 1 READY votes for one bit pattern make the hub deliver it, NaN or
+  // not; the collector must then keep the origin out of the round.
+  const SystemParams p{4, 1};
+  NullContext ctx(p);
+  auto c = make_collector(CollectMode::kEqualized, p, /*dim=*/2,
+                          /*max_rounds=*/4,
+                          [](net::Context&, Round,
+                             const std::vector<CollectEntry>&) {});
+  const RbVecMsg ready{MsgType::kRbVecReady, 0, /*origin=*/3, {kNan, 0.0}};
+  for (ProcessId voter : {1u, 2u, 3u}) {
+    EXPECT_TRUE(c->handle(ctx, voter, encode_rb_vec(ready)));
+  }
+  EXPECT_EQ(c->malformed(), 1u);
+}
+
+adversary::ByzSpec non_finite_attacker(ProcessId who, adversary::ByzKind kind,
+                                       double hi) {
+  adversary::ByzSpec s;
+  s.who = who;
+  s.kind = kind;
+  s.lo = -1.0;
+  s.hi = hi;
+  s.seed = who + 1;
+  return s;
+}
+
+TEST(NonFinite, ByzRoundNanEquivocatorsKeepValidityAndAgreement) {
+  RunConfig cfg;
+  cfg.params = {11, 2};
+  cfg.protocol = ProtocolKind::kByzRound;
+  cfg.mode = TerminationMode::kFixedRounds;
+  cfg.epsilon = 1e-3;
+  for (int i = 0; i < 11; ++i) cfg.inputs.push_back(-1.0 + 0.2 * i);
+  cfg.fixed_rounds = rounds_for_bound(2.0, cfg.epsilon, Averager::kDlpswAsync,
+                                      cfg.params);
+  cfg.byz = {non_finite_attacker(0, adversary::ByzKind::kEquivocate, kNan),
+             non_finite_attacker(10, adversary::ByzKind::kEquivocate, kNan)};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    cfg.seed = seed;
+    const auto rep = run_async(cfg);
+    EXPECT_TRUE(rep.all_output) << "seed " << seed;
+    EXPECT_TRUE(rep.validity_ok) << "seed " << seed;
+    EXPECT_TRUE(rep.agreement_ok) << "seed " << seed << " gap "
+                                  << rep.worst_pair_gap;
+  }
+}
+
+harness::VectorRunConfig vector_non_finite_config(ProtocolKind protocol,
+                                                  double hi,
+                                                  std::uint64_t seed) {
+  harness::VectorRunConfig cfg;
+  cfg.params = {13, 1};
+  cfg.protocol = protocol;
+  cfg.dim = 3;
+  cfg.fixed_rounds = 8;
+  cfg.epsilon = 1e-2;
+  cfg.seed = seed;
+  Rng rng(seed);
+  cfg.inputs = harness::random_vector_inputs(rng, 13, 3, -5.0, 5.0);
+  cfg.byz = {non_finite_attacker(0, adversary::ByzKind::kExtremeHigh, hi)};
+  return cfg;
+}
+
+TEST(NonFinite, VectorConvexExtremeNanOrInfStaysConvexValid) {
+  for (const double hi : {kNan, kInf}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto rep = harness::run(
+          vector_non_finite_config(ProtocolKind::kVectorConvex, hi, seed));
+      EXPECT_TRUE(rep.all_output) << hi << " seed " << seed;
+      EXPECT_TRUE(rep.convex_validity_ok) << hi << " seed " << seed;
+      EXPECT_TRUE(rep.agreement_ok) << hi << " seed " << seed;
+    }
+  }
+}
+
+TEST(NonFinite, VectorConvexRbExtremeNanOrInfStaysConvexValid) {
+  for (const double hi : {kNan, kInf}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto rep = harness::run(
+          vector_non_finite_config(ProtocolKind::kVectorConvexRB, hi, seed));
+      EXPECT_TRUE(rep.all_output) << hi << " seed " << seed;
+      EXPECT_TRUE(rep.convex_validity_ok) << hi << " seed " << seed;
+      EXPECT_TRUE(rep.agreement_ok) << hi << " seed " << seed;
+    }
+  }
+}
+
+TEST(NonFinite, VectorByzExtremeNanStaysBoxValid) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto rep = harness::run(
+        vector_non_finite_config(ProtocolKind::kVectorByz, kNan, seed));
+    EXPECT_TRUE(rep.all_output) << "seed " << seed;
+    EXPECT_TRUE(rep.box_validity_ok) << "seed " << seed;
+    EXPECT_TRUE(rep.agreement_ok) << "seed " << seed;
+  }
 }
 
 }  // namespace

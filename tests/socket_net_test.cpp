@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,115 @@ TEST(PeerLink, RetransmitsAfterRtoWithBackoff) {
   EXPECT_EQ(out[0].payload, payload_of({9}));
 }
 
+// --- PeerLink: RTT estimate and retransmit timeout ---------------------------
+
+// Deliver `dgram` to `receiver` and hand its pure ACK back to `sender` at
+// `acked_at`: one round trip of the frame's sequence number.
+void ack_via(PeerLink& sender, PeerLink& receiver, const Bytes& dgram,
+             PeerLink::TimePoint acked_at) {
+  std::vector<Delivered> out;
+  receiver.on_datagram(dgram, acked_at, out);
+  const auto ack = receiver.take_ack_frame();
+  ASSERT_TRUE(ack.has_value());
+  sender.on_datagram(*ack, acked_at, out);
+}
+
+TEST(PeerLink, TimeoutBeforeFirstSampleIsRtoInitial) {
+  LinkConfig cfg;
+  cfg.rto_initial = 3'000us;
+  PeerLink sender(cfg);
+  (void)sender.make_data(payload_of({1}), t0());
+  EXPECT_FALSE(sender.srtt().has_value());
+  EXPECT_EQ(sender.next_deadline(), t0() + 3'000us);
+}
+
+TEST(PeerLink, FirstSampleSeedsEstimatorAndLaterOnesSmooth) {
+  PeerLink sender, receiver;
+  ack_via(sender, receiver, sender.make_data(payload_of({1}), t0()),
+          t0() + 100us);
+  EXPECT_EQ(sender.srtt(), std::optional<PeerLink::Clock::duration>(100us));
+  EXPECT_EQ(sender.rttvar(), std::optional<PeerLink::Clock::duration>(50us));
+  // RFC 6298: RTTVAR <- 3/4 RTTVAR + 1/4 |SRTT - R|, SRTT <- 7/8 SRTT + 1/8 R.
+  ack_via(sender, receiver, sender.make_data(payload_of({2}), t0() + 1ms),
+          t0() + 1ms + 200us);
+  EXPECT_EQ(sender.srtt(), std::optional<PeerLink::Clock::duration>(112'500ns));
+  EXPECT_EQ(sender.rttvar(), std::optional<PeerLink::Clock::duration>(62'500ns));
+}
+
+TEST(PeerLink, SamplePullsInDeadlineOfFrameInFlight) {
+  // Both frames leave before the link has an estimate, so both start with
+  // rto_initial.  The ack of the first sets SRTT = 100 us, and the second's
+  // deadline moves to its send time + 2 * SRTT without being resent.
+  LinkConfig cfg;
+  cfg.rto_initial = 2'000us;
+  PeerLink sender(cfg), receiver;
+  const Bytes first = sender.make_data(payload_of({1}), t0());
+  (void)sender.make_data(payload_of({2}), t0());
+  ASSERT_EQ(sender.next_deadline(), t0() + 2'000us);
+
+  ack_via(sender, receiver, first, t0() + 100us);
+  EXPECT_EQ(sender.unacked(), 1u);
+  EXPECT_EQ(sender.next_deadline(), t0() + 200us);
+  std::vector<Bytes> resends;
+  sender.collect_retransmits(t0() + 199us, resends);
+  EXPECT_TRUE(resends.empty());
+  sender.collect_retransmits(t0() + 200us, resends);
+  EXPECT_EQ(resends.size(), 1u);
+}
+
+TEST(PeerLink, AckOfRetransmittedFrameIsNotSampled) {
+  LinkConfig cfg;
+  cfg.rto_initial = 2'000us;
+  PeerLink sender(cfg), receiver;
+  (void)sender.make_data(payload_of({1}), t0());
+  std::vector<Bytes> resends;
+  sender.collect_retransmits(t0() + 2'000us, resends);
+  ASSERT_EQ(resends.size(), 1u);
+
+  // The ack may answer either copy, so it measures nothing (Karn's rule).
+  ack_via(sender, receiver, resends[0], t0() + 2'010us);
+  EXPECT_EQ(sender.unacked(), 0u);
+  EXPECT_FALSE(sender.srtt().has_value());
+  (void)sender.make_data(payload_of({2}), t0() + 3ms);
+  EXPECT_EQ(sender.next_deadline(), t0() + 3ms + 2'000us);
+}
+
+TEST(PeerLink, BackoffDoublesUntilRtoMax) {
+  LinkConfig cfg;
+  cfg.rto_initial = 1'000us;
+  cfg.rto_max = 1'000us;
+  PeerLink sender(cfg), receiver;
+  ack_via(sender, receiver, sender.make_data(payload_of({1}), t0()),
+          t0() + 100us);  // timeout 2 * SRTT = 200 us
+  auto sent = t0() + 1ms;
+  (void)sender.make_data(payload_of({2}), sent);
+  std::vector<Bytes> resends;
+  for (const auto gap : {200us, 400us, 800us, 1'000us, 1'000us}) {
+    ASSERT_EQ(sender.next_deadline(), sent + gap);
+    resends.clear();
+    sender.collect_retransmits(sent + gap - 1us, resends);
+    EXPECT_TRUE(resends.empty());
+    sent += gap;
+    sender.collect_retransmits(sent, resends);
+    EXPECT_EQ(resends.size(), 1u);
+  }
+  EXPECT_EQ(sender.stats().retransmits, 5u);
+}
+
+TEST(PeerLink, TimeoutNeverDropsBelowFloor) {
+  // Round trips of 1 us would give 2 * SRTT = 2 us; the floor (50 us,
+  // netio/link.cpp) holds the timeout there instead.
+  PeerLink sender, receiver;
+  for (int i = 0; i < 8; ++i) {
+    const auto at = t0() + i * 1ms;
+    ack_via(sender, receiver, sender.make_data(payload_of({i}), at), at + 1us);
+  }
+  ASSERT_EQ(sender.srtt(), std::optional<PeerLink::Clock::duration>(1us));
+  const auto sent = t0() + 10ms;
+  (void)sender.make_data(payload_of({9}), sent);
+  EXPECT_EQ(sender.next_deadline(), sent + 50us);
+}
+
 TEST(PeerLink, CapacityBoundsResendQueue) {
   LinkConfig cfg;
   cfg.max_unacked = 4;
@@ -296,11 +406,13 @@ TEST(UdpSocket, LoopbackDatagramRoundTrip) {
   ASSERT_TRUE(a.send_to({b.port()}, msg));
   ASSERT_TRUE(b.wait_readable(1'000'000));
   netio::UdpAddress from;
-  const auto got = b.recv_from(from);
+  Bytes buf(netio::kMaxDatagram);
+  const auto got = b.recv_into(buf, from);
   ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, msg);
+  EXPECT_EQ(Bytes(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(*got)),
+            msg);
   EXPECT_EQ(from.port, a.port());
-  EXPECT_FALSE(b.recv_from(from).has_value()) << "queue must be empty now";
+  EXPECT_FALSE(b.recv_into(buf, from).has_value()) << "queue must be empty now";
 }
 
 // --- SocketNetwork end to end ------------------------------------------------

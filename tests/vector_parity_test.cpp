@@ -27,12 +27,6 @@ using namespace std::chrono_literals;
 
 class VectorParity : public ::testing::TestWithParam<BackendCase> {
  protected:
-  void SetUp() override {
-    if (kTsanBuild && GetParam().backend == BackendKind::kSocket)
-      GTEST_SKIP() << "socket rows exceed wall-clock budgets under TSan "
-                      "instrumentation; covered by the ASan socket lane";
-  }
-
   VectorRunReport run_on_backend(VectorRunConfig cfg) {
     apply_backend_case(cfg, GetParam());
     cfg.thread_timeout = 60s;
