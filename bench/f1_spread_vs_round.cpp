@@ -6,11 +6,12 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
 
   bench::JsonSink sink(argc, argv, "f1");
   std::printf(

@@ -18,6 +18,7 @@
 int main(int argc, char** argv) {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
 
   bench::JsonSink sink(argc, argv, "f5");
   std::printf(

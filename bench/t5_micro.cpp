@@ -16,10 +16,10 @@
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
-#include "core/epsilon_driver.hpp"
 #include "core/multiset_ops.hpp"
 #include "core/round_engine.hpp"
 #include "geom/safe_area.hpp"
+#include "harness/harness.hpp"
 #include "net/envelope.hpp"
 #include "net/outbox.hpp"
 #include "net/sim.hpp"
@@ -33,6 +33,7 @@ namespace {
 
 using namespace apxa;
 using namespace apxa::core;
+using namespace apxa::harness;
 
 void BM_ApplyAverager(benchmark::State& state) {
   const auto avg = static_cast<Averager>(state.range(0));
@@ -93,7 +94,7 @@ void BM_SimRoundProtocol(benchmark::State& state) {
     cfg.protocol = ProtocolKind::kCrashRound;
     cfg.inputs = linear_inputs(n, 0.0, 1.0);
     cfg.fixed_rounds = 4;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     msgs += rep.metrics.messages_sent;
     benchmark::DoNotOptimize(rep.outputs);
   }
@@ -190,7 +191,7 @@ void BM_WitnessIteration(benchmark::State& state) {
     cfg.protocol = ProtocolKind::kWitness;
     cfg.inputs = linear_inputs(n, 0.0, 1.0);
     cfg.fixed_rounds = 1;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     msgs += rep.metrics.messages_sent;
     benchmark::DoNotOptimize(rep.outputs);
   }

@@ -13,11 +13,12 @@
 
 #include "common/rng.hpp"
 #include "core/async_byz.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 int main() {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
 
   const SystemParams params{10, 3};
   const double drift_per_epoch = 2.0;  // ms of divergence accumulated per epoch
@@ -50,7 +51,7 @@ int main() {
     cfg.inputs = offsets;
     cfg.sched = SchedKind::kGreedySplit;
     cfg.seed = static_cast<std::uint64_t>(e) + 1;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
 
     // Adopt the agreed offsets (correct parties; in this run nobody crashes).
     offsets = rep.outputs;

@@ -16,6 +16,7 @@
 int main() {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
 
   const SystemParams params{7, 2};
   const double eps = 0.01;

@@ -16,12 +16,13 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace {
 
 using namespace apxa;
 using namespace apxa::core;
+using namespace apxa::harness;
 
 void report(const char* name, const RunReport& rep, double eps) {
   std::printf("%-22s outputs:", name);
@@ -67,7 +68,7 @@ int main() {
     cfg.inputs = readings;
     cfg.fixed_rounds = rounds_for_bound(128.0, eps, Averager::kDlpswAsync, params);
     cfg.byz = {compromised(0), compromised(10)};
-    report("DLPSW rounds (t<n/5)", run_async(cfg), eps);
+    report("DLPSW rounds (t<n/5)", run(cfg), eps);
   }
 
   // Witness technique: optimal resilience t < n/3, pays n^3 messages/iter.
@@ -80,7 +81,7 @@ int main() {
     cfg.fixed_rounds = std::max<Round>(
         1, rounds_needed(256.0, eps, predicted_factor_witness()));
     cfg.byz = {compromised(0), compromised(10)};
-    report("witness (t<n/3)", run_async(cfg), eps);
+    report("witness (t<n/3)", run(cfg), eps);
   }
 
   std::printf(

@@ -29,7 +29,6 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "invariant_oracle.hpp"
 #include "net/process.hpp"
@@ -136,19 +135,10 @@ adversary::ByzSpec pick_byz(FuzzInput& in, ProcessId who, double lo, double hi) 
 }
 
 // Scalar run with a RawInjector seated in the (single) declared byzantine
-// slot: mirror harness::execute's staging so the injector replaces the
-// stock attacker, then reuse harness::finalize for the verdict.
+// slot in place of the stock attacker; staging, tracing and the verdict are
+// harness::execute's own.
 harness::RunReport run_with_injector(const harness::RunConfig& cfg,
                                      FuzzInput& in) {
-  harness::validate(cfg);
-  const auto backend = harness::make_backend(cfg);
-
-  // The simulator runs every upcall on this thread: the trace needs no lock.
-  harness::ScalarTrace trace(cfg.params.n, harness::trace_rounds(cfg));
-  core::TraceFn trace_fn = [&trace](ProcessId p, Round r, double v) {
-    trace.record(p, r, v);
-  };
-
   std::vector<Bytes> frames;
   const std::uint32_t n_frames = in.u8() % 4;
   for (std::uint32_t i = 0; i < n_frames; ++i) {
@@ -157,19 +147,14 @@ harness::RunReport run_with_injector(const harness::RunConfig& cfg,
   const std::uint32_t reflect_budget = in.u8() % 64;
   const std::uint8_t mutate_xor = in.u8();
 
-  auto procs = harness::build_processes(cfg, trace_fn);
   const ProcessId slot = cfg.byz.front().who;
-  procs[slot] = std::make_unique<RawInjector>(std::move(frames),
-                                              reflect_budget, mutate_xor);
-  for (auto& p : procs) backend->add_process(std::move(p));
-  for (ProcessId b : harness::byzantine_ids(cfg)) backend->mark_byzantine(b);
-  adversary::install(*backend, cfg.crashes);
-
-  exec::ExecOptions opts;
-  opts.max_deliveries = cfg.max_deliveries;
-  opts.done = harness::make_done_predicate(cfg);
-  const exec::ExecResult res = backend->run(opts);
-  return harness::finalize(cfg, res, res.metrics, trace);
+  const auto backend = harness::make_backend(cfg);
+  return harness::execute(
+      cfg, *backend, [&](ProcessId p) -> std::unique_ptr<net::Process> {
+        if (p != slot) return nullptr;
+        return std::make_unique<RawInjector>(std::move(frames), reflect_budget,
+                                             mutate_xor);
+      });
 }
 
 void judge(const char* what, const oracle::Verdict& v) {
@@ -194,6 +179,7 @@ int state_machine_target(const std::uint8_t* data, std::size_t size) {
       cfg.epsilon = eps;
       cfg.sched = pick_sched(in);
       cfg.seed = in.u64();
+      cfg.backend = harness::BackendKind::kSim;
 
       std::uint32_t byz_count = 0;
       if (shape == 0) {  // Fekete crash-model rounds, n > 2t
@@ -252,7 +238,7 @@ int state_machine_target(const std::uint8_t* data, std::size_t size) {
       }
 
       const harness::RunReport rep =
-          injector ? run_with_injector(cfg, in) : harness::run_async(cfg);
+          injector ? run_with_injector(cfg, in) : harness::run(cfg);
       judge("scalar", oracle::check_run(cfg, rep));
     } else {
       // --- vector protocols -------------------------------------------------

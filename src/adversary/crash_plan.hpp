@@ -12,7 +12,6 @@
 #include "common/ensure.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
-#include "net/sim.hpp"
 
 namespace apxa::adversary {
 
@@ -37,11 +36,6 @@ void install(Transport& net, const std::vector<CrashSpec>& specs) {
     }
     net.crash_after_sends(s.who, s.after_sends);
   }
-}
-
-/// Historical name for installing on the simulator (before start()).
-inline void apply(net::SimNetwork& net, const std::vector<CrashSpec>& specs) {
-  install(net, specs);
 }
 
 /// `count` random crash victims (distinct, chosen from [0, n)), each crashing

@@ -5,7 +5,6 @@
 #include "common/ensure.hpp"
 #include "core/codec.hpp"  // detail::total_decode
 #include "geom/geom.hpp"
-#include "harness/harness.hpp"
 
 namespace apxa::core {
 
@@ -129,32 +128,6 @@ void VectorAaProcess::try_advance(net::Context& ctx) {
     }
     begin_round(ctx);
   }
-}
-
-MultiDimReport run_multidim(const MultiDimConfig& cfg) {
-  harness::VectorRunConfig v;
-  v.params = cfg.params;
-  v.protocol = harness::ProtocolKind::kVectorCrash;
-  v.dim = cfg.dim;
-  v.averager = cfg.averager;
-  v.fixed_rounds = cfg.fixed_rounds;
-  v.epsilon = cfg.epsilon;
-  v.inputs = cfg.inputs;
-  v.sched = cfg.sched;
-  v.seed = cfg.seed;
-  v.crashes = cfg.crashes;
-  v.backend = harness::BackendKind::kSim;
-  const harness::VectorRunReport rep = harness::run(v);
-
-  MultiDimReport out;
-  out.all_output = rep.all_output;
-  out.outputs = rep.outputs;
-  out.box_validity_ok = rep.box_validity_ok;
-  out.worst_linf_gap = rep.worst_linf_gap;
-  out.agreement_ok = rep.agreement_ok;
-  out.metrics = rep.metrics;
-  out.finish_time = rep.finish_time;
-  return out;
 }
 
 }  // namespace apxa::core

@@ -26,9 +26,8 @@
 //
 // VectorAaProcess runs on any exec::Backend through the harness layer: build
 // a harness::VectorRunConfig (protocol kVectorCrash or kVectorByz) and call
-// harness::run — the simulator and the threaded runtime both execute it, with
-// crash/byzantine fault injection and every scheduler.  run_multidim below is
-// the historical simulator-only entry point, now a facade over that path.
+// harness::run — every backend executes it, with crash/byzantine fault
+// injection and every scheduler.
 #pragma once
 
 #include <functional>
@@ -37,10 +36,8 @@
 #include <utility>
 #include <vector>
 
-#include "adversary/crash_plan.hpp"
 #include "common/ids.hpp"
 #include "core/async_crash.hpp"
-#include "core/epsilon_driver.hpp"
 #include "net/process.hpp"
 
 namespace apxa::core {
@@ -104,35 +101,5 @@ class VectorAaProcess final : public net::Process {
 Bytes encode_vec_round(Round r, const std::vector<double>& v);
 std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
     BytesView payload);
-
-// --- historical experiment driver -------------------------------------------
-//
-// Simulator-only crash-model driver predating the harness vector layer; kept
-// as a thin facade over harness::run(VectorRunConfig) so existing tests and
-// examples compile unchanged.  New code should build a VectorRunConfig.
-
-struct MultiDimConfig {
-  SystemParams params;
-  std::uint32_t dim = 2;
-  Averager averager = Averager::kMean;
-  Round fixed_rounds = 1;
-  double epsilon = 1e-3;
-  std::vector<std::vector<double>> inputs;  ///< n rows of dim columns
-  SchedKind sched = SchedKind::kRandom;
-  std::uint64_t seed = 1;
-  std::vector<adversary::CrashSpec> crashes;
-};
-
-struct MultiDimReport {
-  bool all_output = false;
-  std::vector<std::vector<double>> outputs;  ///< correct parties' vectors
-  bool box_validity_ok = false;
-  double worst_linf_gap = 0.0;
-  bool agreement_ok = false;
-  net::Metrics metrics;
-  double finish_time = 0.0;
-};
-
-MultiDimReport run_multidim(const MultiDimConfig& cfg);
 
 }  // namespace apxa::core

@@ -7,6 +7,9 @@
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
 #include "core/convex_aa.hpp"
+#include "exec/sim_backend.hpp"
+#include "exec/socket_backend.hpp"
+#include "exec/thread_backend.hpp"
 #include "net/envelope.hpp"
 #include "sched/clique_scheduler.hpp"
 #include "sched/crash_timing_scheduler.hpp"
@@ -17,20 +20,16 @@
 
 namespace apxa::harness {
 
-void validate(const RunConfig& cfg) {
-  const auto n = cfg.params.n;
-  APXA_ENSURE(cfg.protocol != ProtocolKind::kVectorCrash &&
-                  cfg.protocol != ProtocolKind::kVectorByz &&
-                  cfg.protocol != ProtocolKind::kVectorConvex &&
-                  cfg.protocol != ProtocolKind::kVectorConvexRB,
-              "vector protocols take a VectorRunConfig");
-  APXA_ENSURE(cfg.inputs.size() == n, "inputs must have size n");
-  APXA_ENSURE(cfg.allow_excess_faults ||
+namespace {
+
+// The fault-plan check both value domains share.
+void validate_faults(const RunConfigBase& cfg, bool allow_excess_faults) {
+  APXA_ENSURE(allow_excess_faults ||
                   cfg.crashes.size() + cfg.byz.size() <= cfg.params.t,
               "cannot exceed the fault budget t");
   std::set<ProcessId> byz;
   for (const auto& b : cfg.byz) {
-    APXA_ENSURE(b.who < n, "byzantine id out of range");
+    APXA_ENSURE(b.who < cfg.params.n, "byzantine id out of range");
     APXA_ENSURE(byz.insert(b.who).second, "duplicate byzantine id");
   }
   for (const auto& c : cfg.crashes) {
@@ -38,7 +37,38 @@ void validate(const RunConfig& cfg) {
   }
 }
 
-std::set<ProcessId> byzantine_ids(const RunConfig& cfg) {
+bool is_vector(ProtocolKind kind) {
+  return kind == ProtocolKind::kVectorCrash ||
+         kind == ProtocolKind::kVectorByz ||
+         kind == ProtocolKind::kVectorConvex ||
+         kind == ProtocolKind::kVectorConvexRB;
+}
+
+}  // namespace
+
+void validate(const RunConfig& cfg) {
+  APXA_ENSURE(!is_vector(cfg.protocol),
+              "vector protocols take a VectorRunConfig");
+  APXA_ENSURE(cfg.inputs.size() == cfg.params.n, "inputs must have size n");
+  validate_faults(cfg, cfg.allow_excess_faults);
+}
+
+void validate(const VectorRunConfig& cfg) {
+  APXA_ENSURE(is_vector(cfg.protocol),
+              "VectorRunConfig takes a vector protocol kind");
+  APXA_ENSURE((cfg.protocol != ProtocolKind::kVectorConvex &&
+               cfg.protocol != ProtocolKind::kVectorConvexRB) ||
+                  (cfg.params.n > 3 * cfg.params.t && cfg.params.t >= 1),
+              "convex vector protocols require n > 3t, t >= 1");
+  APXA_ENSURE(cfg.dim >= 1, "dimension must be positive");
+  APXA_ENSURE(cfg.inputs.size() == cfg.params.n, "inputs must have n rows");
+  for (const auto& row : cfg.inputs) {
+    APXA_ENSURE(row.size() == cfg.dim, "every input needs `dim` coordinates");
+  }
+  validate_faults(cfg, false);
+}
+
+std::set<ProcessId> byzantine_ids(const RunConfigBase& cfg) {
   std::set<ProcessId> ids;
   for (const auto& b : cfg.byz) ids.insert(b.who);
   return ids;
@@ -64,37 +94,97 @@ sched::ProbeFn envelope_aware(sched::ProbeFn inner) {
   };
 }
 
-// Shared by the scalar and vector config overloads: everything except the
-// value probe the greedy-split scheduler snoops payloads with is identical.
-std::unique_ptr<sched::Scheduler> make_scheduler_impl(SchedKind kind,
-                                                      std::uint64_t seed,
-                                                      SystemParams params,
-                                                      sched::ProbeFn probe) {
+std::unique_ptr<sched::Scheduler> scheduler_for(const RunConfigBase& cfg,
+                                                sched::ProbeFn probe) {
   probe = envelope_aware(std::move(probe));
-  switch (kind) {
+  switch (cfg.sched) {
     case SchedKind::kRandom:
-      return std::make_unique<sched::RandomScheduler>(seed);
+      return std::make_unique<sched::RandomScheduler>(cfg.seed);
     case SchedKind::kFifo:
       return std::make_unique<sched::FifoScheduler>();
     case SchedKind::kGreedySplit:
       return std::make_unique<sched::GreedySplitScheduler>(std::move(probe),
-                                                           params.n);
+                                                           cfg.params.n);
     case SchedKind::kTargeted:
-      return std::make_unique<sched::TargetedDelayScheduler>(seed);
+      return std::make_unique<sched::TargetedDelayScheduler>(cfg.seed);
     case SchedKind::kClique: {
       std::set<ProcessId> clique;
-      for (ProcessId p = 0; p < params.quorum(); ++p) clique.insert(p);
+      for (ProcessId p = 0; p < cfg.params.quorum(); ++p) clique.insert(p);
       return std::make_unique<sched::CliqueScheduler>(std::move(clique));
     }
   }
   APXA_ASSERT(false, "unknown scheduler kind");
 }
 
+// The staging tail both value domains share: seat the processes (or their
+// substitutes) and install the fault plan.
+void seat(const RunConfigBase& cfg,
+          std::vector<std::unique_ptr<net::Process>> procs,
+          exec::Backend& backend, const ProcessSubstitute& substitute) {
+  for (ProcessId p = 0; p < procs.size(); ++p) {
+    if (substitute) {
+      if (auto sub = substitute(p)) procs[p] = std::move(sub);
+    }
+    backend.add_process(std::move(procs[p]));
+  }
+  for (ProcessId b : byzantine_ids(cfg)) backend.mark_byzantine(b);
+  adversary::install(backend, cfg.crashes);
+}
+
 }  // namespace
 
+sched::ProbeFn value_probe(const RunConfig& /*cfg*/) {
+  return core::round_probe();
+}
+
+sched::ProbeFn value_probe(const VectorRunConfig& /*cfg*/) {
+  return [](BytesView payload) -> std::optional<sched::ValueProbe> {
+    if (const auto m = core::decode_vec_round(payload)) {
+      if (m->second.empty()) return std::nullopt;
+      return sched::ValueProbe{m->first, m->second[0]};
+    }
+    if (const auto rb = core::decode_rb_vec(payload)) {
+      if (rb->value.empty()) return std::nullopt;
+      return sched::ValueProbe{rb->instance, rb->value[0]};
+    }
+    return std::nullopt;
+  };
+}
+
 std::unique_ptr<sched::Scheduler> make_scheduler(const RunConfig& cfg) {
-  return make_scheduler_impl(cfg.sched, cfg.seed, cfg.params,
-                             core::round_probe());
+  return scheduler_for(cfg, value_probe(cfg));
+}
+
+std::unique_ptr<sched::Scheduler> make_scheduler(const VectorRunConfig& cfg) {
+  return scheduler_for(cfg, value_probe(cfg));
+}
+
+std::unique_ptr<exec::Backend> make_backend(const RunConfigBase& cfg,
+                                            sched::ProbeFn probe,
+                                            std::uint32_t shards) {
+  switch (cfg.backend) {
+    case BackendKind::kSim:
+      return std::make_unique<exec::SimBackend>(
+          cfg.params, scheduler_for(cfg, std::move(probe)));
+    case BackendKind::kThread: {
+      auto b = std::make_unique<exec::ThreadBackend>(cfg.params);
+      if (shards > 0) b->network().set_shards(shards);
+      return b;
+    }
+    case BackendKind::kSocket: {
+      auto b = std::make_unique<exec::SocketBackend>(cfg.params);
+      b->set_fault_config(cfg.socket_faults);
+      return b;
+    }
+  }
+  APXA_ASSERT(false, "unknown backend kind");
+}
+
+exec::ExecOptions exec_options(const RunConfigBase& cfg) {
+  exec::ExecOptions opts;
+  opts.max_deliveries = cfg.max_deliveries;
+  opts.timeout = cfg.thread_timeout;
+  return opts;
 }
 
 std::vector<std::unique_ptr<net::Process>> build_processes(
@@ -149,69 +239,6 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
     }
   }
   return procs;
-}
-
-void stage(const RunConfig& cfg, const core::TraceFn& trace,
-           exec::Backend& backend) {
-  validate(cfg);
-  for (auto& proc : build_processes(cfg, trace)) {
-    backend.add_process(std::move(proc));
-  }
-  for (ProcessId b : byzantine_ids(cfg)) backend.mark_byzantine(b);
-  adversary::install(backend, cfg.crashes);
-}
-
-void validate(const VectorRunConfig& cfg) {
-  const auto n = cfg.params.n;
-  APXA_ENSURE(cfg.protocol == ProtocolKind::kVectorCrash ||
-                  cfg.protocol == ProtocolKind::kVectorByz ||
-                  cfg.protocol == ProtocolKind::kVectorConvex ||
-                  cfg.protocol == ProtocolKind::kVectorConvexRB,
-              "VectorRunConfig takes a vector protocol kind");
-  APXA_ENSURE((cfg.protocol != ProtocolKind::kVectorConvex &&
-               cfg.protocol != ProtocolKind::kVectorConvexRB) ||
-                  (cfg.params.n > 3 * cfg.params.t && cfg.params.t >= 1),
-              "convex vector protocols require n > 3t, t >= 1");
-  APXA_ENSURE(cfg.dim >= 1, "dimension must be positive");
-  APXA_ENSURE(cfg.inputs.size() == n, "inputs must have n rows");
-  for (const auto& row : cfg.inputs) {
-    APXA_ENSURE(row.size() == cfg.dim, "every input needs `dim` coordinates");
-  }
-  APXA_ENSURE(cfg.crashes.size() + cfg.byz.size() <= cfg.params.t,
-              "cannot exceed the fault budget t");
-  std::set<ProcessId> byz;
-  for (const auto& b : cfg.byz) {
-    APXA_ENSURE(b.who < n, "byzantine id out of range");
-    APXA_ENSURE(byz.insert(b.who).second, "duplicate byzantine id");
-  }
-  for (const auto& c : cfg.crashes) {
-    APXA_ENSURE(!byz.contains(c.who), "party cannot be both byz and crashed");
-  }
-}
-
-std::set<ProcessId> byzantine_ids(const VectorRunConfig& cfg) {
-  std::set<ProcessId> ids;
-  for (const auto& b : cfg.byz) ids.insert(b.who);
-  return ids;
-}
-
-std::unique_ptr<sched::Scheduler> make_scheduler(const VectorRunConfig& cfg) {
-  // Value-aware probe over the first coordinate of vector rounds.  In the
-  // equalized-collect protocol values travel as vector RB messages instead,
-  // so the probe reads those too (instance == round) — value-aware
-  // schedulers stay value-aware against kVectorConvexRB.
-  auto probe = [](BytesView payload) -> std::optional<sched::ValueProbe> {
-    if (const auto m = core::decode_vec_round(payload)) {
-      if (m->second.empty()) return std::nullopt;
-      return sched::ValueProbe{m->first, m->second[0]};
-    }
-    if (const auto rb = core::decode_rb_vec(payload)) {
-      if (rb->value.empty()) return std::nullopt;
-      return sched::ValueProbe{rb->instance, rb->value[0]};
-    }
-    return std::nullopt;
-  };
-  return make_scheduler_impl(cfg.sched, cfg.seed, cfg.params, std::move(probe));
 }
 
 std::vector<std::unique_ptr<net::Process>> build_processes(
@@ -270,14 +297,16 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
   return procs;
 }
 
+void stage(const RunConfig& cfg, const core::TraceFn& trace,
+           exec::Backend& backend, const ProcessSubstitute& substitute) {
+  validate(cfg);
+  seat(cfg, build_processes(cfg, trace), backend, substitute);
+}
+
 void stage(const VectorRunConfig& cfg, const core::VecTraceFn& trace,
            exec::Backend& backend, const core::ViewTraceFn& view_trace) {
   validate(cfg);
-  for (auto& proc : build_processes(cfg, trace, view_trace)) {
-    backend.add_process(std::move(proc));
-  }
-  for (ProcessId b : byzantine_ids(cfg)) backend.mark_byzantine(b);
-  adversary::install(backend, cfg.crashes);
+  seat(cfg, build_processes(cfg, trace, view_trace), backend, {});
 }
 
 exec::DonePredicate make_done_predicate(const RunConfig& cfg) {

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <set>
 #include <vector>
 
 #include "common/ensure.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
-#include "exec/sim_backend.hpp"
-#include "exec/socket_backend.hpp"
-#include "exec/thread_backend.hpp"
 #include "geom/geom.hpp"
 #include "geom/safe_area.hpp"
 #include "harness/build.hpp"
@@ -34,6 +30,33 @@ void maybe_dump_flight(const obs::TraceSink* sink, const std::string& path,
                           obs::kDefaultFlightEventsPerParty, transport_state);
 }
 
+// The report fields every value domain fills the same way.
+void finalize_common(RunReportBase& rep, const exec::ExecResult& res,
+                     const net::Metrics& metrics) {
+  rep.status = res.status;
+  rep.all_output = res.all_correct_output;
+  rep.metrics = metrics;
+  rep.exec_stats = res.exec_stats;
+  for (ProcessId p = 0; p < res.correct.size(); ++p) {
+    if (res.correct[p]) {
+      rep.finish_time = std::max(rep.finish_time, res.output_times[p]);
+    }
+  }
+}
+
+// Inputs of every non-byzantine party: the validity reference.  Crash
+// faults do not lie, so crashed parties' genuine inputs legitimately bound
+// outputs.
+template <typename Config>
+auto honest_inputs(const Config& cfg) {
+  const auto byz = byzantine_ids(cfg);
+  decltype(cfg.inputs) out;
+  for (ProcessId p = 0; p < cfg.params.n; ++p) {
+    if (!byz.contains(p)) out.push_back(cfg.inputs[p]);
+  }
+  return out;
+}
+
 }  // namespace
 
 Round trace_rounds(const RunConfig& cfg) {
@@ -48,21 +71,11 @@ Round trace_rounds(const RunConfig& cfg) {
 }
 
 std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
-  switch (cfg.backend) {
-    case BackendKind::kSim:
-      return std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
-    case BackendKind::kThread:
-      return std::make_unique<exec::ThreadBackend>(cfg.params);
-    case BackendKind::kSocket: {
-      auto b = std::make_unique<exec::SocketBackend>(cfg.params);
-      b->set_fault_config(cfg.socket_faults);
-      return b;
-    }
-  }
-  APXA_ASSERT(false, "unknown backend kind");
+  return make_backend(cfg, value_probe(cfg));
 }
 
-RunReport execute(const RunConfig& cfg, exec::Backend& backend) {
+RunReport execute(const RunConfig& cfg, exec::Backend& backend,
+                  const ProcessSubstitute& substitute) {
   // Trace: values at round entry, per party.  Worker threads of the threaded
   // backend invoke the hook concurrently, hence the mutex (uncontended and
   // irrelevant for timing on the simulator).
@@ -80,11 +93,9 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend) {
   };
 
   backend.set_trace(cfg.trace);
-  stage(cfg, trace_fn, backend);
+  stage(cfg, trace_fn, backend, substitute);
 
-  exec::ExecOptions opts;
-  opts.max_deliveries = cfg.max_deliveries;
-  opts.timeout = cfg.thread_timeout;
+  exec::ExecOptions opts = exec_options(cfg);
   opts.done = make_done_predicate(cfg);
   const exec::ExecResult res = backend.run(opts);
   return finalize(cfg, res, res.metrics, trace);
@@ -94,20 +105,10 @@ RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
                    const net::Metrics& metrics, const ScalarTrace& trace) {
   const auto n = cfg.params.n;
   RunReport rep;
-  rep.status = res.status;
-  rep.all_output = res.all_correct_output;
   rep.outputs = res.outputs;
-  rep.metrics = metrics;
-  rep.exec_stats = res.exec_stats;
+  finalize_common(rep, res, metrics);
 
-  // Validity hull: inputs of every non-byzantine party (crash faults do not
-  // lie, so crashed parties' genuine inputs legitimately bound outputs).
-  const auto byz = byzantine_ids(cfg);
-  std::vector<double> honest_inputs;
-  for (ProcessId p = 0; p < n; ++p) {
-    if (!byz.contains(p)) honest_inputs.push_back(cfg.inputs[p]);
-  }
-  const core::Interval hull = core::hull_of(honest_inputs);
+  const core::Interval hull = core::hull_of(honest_inputs(cfg));
 
   rep.validity_ok = std::all_of(rep.outputs.begin(), rep.outputs.end(),
                                 [&hull](double y) { return hull.contains(y); });
@@ -116,12 +117,6 @@ RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
     std::sort(sorted.begin(), sorted.end());
     rep.worst_pair_gap = core::spread(sorted);
     rep.agreement_ok = rep.worst_pair_gap <= cfg.epsilon + 1e-12;
-  }
-
-  for (ProcessId p = 0; p < n; ++p) {
-    if (res.correct[p]) {
-      rep.finish_time = std::max(rep.finish_time, res.output_times[p]);
-    }
   }
 
   // Per-round spreads over parties that stayed correct to the end.
@@ -153,18 +148,7 @@ RunReport run(const RunConfig& cfg) {
 }
 
 std::unique_ptr<exec::Backend> make_backend(const VectorRunConfig& cfg) {
-  switch (cfg.backend) {
-    case BackendKind::kSim:
-      return std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
-    case BackendKind::kThread:
-      return std::make_unique<exec::ThreadBackend>(cfg.params);
-    case BackendKind::kSocket: {
-      auto b = std::make_unique<exec::SocketBackend>(cfg.params);
-      b->set_fault_config(cfg.socket_faults);
-      return b;
-    }
-  }
-  APXA_ASSERT(false, "unknown backend kind");
+  return make_backend(cfg, value_probe(cfg));
 }
 
 VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
@@ -201,10 +185,7 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
   backend.set_trace(cfg.trace);
   stage(cfg, trace_fn, backend, view_fn);
 
-  exec::ExecOptions opts;
-  opts.max_deliveries = cfg.max_deliveries;
-  opts.timeout = cfg.thread_timeout;
-  const exec::ExecResult res = backend.run(opts);
+  const exec::ExecResult res = backend.run(exec_options(cfg));
   return finalize(cfg, res, res.metrics, trace, views);
 }
 
@@ -213,22 +194,13 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
                          const ViewTrace& views) {
   const auto n = cfg.params.n;
   VectorRunReport rep;
-  rep.status = res.status;
-  rep.all_output = res.all_correct_output;
   rep.outputs = res.vector_outputs;
-  rep.metrics = metrics;
-  rep.exec_stats = res.exec_stats;
+  finalize_common(rep, res, metrics);
 
-  // Box validity: the bounding box of every non-byzantine party's input
-  // (crash faults do not lie, so crashed parties' genuine inputs
-  // legitimately bound outputs).  Byzantine laundering gives the box, not
-  // the convex hull — see geom/geom.hpp.
-  const auto byz = byzantine_ids(cfg);
-  std::vector<std::vector<double>> honest_inputs;
-  for (ProcessId p = 0; p < n; ++p) {
-    if (!byz.contains(p)) honest_inputs.push_back(cfg.inputs[p]);
-  }
-  const geom::Box box = geom::box_hull(honest_inputs);
+  // Box validity: the bounding box of the honest inputs.  Byzantine
+  // laundering gives the box, not the convex hull — see geom/geom.hpp.
+  const auto honest = honest_inputs(cfg);
+  const geom::Box box = geom::box_hull(honest);
   rep.box_validity_ok =
       std::all_of(rep.outputs.begin(), rep.outputs.end(),
                   [&box](const std::vector<double>& y) { return box.contains(y); });
@@ -238,19 +210,13 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
   // kVectorCrash/kVectorByz the diagnostic that quantifies how often
   // box-valid outputs escape the honest hull (bench/f6_multidim).
   for (const auto& y : rep.outputs) {
-    if (!geom::in_convex_hull(y, honest_inputs)) ++rep.outputs_outside_hull;
+    if (!geom::in_convex_hull(y, honest)) ++rep.outputs_outside_hull;
   }
   rep.convex_validity_ok = rep.outputs_outside_hull == 0;
 
   rep.worst_linf_gap = geom::linf_spread(rep.outputs);
   rep.worst_l2_gap = geom::l2_spread(rep.outputs);
   rep.agreement_ok = rep.worst_linf_gap <= cfg.epsilon + 1e-12;
-
-  for (ProcessId p = 0; p < n; ++p) {
-    if (res.correct[p]) {
-      rep.finish_time = std::max(rep.finish_time, res.output_times[p]);
-    }
-  }
 
   // Per-round L-infinity spreads over parties that stayed correct.
   for (const auto& [round, entries] : trace) {
@@ -325,18 +291,6 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
 VectorRunReport run(const VectorRunConfig& cfg) {
   const auto backend = make_backend(cfg);
   return execute(cfg, *backend);
-}
-
-RunReport run_async(const RunConfig& cfg) {
-  RunConfig c = cfg;
-  c.backend = BackendKind::kSim;
-  return run(c);
-}
-
-RunReport run_threaded(const RunConfig& cfg) {
-  RunConfig c = cfg;
-  c.backend = BackendKind::kThread;
-  return run(c);
 }
 
 }  // namespace apxa::harness

@@ -1,18 +1,12 @@
 // Backend-polymorphic execution harness.
 //
 // Builds a full system (protocol processes + fault plans + scheduler) from a
-// RunConfig, runs it on an execution backend — the deterministic simulator
-// or the threaded runtime, chosen by RunConfig::backend — and checks the two
+// RunConfig or VectorRunConfig, runs it on the execution backend the
+// config's `backend` field names — the deterministic simulator, the threaded
+// runtime or the loopback socket runtime — and checks the
 // approximate-agreement properties (validity, eps-agreement) plus the
 // per-round spread trace and communication metrics.  The verdict logic is
 // identical on every backend; only message interleavings differ.
-//
-// Entry points:
-//   run(cfg)            — dispatch on cfg.backend;
-//   run_async(cfg)      — force the simulator (the historical name: this is
-//                         what core::run_async has always done);
-//   run_threaded(cfg)   — force the threaded runtime;
-//   execute(cfg, be)    — stage and run on a caller-constructed backend.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +17,7 @@
 
 #include "core/collect.hpp"
 #include "exec/backend.hpp"
+#include "harness/build.hpp"
 #include "harness/scenario.hpp"
 
 namespace apxa::harness {
@@ -80,17 +75,13 @@ Round trace_rounds(const RunConfig& cfg);
 std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg);
 
 /// Stage the scenario on `backend` (which must be freshly constructed with
-/// matching params) and run it to a verdict.
-RunReport execute(const RunConfig& cfg, exec::Backend& backend);
+/// matching params) and run it to a verdict.  `substitute` may seat a
+/// caller-supplied process in place of a built one (see ProcessSubstitute).
+RunReport execute(const RunConfig& cfg, exec::Backend& backend,
+                  const ProcessSubstitute& substitute = {});
 
 /// Run one complete execution on the backend selected by cfg.backend.
 RunReport run(const RunConfig& cfg);
-
-/// Run on the deterministic simulator regardless of cfg.backend.
-RunReport run_async(const RunConfig& cfg);
-
-/// Run on the threaded runtime regardless of cfg.backend.
-RunReport run_threaded(const RunConfig& cfg);
 
 // --- vector scenarios -------------------------------------------------------
 // The same entry points for vector-valued (R^d) runs: box-validity,

@@ -62,23 +62,21 @@ enum class BackendKind : std::uint8_t {
             ///< (rt::SocketNetwork)
 };
 
-struct RunConfig {
+/// What a scalar and a vector run share: system, averaging rule, round
+/// budget, scheduler, adversary, transport and observability.  Staging,
+/// fault-plan checks and the backend factory work on this part alone.
+struct RunConfigBase {
   SystemParams params;
-  ProtocolKind protocol = ProtocolKind::kCrashRound;
-  core::Averager averager = core::Averager::kMean;  ///< round-based only
-  core::TerminationMode mode = core::TerminationMode::kFixedRounds;
+  /// Round-based protocols only.  kByzRound / kVectorByz override it with
+  /// the byzantine-safe DLPSW rule.
+  core::Averager averager = core::Averager::kMean;
   Round fixed_rounds = 1;       ///< iterations (fixed mode / witness / live horizon)
-  double epsilon = 1e-3;
-  double adaptive_slack = 4.0;
-  std::vector<double> inputs;   ///< size n; faulty parties' entries unused
+  double epsilon = 1e-3;        ///< agreement target (L-infinity on vectors)
   SchedKind sched = SchedKind::kRandom;
   std::uint64_t seed = 1;
   std::vector<adversary::CrashSpec> crashes;
   std::vector<adversary::ByzSpec> byz;
   std::uint64_t max_deliveries = 50'000'000;
-  /// Allow more than t faults — used by the resilience-boundary experiments
-  /// to demonstrate how safety breaks when assumptions are violated.
-  bool allow_excess_faults = false;
   /// Which transport executes the scenario (run() dispatches on this; the
   /// scheduler/seed fields only affect the simulator).
   BackendKind backend = BackendKind::kSim;
@@ -97,20 +95,34 @@ struct RunConfig {
   std::string flight_dump;
 };
 
-struct RunReport {
+struct RunConfig : RunConfigBase {
+  ProtocolKind protocol = ProtocolKind::kCrashRound;
+  core::TerminationMode mode = core::TerminationMode::kFixedRounds;
+  double adaptive_slack = 4.0;
+  std::vector<double> inputs;   ///< size n; faulty parties' entries unused
+  /// Allow more than t faults — used by the resilience-boundary experiments
+  /// to demonstrate how safety breaks when assumptions are violated.
+  bool allow_excess_faults = false;
+};
+
+/// The backend-independent part of every report.
+struct RunReportBase {
   net::RunStatus status = net::RunStatus::kQueueDrained;
   bool all_output = false;
-  std::vector<double> outputs;          ///< correct parties' outputs
-  bool validity_ok = false;
-  double worst_pair_gap = 0.0;
-  bool agreement_ok = false;            ///< worst_pair_gap <= eps
   double finish_time = 0.0;             ///< max output time (Delta units on sim)
   net::Metrics metrics;
   /// Executor telemetry (worker claims/steals/idle spins on the threaded
   /// backend).  Only `workers` is set on the simulator and socket backends.
   obs::ExecStats exec_stats;
-  std::vector<double> spread_by_round;  ///< correct-party spread at round entry
   Round max_round_reached = 0;
+};
+
+struct RunReport : RunReportBase {
+  std::vector<double> outputs;          ///< correct parties' outputs
+  bool validity_ok = false;
+  double worst_pair_gap = 0.0;
+  bool agreement_ok = false;            ///< worst_pair_gap <= eps
+  std::vector<double> spread_by_round;  ///< correct-party spread at round entry
   /// Per-round observed convergence factors spread[r] / spread[r+1]
   /// (only rounds where both spreads are positive).
   std::vector<double> round_factors;
@@ -129,39 +141,14 @@ struct RunReport {
 // Mendes-Herlihy/Vaidya-Garg safe area (core/convex_aa.hpp) and targets
 // convex validity.  See the caveats in core/multidim.hpp and geom/geom.hpp.
 
-struct VectorRunConfig {
-  SystemParams params;
+struct VectorRunConfig : RunConfigBase {
   /// kVectorCrash / kVectorByz / kVectorConvex / kVectorConvexRB
   ProtocolKind protocol = ProtocolKind::kVectorCrash;
   std::uint32_t dim = 2;
-  /// Per-coordinate averaging rule.  kVectorByz overrides this with the
-  /// byzantine-safe DLPSW rule, mirroring the scalar kByzRound path.
-  core::Averager averager = core::Averager::kMean;
-  Round fixed_rounds = 1;
-  double epsilon = 1e-3;                    ///< L-infinity agreement target
   std::vector<std::vector<double>> inputs;  ///< n rows of dim columns
-  SchedKind sched = SchedKind::kRandom;
-  std::uint64_t seed = 1;
-  std::vector<adversary::CrashSpec> crashes;
-  std::vector<adversary::ByzSpec> byz;
-  std::uint64_t max_deliveries = 50'000'000;
-  /// Which transport executes the scenario (run() dispatches on this; the
-  /// scheduler/seed fields only affect the simulator).
-  BackendKind backend = BackendKind::kSim;
-  /// Wall-clock cap for the threaded backend (ignored by the simulator).
-  std::chrono::milliseconds thread_timeout{20'000};
-  /// Deterministic loss/reorder/delay injection at the socket boundary
-  /// (socket backend only); see RunConfig::socket_faults.
-  netio::FaultConfig socket_faults;
-  /// Optional trace sink; see RunConfig::trace.
-  obs::TraceSink* trace = nullptr;
-  /// Verdict-failure flight-dump path; see RunConfig::flight_dump.
-  std::string flight_dump;
 };
 
-struct VectorRunReport {
-  net::RunStatus status = net::RunStatus::kQueueDrained;
-  bool all_output = false;
+struct VectorRunReport : RunReportBase {
   std::vector<std::vector<double>> outputs;  ///< correct parties' vectors
   bool box_validity_ok = false;   ///< outputs inside the honest-input box
   /// Outputs inside the CONVEX HULL of the honest inputs (LP point-in-hull
@@ -174,13 +161,8 @@ struct VectorRunReport {
   double worst_linf_gap = 0.0;    ///< worst pairwise L-infinity distance
   double worst_l2_gap = 0.0;      ///< worst pairwise L2 distance (<= sqrt(d) * linf)
   bool agreement_ok = false;      ///< worst_linf_gap <= eps
-  double finish_time = 0.0;       ///< max output time (Delta units on sim)
-  net::Metrics metrics;
-  /// Executor telemetry; see RunReport::exec_stats.
-  obs::ExecStats exec_stats;
   /// Correct-party L-infinity spread at each round entry.
   std::vector<double> linf_spread_by_round;
-  Round max_round_reached = 0;
 
   /// First round entry whose correct-party L-infinity spread is <= epsilon
   /// (valid when reached_eps; compare protocols' convergence speed without

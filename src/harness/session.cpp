@@ -8,8 +8,6 @@
 
 #include "common/ensure.hpp"
 #include "exec/sim_backend.hpp"
-#include "exec/socket_backend.hpp"
-#include "exec/thread_backend.hpp"
 #include "harness/build.hpp"
 #include "net/envelope.hpp"
 
@@ -82,15 +80,6 @@ class RouterProcess final : public net::Process {
   std::vector<bool> decided_;
 };
 
-struct SharedSettings {
-  SystemParams params;
-  SchedKind sched;
-  std::uint64_t seed;
-  BackendKind backend;
-  std::uint64_t max_deliveries;
-  std::chrono::milliseconds thread_timeout;
-};
-
 }  // namespace
 
 Session::Session(SessionOptions opts) : opts_(std::move(opts)) {}
@@ -121,27 +110,18 @@ SessionReport Session::run() {
     SessionReport out;
     out.scalar_reports.resize(1);
     out.vector_reports.resize(1);
-    if (instances_[0].scalar) {
-      if (opts_.trace) instances_[0].scalar->trace = opts_.trace;
-      RunReport r = harness::run(*instances_[0].scalar);
-      out.status = r.status;
-      out.all_output = r.all_output;
-      out.metrics = r.metrics;
-      out.msgs_per_packet = r.metrics.msgs_per_packet();
-      out.exec_stats = r.exec_stats;
-      out.finish_times = {r.finish_time};
-      out.scalar_reports[0] = std::move(r);
-    } else {
-      if (opts_.trace) instances_[0].vec->trace = opts_.trace;
-      VectorRunReport r = harness::run(*instances_[0].vec);
-      out.status = r.status;
-      out.all_output = r.all_output;
-      out.metrics = r.metrics;
-      out.msgs_per_packet = r.metrics.msgs_per_packet();
-      out.exec_stats = r.exec_stats;
-      out.finish_times = {r.finish_time};
-      out.vector_reports[0] = std::move(r);
-    }
+    Instance& in = instances_.front();
+    if (opts_.trace) in.base().trace = opts_.trace;
+    const RunReportBase& r =
+        in.scalar ? static_cast<const RunReportBase&>(
+                        out.scalar_reports[0].emplace(harness::run(*in.scalar)))
+                  : out.vector_reports[0].emplace(harness::run(*in.vec));
+    out.status = r.status;
+    out.all_output = r.all_output;
+    out.metrics = r.metrics;
+    out.msgs_per_packet = r.metrics.msgs_per_packet();
+    out.exec_stats = r.exec_stats;
+    out.finish_times = {r.finish_time};
     return out;
   }
   return run_multiplexed();
@@ -151,35 +131,19 @@ SessionReport Session::run_multiplexed() {
   const std::size_t K = instances_.size();
   APXA_ENSURE(K <= 1u << 20, "session too large");
 
-  auto settings_of = [](const Instance& in) -> SharedSettings {
-    if (in.scalar) {
-      return {in.scalar->params,         in.scalar->sched,
-              in.scalar->seed,           in.scalar->backend,
-              in.scalar->max_deliveries, in.scalar->thread_timeout};
-    }
-    return {in.vec->params,         in.vec->sched,
-            in.vec->seed,           in.vec->backend,
-            in.vec->max_deliveries, in.vec->thread_timeout};
-  };
-  auto byz_of = [](const Instance& in) {
-    return in.scalar ? byzantine_ids(*in.scalar) : byzantine_ids(*in.vec);
-  };
-
-  const SharedSettings shared = settings_of(instances_.front());
-  const auto byz = byz_of(instances_.front());
-  for (const auto& in : instances_) {
-    const SharedSettings s = settings_of(in);
-    APXA_ENSURE(s.params.n == shared.params.n && s.params.t == shared.params.t,
+  const RunConfigBase& shared = instances_.front().base();
+  const auto byz = byzantine_ids(shared);
+  for (auto& in : instances_) {
+    const RunConfigBase& c = in.base();
+    APXA_ENSURE(c.params.n == shared.params.n && c.params.t == shared.params.t,
                 "all session instances must share SystemParams");
-    APXA_ENSURE(s.sched == shared.sched && s.seed == shared.seed,
+    APXA_ENSURE(c.sched == shared.sched && c.seed == shared.seed,
                 "all session instances must share scheduler and seed");
-    APXA_ENSURE(s.backend == shared.backend,
+    APXA_ENSURE(c.backend == shared.backend,
                 "all session instances must share the backend");
-    APXA_ENSURE(byz_of(in) == byz,
+    APXA_ENSURE(byzantine_ids(c) == byz,
                 "all session instances must share the byzantine id set");
-    const bool has_crashes =
-        in.scalar ? !in.scalar->crashes.empty() : !in.vec->crashes.empty();
-    APXA_ENSURE(!has_crashes,
+    APXA_ENSURE(c.crashes.empty(),
                 "per-instance crash plans are not multiplexable; use "
                 "SessionOptions::crashes (budgets count session-wide "
                 "logical sends)");
@@ -199,13 +163,7 @@ SessionReport Session::run_multiplexed() {
   // hooks (collect kViewFreeze, finalize flight dumps) see the same trace
   // the transport records into.
   if (opts_.trace) {
-    for (auto& in : instances_) {
-      if (in.scalar) {
-        in.scalar->trace = opts_.trace;
-      } else {
-        in.vec->trace = opts_.trace;
-      }
-    }
+    for (auto& in : instances_) in.base().trace = opts_.trace;
   }
 
   // NOTE: everything routers reference (traces, rows, clock) is declared
@@ -248,28 +206,15 @@ SessionReport Session::run_multiplexed() {
   DecideClock clock;
   clock.time.assign(K, std::vector<double>(n, kInf));
 
-  std::unique_ptr<exec::Backend> backend;
+  const Instance& front = instances_.front();
+  const auto backend = make_backend(
+      shared,
+      front.scalar ? value_probe(*front.scalar) : value_probe(*front.vec),
+      opts_.shards);
   if (shared.backend == BackendKind::kSim) {
-    auto sched = instances_.front().scalar
-                     ? make_scheduler(*instances_.front().scalar)
-                     : make_scheduler(*instances_.front().vec);
-    auto sim = std::make_unique<exec::SimBackend>(shared.params,
-                                                  std::move(sched));
-    auto* simp = sim.get();
-    clock.now = [simp] { return simp->network().now(); };
-    backend = std::move(sim);
+    auto* sim = static_cast<exec::SimBackend*>(backend.get());
+    clock.now = [sim] { return sim->network().now(); };
   } else {
-    if (shared.backend == BackendKind::kSocket) {
-      auto sk = std::make_unique<exec::SocketBackend>(shared.params);
-      sk->set_fault_config(instances_.front().scalar
-                               ? instances_.front().scalar->socket_faults
-                               : instances_.front().vec->socket_faults);
-      backend = std::move(sk);
-    } else {
-      auto th = std::make_unique<exec::ThreadBackend>(shared.params);
-      if (opts_.shards > 0) th->network().set_shards(opts_.shards);
-      backend = std::move(th);
-    }
     const auto t0 = std::chrono::steady_clock::now();
     clock.now = [t0] {
       return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -299,10 +244,7 @@ SessionReport Session::run_multiplexed() {
   for (ProcessId b : byz) backend->mark_byzantine(b);
   adversary::install(*backend, opts_.crashes);
 
-  exec::ExecOptions eopts;
-  eopts.max_deliveries = shared.max_deliveries;
-  eopts.timeout = shared.thread_timeout;
-  const exec::ExecResult res = backend->run(eopts);
+  const exec::ExecResult res = backend->run(exec_options(shared));
 
   SessionReport out;
   out.status = res.status;

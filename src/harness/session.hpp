@@ -102,6 +102,9 @@ class Session {
   struct Instance {
     std::optional<RunConfig> scalar;
     std::optional<VectorRunConfig> vec;
+    RunConfigBase& base() {
+      return scalar ? static_cast<RunConfigBase&>(*scalar) : *vec;
+    }
   };
 
   SessionReport run_multiplexed();

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include "core/async_byz.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace apxa::core {
 namespace {
+
+using namespace harness;
 
 RunConfig adaptive_config(std::uint32_t n, std::uint32_t t, double eps) {
   RunConfig cfg;
@@ -23,7 +25,7 @@ RunConfig adaptive_config(std::uint32_t n, std::uint32_t t, double eps) {
 TEST(Adaptive, TerminatesWithoutPublicBound) {
   auto cfg = adaptive_config(7, 2, 1e-3);
   cfg.inputs = linear_inputs(7, 0.0, 123.0);  // no M given to anyone
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
 }
@@ -31,7 +33,7 @@ TEST(Adaptive, TerminatesWithoutPublicBound) {
 TEST(Adaptive, CommonInputTerminatesQuickly) {
   auto cfg = adaptive_config(5, 1, 1e-3);
   cfg.inputs = {3.0, 3.0, 3.0, 3.0, 3.0};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   for (double y : rep.outputs) EXPECT_EQ(y, 3.0);
   // Zero observed spread => budget 1 round.
@@ -46,7 +48,7 @@ TEST(Adaptive, AgreementUnderBenignSchedulers) {
       cfg.inputs = random_inputs(rng, 9, -10.0, 10.0);
       cfg.sched = sched;
       cfg.seed = seed;
-      const auto rep = run_async(cfg);
+      const auto rep = run(cfg);
       EXPECT_TRUE(rep.all_output);
       EXPECT_TRUE(rep.validity_ok);
       EXPECT_TRUE(rep.agreement_ok)
@@ -61,7 +63,7 @@ TEST(Adaptive, SurvivesCrashes) {
   cfg.inputs = linear_inputs(9, 0.0, 50.0);
   Rng rng(4);
   cfg.crashes = adversary::random_crashes(rng, cfg.params, 3, 5);
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output) << "DONE-freeze must keep laggards live";
   EXPECT_TRUE(rep.validity_ok);
 }
@@ -72,7 +74,7 @@ TEST(Adaptive, LaggardFinishesViaDoneInjection) {
   auto cfg = adaptive_config(5, 1, 1e-2);
   cfg.inputs = linear_inputs(5, 0.0, 4.0);
   cfg.sched = SchedKind::kTargeted;  // random with no bias = benign
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
 }
 
@@ -80,11 +82,11 @@ TEST(Adaptive, BudgetScalesWithSpread) {
   // Wider inputs must produce more rounds (log-scaling budget).
   auto narrow = adaptive_config(7, 2, 1e-3);
   narrow.inputs = linear_inputs(7, 0.0, 1.0);
-  const auto rep_narrow = run_async(narrow);
+  const auto rep_narrow = run(narrow);
 
   auto wide = adaptive_config(7, 2, 1e-3);
   wide.inputs = linear_inputs(7, 0.0, 1e6);
-  const auto rep_wide = run_async(wide);
+  const auto rep_wide = run(wide);
 
   EXPECT_GT(rep_wide.max_round_reached, rep_narrow.max_round_reached);
 }
@@ -92,11 +94,11 @@ TEST(Adaptive, BudgetScalesWithSpread) {
 TEST(Adaptive, EpsilonScalesRounds) {
   auto coarse = adaptive_config(7, 2, 1.0);
   coarse.inputs = linear_inputs(7, 0.0, 100.0);
-  const auto rep_coarse = run_async(coarse);
+  const auto rep_coarse = run(coarse);
 
   auto fine = adaptive_config(7, 2, 1e-6);
   fine.inputs = linear_inputs(7, 0.0, 100.0);
-  const auto rep_fine = run_async(fine);
+  const auto rep_fine = run(fine);
 
   EXPECT_GT(rep_fine.max_round_reached, rep_coarse.max_round_reached);
   EXPECT_TRUE(rep_fine.all_output);
@@ -119,7 +121,7 @@ TEST(Adaptive, CliqueIsolationBehaviorDocumented) {
     for (std::uint32_t i = 0; i < 7; ++i) cfg.inputs[i] = rng.next_double(0.0, 0.01);
     cfg.inputs[7] = -100.0;
     cfg.inputs[8] = 100.0;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     EXPECT_TRUE(rep.all_output) << "seed " << seed;
     EXPECT_TRUE(rep.validity_ok) << "seed " << seed;
   }
@@ -139,7 +141,7 @@ TEST(Adaptive, ByzantineModeLaundersEstimate) {
   b.kind = adversary::ByzKind::kExtremeHigh;
   b.hi = 1e30;
   cfg.byz = {b};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_LE(rep.max_round_reached, 64u);

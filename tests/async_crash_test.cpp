@@ -7,10 +7,12 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace apxa::core {
 namespace {
+
+using namespace harness;
 
 RunConfig base_config(std::uint32_t n, std::uint32_t t, double eps = 1e-3) {
   RunConfig cfg;
@@ -26,7 +28,7 @@ TEST(CrashAa, CommonInputImmediateStability) {
   auto cfg = base_config(4, 1);
   cfg.inputs = {5.0, 5.0, 5.0, 5.0};
   cfg.fixed_rounds = 3;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   for (double y : rep.outputs) EXPECT_EQ(y, 5.0);
   EXPECT_TRUE(rep.validity_ok);
@@ -37,7 +39,7 @@ TEST(CrashAa, ZeroRoundsOutputsInputs) {
   auto cfg = base_config(4, 1);
   cfg.inputs = {1.0, 2.0, 3.0, 4.0};
   cfg.fixed_rounds = 0;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_EQ(rep.outputs, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
   EXPECT_EQ(rep.metrics.messages_sent, 0u);
@@ -47,7 +49,7 @@ TEST(CrashAa, ConvergesToEpsilonFaultFree) {
   auto cfg = base_config(7, 2, 1e-4);
   cfg.inputs = linear_inputs(7, 0.0, 1.0);
   cfg.fixed_rounds = rounds_for_bound(1.0, cfg.epsilon, Averager::kMean, cfg.params);
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << "gap " << rep.worst_pair_gap;
@@ -57,7 +59,7 @@ TEST(CrashAa, RoundComplexityMatchesBudget) {
   auto cfg = base_config(7, 2);
   cfg.inputs = linear_inputs(7, 0.0, 1.0);
   cfg.fixed_rounds = 6;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   // Every round takes at most Delta = 1 of virtual time.
   EXPECT_LE(rep.finish_time, 6.0 + 1e-9);
   EXPECT_EQ(rep.max_round_reached, 6u);
@@ -67,7 +69,7 @@ TEST(CrashAa, MessageComplexityQuadraticPerRound) {
   auto cfg = base_config(10, 3);
   cfg.inputs = linear_inputs(10, 0.0, 1.0);
   cfg.fixed_rounds = 5;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   // n(n-1) messages per round exactly, fault-free.
   EXPECT_EQ(rep.metrics.messages_sent, 10u * 9u * 5u);
 }
@@ -78,7 +80,7 @@ TEST(CrashAa, SurvivesMaxCrashes) {
   cfg.fixed_rounds = rounds_for_bound(2.0, cfg.epsilon, Averager::kMean, cfg.params);
   Rng rng(11);
   cfg.crashes = adversary::random_crashes(rng, cfg.params, 3, cfg.fixed_rounds);
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << "gap " << rep.worst_pair_gap;
@@ -90,7 +92,7 @@ TEST(CrashAa, PartialMulticastCrashIsHandled) {
   cfg.fixed_rounds = rounds_for_bound(1.0, cfg.epsilon, Averager::kMean, cfg.params);
   cfg.crashes = {adversary::partial_multicast_crash(cfg.params, 0, 1, {1}),
                  adversary::partial_multicast_crash(cfg.params, 4, 0, {3})};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok);
@@ -100,7 +102,7 @@ TEST(CrashAa, SpreadShrinksMonotonically) {
   auto cfg = base_config(9, 2);
   cfg.inputs = linear_inputs(9, 0.0, 8.0);
   cfg.fixed_rounds = 8;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   ASSERT_GE(rep.spread_by_round.size(), 2u);
   for (std::size_t r = 0; r + 1 < rep.spread_by_round.size(); ++r) {
     EXPECT_LE(rep.spread_by_round[r + 1], rep.spread_by_round[r] + 1e-12);
@@ -117,7 +119,7 @@ TEST(CrashAa, GuaranteedFactorHoldsPerRound) {
     cfg.fixed_rounds = 6;
     cfg.sched = sched;
     cfg.seed = 21;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     const double k = predicted_factor_crash_async_mean(10, 3);
     for (double f : rep.round_factors) {
       EXPECT_GE(f, k - 1e-9) << "scheduler " << static_cast<int>(sched);
@@ -130,8 +132,8 @@ TEST(CrashAa, OutputsDeterministicAcrossReplays) {
   cfg.inputs = linear_inputs(6, 0.0, 1.0);
   cfg.fixed_rounds = 4;
   cfg.seed = 99;
-  const auto a = run_async(cfg);
-  const auto b = run_async(cfg);
+  const auto a = run(cfg);
+  const auto b = run(cfg);
   EXPECT_EQ(a.outputs, b.outputs);
   EXPECT_EQ(a.metrics.messages_sent, b.metrics.messages_sent);
   EXPECT_EQ(a.finish_time, b.finish_time);
@@ -142,7 +144,7 @@ TEST(CrashAa, LiveModeNeverOutputs) {
   cfg.inputs = linear_inputs(5, 0.0, 1.0);
   cfg.mode = TerminationMode::kLive;
   cfg.fixed_rounds = 10;  // observation horizon
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_EQ(rep.status, net::RunStatus::kPredicateSatisfied);
   EXPECT_TRUE(rep.outputs.empty());
   EXPECT_GE(rep.max_round_reached, 10u);
@@ -153,7 +155,7 @@ TEST(CrashAa, MedianRuleAlsoConverges) {
   cfg.averager = Averager::kMedian;
   cfg.inputs = linear_inputs(9, 0.0, 1.0);
   cfg.fixed_rounds = 30;  // median has no guaranteed factor; use plenty
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
 }
@@ -162,21 +164,21 @@ TEST(CrashAa, ResilienceGuard) {
   auto cfg = base_config(4, 2);  // n = 2t: rejected
   cfg.inputs = {0, 0, 0, 0};
   cfg.fixed_rounds = 1;
-  EXPECT_THROW(run_async(cfg), std::invalid_argument);
+  EXPECT_THROW(run(cfg), std::invalid_argument);
 }
 
 TEST(CrashAa, InputSizeGuard) {
   auto cfg = base_config(4, 1);
   cfg.inputs = {0, 0};  // wrong size
   cfg.fixed_rounds = 1;
-  EXPECT_THROW(run_async(cfg), std::invalid_argument);
+  EXPECT_THROW(run(cfg), std::invalid_argument);
 }
 
 TEST(CrashAa, NegativeAndLargeInputs) {
   auto cfg = base_config(7, 2, 1e-2);
   cfg.inputs = {-1e6, 1e6, 0.0, 2.5, -2.5, 1e5, -1e5};
   cfg.fixed_rounds = rounds_for_bound(1e6, cfg.epsilon, Averager::kMean, cfg.params);
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -204,7 +206,7 @@ TEST_P(CrashSweep, ValidityAndAgreement) {
   cfg.crashes = adversary::random_crashes(rng, cfg.params,
                                           static_cast<std::uint32_t>(crash_count),
                                           cfg.fixed_rounds);
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << "n=" << n << " t=" << t << " gap "

@@ -25,10 +25,8 @@ inline constexpr BackendCase kBackendMatrix[] = {
     {BackendKind::kSocket, 0.10, 0.05, "socket_lossy"},
 };
 
-/// Apply a matrix case to a config (works for RunConfig and VectorRunConfig:
-/// both expose backend / socket_faults).
-template <typename Config>
-void apply_backend_case(Config& cfg, const BackendCase& c) {
+/// Apply a matrix case to a scalar or vector config.
+inline void apply_backend_case(RunConfigBase& cfg, const BackendCase& c) {
   cfg.backend = c.backend;
   cfg.socket_faults.loss = c.loss;
   cfg.socket_faults.reorder = c.reorder;

@@ -7,10 +7,12 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace apxa::core {
 namespace {
+
+using namespace harness;
 
 using adversary::ByzKind;
 
@@ -88,7 +90,7 @@ TEST_P(ProtocolFuzz, SafetyAndLiveness) {
     }
   }
 
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output) << "liveness";
   EXPECT_TRUE(rep.validity_ok) << "validity";
   EXPECT_TRUE(rep.agreement_ok) << "agreement gap " << rep.worst_pair_gap;

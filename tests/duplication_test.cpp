@@ -8,7 +8,7 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "rb/bracha.hpp"
 #include "sched/fifo_scheduler.hpp"
@@ -19,6 +19,7 @@ namespace apxa {
 namespace {
 
 using namespace core;
+using namespace harness;
 
 TEST(Duplication, DeliveriesExceedSendsAtHighProbability) {
   const SystemParams p{5, 1};

@@ -9,13 +9,14 @@
 #include "analysis/worst_case.hpp"
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
 #include "core/sync_aa.hpp"
+#include "harness/harness.hpp"
 
 namespace apxa {
 namespace {
 
 using namespace core;
+using namespace harness;
 
 TEST(Integration, ExecutedFactorNeverBelowAnalyticWorstCase) {
   // The exact analytic worst case lower-bounds every executed round's factor:
@@ -36,7 +37,7 @@ TEST(Integration, ExecutedFactorNeverBelowAnalyticWorstCase) {
       cfg.fixed_rounds = 5;
       cfg.sched = sched;
       cfg.seed = seed;
-      const auto rep = run_async(cfg);
+      const auto rep = run(cfg);
       for (double f : rep.round_factors) {
         EXPECT_GE(f, analytic - 1e-9)
             << "scheduler " << static_cast<int>(sched) << " seed " << seed;
@@ -61,7 +62,7 @@ TEST(Integration, GreedySchedulerApproachesWorstCase) {
     cfg.inputs = split_inputs(p.n, p.n / 2, 0.0, 1.0);
     cfg.fixed_rounds = 4;
     cfg.sched = sched;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     const auto rate = analysis::summarize_rates(rep.spread_by_round);
     return rate.measurable ? rate.per_round_min
                            : std::numeric_limits<double>::infinity();
@@ -84,7 +85,7 @@ TEST(Integration, AsyncVsSyncRateGap) {
   async_cfg.inputs = inputs;
   async_cfg.fixed_rounds = 3;
   async_cfg.sched = SchedKind::kGreedySplit;
-  const auto async_rep = run_async(async_cfg);
+  const auto async_rep = run(async_cfg);
 
   SyncConfig sync_cfg;
   sync_cfg.params = p;
@@ -106,11 +107,11 @@ TEST(Integration, WitnessPaysMessagesForResilience) {
   round_cfg.protocol = ProtocolKind::kCrashRound;
   round_cfg.inputs = linear_inputs(p.n, 0.0, 1.0);
   round_cfg.fixed_rounds = 4;
-  const auto round_rep = run_async(round_cfg);
+  const auto round_rep = run(round_cfg);
 
   RunConfig wit_cfg = round_cfg;
   wit_cfg.protocol = ProtocolKind::kWitness;
-  const auto wit_rep = run_async(wit_cfg);
+  const auto wit_rep = run(wit_cfg);
 
   EXPECT_GT(wit_rep.metrics.messages_sent, 5 * round_rep.metrics.messages_sent);
   EXPECT_TRUE(wit_rep.agreement_ok || wit_rep.worst_pair_gap < 0.2);
@@ -140,7 +141,7 @@ TEST(Integration, EndToEndEpsilonPipeline) {
             ? std::max<Round>(1, rounds_needed(2.0, cfg.epsilon,
                                                predicted_factor_witness()))
             : rounds_for_bound(1.0, cfg.epsilon, s.avg, s.p);
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     EXPECT_TRUE(rep.all_output);
     EXPECT_TRUE(rep.validity_ok);
     EXPECT_TRUE(rep.agreement_ok)
@@ -158,7 +159,7 @@ TEST(Integration, LatencyScalesWithRounds) {
     cfg.protocol = ProtocolKind::kCrashRound;
     cfg.inputs = linear_inputs(p.n, 0.0, 1.0);
     cfg.fixed_rounds = r;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     EXPECT_LE(rep.finish_time, static_cast<double>(r) + 1e-9);
     EXPECT_GT(rep.finish_time, prev_time);
     prev_time = rep.finish_time;

@@ -12,7 +12,6 @@
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
 #include "core/collect.hpp"
-#include "core/epsilon_driver.hpp"
 #include "core/multidim.hpp"
 #include "core/round_engine.hpp"
 #include "geom/geom.hpp"
@@ -24,6 +23,7 @@ namespace apxa {
 namespace {
 
 using namespace core;
+using namespace harness;
 
 // ---------------------------------------------------------------------------
 // Codec fuzz: random byte strings must decode to nullopt or throw the
@@ -133,7 +133,7 @@ TEST(GarbageInjection, WitnessProtocolUnaffected) {
   b.lo = -1e9;
   b.hi = 1e9;
   cfg.byz = {b};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
 }
@@ -174,7 +174,7 @@ TEST(TimedCrash, MidRunCrashStillConverges) {
   cfg.protocol = ProtocolKind::kCrashRound;
   cfg.inputs = linear_inputs(7, 0.0, 1.0);
   cfg.fixed_rounds = 8;
-  const auto baseline = run_async(cfg);
+  const auto baseline = run(cfg);
   ASSERT_TRUE(baseline.all_output);
 
   // Crash two parties at virtual times inside the run.
@@ -201,7 +201,7 @@ TEST(Degenerate, IdenticalExtremeInputs) {
   cfg.protocol = ProtocolKind::kCrashRound;
   cfg.inputs.assign(5, 1e308);  // near DBL_MAX, all equal
   cfg.fixed_rounds = 3;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   for (double y : rep.outputs) EXPECT_EQ(y, 1e308);
 }
@@ -213,7 +213,7 @@ TEST(Degenerate, TinySpreadBelowEpsilon) {
   cfg.mode = TerminationMode::kAdaptive;
   cfg.epsilon = 1.0;
   cfg.inputs = {0.0, 1e-9, -1e-9, 2e-9, 0.0};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.agreement_ok);
   EXPECT_LE(rep.max_round_reached, 2u);
@@ -227,7 +227,7 @@ TEST(Degenerate, MinimalSystemN3T1) {
   cfg.inputs = {0.0, 1.0, 0.25};
   cfg.fixed_rounds = rounds_for_bound(1.0, cfg.epsilon, Averager::kMean, cfg.params);
   cfg.crashes = {adversary::CrashSpec{2, 3, {}}};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok);
@@ -352,7 +352,7 @@ TEST(NonFinite, ByzRoundNanEquivocatorsKeepValidityAndAgreement) {
              non_finite_attacker(10, adversary::ByzKind::kEquivocate, kNan)};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     cfg.seed = seed;
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     EXPECT_TRUE(rep.all_output) << "seed " << seed;
     EXPECT_TRUE(rep.validity_ok) << "seed " << seed;
     EXPECT_TRUE(rep.agreement_ok) << "seed " << seed << " gap "

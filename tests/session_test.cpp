@@ -366,6 +366,32 @@ TEST(Session, ValidatesMultiplexingConstraints) {
     s.add(scalar_cfg(5, 1, 0.0, 1.0, 2));
     EXPECT_THROW(s.run(), std::invalid_argument);
   }
+  // A vector instance must match the scalar instance's system size,
+  // backend and byzantine id set, exactly as a second scalar instance must.
+  {
+    Session s;
+    s.add(scalar_cfg(5, 1, 0.0, 1.0, 2));
+    s.add(vector_cfg(7, 1, 2));
+    EXPECT_THROW(s.run(), std::invalid_argument);
+  }
+  {
+    Session s;
+    s.add(scalar_cfg(5, 1, 0.0, 1.0, 2));
+    VectorRunConfig other = vector_cfg(5, 1, 2);
+    other.backend = BackendKind::kThread;
+    s.add(other);
+    EXPECT_THROW(s.run(), std::invalid_argument);
+  }
+  {
+    Session s;
+    s.add(scalar_cfg(5, 1, 0.0, 1.0, 2));
+    VectorRunConfig other = vector_cfg(5, 1, 2);
+    adversary::ByzSpec b;
+    b.who = 4;
+    other.byz.push_back(b);
+    s.add(other);
+    EXPECT_THROW(s.run(), std::invalid_argument);
+  }
   // Session faults respect the budget t.
   {
     SessionOptions opts;

@@ -10,7 +10,7 @@
 #include "adversary/byzantine.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "runtime/thread_net.hpp"
 #include "sched/clique_scheduler.hpp"
@@ -21,6 +21,7 @@ namespace apxa {
 namespace {
 
 using namespace core;
+using namespace harness;
 
 /// Byzantine party that sends well-formed but malicious REPORT messages:
 /// undersized sets (must be rejected) and sets claiming undelivered origins
@@ -83,7 +84,7 @@ TEST(WitnessEdge, LaggardCatchesUpUnderCliqueScheduling) {
   cfg.inputs = linear_inputs(7, 0.0, 1.0);
   cfg.fixed_rounds = 8;
   cfg.sched = SchedKind::kClique;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -97,7 +98,7 @@ TEST(WitnessEdge, DeterministicReplay) {
     cfg.inputs = linear_inputs(7, -1.0, 1.0);
     cfg.fixed_rounds = 6;
     cfg.seed = 1234;
-    return run_async(cfg);
+    return run(cfg);
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -154,7 +155,7 @@ TEST(WitnessEdge, SingleIterationIsOneHalving) {
   cfg.protocol = ProtocolKind::kWitness;
   cfg.inputs = split_inputs(7, 3, 0.0, 1.0);
   cfg.fixed_rounds = 1;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   // One iteration: outputs within the hull, spread at most half.
   EXPECT_LE(rep.worst_pair_gap, 0.5 + 1e-9);
@@ -224,7 +225,7 @@ TEST(WitnessEdge, OutOfBudgetTrafficIsOnlyTheAttackersOwn) {
     spec.kind = adversary::ByzKind::kEquivocate;
     cfg.byz.push_back(spec);
   }
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   ASSERT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   std::uint64_t above = 0;

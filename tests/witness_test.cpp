@@ -3,10 +3,12 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace apxa::core {
 namespace {
+
+using namespace harness;
 
 using adversary::ByzKind;
 using adversary::ByzSpec;
@@ -37,7 +39,7 @@ TEST(Witness, FaultFreeConvergence) {
   auto cfg = witness_config(4, 1, 1e-4);
   cfg.inputs = {0.0, 0.25, 0.75, 1.0};
   cfg.fixed_rounds = witness_rounds(1.0, cfg.epsilon);
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -53,7 +55,7 @@ TEST(Witness, OptimalResilienceBeyondOneFifth) {
   cfg.inputs = {0.0, 0.5, 1.0, 0.25};
   cfg.fixed_rounds = witness_rounds(1.0, cfg.epsilon);
   cfg.byz = {make_byz(3, ByzKind::kEquivocate)};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -67,7 +69,7 @@ TEST_P(WitnessStrategySweep, SafetyUnderAttack) {
   cfg.inputs = linear_inputs(7, 0.0, 1.0);
   cfg.fixed_rounds = witness_rounds(1.0, cfg.epsilon);
   cfg.byz = {make_byz(0, kind), make_byz(6, kind)};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output) << "liveness lost";
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -84,12 +86,12 @@ TEST(Witness, CubicMessageComplexity) {
   auto small = witness_config(4, 1);
   small.inputs = linear_inputs(4, 0.0, 1.0);
   small.fixed_rounds = 2;
-  const auto rep_small = run_async(small);
+  const auto rep_small = run(small);
 
   auto large = witness_config(8, 1);
   large.inputs = linear_inputs(8, 0.0, 1.0);
   large.fixed_rounds = 2;
-  const auto rep_large = run_async(large);
+  const auto rep_large = run(large);
 
   // Doubling n should grow traffic by ~8x for a cubic protocol; allow slack
   // but rule out quadratic growth (4x).
@@ -102,7 +104,7 @@ TEST(Witness, HalvesSpreadPerIteration) {
   auto cfg = witness_config(7, 2);
   cfg.inputs = split_inputs(7, 3, 0.0, 1.0);
   cfg.fixed_rounds = 5;
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   ASSERT_GE(rep.spread_by_round.size(), 2u);
   for (double f : rep.round_factors) EXPECT_GE(f, 2.0 - 1e-9);
 }
@@ -115,7 +117,7 @@ TEST(Witness, AdversarialSchedulerSafety) {
     cfg.sched = SchedKind::kGreedySplit;
     cfg.seed = seed;
     cfg.byz = {make_byz(3, ByzKind::kEquivocate)};
-    const auto rep = run_async(cfg);
+    const auto rep = run(cfg);
     EXPECT_TRUE(rep.all_output);
     EXPECT_TRUE(rep.validity_ok);
     EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -128,7 +130,7 @@ TEST(Witness, SurvivesCrashFaults) {
   cfg.fixed_rounds = witness_rounds(4.0, cfg.epsilon);
   cfg.crashes = {adversary::partial_multicast_crash(cfg.params, 2, 1, {0, 1}),
                  adversary::partial_multicast_crash(cfg.params, 5, 0, {6})};
-  const auto rep = run_async(cfg);
+  const auto rep = run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -138,7 +140,7 @@ TEST(Witness, ResilienceGuard) {
   auto cfg = witness_config(6, 2);  // n = 3t: rejected
   cfg.inputs = linear_inputs(6, 0.0, 1.0);
   cfg.fixed_rounds = 1;
-  EXPECT_THROW(run_async(cfg), std::invalid_argument);
+  EXPECT_THROW(run(cfg), std::invalid_argument);
 }
 
 }  // namespace
