@@ -109,13 +109,14 @@ int run_party(const Options& o) {
   net.set_linger(std::chrono::milliseconds(500));
 
   const bool ok = net.run(std::chrono::seconds(30));
-  if (!ok || !net.has_output(id)) {
+  const auto y = net.inbox().process(id).output();
+  if (!ok || !y) {
     std::fprintf(stderr, "party %u: no output (peers unreachable?)\n", id);
     return 1;
   }
   const auto& m = net.metrics();
   std::printf("party %u: input=%.2f output=%.6f rounds=%u retransmits=%llu\n",
-              id, input_of(id), net.output_value(id), rounds,
+              id, input_of(id), *y, rounds,
               static_cast<unsigned long long>(m.packets_retransmitted));
   return 0;
 }

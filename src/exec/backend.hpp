@@ -2,10 +2,13 @@
 //
 // The protocol state machines (net::Process) are transport-independent; a
 // Backend seats one concrete transport — the deterministic discrete-event
-// simulator (exec::SimBackend / net::SimNetwork) or the threaded in-process
-// runtime (exec::ThreadBackend / rt::ThreadNetwork) — behind one interface:
-// register processes, inject faults, run until every correct party is done,
-// collect outputs, per-party finish times and communication metrics.
+// simulator (net::SimNetwork), the threaded in-process runtime
+// (rt::ThreadNetwork) or the loopback UDP runtime (rt::SocketNetwork) —
+// behind one interface: register processes, inject faults, run until every
+// correct party is done, collect outputs, per-party finish times and
+// communication metrics.  exec::TransportBackend (exec/transport_backend.hpp)
+// is the one implementation, for all three transports: each keeps its
+// party table in a net::Inbox, so the ExecResult is filled in one place.
 //
 // The harness layer (src/harness) builds processes and fault plans from a
 // RunConfig once and executes them on any Backend, so every protocol x
@@ -19,12 +22,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "net/inbox.hpp"
 #include "net/metrics.hpp"
 #include "net/process.hpp"
 #include "net/status.hpp"
@@ -33,29 +36,20 @@
 
 namespace apxa::exec {
 
-/// Per-process completion probe, evaluated in whatever context owns the
-/// process (the simulator loop, or the party's own worker thread — never
-/// concurrently with an upcall into the same process).  It must only read.
-/// An empty predicate means "has produced an output".
-///
-/// Backends evaluate the probe only on parties that are still correct (not
-/// crashed, not marked byzantine), so a probe may downcast to the concrete
-/// honest-protocol type (the live-horizon probe does).
-using DonePredicate = std::function<bool(const net::Process&)>;
-
 struct ExecOptions {
   /// Simulator delivery budget (ignored by the threaded backend).
   std::uint64_t max_deliveries = 50'000'000;
   /// Wall-clock cap for the threaded backend (ignored by the simulator).
   std::chrono::milliseconds timeout{20'000};
-  /// Completion probe; empty = party done once output() is non-empty.
-  DonePredicate done;
+  /// Completion probe (see net::DoneProbe); empty = party done once it has
+  /// output.
+  net::DoneProbe done;
 };
 
 struct ExecResult {
   net::RunStatus status = net::RunStatus::kQueueDrained;
   /// True when every correct party has produced an output (note: under a
-  /// live-horizon DonePredicate a run can complete without any outputs).
+  /// live-horizon done probe a run can complete without any outputs).
   bool all_correct_output = false;
   /// Scalar outputs of the parties correct at the end of the run, in id
   /// order.  Vector-valued protocols leave this empty (see vector_outputs).
@@ -65,7 +59,7 @@ struct ExecResult {
   std::vector<std::vector<double>> vector_outputs;
   /// Per-party time at which the output appeared: virtual time in Delta
   /// units on the simulator, wall-clock seconds since run() on the threaded
-  /// backend; +inf where no output.  Size n.
+  /// and socket backends; +inf where no output.  Size n.
   std::vector<double> output_times;
   /// Per-party "still correct at end of run" flags (crashed and byzantine
   /// parties are false).  Size n.
@@ -112,8 +106,8 @@ class Backend {
 
   /// Attach an obs::TraceSink the transport records events into (null
   /// disables tracing).  The sink must outlive the backend; call before
-  /// run().  Default: no-op, for backends without trace support.
-  virtual void set_trace(obs::TraceSink* sink) { (void)sink; }
+  /// run().
+  virtual void set_trace(obs::TraceSink* sink) = 0;
 
   /// Execute until every correct party satisfies the completion probe, the
   /// simulator queue drains, or a budget/timeout is hit.

@@ -7,9 +7,7 @@
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
 #include "core/convex_aa.hpp"
-#include "exec/sim_backend.hpp"
-#include "exec/socket_backend.hpp"
-#include "exec/thread_backend.hpp"
+#include "exec/transport_backend.hpp"
 #include "net/envelope.hpp"
 #include "sched/clique_scheduler.hpp"
 #include "sched/crash_timing_scheduler.hpp"
@@ -164,16 +162,16 @@ std::unique_ptr<exec::Backend> make_backend(const RunConfigBase& cfg,
                                             std::uint32_t shards) {
   switch (cfg.backend) {
     case BackendKind::kSim:
-      return std::make_unique<exec::SimBackend>(
+      return std::make_unique<exec::TransportBackend<net::SimNetwork>>(
           cfg.params, scheduler_for(cfg, std::move(probe)));
     case BackendKind::kThread: {
-      auto b = std::make_unique<exec::ThreadBackend>(cfg.params);
+      auto b = std::make_unique<exec::TransportBackend<rt::ThreadNetwork>>(cfg.params);
       if (shards > 0) b->network().set_shards(shards);
       return b;
     }
     case BackendKind::kSocket: {
-      auto b = std::make_unique<exec::SocketBackend>(cfg.params);
-      b->set_fault_config(cfg.socket_faults);
+      auto b = std::make_unique<exec::TransportBackend<rt::SocketNetwork>>(cfg.params);
+      b->network().set_fault_config(cfg.socket_faults);
       return b;
     }
   }
@@ -309,7 +307,7 @@ void stage(const VectorRunConfig& cfg, const core::VecTraceFn& trace,
   seat(cfg, build_processes(cfg, trace, view_trace), backend, {});
 }
 
-exec::DonePredicate make_done_predicate(const RunConfig& cfg) {
+net::DoneProbe make_done_predicate(const RunConfig& cfg) {
   if (cfg.mode != core::TerminationMode::kLive) return {};
   // Live protocols never output; a party is done once it has entered
   // round/iteration `fixed_rounds` (the observation horizon).

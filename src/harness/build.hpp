@@ -6,8 +6,8 @@
 // scheduler's value probe differ per domain.
 //
 // Split out of the execution entry points so tests and custom drivers can
-// stage a scenario on a hand-constructed backend (e.g. a SimBackend with
-// duplication enabled through its escape hatch) and still share the exact
+// stage a scenario on a hand-constructed backend (e.g. a simulator backend
+// with duplication enabled through its network() escape hatch) and still share the exact
 // process/fault construction the stock harness uses.
 #pragma once
 
@@ -88,6 +88,6 @@ void stage(const VectorRunConfig& cfg, const core::VecTraceFn& trace,
 /// for outputting modes, "reached the round/iteration horizon" for kLive.
 /// Vector protocols decide through the process interface's vector side, so
 /// the default "has output" probe covers them.
-exec::DonePredicate make_done_predicate(const RunConfig& cfg);
+net::DoneProbe make_done_predicate(const RunConfig& cfg);
 
 }  // namespace apxa::harness

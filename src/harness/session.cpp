@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/ensure.hpp"
-#include "exec/sim_backend.hpp"
+#include "exec/transport_backend.hpp"
 #include "harness/build.hpp"
 #include "net/envelope.hpp"
 
@@ -212,7 +212,7 @@ SessionReport Session::run_multiplexed() {
       front.scalar ? value_probe(*front.scalar) : value_probe(*front.vec),
       opts_.shards);
   if (shared.backend == BackendKind::kSim) {
-    auto* sim = static_cast<exec::SimBackend*>(backend.get());
+    auto* sim = static_cast<exec::TransportBackend<net::SimNetwork>*>(backend.get());
     clock.now = [sim] { return sim->network().now(); };
   } else {
     const auto t0 = std::chrono::steady_clock::now();

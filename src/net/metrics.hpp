@@ -65,12 +65,14 @@ struct Metrics {
   /// kMaxTrackedRounds growth bound.
   std::vector<std::uint64_t> sent_by_instance;
 
-  /// Delivery-latency histogram buckets per wire tag.  Latency is virtual
-  /// time send->deliver, which the (0, Delta]-clamped schedulers keep in
-  /// (0, 1]; bucket i covers (i, i+1] / kLatencyBuckets.  Only the
-  /// simulator fills this (the threaded transport has no virtual clock); it
-  /// closes the observability gap between aggregate finish times and
-  /// per-instance decides — per-tag tail latency under a given scheduler.
+  /// Delivery-latency histogram buckets per wire tag; bucket i covers
+  /// (i, i+1] / kLatencyBuckets of the transport's latency span.  The
+  /// simulator fills it with virtual time send->deliver, which the
+  /// (0, Delta]-clamped schedulers keep in (0, 1]; the socket runtime with
+  /// wall-clock link latency in units of rt::kSocketLatencySpan.  The
+  /// threaded runtime carries no send time and fills none.  It closes the
+  /// observability gap between aggregate finish times and per-instance
+  /// decides — per-tag tail latency under a given scheduler.
   static constexpr std::size_t kLatencyBuckets = 32;
   std::array<std::array<std::uint64_t, kLatencyBuckets>, kMaxTag + 1>
       latency_by_tag{};

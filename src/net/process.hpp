@@ -2,8 +2,9 @@
 //
 // Protocol logic is written as an event-driven state machine against this
 // interface, independent of the transport that runs it.  The same Process
-// objects run on the deterministic simulator (net::SimNetwork) and on the
-// threaded runtime (rt::ThreadNetwork).
+// objects run on the deterministic simulator (net::SimNetwork), the
+// threaded runtime (rt::ThreadNetwork) and the socket runtime
+// (rt::SocketNetwork).
 //
 // Conventions:
 //  - multicast(payload) sends to every *other* party; a process accounts for
@@ -18,10 +19,10 @@
 //  - Own-upcall contract: a process's state — and with it has_output() and
 //    any completion probe a transport runs on it — changes only inside its
 //    own on_start / on_message upcalls, never from another party's upcall or
-//    from outside.  Transports rely on it: net::SimNetwork re-checks only the
-//    receiver after each delivery, and it and rt::ThreadNetwork latch
-//    per-party done flags.  Processes must not share
-//    mutable protocol state with each other.
+//    from outside.  Every transport relies on it through net::Inbox, which
+//    after each upcall re-checks only the party it ran (capturing its output
+//    time once, latching its done flag) and reads outputs after the run.
+//    Processes must not share mutable protocol state with each other.
 #pragma once
 
 #include <optional>

@@ -16,16 +16,17 @@
 // all randomness comes from seeded Rng instances, so a simulation replays
 // bit-identically from its configuration.
 //
-// Cost per event: O(1) in n.  Every run loop shares one delivery helper
-// (deliver), and a delivery changes only its receiver's state (the
-// own-upcall contract in net/process.hpp), so after each event only the
-// receiver's output time is noted and only the receiver's done probe is
-// re-run into a latched per-party flag; the all-correct-done conjunction is
-// a scan of those flags that resumes at the last blocking party.  A batch's
-// frames reach on_message as views into the packet, never as copies.
+// Cost per event: O(1) in n.  A delivery changes only its receiver's state
+// (the own-upcall contract in net/process.hpp), so after each event only
+// the receiver is settled — its output time noted, its done probe re-run
+// into a latched flag — and the all-correct-done conjunction is a scan of
+// those flags that resumes at the last blocking party.  A batch's frames
+// reach on_message as views into the packet, never as copies.
 //
 // Sends go through net::Outbox (crash budgets, multicast order, batching,
-// send tracing and accounting); the simulator's wire is its event heap.
+// send tracing and accounting), whose wire here is the event heap;
+// deliveries, output times, done latches and the correct-party accessors
+// go through net::Inbox, stamped with virtual time.
 #pragma once
 
 #include <bit>
@@ -40,6 +41,7 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "net/message.hpp"
+#include "net/inbox.hpp"
 #include "net/metrics.hpp"
 #include "net/outbox.hpp"
 #include "net/process.hpp"
@@ -50,14 +52,13 @@
 
 namespace apxa::net {
 
-enum class PartyStatus : std::uint8_t { kCorrect, kCrashed, kByzantine };
-
 class SimNetwork final {
  public:
   /// The scheduler decides per-message delays; the network owns it.
   SimNetwork(SystemParams params, std::unique_ptr<sched::Scheduler> scheduler);
 
-  /// Not movable: the Outbox's wire points back at this network.
+  /// Not movable: the Outbox's wire and the Inbox's clock point back at
+  /// this network.
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
 
@@ -65,8 +66,8 @@ class SimNetwork final {
   /// must be added before start().
   void add_process(std::unique_ptr<Process> p);
 
-  /// Declare a party byzantine (for bookkeeping: invariant checks and the
-  /// "correct parties" accessors skip it).  Must be called before start().
+  /// Declare a party byzantine (bookkeeping, see net::Inbox).  Must be
+  /// called before start().
   void mark_byzantine(ProcessId p);
 
   /// Crash `p` immediately before its (count+1)-th logical send (see
@@ -95,7 +96,7 @@ class SimNetwork final {
   /// protocol stream bit for bit.  The sink must outlive the network.
   void set_trace(obs::TraceSink* sink) {
     trace_ = sink;
-    outbox_.set_trace(sink, &now_);
+    inbox_.set_trace(sink);
   }
   [[nodiscard]] obs::TraceSink* trace() const { return trace_; }
 
@@ -114,47 +115,24 @@ class SimNetwork final {
   RunStatus run_until(const std::function<bool()>& pred,
                       std::uint64_t max_deliveries = 50'000'000);
 
-  /// Per-party completion probe: `done(p, process(p))` is consulted only for
-  /// currently-correct parties, MUST be monotone (once true, true on every
-  /// later call) and must only read the probed process.
-  using PartyDone = std::function<bool(ProcessId, const Process&)>;
-
-  /// Deliver until every correct party satisfies `done` (empty = "has
-  /// produced an output"), the queue drains, or the budget is exhausted.
-  /// Stops exactly where run_until over the all-correct-done conjunction
-  /// would, but probes each correct party once up front and afterwards only
-  /// the receiver of each delivery, latching the answers (at most n +
-  /// deliveries probe calls).
-  RunStatus run_until_done(const PartyDone& done,
+  /// Deliver until every correct party satisfies `done` (net::DoneProbe;
+  /// empty = "has produced an output"), the queue drains, or the budget is
+  /// exhausted.  Stops exactly where run_until over the all-correct-done
+  /// conjunction would, but probes each correct party once up front and
+  /// afterwards only the receiver of each delivery, latching the answers
+  /// (at most n + deliveries probe calls).
+  RunStatus run_until_done(const DoneProbe& done,
                            std::uint64_t max_deliveries = 50'000'000);
 
   /// Deliver until the queue drains (or budget).
   RunStatus run(std::uint64_t max_deliveries = 50'000'000);
 
-  /// True when every correct party has produced an output.
-  [[nodiscard]] bool all_correct_output() const;
-
-  [[nodiscard]] Process& process(ProcessId p);
-  [[nodiscard]] const Process& process(ProcessId p) const;
-  [[nodiscard]] PartyStatus status(ProcessId p) const;
-  [[nodiscard]] bool is_correct(ProcessId p) const {
-    return status(p) == PartyStatus::kCorrect;
-  }
+  /// The party table: processes, correctness, output times and outputs.
+  [[nodiscard]] const Inbox& inbox() const { return inbox_; }
   [[nodiscard]] SystemParams params() const { return params_; }
   [[nodiscard]] double now() const { return now_; }
   /// The per-party slots merged (valid at any point of the run).
   [[nodiscard]] Metrics metrics() const { return outbox_.metrics(); }
-
-  /// Outputs of all currently-correct parties (in id order) that have output.
-  [[nodiscard]] std::vector<double> correct_outputs() const;
-
-  /// Vector outputs of all currently-correct parties (in id order) that have
-  /// decided; scalar protocols appear as 1-vectors (net::Process adapts).
-  [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
-
-  /// Virtual time at which party p produced its output (checked after each
-  /// delivery); infinity if it has not output.
-  [[nodiscard]] double output_time(ProcessId p) const;
 
  private:
   /// (time, seq) as one unsigned 128-bit key: the high half is the
@@ -178,42 +156,23 @@ class SimNetwork final {
   void schedule(ProcessId from, ProcessId to, Payload payload);
   void push_event(Pending p);
   Pending pop_event();
-  /// Neither crashed nor byzantine.
-  [[nodiscard]] bool correct(ProcessId p) const {
-    return !byzantine_[p] && !outbox_.crashed(p);
-  }
   void apply_timed_crashes(double up_to);
-  void note_output(ProcessId p);
 
-  /// The one delivery path (run_until and run_until_done): drop if the
-  /// receiver crashed, else account the delivery, run the receiver's
-  /// upcall(s) — one per frame of a batch, each a view into the packet —,
-  /// flush its batch buffers and note the receiver's output time.  False
-  /// when dropped.
+  /// The one delivery path (run_until and run_until_done): the scheduler
+  /// sees the delivery unless the receiver crashed, then net::Inbox
+  /// delivers it.  False when dropped.
   bool deliver(const Message& m);
-  /// Serial event loop: pop, advance time, deliver; stops when
-  /// `stop_after(receiver)` holds after a delivery.
-  template <class StopAfter>
-  RunStatus drive(StopAfter&& stop_after, std::uint64_t max_deliveries);
-
-  /// Latched completion flags for run_until_done: latch_all_done probes every correct party once, latch_done re-probes
-  /// one party after its own event, all_done scans the flags from the last
-  /// party that blocked.
-  void latch_all_done(const PartyDone& done);
-  void latch_done(ProcessId p, const PartyDone& done);
-  [[nodiscard]] bool all_done();
+  /// Serial event loop: pop, advance time, deliver; stops when `stop()`
+  /// holds after a delivery.
+  template <class Stop>
+  RunStatus drive(Stop&& stop, std::uint64_t max_deliveries);
 
   SystemParams params_;
   std::unique_ptr<sched::Scheduler> scheduler_;
-  std::vector<std::unique_ptr<Process>> procs_;
-  std::vector<std::uint8_t> byzantine_;
   std::vector<double> crash_time_;               // +inf if none
-  std::vector<double> output_time_;
   // Earliest crash_at_time not yet applied (a lower bound), so
   // apply_timed_crashes costs one compare per event until it is due.
   double next_crash_time_ = std::numeric_limits<double>::infinity();
-  std::vector<std::uint8_t> done_flag_;           // run_until_done latches
-  ProcessId done_scan_ = 0;                       // first possibly-blocking party
 
   /// Min-heap on EventKey, 4-ary and held in place (whole events, no
   /// key-over-slab indirection).  An n = 16 witness run with five
@@ -234,6 +193,7 @@ class SimNetwork final {
   std::optional<Rng> duplication_rng_;
   obs::TraceSink* trace_ = nullptr;
   Outbox outbox_;
+  Inbox inbox_;
 };
 
 }  // namespace apxa::net

@@ -1,40 +1,29 @@
 #include "netio/socket_net.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/ensure.hpp"
-#include "net/envelope.hpp"
 
 namespace apxa::rt {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
 using Clock = std::chrono::steady_clock;
 }  // namespace
 
 SocketNetwork::SocketNetwork(SystemParams params)
     : params_(params),
       parties_(params.n),
-      byzantine_(params.n, false),
       outbox_(params,
               [this](ProcessId from, ProcessId to, net::Payload packet) {
                 link_send(from, to, packet, stop_token_of(from));
               }),
-      unacked_now_(params.n),
-      has_output_(params.n),
-      has_scalar_(params.n),
-      output_value_(params.n),
-      output_vec_(params.n),
-      output_time_(params.n),
-      done_(params.n) {
+      inbox_(outbox_),
+      unacked_now_(params.n) {
   APXA_ENSURE(params_.n >= 1 && params_.t < params_.n, "bad system params");
   // One socket fd per local party; stay well under default fd limits.
   APXA_ENSURE(params_.n <= 512, "socket backend supports at most 512 parties");
-  // The atomic flags and values start zeroed (vector value-initializes).
-  for (std::uint32_t i = 0; i < params_.n; ++i) output_time_[i] = kInf;
 }
 
 SocketNetwork::~SocketNetwork() {
@@ -45,24 +34,21 @@ SocketNetwork::~SocketNetwork() {
 
 void SocketNetwork::add_process(std::unique_ptr<net::Process> p) {
   ProcessId id = 0;
-  while (id < params_.n && (parties_[id].proc || parties_[id].remote)) ++id;
+  while (id < params_.n && (inbox_.has_process(id) || parties_[id].remote)) ++id;
   add_process_at(id, std::move(p));
 }
 
 void SocketNetwork::add_process_at(ProcessId id, std::unique_ptr<net::Process> p) {
   APXA_ENSURE(!started_.load(), "cannot add processes after run()");
-  APXA_ENSURE(p != nullptr, "null process");
   APXA_ENSURE(id < params_.n, "process id out of range");
   APXA_ENSURE(!parties_[id].remote, "party is declared remote");
-  APXA_ENSURE(!parties_[id].proc, "party already has a process");
-  parties_[id].proc = std::move(p);
-  ++registered_;
+  inbox_.add_process(id, std::move(p));
 }
 
 void SocketNetwork::set_party_remote(ProcessId p) {
   APXA_ENSURE(!started_.load(), "set_party_remote must precede run()");
   APXA_ENSURE(p < params_.n, "party id out of range");
-  APXA_ENSURE(!parties_[p].proc, "party already has a local process");
+  APXA_ENSURE(!inbox_.has_process(p), "party already has a local process");
   parties_[p].remote = true;
 }
 
@@ -82,14 +68,8 @@ void SocketNetwork::set_multicast_order(ProcessId p, std::vector<ProcessId> orde
 }
 
 void SocketNetwork::mark_byzantine(ProcessId p) {
-  APXA_ENSURE(p < params_.n, "byzantine id out of range");
   APXA_ENSURE(!started_.load(), "mark_byzantine must precede run()");
-  byzantine_[p] = true;
-}
-
-void SocketNetwork::set_done_predicate(DonePredicate pred) {
-  APXA_ENSURE(!started_.load(), "set_done_predicate must precede run()");
-  done_pred_ = std::move(pred);
+  inbox_.mark_byzantine(p);
 }
 
 void SocketNetwork::enable_batching(std::uint32_t max_frames) {
@@ -100,7 +80,7 @@ void SocketNetwork::enable_batching(std::uint32_t max_frames) {
 void SocketNetwork::set_trace(obs::TraceSink* sink) {
   APXA_ENSURE(!started_.load(), "set_trace must precede run()");
   trace_ = sink;
-  outbox_.set_trace(sink);
+  inbox_.set_trace(sink);
 }
 
 void SocketNetwork::set_fault_config(const netio::FaultConfig& cfg) {
@@ -191,27 +171,10 @@ void SocketNetwork::drain_pending(ProcessId p, const std::stop_token& st) {
     me.pending.pop_front();
     // Link-level receipt already happened (the payload was acked and
     // deduplicated); a crashed party additionally drops the PROTOCOL
-    // delivery, mirroring the other transports where crashed parties stop
+    // delivery, as on the other transports: crashed parties stop
     // processing but the wire keeps moving.
-    if (outbox_.crashed(p)) continue;
-    outbox_.metrics_of(p).note_delivery(d.payload, d.latency_s / kSocketLatencySpan);
-    if (outbox_.batching()) {
-      net::for_each_frame(d.payload, [&](BytesView frame) {
-        deliver_frame(p, src, frame);
-      });
-      outbox_.flush(p);
-    } else {
-      deliver_frame(p, src, d.payload);
-    }
-    publish(p);
+    inbox_.deliver(src, p, d.payload, d.latency_s / kSocketLatencySpan);
   }
-}
-
-void SocketNetwork::deliver_frame(ProcessId p, ProcessId from, BytesView frame) {
-  if (trace_) trace_->record(obs::EventKind::kDeliver, from, p, -1, 1.0, 0.0);
-  ++outbox_.metrics_of(p).messages_delivered;
-  net::OutboxContext ctx(outbox_, p);
-  parties_[p].proc->on_message(ctx, from, frame);
 }
 
 void SocketNetwork::service_timers(ProcessId p, const std::stop_token& st) {
@@ -249,40 +212,12 @@ void SocketNetwork::service_timers(ProcessId p, const std::stop_token& st) {
   }
 }
 
-void SocketNetwork::publish(ProcessId p) {
-  if (!has_output_[p].load(std::memory_order_acquire)) {
-    if (parties_[p].proc->has_output()) {
-      const std::chrono::duration<double> since = Clock::now() - start_time_;
-      if (auto vy = parties_[p].proc->vector_output()) {
-        output_vec_[p] = std::move(*vy);
-      }
-      if (const auto y = parties_[p].proc->output()) {
-        output_value_[p].store(*y, std::memory_order_relaxed);
-        has_scalar_[p].store(true, std::memory_order_relaxed);
-      }
-      output_time_[p].store(since.count(), std::memory_order_release);
-      has_output_[p].store(true, std::memory_order_release);
-    }
-  }
-  if (!byzantine_[p] && !outbox_.crashed(p) &&
-      !done_[p].load(std::memory_order_acquire)) {
-    const bool d = done_pred_ ? done_pred_(*parties_[p].proc)
-                              : has_output_[p].load(std::memory_order_acquire);
-    if (d) done_[p].store(true, std::memory_order_release);
-  }
-}
-
 void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
   Party& me = parties_[p];
   current_stop_[p] = &st;
   if (!me.started) {
     me.started = true;
-    if (!outbox_.crashed(p)) {
-      net::OutboxContext ctx(outbox_, p);
-      me.proc->on_start(ctx);
-      outbox_.flush(p);
-      publish(p);
-    }
+    inbox_.start(p);
   }
   while (!st.stop_requested()) {
     // Wait until the earliest timer (retransmit deadline or shim release) or
@@ -323,11 +258,11 @@ const std::stop_token& SocketNetwork::stop_token_of(ProcessId p) const {
   return *current_stop_[p];
 }
 
-bool SocketNetwork::run(std::chrono::milliseconds timeout) {
+bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) {
   std::uint32_t local_count = 0;
   for (ProcessId p = 0; p < params_.n; ++p) {
     const Party& party = parties_[p];
-    APXA_ENSURE(party.remote || party.proc != nullptr,
+    APXA_ENSURE(party.remote || inbox_.has_process(p),
                 "every party needs a process or a remote declaration");
     if (party.remote) {
       APXA_ENSURE(base_port_ != 0, "remote parties require set_fixed_ports");
@@ -337,6 +272,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout) {
   }
   APXA_ENSURE(local_count >= 1, "no local parties to run");
   APXA_ENSURE(!started_.exchange(true), "run() called twice");
+  inbox_.set_done(std::move(done));
 
   // Bind local sockets first (ephemeral ports resolve here), then assemble
   // the full address and port->party tables.
@@ -360,7 +296,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout) {
   }
   current_stop_.assign(params_.n, nullptr);
 
-  start_time_ = Clock::now();
+  const auto start = inbox_.start_clock();
   threads_.reserve(local_count);
   for (ProcessId p = 0; p < params_.n; ++p) {
     if (parties_[p].remote) continue;
@@ -368,25 +304,11 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout) {
         [this, p](std::stop_token st) { party_loop(p, std::move(st)); });
   }
 
-  const auto deadline = start_time_ + timeout;
-  auto all_done = [this] {
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (parties_[p].remote) continue;
-      if (outbox_.crashed(p) || byzantine_[p]) continue;
-      if (!done_[p].load(std::memory_order_acquire)) return false;
-    }
-    return true;
-  };
-  bool done = false;
-  for (;;) {
-    done = all_done();
-    if (done || Clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  const bool completed = inbox_.await_done(start + timeout);
 
   // Linger: keep party threads servicing acks/retransmits so remote peers
   // that decided later still drain our resend queues.
-  if (done && linger_ > std::chrono::milliseconds(0)) {
+  if (completed && linger_ > std::chrono::milliseconds(0)) {
     const auto linger_end = Clock::now() + linger_;
     while (Clock::now() < linger_end && total_unacked() > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -457,7 +379,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout) {
 
   exec_stats_ = obs::ExecStats{};
   exec_stats_.workers = local_count;
-  return done;
+  return completed;
 }
 
 std::uint64_t SocketNetwork::total_unacked() const {
@@ -466,64 +388,6 @@ std::uint64_t SocketNetwork::total_unacked() const {
     total += unacked_now_[p].load(std::memory_order_relaxed);
   }
   return total;
-}
-
-std::vector<double> SocketNetwork::correct_outputs() const {
-  std::vector<double> out;
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (parties_[p].remote || !is_correct(p)) continue;
-    if (has_output_[p].load(std::memory_order_acquire) &&
-        has_scalar_[p].load(std::memory_order_relaxed)) {
-      out.push_back(output_value_[p].load(std::memory_order_relaxed));
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> SocketNetwork::correct_vector_outputs() const {
-  std::vector<std::vector<double>> out;
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (parties_[p].remote || !is_correct(p)) continue;
-    if (has_output_[p].load(std::memory_order_acquire)) {
-      out.push_back(output_vec_[p]);
-    }
-  }
-  return out;
-}
-
-bool SocketNetwork::is_correct(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return !outbox_.crashed(p) && !byzantine_[p];
-}
-
-bool SocketNetwork::is_local(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return !parties_[p].remote;
-}
-
-bool SocketNetwork::has_output(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return has_output_[p].load(std::memory_order_acquire);
-}
-
-double SocketNetwork::output_value(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return output_value_[p].load(std::memory_order_acquire);
-}
-
-double SocketNetwork::output_time(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return output_time_[p].load(std::memory_order_acquire);
-}
-
-bool SocketNetwork::all_correct_output() const {
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (parties_[p].remote) continue;
-    if (is_correct(p) && !has_output_[p].load(std::memory_order_acquire)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::vector<std::string> SocketNetwork::link_state_jsonl() const {

@@ -7,7 +7,7 @@
 // machines execute against genuine packet loss, duplication-at-the-wire,
 // reordering and OS scheduling — the asynchronous message-passing model the
 // paper assumes, realized by an actual network stack instead of a scheduler
-// abstraction.  Seated behind exec::SocketBackend, every existing
+// abstraction.  Seated behind exec::TransportBackend, every existing
 // ProtocolKind x scheduler x adversary scenario runs unchanged over sockets
 // (the simulator-only scheduler/seed knobs are ignored, as on the threaded
 // runtime).
@@ -23,7 +23,9 @@
 //     the local decision so slower peers still converge.
 //
 // Sends go through net::Outbox, the send path all transports share, whose
-// wire here is link_send.  A deterministic loss/reorder/delay shim
+// wire here is link_send; deliveries, output times (wall seconds since
+// run()) and done latches go through net::Inbox, the receive path they
+// share, in which a remote party is a slot with no process.  A deterministic loss/reorder/delay shim
 // (netio/fault.hpp) at the socket boundary makes retransmission paths
 // CI-testable: fault decisions are a pure function of the seed, while the
 // perfect link restores eventual delivery above them.
@@ -31,16 +33,15 @@
 // Metrics: each party's socket thread writes only that party's Outbox slot.
 // Retransmissions count only in packets_retransmitted / retransmit_bytes,
 // so messages_sent and msgs_per_packet stay batching- and loss-invariant.
-// Delivery latency is real wall clock, recorded into the per-tag histogram
-// scaled by kSocketLatencySpan (the full histogram range spans that many
-// seconds).
+// Delivery latency is real wall clock (the link stamps each DATA frame),
+// recorded into the per-tag histogram scaled by kSocketLatencySpan (the
+// full histogram range spans that many seconds).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,6 +49,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "net/inbox.hpp"
 #include "net/metrics.hpp"
 #include "net/outbox.hpp"
 #include "net/process.hpp"
@@ -67,11 +69,6 @@ inline constexpr double kSocketLatencySpan = 0.032;
 
 class SocketNetwork final {
  public:
-  /// Per-process completion probe; evaluated by the party's own socket
-  /// thread between deliveries, only while the party is correct.  Empty =
-  /// "has produced an output".
-  using DonePredicate = std::function<bool(const net::Process&)>;
-
   explicit SocketNetwork(SystemParams params);
   ~SocketNetwork();
 
@@ -95,11 +92,8 @@ class SocketNetwork final {
   void crash_after_sends(ProcessId p, std::uint64_t count);
   /// Receiver order used by p's multicasts.  Must precede run().
   void set_multicast_order(ProcessId p, std::vector<ProcessId> order);
-  /// Bookkeeping: excluded from completion waits and correct-party
-  /// accessors.  Must precede run().
+  /// Bookkeeping (see net::Inbox).  Must precede run().
   void mark_byzantine(ProcessId p);
-  /// Completion probe run() waits on.  Must precede run().
-  void set_done_predicate(DonePredicate pred);
   /// Per-destination send batching (net::Outbox).  Must precede run().
   void enable_batching(std::uint32_t max_frames);
   /// Trace sink (null disables; the default).  Link-layer send / deliver /
@@ -122,24 +116,19 @@ class SocketNetwork final {
   void set_linger(std::chrono::milliseconds linger);
 
   /// Bind sockets, start one thread per local party, wait until every local
-  /// correct party satisfies the completion probe or the timeout elapses;
-  /// service the linger window; stop and join.  Returns true when all local
-  /// correct parties completed.
-  bool run(std::chrono::milliseconds timeout);
+  /// correct party satisfies `done` (evaluated by the party's own socket
+  /// thread between deliveries; empty = "has produced an output") or the
+  /// timeout elapses; service the linger window; stop and join.  Returns
+  /// true when all local correct parties completed.
+  bool run(std::chrono::milliseconds timeout, net::DoneProbe done = {});
 
-  [[nodiscard]] std::vector<double> correct_outputs() const;
-  [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
+  /// The party table; remote parties are slots with no process.  Output
+  /// times are wall seconds since run() started.  Read it once run()
+  /// returned.
+  [[nodiscard]] const net::Inbox& inbox() const { return inbox_; }
   /// The per-party metrics slots merged; call once run() returned.
   [[nodiscard]] net::Metrics metrics() const { return outbox_.metrics(); }
   [[nodiscard]] SystemParams params() const { return params_; }
-  [[nodiscard]] bool is_correct(ProcessId p) const;
-  [[nodiscard]] bool is_local(ProcessId p) const;
-  [[nodiscard]] bool has_output(ProcessId p) const;
-  [[nodiscard]] double output_value(ProcessId p) const;
-  /// Wall-clock seconds from run() start; +inf where no output.
-  [[nodiscard]] double output_time(ProcessId p) const;
-  /// True when every LOCAL correct party has produced an output.
-  [[nodiscard]] bool all_correct_output() const;
   /// One worker thread per local party.
   [[nodiscard]] obs::ExecStats exec_stats() const { return exec_stats_; }
 
@@ -160,7 +149,6 @@ class SocketNetwork final {
 
   /// Everything one party's socket thread owns exclusively.
   struct Party {
-    std::unique_ptr<net::Process> proc;  // null for remote parties
     bool remote = false;
     bool started = false;
     netio::UdpSocket sock;
@@ -186,9 +174,7 @@ class SocketNetwork final {
   /// Drain the socket; acks are consumed inline, payloads queue as pending.
   void pump_socket(ProcessId p, std::uint32_t wait_us);
   void drain_pending(ProcessId p, const std::stop_token& st);
-  void deliver_frame(ProcessId p, ProcessId from, BytesView frame);
   void service_timers(ProcessId p, const std::stop_token& st);
-  void publish(ProcessId p);
   /// The running party thread's stop token (sends only happen on it).
   [[nodiscard]] const std::stop_token& stop_token_of(ProcessId p) const;
   [[nodiscard]] std::uint64_t total_unacked() const;
@@ -202,23 +188,13 @@ class SocketNetwork final {
   std::uint16_t base_port_ = 0;                    // 0 = ephemeral
   std::chrono::milliseconds linger_{0};
 
-  std::vector<bool> byzantine_;
   net::Outbox outbox_;
+  net::Inbox inbox_;
   std::vector<std::atomic<std::uint64_t>> unacked_now_;  // per local party
-
-  std::vector<std::atomic<bool>> has_output_;
-  std::vector<std::atomic<bool>> has_scalar_;
-  std::vector<std::atomic<double>> output_value_;
-  std::vector<std::vector<double>> output_vec_;
-  std::vector<std::atomic<double>> output_time_;
-  std::vector<std::atomic<bool>> done_;
-  DonePredicate done_pred_;
-  std::chrono::steady_clock::time_point start_time_;
   std::vector<std::jthread> threads_;
   std::atomic<bool> started_{false};
   obs::TraceSink* trace_ = nullptr;
   obs::ExecStats exec_stats_;
-  std::size_t registered_ = 0;
   /// Per-party pointer to its own thread's stop token, set by party_loop;
   /// only ever read from that same thread (sends are thread-confined).
   std::vector<const std::stop_token*> current_stop_;

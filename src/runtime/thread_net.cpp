@@ -2,31 +2,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <utility>
 
 #include "common/ensure.hpp"
-#include "net/envelope.hpp"
 
 namespace apxa::rt {
 
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-}
-
 ThreadNetwork::ThreadNetwork(SystemParams params)
     : params_(params),
-      byzantine_(params.n, false),
       outbox_(params,
               [this](ProcessId from, ProcessId to, net::Payload packet) {
                 push_mail(from, to, std::move(packet));
               }),
-      has_output_(params.n),
-      has_scalar_(params.n),
-      output_value_(params.n),
-      output_vec_(params.n),
-      output_time_(params.n),
-      done_(params.n) {
+      inbox_(outbox_) {
   APXA_ENSURE(params_.n >= 1 && params_.t < params_.n, "bad system params");
   shard_count_ = std::min<std::uint32_t>(
       params_.n, std::max(1u, std::thread::hardware_concurrency()));
@@ -34,10 +22,8 @@ ThreadNetwork::ThreadNetwork(SystemParams params)
   for (std::uint32_t s = 0; s < shard_count_; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  // The atomic flags and values start zeroed (vector value-initializes).
   for (std::uint32_t i = 0; i < params_.n; ++i) {
     mail_.push_back(std::make_unique<Mailbox>());
-    output_time_[i] = kInf;
   }
 }
 
@@ -49,9 +35,7 @@ ThreadNetwork::~ThreadNetwork() {
 
 void ThreadNetwork::add_process(std::unique_ptr<net::Process> p) {
   APXA_ENSURE(!started_.load(), "cannot add processes after run()");
-  APXA_ENSURE(p != nullptr, "null process");
-  APXA_ENSURE(procs_.size() < params_.n, "all n processes already added");
-  procs_.push_back(std::move(p));
+  inbox_.add_process(inbox_.seated(), std::move(p));
 }
 
 void ThreadNetwork::crash(ProcessId p) {
@@ -70,14 +54,8 @@ void ThreadNetwork::set_multicast_order(ProcessId p, std::vector<ProcessId> orde
 }
 
 void ThreadNetwork::mark_byzantine(ProcessId p) {
-  APXA_ENSURE(p < params_.n, "byzantine id out of range");
   APXA_ENSURE(!started_.load(), "mark_byzantine must precede run()");
-  byzantine_[p] = true;
-}
-
-void ThreadNetwork::set_done_predicate(DonePredicate pred) {
-  APXA_ENSURE(!started_.load(), "set_done_predicate must precede run()");
-  done_pred_ = std::move(pred);
+  inbox_.mark_byzantine(p);
 }
 
 void ThreadNetwork::set_shards(std::uint32_t shards) {
@@ -106,7 +84,7 @@ std::uint32_t ThreadNetwork::shards() const { return shard_count_; }
 void ThreadNetwork::set_trace(obs::TraceSink* sink) {
   APXA_ENSURE(!started_.load(), "set_trace must precede run()");
   trace_ = sink;
-  outbox_.set_trace(sink);
+  inbox_.set_trace(sink);
 }
 
 void ThreadNetwork::push_mail(ProcessId from, ProcessId to, net::Payload packet) {
@@ -130,40 +108,6 @@ void ThreadNetwork::enqueue_runnable(std::uint32_t shard, ProcessId p) {
     sh.runnable.push_back(p);
   }
   sh.cv.notify_one();
-}
-
-void ThreadNetwork::publish(ProcessId p) {
-  if (!has_output_[p].load(std::memory_order_acquire)) {
-    if (procs_[p]->has_output()) {
-      const std::chrono::duration<double> since =
-          std::chrono::steady_clock::now() - start_time_;
-      if (auto vy = procs_[p]->vector_output()) {
-        output_vec_[p] = std::move(*vy);
-      }
-      if (const auto y = procs_[p]->output()) {
-        output_value_[p].store(*y, std::memory_order_relaxed);
-        has_scalar_[p].store(true, std::memory_order_relaxed);
-      }
-      output_time_[p].store(since.count(), std::memory_order_release);
-      has_output_[p].store(true, std::memory_order_release);
-    }
-  }
-  // The completion probe contract only covers correct parties (it may
-  // downcast to the honest-protocol type), so skip byzantine/crashed ones.
-  if (!byzantine_[p] && !outbox_.crashed(p) &&
-      !done_[p].load(std::memory_order_acquire)) {
-    const bool d = done_pred_ ? done_pred_(*procs_[p])
-                              : has_output_[p].load(std::memory_order_acquire);
-    if (d) done_[p].store(true, std::memory_order_release);
-  }
-}
-
-void ThreadNetwork::deliver_one(ProcessId p, ProcessId from,
-                                BytesView payload) {
-  if (trace_) trace_->record(obs::EventKind::kDeliver, from, p, -1, 1.0, 0.0);
-  ++outbox_.metrics_of(p).messages_delivered;
-  net::OutboxContext ctx(outbox_, p);
-  procs_[p]->on_message(ctx, from, payload);
 }
 
 bool ThreadNetwork::next_party(std::uint32_t shard, ProcessId& out,
@@ -216,12 +160,7 @@ void ThreadNetwork::run_party(std::uint32_t shard, ProcessId p,
   Mailbox& mb = *mail_[p];
   if (!mb.started) {
     mb.started = true;
-    if (!outbox_.crashed(p)) {
-      net::OutboxContext ctx(outbox_, p);
-      procs_[p]->on_start(ctx);
-      outbox_.flush(p);
-      publish(p);
-    }
+    inbox_.start(p);
   }
 
   // Drain ONE batch per claim: new arrivals re-enqueue below, which keeps a
@@ -231,21 +170,10 @@ void ThreadNetwork::run_party(std::uint32_t shard, ProcessId p,
     std::scoped_lock lock(mb.mu);
     batch.swap(mb.queue);
   }
-  for (Item& item : batch) {
+  for (const Item& item : batch) {
     if (st.stop_requested()) break;
-    if (outbox_.crashed(p)) continue;
-    if (outbox_.batching()) {
-      // Deliver EVERY frame of the packet, then flush the receiver's send
-      // buffers once: a full batch advances several instances whose
-      // responses pack into full batches again (self-sustaining msgs/packet).
-      net::for_each_frame(item.payload, [&](BytesView frame) {
-        deliver_one(p, item.from, frame);
-      });
-      outbox_.flush(p);
-    } else {
-      deliver_one(p, item.from, item.payload);
-    }
-    publish(p);
+    // No send time travels with the packet: no latency sample.
+    inbox_.deliver(item.from, p, item.payload, std::nullopt);
   }
 
   // Release-then-recheck: drop the token, then look again.  A message that
@@ -272,9 +200,10 @@ void ThreadNetwork::worker_loop(std::uint32_t shard, std::stop_token st) {
   }
 }
 
-bool ThreadNetwork::run(std::chrono::milliseconds timeout) {
-  APXA_ENSURE(procs_.size() == params_.n, "add_process must be called n times");
+bool ThreadNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) {
+  APXA_ENSURE(inbox_.seated() == params_.n, "add_process must be called n times");
   APXA_ENSURE(!started_.exchange(true), "run() called twice");
+  inbox_.set_done(std::move(done));
   worker_stats_.assign(shard_count_, WorkerCounters{});
 
   // Seed every party as runnable on its home shard, token pre-claimed; the
@@ -284,29 +213,14 @@ bool ThreadNetwork::run(std::chrono::milliseconds timeout) {
     shards_[home_shard(p)]->runnable.push_back(p);
   }
 
-  start_time_ = std::chrono::steady_clock::now();
+  const auto start = inbox_.start_clock();
   threads_.reserve(shard_count_);
   for (std::uint32_t s = 0; s < shard_count_; ++s) {
     threads_.emplace_back(
         [this, s](std::stop_token st) { worker_loop(s, st); });
   }
 
-  const auto deadline = start_time_ + timeout;
-  auto all_done = [this] {
-    for (ProcessId p = 0; p < params_.n; ++p) {
-      if (outbox_.crashed(p) || byzantine_[p]) continue;
-      if (!done_[p].load(std::memory_order_acquire)) return false;
-    }
-    return true;
-  };
-  // Completion is re-checked after the deadline passes, so a run that
-  // finishes during the final poll interval is not misreported as a timeout.
-  bool done = false;
-  for (;;) {
-    done = all_done();
-    if (done || std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  const bool completed = inbox_.await_done(start + timeout);
 
   for (auto& th : threads_) th.request_stop();
   for (auto& sh : shards_) sh->cv.notify_all();
@@ -325,59 +239,7 @@ bool ThreadNetwork::run(std::chrono::milliseconds timeout) {
     exec_stats_.parties_run += wc.parties_run;
     exec_stats_.idle_spins += wc.idle_spins;
   }
-  return done;
-}
-
-std::vector<double> ThreadNetwork::correct_outputs() const {
-  std::vector<double> out;
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (!is_correct(p)) continue;
-    if (has_output_[p].load(std::memory_order_acquire) &&
-        has_scalar_[p].load(std::memory_order_relaxed)) {
-      out.push_back(output_value_[p].load(std::memory_order_relaxed));
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> ThreadNetwork::correct_vector_outputs() const {
-  std::vector<std::vector<double>> out;
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (!is_correct(p)) continue;
-    if (has_output_[p].load(std::memory_order_acquire)) {
-      out.push_back(output_vec_[p]);
-    }
-  }
-  return out;
-}
-
-bool ThreadNetwork::is_correct(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return !outbox_.crashed(p) && !byzantine_[p];
-}
-
-bool ThreadNetwork::has_output(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return has_output_[p].load(std::memory_order_acquire);
-}
-
-double ThreadNetwork::output_value(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return output_value_[p].load(std::memory_order_acquire);
-}
-
-double ThreadNetwork::output_time(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return output_time_[p].load(std::memory_order_acquire);
-}
-
-bool ThreadNetwork::all_correct_output() const {
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (is_correct(p) && !has_output_[p].load(std::memory_order_acquire)) {
-      return false;
-    }
-  }
-  return true;
+  return completed;
 }
 
 }  // namespace apxa::rt

@@ -3,7 +3,7 @@
 // The deterministic simulator is the workhorse for experiments; this runtime
 // runs the identical protocol state machines under genuine (OS-scheduler)
 // asynchrony and carries real experiment traffic through the execution
-// harness (src/harness) via exec::ThreadBackend.
+// harness (src/harness) via exec::TransportBackend.
 //
 // Design: a WORK-STEALING executor, not static party→shard pinning.  Each of
 // the S worker threads (S = min(n, hardware_concurrency) by default, override
@@ -26,25 +26,27 @@
 //
 // Sends go through net::Outbox (crash budgets, multicast order, batching,
 // send tracing; semantics as on the simulator), whose wire here pushes a
-// packet into the receiver's mailbox and claims it.  Metrics go to the
-// Outbox's per-party slots, each written only by the worker running that
-// party, so neither sends nor deliveries take a lock for accounting.
-// crash(p) drops p's future sends and deliveries at once; mark_byzantine(p)
-// is bookkeeping that excludes p from completion waits and the
-// correct-party accessors.
+// packet into the receiver's mailbox and claims it.  Deliveries, output
+// times and done latches go through net::Inbox, whose per-party state the
+// worker running the party writes; the coordinator in run() only polls
+// Inbox::all_done(), and outputs are read from the Inbox once run()
+// returned.  Metrics go to the Outbox's per-party slots, so neither sends
+// nor deliveries take a lock for accounting.  crash(p) drops p's future
+// sends and deliveries at once; mark_byzantine(p) is bookkeeping (see
+// net::Inbox).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/ids.hpp"
+#include "net/inbox.hpp"
 #include "net/metrics.hpp"
 #include "net/outbox.hpp"
 #include "net/process.hpp"
@@ -55,11 +57,6 @@ namespace apxa::rt {
 
 class ThreadNetwork final {
  public:
-  /// Per-process completion probe; evaluated by the party's current owner
-  /// thread between upcalls, only while the party is correct.  Empty =
-  /// "has produced an output".
-  using DonePredicate = std::function<bool(const net::Process&)>;
-
   explicit ThreadNetwork(SystemParams params);
   ~ThreadNetwork();
 
@@ -83,9 +80,6 @@ class ThreadNetwork final {
   /// Declare a party byzantine (bookkeeping only).  Must precede run().
   void mark_byzantine(ProcessId p);
 
-  /// Install the completion probe run() waits on.  Must precede run().
-  void set_done_predicate(DonePredicate pred);
-
   /// Override the worker (shard) count — default min(n, hardware
   /// concurrency).  Workers beyond n are legal (they idle and steal); 0 is
   /// rejected with an ensure error, never silently clamped.  Must precede
@@ -107,31 +101,20 @@ class ThreadNetwork final {
   /// take a lock or cache miss — and aggregated when run() stops.
   [[nodiscard]] obs::ExecStats exec_stats() const { return exec_stats_; }
 
-  /// Start the workers, wait until every correct party satisfies the
-  /// completion probe or the timeout elapses; then stop and join.  Returns
-  /// true when all correct parties completed.
-  bool run(std::chrono::milliseconds timeout);
+  /// Start the workers, wait until every correct party satisfies `done`
+  /// (evaluated by the party's current owner between upcalls; empty = "has
+  /// produced an output") or the timeout elapses; then stop and join.
+  /// Returns true when all correct parties completed.
+  bool run(std::chrono::milliseconds timeout, net::DoneProbe done = {});
 
-  /// Outputs of the correct parties (in id order) that have output.
-  [[nodiscard]] std::vector<double> correct_outputs() const;
-  /// Vector outputs of the correct parties (in id order) that have decided;
-  /// scalar protocols appear as 1-vectors (net::Process adapts).
-  [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
+  /// The party table; output times are wall seconds since run() started.
+  /// Read it once run() returned.
+  [[nodiscard]] const net::Inbox& inbox() const { return inbox_; }
   /// The per-party metrics slots merged; call once run() returned.
   [[nodiscard]] net::Metrics metrics() const { return outbox_.metrics(); }
   [[nodiscard]] SystemParams params() const { return params_; }
   /// Worker count run() will use (resolved from n / hardware / set_shards).
   [[nodiscard]] std::uint32_t shards() const;
-
-  /// True when `p` neither crashed nor was marked byzantine.
-  [[nodiscard]] bool is_correct(ProcessId p) const;
-  [[nodiscard]] bool has_output(ProcessId p) const;
-  [[nodiscard]] double output_value(ProcessId p) const;
-  /// Wall-clock seconds from run() start to the output's appearance; +inf
-  /// where no output.
-  [[nodiscard]] double output_time(ProcessId p) const;
-  /// True when every correct party has produced an output.
-  [[nodiscard]] bool all_correct_output() const;
 
  private:
   struct Item {
@@ -173,8 +156,6 @@ class ThreadNetwork final {
   bool next_party(std::uint32_t shard, ProcessId& out, const std::stop_token& st);
   void run_party(std::uint32_t shard, ProcessId p, const std::stop_token& st);
   void enqueue_runnable(std::uint32_t shard, ProcessId p);
-  void deliver_one(ProcessId p, ProcessId from, BytesView payload);
-  void publish(ProcessId p);
   /// The Outbox's wire: push into the receiver's mailbox and claim it.
   void push_mail(ProcessId from, ProcessId to, net::Payload packet);
   /// Home shard — where a newly runnable party is first enqueued; it may
@@ -184,25 +165,11 @@ class ThreadNetwork final {
   }
 
   SystemParams params_;
-  std::vector<std::unique_ptr<net::Process>> procs_;
   std::vector<std::unique_ptr<Mailbox>> mail_;     // one per party
   std::vector<std::unique_ptr<Shard>> shards_;     // one per worker
   std::uint32_t shard_count_ = 1;                  // resolved in ctor
-  std::vector<bool> byzantine_;                    // set before run()
   net::Outbox outbox_;
-  // Output/completion mirrors: each owner thread publishes its parties'
-  // state here so the coordinator can poll without racing on Process state.
-  // output_vec_[p] and has_scalar_[p] are written once by p's owner before
-  // the has_output_[p] release-store and never mutated afterwards, so readers
-  // that acquire-load the flag need no further synchronization.
-  std::vector<std::atomic<bool>> has_output_;
-  std::vector<std::atomic<bool>> has_scalar_;
-  std::vector<std::atomic<double>> output_value_;
-  std::vector<std::vector<double>> output_vec_;
-  std::vector<std::atomic<double>> output_time_;   // seconds; +inf if none
-  std::vector<std::atomic<bool>> done_;
-  DonePredicate done_pred_;                        // set before run()
-  std::chrono::steady_clock::time_point start_time_;
+  net::Inbox inbox_;
   std::vector<std::jthread> threads_;
   std::atomic<bool> started_{false};
   obs::TraceSink* trace_ = nullptr;

@@ -12,8 +12,7 @@
 #include "backend_matrix.hpp"
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "exec/sim_backend.hpp"
-#include "exec/thread_backend.hpp"
+#include "exec/transport_backend.hpp"
 #include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "invariant_oracle.hpp"
@@ -172,7 +171,7 @@ INSTANTIATE_TEST_SUITE_P(Backends, BackendParity,
 TEST(HarnessStaging, ExplicitBackendConstruction) {
   const SystemParams p{5, 1};
   auto cfg = crash_mean_base(p, 4);
-  exec::SimBackend backend(p, make_scheduler(cfg));
+  exec::TransportBackend<net::SimNetwork> backend(p, make_scheduler(cfg));
   const auto rep = execute(cfg, backend);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);

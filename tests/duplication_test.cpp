@@ -31,7 +31,7 @@ TEST(Duplication, DeliveriesExceedSendsAtHighProbability) {
   }
   net.start();
   net.run();  // drain fully so every duplicate lands
-  EXPECT_TRUE(net.all_correct_output());
+  EXPECT_TRUE(net.inbox().all_correct_output());
   EXPECT_EQ(net.metrics().messages_delivered, 2 * net.metrics().messages_sent);
 }
 
@@ -47,9 +47,9 @@ TEST(Duplication, CrashProtocolSafetyUnchanged) {
     }
     net.crash_after_sends(0, 10);
     net.start();
-    net.run_until([&net] { return net.all_correct_output(); });
-    ASSERT_TRUE(net.all_correct_output());
-    const auto outs = net.correct_outputs();
+    net.run_until([&net] { return net.inbox().all_correct_output(); });
+    ASSERT_TRUE(net.inbox().all_correct_output());
+    const auto outs = net.inbox().correct_outputs();
     std::vector<double> sorted = outs;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_LE(sorted.back() - sorted.front(), 1e-3 + 1e-12);
@@ -71,8 +71,8 @@ TEST(Duplication, OutputsIdenticalToDedupedRun) {
           crash_aa_config(p, static_cast<double>(i), 3)));
     }
     net.start();
-    net.run_until([&net] { return net.all_correct_output(); });
-    return net.correct_outputs();
+    net.run_until([&net] { return net.inbox().all_correct_output(); });
+    return net.inbox().correct_outputs();
   };
   // Under the constant-delay FIFO schedule the duplicate arrives together
   // with the original and is dropped by the dedupe logic: identical outputs.
@@ -127,9 +127,9 @@ TEST(Duplication, WitnessProtocolUnaffected) {
     net.add_process(std::make_unique<witness::WitnessAaProcess>(wc));
   }
   net.start();
-  net.run_until([&net] { return net.all_correct_output(); });
-  ASSERT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  net.run_until([&net] { return net.inbox().all_correct_output(); });
+  ASSERT_TRUE(net.inbox().all_correct_output());
+  const auto outs = net.inbox().correct_outputs();
   std::vector<double> sorted = outs;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_LE(sorted.back() - sorted.front(), 1.0 / 256.0 + 1e-12);

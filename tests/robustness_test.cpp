@@ -109,9 +109,9 @@ TEST(GarbageInjection, CrashProtocolUnaffected) {
   net.add_process(std::make_unique<GarbageSprayer>(5));
   net.mark_byzantine(6);
   net.start();
-  net.run_until([&net] { return net.all_correct_output(); });
-  EXPECT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  net.run_until([&net] { return net.inbox().all_correct_output(); });
+  EXPECT_TRUE(net.inbox().all_correct_output());
+  const auto outs = net.inbox().correct_outputs();
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
     EXPECT_LE(y, 5.0);
@@ -186,9 +186,9 @@ TEST(TimedCrash, MidRunCrashStillConverges) {
   net.crash_at_time(1, 2.5);
   net.crash_at_time(5, 4.0);
   net.start();
-  net.run_until([&net] { return net.all_correct_output(); });
-  EXPECT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  net.run_until([&net] { return net.inbox().all_correct_output(); });
+  EXPECT_TRUE(net.inbox().all_correct_output());
+  const auto outs = net.inbox().correct_outputs();
   EXPECT_EQ(outs.size(), 5u);
   std::vector<double> sorted = outs;
   std::sort(sorted.begin(), sorted.end());

@@ -10,7 +10,7 @@
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
-#include "exec/sim_backend.hpp"
+#include "exec/transport_backend.hpp"
 #include "harness/build.hpp"
 #include "net/envelope.hpp"
 #include "net/sim.hpp"
@@ -59,7 +59,7 @@ TEST(SimNetwork, AllToAllDelivery) {
   SimNetwork& net = *net_owner;
   net.start();
   EXPECT_EQ(net.run(), RunStatus::kQueueDrained);
-  EXPECT_TRUE(net.all_correct_output());
+  EXPECT_TRUE(net.inbox().all_correct_output());
   EXPECT_EQ(net.metrics().messages_sent, 4u * 3u);
   EXPECT_EQ(net.metrics().messages_delivered, 4u * 3u);
 }
@@ -92,11 +92,11 @@ TEST(SimNetwork, CrashAtStartupSilencesParty) {
   net.crash_after_sends(0, 0);
   net.start();
   net.run();
-  EXPECT_EQ(net.status(0), PartyStatus::kCrashed);
+  EXPECT_FALSE(net.inbox().is_correct(0));  // crashed: never marked byzantine
   // The three live parties sent 3 messages each.
   EXPECT_EQ(net.metrics().messages_sent, 9u);
   // Correct parties heard from 2 others only -> no output (they wait for 3).
-  EXPECT_FALSE(net.all_correct_output());
+  EXPECT_FALSE(net.inbox().all_correct_output());
 }
 
 TEST(SimNetwork, PartialMulticastCrash) {
@@ -106,7 +106,7 @@ TEST(SimNetwork, PartialMulticastCrash) {
   net.crash_after_sends(0, 2);
   net.start();
   net.run();
-  EXPECT_EQ(net.status(0), PartyStatus::kCrashed);
+  EXPECT_FALSE(net.inbox().is_correct(0));  // crashed: never marked byzantine
   EXPECT_EQ(net.metrics().sent_by[0], 2u);
 }
 
@@ -117,8 +117,8 @@ TEST(SimNetwork, MulticastOrderControlsSurvivors) {
   net.crash_after_sends(0, 2);  // only 3 and 4 get party 0's message
   net.start();
   net.run();
-  const auto& p3 = dynamic_cast<const EchoProcess&>(net.process(3));
-  const auto& p1 = dynamic_cast<const EchoProcess&>(net.process(1));
+  const auto& p3 = dynamic_cast<const EchoProcess&>(net.inbox().process(3));
+  const auto& p1 = dynamic_cast<const EchoProcess&>(net.inbox().process(1));
   EXPECT_EQ(p3.heard_, 4);  // everyone including 0
   EXPECT_EQ(p1.heard_, 3);  // missed 0
 }
@@ -129,7 +129,7 @@ TEST(SimNetwork, CrashedReceiverDropsDeliveries) {
   net.crash_at_time(2, 0.0);
   net.start();
   net.run();
-  const auto& p2 = dynamic_cast<const EchoProcess&>(net.process(2));
+  const auto& p2 = dynamic_cast<const EchoProcess&>(net.inbox().process(2));
   EXPECT_EQ(p2.heard_, 0);
 }
 
@@ -190,9 +190,8 @@ TEST(SimNetwork, ByzantineMarkExcludedFromCorrect) {
   net.mark_byzantine(3);
   net.start();
   net.run();
-  EXPECT_EQ(net.status(3), PartyStatus::kByzantine);
-  EXPECT_FALSE(net.is_correct(3));
-  EXPECT_EQ(net.correct_outputs().size(), 3u);
+  EXPECT_FALSE(net.inbox().is_correct(3));
+  EXPECT_EQ(net.inbox().correct_outputs().size(), 3u);
 }
 
 TEST(SimNetwork, OutputTimeRecorded) {
@@ -201,8 +200,8 @@ TEST(SimNetwork, OutputTimeRecorded) {
   net.start();
   net.run();
   for (ProcessId p = 0; p < 4; ++p) {
-    EXPECT_GT(net.output_time(p), 0.0);
-    EXPECT_LE(net.output_time(p), 1.0);
+    EXPECT_GT(net.inbox().output_time(p), 0.0);
+    EXPECT_LE(net.inbox().output_time(p), 1.0);
   }
 }
 
@@ -366,7 +365,7 @@ TEST(SimBatching, PacksBurstsAndCountsLogicalMessages) {
   }
   // Every frame reached every peer.
   for (ProcessId q = 0; q < p.n; ++q) {
-    EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.process(q)).heard_,
+    EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.inbox().process(q)).heard_,
               kMaxBatchFrames * 2u);
   }
 }
@@ -401,14 +400,14 @@ TEST(SimBatching, CrashBudgetCountsLogicalSendsNotPackets) {
   net.crash_after_sends(0, 3);
   net.start();
   net.run();
-  EXPECT_EQ(net.status(0), PartyStatus::kCrashed);
+  EXPECT_FALSE(net.inbox().is_correct(0));  // crashed: never marked byzantine
   EXPECT_EQ(net.metrics().sent_by[0], 3u);
   EXPECT_EQ(net.metrics().messages_dropped, 5u);
   // The pre-crash buffered frames still flush: party 1 heard both of party
   // 0's frames addressed to it, party 2 heard one (plus the full burst of
   // the surviving peer).
-  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.process(1)).heard_, 2u + 4u);
-  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.process(2)).heard_, 1u + 4u);
+  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.inbox().process(1)).heard_, 2u + 4u);
+  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.inbox().process(2)).heard_, 1u + 4u);
 }
 
 TEST(SimBatching, ForgedBatchFrameBypassesPackingHarmlessly) {
@@ -434,8 +433,8 @@ TEST(SimBatching, ForgedBatchFrameBypassesPackingHarmlessly) {
   net.run();
   // The forged frame went out as its own packet (never nested), and every
   // honest frame still arrived.
-  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.process(1)).heard_, 2u);
-  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.process(2)).heard_, 2u);
+  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.inbox().process(1)).heard_, 2u);
+  EXPECT_EQ(dynamic_cast<const BurstProcess&>(net.inbox().process(2)).heard_, 2u);
 }
 
 TEST(SimBatching, ValidatesUsage) {
@@ -511,8 +510,8 @@ TEST(SimDoneLatch, MatchesGlobalConjunction) {
           return probe ? probe(proc) : proc.has_output();
         };
 
-        exec::SimBackend latched(cfg.params, harness::make_scheduler(cfg));
-        exec::SimBackend global(cfg.params, harness::make_scheduler(cfg));
+        exec::TransportBackend<SimNetwork> latched(cfg.params, harness::make_scheduler(cfg));
+        exec::TransportBackend<SimNetwork> global(cfg.params, harness::make_scheduler(cfg));
         harness::stage(cfg, {}, latched);
         harness::stage(cfg, {}, global);
         SimNetwork& a = latched.network();
@@ -524,23 +523,23 @@ TEST(SimDoneLatch, MatchesGlobalConjunction) {
 
         std::uint64_t probes = 0;
         const RunStatus sa = a.run_until_done(
-            [&](ProcessId, const Process& proc) {
+            [&](const Process& proc) {
               ++probes;
               return done_of(proc);
             });
         const RunStatus sb = b.run_until([&] {
           for (ProcessId p = 0; p < cfg.params.n; ++p) {
-            if (b.is_correct(p) && !done_of(b.process(p))) return false;
+            if (b.inbox().is_correct(p) && !done_of(b.inbox().process(p))) return false;
           }
           return true;
         });
 
         EXPECT_EQ(sa, sb);
         EXPECT_EQ(a.now(), b.now());
-        EXPECT_EQ(a.correct_outputs(), b.correct_outputs());
+        EXPECT_EQ(a.inbox().correct_outputs(), b.inbox().correct_outputs());
         for (ProcessId p = 0; p < cfg.params.n; ++p) {
-          EXPECT_EQ(a.status(p), b.status(p));
-          EXPECT_EQ(a.output_time(p), b.output_time(p));
+          EXPECT_EQ(a.inbox().is_correct(p), b.inbox().is_correct(p));
+          EXPECT_EQ(a.inbox().output_time(p), b.inbox().output_time(p));
         }
         expect_same_metrics(a.metrics(), b.metrics());
         EXPECT_GT(a.metrics().messages_delivered, 0u);

@@ -431,8 +431,8 @@ TEST(SocketNet, CleanRunConvergesWithExactLogicalCounts) {
   rt::SocketNetwork net(kP);
   add_crash_aa_parties(net);
   ASSERT_TRUE(net.run(30'000ms));
-  EXPECT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  EXPECT_TRUE(net.inbox().all_correct_output());
+  const auto outs = net.inbox().correct_outputs();
   ASSERT_EQ(outs.size(), kP.n);
   for (double v : outs) {
     EXPECT_GE(v, 0.0);
@@ -453,7 +453,7 @@ TEST(SocketNet, InjectedLossForcesRetransmissionButNotLogicalInflation) {
   net.set_fault_config(faults);
   add_crash_aa_parties(net);
   ASSERT_TRUE(net.run(60'000ms)) << "perfect link must absorb 15% loss";
-  EXPECT_TRUE(net.all_correct_output());
+  EXPECT_TRUE(net.inbox().all_correct_output());
 
   // The whole point of the shim: the retransmission path actually ran.
   EXPECT_GT(net.link_totals().retransmits, 0u);
@@ -487,9 +487,9 @@ TEST(SocketNet, CrashAfterSendsCountsLogicalSends) {
   net.crash_after_sends(4, 4);  // one full round-0 multicast, then crash
   add_crash_aa_parties(net);
   ASSERT_TRUE(net.run(30'000ms));
-  EXPECT_FALSE(net.is_correct(4));
+  EXPECT_FALSE(net.inbox().is_correct(4));
   EXPECT_EQ(net.metrics().sent_by[4], 4u);
-  const auto outs = net.correct_outputs();
+  const auto outs = net.inbox().correct_outputs();
   EXPECT_EQ(outs.size(), kP.n - 1);
 }
 

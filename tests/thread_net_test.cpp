@@ -26,7 +26,7 @@ TEST(ThreadNet, CrashAaConvergesFaultFree) {
         core::crash_aa_config(p, inputs[i], rounds)));
   }
   ASSERT_TRUE(net.run(10s));
-  const auto outs = net.correct_outputs();
+  const auto outs = net.inbox().correct_outputs();
   ASSERT_EQ(outs.size(), p.n);
   const auto [mn, mx] = std::minmax_element(outs.begin(), outs.end());
   EXPECT_LE(*mx - *mn, eps);
@@ -44,7 +44,7 @@ TEST(ThreadNet, SurvivesCrashedParty) {
   }
   net.crash(4);  // crashed before start: silent the whole run
   ASSERT_TRUE(net.run(10s));
-  const auto outs = net.correct_outputs();
+  const auto outs = net.inbox().correct_outputs();
   EXPECT_EQ(outs.size(), 4u);
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
@@ -60,7 +60,7 @@ TEST(ThreadNet, AdaptiveModeTerminates) {
         core::crash_aa_adaptive_config(p, static_cast<double>(i) * 3.0, 1e-2)));
   }
   ASSERT_TRUE(net.run(20s));
-  EXPECT_EQ(net.correct_outputs().size(), p.n);
+  EXPECT_EQ(net.inbox().correct_outputs().size(), p.n);
 }
 
 TEST(ThreadNet, MetricsAccumulate) {
@@ -85,7 +85,7 @@ TEST(ThreadNet, RepeatedRunsAreIndependent) {
           core::crash_aa_config(p, 1.0, 2)));
     }
     ASSERT_TRUE(net.run(10s));
-    for (double y : net.correct_outputs()) EXPECT_EQ(y, 1.0);
+    for (double y : net.inbox().correct_outputs()) EXPECT_EQ(y, 1.0);
   }
 }
 
@@ -111,8 +111,8 @@ TEST(ThreadNet, CrashAfterSendsStopsMidMulticast) {
   net.set_multicast_order(4, {0, 1, 2, 3});
   net.crash_after_sends(4, 2);
   ASSERT_TRUE(net.run(20s));
-  EXPECT_FALSE(net.is_correct(4));
-  const auto outs = net.correct_outputs();
+  EXPECT_FALSE(net.inbox().is_correct(4));
+  const auto outs = net.inbox().correct_outputs();
   ASSERT_EQ(outs.size(), 4u);
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
@@ -137,11 +137,11 @@ TEST(ThreadNet, CrashExactlyAtSendBudgetStopsReceiving) {
   // the last send the party would ever make.
   net.crash_after_sends(4, static_cast<std::uint64_t>(rounds) * (p.n - 1));
   ASSERT_TRUE(net.run(20s));
-  EXPECT_FALSE(net.is_correct(4));
+  EXPECT_FALSE(net.inbox().is_correct(4));
   // Crashed right after its final-round multicast, before receiving the
   // final-round quorum: it must not produce an output.
-  EXPECT_FALSE(net.has_output(4));
-  EXPECT_EQ(net.correct_outputs().size(), 4u);
+  EXPECT_FALSE(net.inbox().process(4).has_output());
+  EXPECT_EQ(net.inbox().correct_outputs().size(), 4u);
 }
 
 TEST(ThreadNet, CrashAfterSendsCountsLogicalSendsUnderBatching) {
@@ -160,8 +160,8 @@ TEST(ThreadNet, CrashAfterSendsCountsLogicalSendsUnderBatching) {
   net.set_multicast_order(4, {0, 1, 2, 3});
   net.crash_after_sends(4, 2);
   ASSERT_TRUE(net.run(20s));
-  EXPECT_FALSE(net.is_correct(4));
-  const auto outs = net.correct_outputs();
+  EXPECT_FALSE(net.inbox().is_correct(4));
+  const auto outs = net.inbox().correct_outputs();
   ASSERT_EQ(outs.size(), 4u);
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
@@ -185,7 +185,7 @@ TEST(ThreadNet, BatchingPreservesResultAndLogicalCounts) {
     }
     if (batch > 0) net.enable_batching(batch);
     EXPECT_TRUE(net.run(10s));
-    EXPECT_EQ(net.correct_outputs().size(), p.n);
+    EXPECT_EQ(net.inbox().correct_outputs().size(), p.n);
     return net.metrics();
   };
   const auto plain = run_once(0);
@@ -209,7 +209,7 @@ TEST(ThreadNet, ShardedDeliveryConvergesWithFewShards) {
         core::crash_aa_config(p, inputs[i], 5)));
   }
   ASSERT_TRUE(net.run(20s));
-  EXPECT_EQ(net.correct_outputs().size(), p.n);
+  EXPECT_EQ(net.inbox().correct_outputs().size(), p.n);
 }
 
 TEST(ThreadNet, CrashAfterZeroSendsIsStartupCrash) {
@@ -221,7 +221,7 @@ TEST(ThreadNet, CrashAfterZeroSendsIsStartupCrash) {
   }
   net.crash_after_sends(0, 0);
   ASSERT_TRUE(net.run(20s));
-  EXPECT_EQ(net.correct_outputs().size(), 4u);
+  EXPECT_EQ(net.inbox().correct_outputs().size(), 4u);
   // A startup-crashed party never sends.
   EXPECT_EQ(net.metrics().sent_by[0], 0u);
 }
@@ -248,8 +248,8 @@ TEST(ThreadNet, ByzantinePartyExcludedFromCompletionWait) {
   // so they terminate without the silent byzantine party — and run() must
   // not wait for its (never-appearing) output either.
   ASSERT_TRUE(net.run(20s));
-  EXPECT_FALSE(net.is_correct(3));
-  EXPECT_EQ(net.correct_outputs().size(), 3u);
+  EXPECT_FALSE(net.inbox().is_correct(3));
+  EXPECT_EQ(net.inbox().correct_outputs().size(), 3u);
 }
 
 }  // namespace

@@ -162,8 +162,8 @@ TEST(ThreadSteal, CrashBudgetExactUnderStealing) {
     net.set_multicast_order(4, {0, 1, 2, 3});
     net.crash_after_sends(4, 2);
     ASSERT_TRUE(net.run(30s));
-    EXPECT_FALSE(net.is_correct(4));
-    const auto outs = net.correct_outputs();
+    EXPECT_FALSE(net.inbox().is_correct(4));
+    const auto outs = net.inbox().correct_outputs();
     ASSERT_EQ(outs.size(), 4u);
     for (double y : outs) {
       EXPECT_GE(y, 0.0);
@@ -185,7 +185,7 @@ TEST(ThreadSteal, ConvergesWithSingleWorker) {
         core::crash_aa_config(p, static_cast<double>(i), rounds)));
   }
   ASSERT_TRUE(net.run(30s));
-  const auto outs = net.correct_outputs();
+  const auto outs = net.inbox().correct_outputs();
   ASSERT_EQ(outs.size(), p.n);
   for (std::size_t i = 1; i < outs.size(); ++i) {
     EXPECT_LE(std::abs(outs[i] - outs[0]), eps);

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "adversary/crash_plan.hpp"
+#include "backend_matrix.hpp"
 #include "core/async_byz.hpp"
 #include "harness/harness.hpp"
 #include "harness/session.hpp"
@@ -491,10 +492,11 @@ VectorRunConfig vector_replay_cfg(ProtocolKind kind, SchedKind sched) {
 
 /// `instances` crash-round instances (n = 5, t = 1) behind one batched,
 /// multiplexed session with a crash budget of 30 logical sends, under
-/// `sched`, traced into `trace` (may be null).
+/// `sched` on `backend`, traced into `trace` (may be null).
 SessionReport batched_crash_session(obs::TraceSink* trace,
                                     std::size_t instances = 6,
-                                    SchedKind sched = SchedKind::kRandom) {
+                                    SchedKind sched = SchedKind::kRandom,
+                                    const BackendCase& backend = kBackendMatrix[0]) {
   std::vector<RunConfig> cfgs;
   for (std::uint64_t k = 0; k < instances; ++k) {
     const SystemParams p{5, 1};
@@ -506,6 +508,7 @@ SessionReport batched_crash_session(obs::TraceSink* trace,
     cfg.inputs = linear_inputs(p.n, 0.0, 1.0 + 0.25 * static_cast<double>(k));
     cfg.sched = sched;
     cfg.seed = 41;
+    apply_backend_case(cfg, backend);
     cfgs.push_back(cfg);
   }
   SessionOptions opts;
@@ -646,7 +649,7 @@ TEST(TraceReplay, DuplicationRngReplays) {
     }
     net.start();
     EXPECT_EQ(net.run_until_done({}), net::RunStatus::kPredicateSatisfied);
-    return std::tuple{net.correct_outputs(), net.metrics().messages_sent,
+    return std::tuple{net.inbox().correct_outputs(), net.metrics().messages_sent,
                       net.metrics().messages_delivered, net.now()};
   };
   const auto a = run_once();
@@ -784,6 +787,32 @@ TEST(TraceReplay, SimReportsOneWorker) {
   EXPECT_EQ(batched_crash_session(nullptr).exec_stats.workers, 1u);
   ASSERT_EQ(::unsetenv("APXA_SIM_WORKERS"), 0);
 }
+
+// Every transport delivers through net::Inbox: one kDeliver per packet,
+// valued at its frame count.  Under cap-8 batching some packets carry
+// several frames, so the values sum to messages_delivered while the events
+// are fewer.
+class SessionTrace : public ::testing::TestWithParam<BackendCase> {};
+
+TEST_P(SessionTrace, OneDeliverEventPerBatchedPacket) {
+  obs::TraceSink trace(std::size_t{1} << 16);
+  const SessionReport rep =
+      batched_crash_session(&trace, 6, SchedKind::kRandom, GetParam());
+  ASSERT_EQ(trace.dropped(), 0u);
+  EXPECT_TRUE(rep.all_output);
+  std::uint64_t events = 0;
+  std::uint64_t frames = 0;
+  for (const auto& e : trace.snapshot()) {
+    if (e.kind != obs::EventKind::kDeliver) continue;
+    ++events;
+    frames += static_cast<std::uint64_t>(e.value);
+  }
+  EXPECT_EQ(frames, rep.metrics.messages_delivered);
+  EXPECT_LT(events, rep.metrics.messages_delivered);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SessionTrace, ::testing::ValuesIn(kBackendMatrix),
+                         backend_case_name);
 
 }  // namespace
 }  // namespace apxa::harness

@@ -12,8 +12,7 @@
 #include "backend_matrix.hpp"
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "exec/sim_backend.hpp"
-#include "exec/thread_backend.hpp"
+#include "exec/transport_backend.hpp"
 #include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "invariant_oracle.hpp"
@@ -275,7 +274,7 @@ TEST(VectorSim, DimensionOneMatchesScalarCrashVerdicts) {
 
 TEST(VectorStaging, ExplicitBackendConstruction) {
   auto cfg = crash_base({5, 1}, 2, 4);
-  exec::SimBackend backend(cfg.params, make_scheduler(cfg));
+  exec::TransportBackend<net::SimNetwork> backend(cfg.params, make_scheduler(cfg));
   const auto rep = execute(cfg, backend);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.box_validity_ok);

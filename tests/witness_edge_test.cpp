@@ -66,9 +66,9 @@ TEST(WitnessEdge, ForgedReportsHarmless) {
   net.add_process(std::make_unique<ReportForger>());
   net.mark_byzantine(6);
   net.start();
-  net.run_until([&net] { return net.all_correct_output(); });
-  EXPECT_TRUE(net.all_correct_output());
-  for (double y : net.correct_outputs()) {
+  net.run_until([&net] { return net.inbox().all_correct_output(); });
+  EXPECT_TRUE(net.inbox().all_correct_output());
+  for (double y : net.inbox().correct_outputs()) {
     EXPECT_GE(y, 0.0);
     EXPECT_LE(y, 1.0);
   }
@@ -123,8 +123,8 @@ TEST(WitnessEdge, HubStateBounded) {
     net.add_process(std::move(proc));
   }
   net.start();
-  net.run_until([&net] { return net.all_correct_output(); });
-  ASSERT_TRUE(net.all_correct_output());
+  net.run_until([&net] { return net.inbox().all_correct_output(); });
+  ASSERT_TRUE(net.inbox().all_correct_output());
 }
 
 TEST(WitnessEdge, RunsOnRealThreads) {
@@ -141,7 +141,7 @@ TEST(WitnessEdge, RunsOnRealThreads) {
     net.add_process(std::make_unique<witness::WitnessAaProcess>(wc));
   }
   ASSERT_TRUE(net.run(std::chrono::seconds(20)));
-  const auto outs = net.correct_outputs();
+  const auto outs = net.inbox().correct_outputs();
   ASSERT_EQ(outs.size(), 4u);
   const auto [mn, mx] = std::minmax_element(outs.begin(), outs.end());
   EXPECT_LE(*mx - *mn, 1e-3);
