@@ -102,9 +102,6 @@ Cell run_cell(harness::BackendKind backend, std::uint32_t batching,
   for (int rep = 0; rep < reps; ++rep) {
     harness::SessionOptions opts;
     opts.batching = batching;
-    // All rows go through the router path, including K = 1: the sweep
-    // measures the multiplexed service, not the single-instance fast path.
-    opts.force_multiplex = true;
     harness::Session session(opts);
     for (std::size_t k = 0; k < instances; ++k) {
       session.add(instance_cfg(k, backend));
@@ -147,7 +144,6 @@ TimedSession run_timed_session(harness::BackendKind backend,
   for (int rep = 0; rep < reps; ++rep) {
     harness::SessionOptions opts;
     opts.batching = 8;
-    opts.force_multiplex = true;
     opts.shards = shards;
     opts.trace = trace;
     harness::Session session(opts);

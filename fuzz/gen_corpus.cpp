@@ -18,7 +18,6 @@
 
 #include "common/bytes.hpp"
 #include "core/codec.hpp"
-#include "core/multidim.hpp"
 #include "net/envelope.hpp"
 #include "netio/link.hpp"
 

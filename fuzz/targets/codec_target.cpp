@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "core/codec.hpp"
-#include "core/multidim.hpp"
 #include "targets.hpp"
 
 namespace apxa::fuzz {

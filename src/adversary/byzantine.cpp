@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/codec.hpp"
-#include "core/multidim.hpp"
 
 namespace apxa::adversary {
 

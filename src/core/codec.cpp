@@ -1,5 +1,7 @@
 #include "core/codec.hpp"
 
+#include <stdexcept>
+
 namespace apxa::core {
 
 namespace {
@@ -11,14 +13,21 @@ bool type_in(MsgType t, std::initializer_list<MsgType> set) {
   return false;
 }
 
-}  // namespace
-
 // Decoders are TOTAL: every byte sequence yields a message or nullopt,
 // never an exception.  They run on raw network input inside honest parties'
 // message loops (and scheduler probes), where a byzantine peer controls the
 // bytes — a truncated frame that threw would crash every correct process.
-// detail::total_decode (codec.hpp) translates ByteReader overruns.
-using detail::total_decode;
+// total_decode maps a ByteReader overrun (std::invalid_argument) to nullopt.
+template <class F>
+auto total_decode(F&& decode) -> decltype(decode()) {
+  try {
+    return decode();
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+}  // namespace
 
 std::optional<MsgType> peek_type(BytesView payload) {
   if (payload.empty()) return std::nullopt;
@@ -214,6 +223,35 @@ std::optional<RbVecMsg> decode_rb_vec(BytesView payload) {
     if (!r.done()) return std::nullopt;
     return m;
   });
+}
+
+Bytes encode_vec_round(Round r, const std::vector<double>& v) {
+  ByteWriter w(1 + varint_size(r) + varint_size(v.size()) + 8 * v.size());
+  w.put_u8(static_cast<std::uint8_t>(MsgType::kVecRound));
+  w.put_varint(r);
+  w.put_varint(v.size());
+  for (double x : v) w.put_f64(x);
+  return std::move(w).take();
+}
+
+std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
+    BytesView payload) {
+  if (peek_type(payload) != MsgType::kVecRound) return std::nullopt;
+  return total_decode(
+      [&]() -> std::optional<std::pair<Round, std::vector<double>>> {
+        ByteReader r(payload);
+        r.get_u8();
+        const auto round = static_cast<Round>(r.get_varint());
+        const auto dim = r.get_varint();
+        if (dim > 1u << 16) return std::nullopt;
+        std::vector<double> v(dim);
+        for (auto& x : v) {
+          if (r.remaining() < 8) return std::nullopt;
+          x = r.get_f64();
+        }
+        if (!r.done()) return std::nullopt;
+        return std::make_pair(round, std::move(v));
+      });
 }
 
 sched::ProbeFn round_probe() {

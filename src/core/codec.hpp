@@ -8,8 +8,8 @@
 //   RB_*    : Bracha reliable broadcast    [tag][instance varint][origin varint][value f64]
 //   REPORT  : witness report (AAD'04 and   [tag][iter varint][bitset of delivered origins]
 //             the equalized collect layer)
-//   VEC     : vector round exchange        [tag][round varint][dim varint][f64 x dim][budget varint]
-//             (encode_vec_round, multidim.hpp)
+//   VEC     : vector round exchange        [tag][round varint][dim varint][f64 x dim]
+//             (the quorum collect layer, core/collect.hpp)
 //   RBVEC_* : Bracha RB, vector payload    [tag][instance varint][origin varint][dim varint][f64 x dim]
 //             (rb::VecBrachaHub, the transport of the equalized collect layer)
 //
@@ -29,6 +29,8 @@
 #pragma once
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -44,7 +46,7 @@ enum class MsgType : std::uint8_t {
   kRbEcho = 4,
   kRbReady = 5,
   kReport = 6,
-  kVecRound = 7,    ///< encoded by core::encode_vec_round (multidim.hpp)
+  kVecRound = 7,
   kRbVecSend = 8,
   kRbVecEcho = 9,
   kRbVecReady = 10,
@@ -83,23 +85,6 @@ struct RbVecMsg {
   std::vector<double> value;
 };
 
-namespace detail {
-
-/// Shared implementation guard for wire decoders: runs `decode` and maps a
-/// ByteReader overrun (std::invalid_argument) to nullopt, making the
-/// decoder total over byzantine-forgeable input.  Internal to the codec
-/// layer (core/codec.cpp and the vec-round codec in core/multidim.cpp).
-template <class F>
-auto total_decode(F&& decode) -> decltype(decode()) {
-  try {
-    return decode();
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace detail
-
 /// Peek at the type tag without decoding; nullopt on empty payload.
 std::optional<MsgType> peek_type(BytesView payload);
 
@@ -126,6 +111,13 @@ std::optional<ReportMsg> decode_report(BytesView payload);
 Bytes encode_rb_vec(const RbVecMsg& m);
 std::optional<RbVecMsg> decode_rb_vec(BytesView payload);
 net::Payload rb_vec_payload(const RbVecMsg& m);
+
+/// VEC frame: one round-tagged R^d point, the direct multicast of the quorum
+/// collect layer.  The decoder accepts any dim up to 2^16 (a point of the
+/// wrong dimension is the receiver's to discard) and rejects trailing bytes.
+Bytes encode_vec_round(Round r, const std::vector<double>& v);
+std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
+    BytesView payload);
 
 /// Scheduler probe that exposes ROUND messages' (round, value) to value-aware
 /// adversaries.  Works for every round-based protocol in the library.

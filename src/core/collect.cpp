@@ -5,7 +5,6 @@
 
 #include "common/ensure.hpp"
 #include "core/codec.hpp"
-#include "core/multidim.hpp"
 #include "geom/geom.hpp"
 
 namespace apxa::core {
@@ -21,10 +20,10 @@ void note_view_freeze(obs::TraceSink* trace, ProcessId owner, Round r,
 
 // --- quorum collect ---------------------------------------------------------
 //
-// Exactly the collect rule ConvexVectorProcess (and VectorAaProcess) used
-// inline before this layer existed: direct multicast of encode_vec_round,
-// one entry per sender, freeze at n - t entries with own always included.
-// Arrival order is preserved in the frozen view (own entry first).
+// Direct multicast of encode_vec_round, one entry per sender, freeze at
+// n - t entries with own always included.  The frozen view keeps arrival
+// order: round r + 1 values that arrive before the owner enters r + 1 come
+// before its own entry.
 class QuorumCollector final : public Collector {
  public:
   QuorumCollector(SystemParams params, std::uint32_t dim, Round max_rounds,
@@ -56,7 +55,7 @@ class QuorumCollector final : public Collector {
 
  private:
   struct Slot {
-    std::vector<CollectEntry> entries;  // arrival order, own first
+    std::vector<CollectEntry> entries;  // arrival order
     bool own_added = false;
     bool frozen = false;
     bool fired = false;
@@ -146,7 +145,7 @@ class QuorumCollector final : public Collector {
 // Gating the report on OWN delivery is a deliberate strengthening over bare
 // AAD'04: it guarantees the frozen view contains the owner's entry, which
 // keeps the certified-honest core of the safe-area fallback non-empty
-// (core/convex_aa.hpp) — and costs nothing, since a correct party's own RB
+// (core/multidim.hpp) — and costs nothing, since a correct party's own RB
 // instance always delivers (validity).
 class EqualizedCollector final : public Collector {
  public:

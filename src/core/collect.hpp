@@ -7,8 +7,7 @@
 // and that choice carries real guarantees:
 //
 //   kQuorum    — direct multicast + first-(n-t)-arrivals freeze (the collect
-//                rule of the 1987 round protocols and of every process in
-//                core/ before this layer existed).  One message per party
+//                rule of the 1987 round protocols).  One message per party
 //                per round, Theta(n^2) total.  Sender-authenticated channels
 //                cap the byzantine mass of a frozen view at t entries, but a
 //                byzantine party may show DIFFERENT values to different
@@ -49,9 +48,9 @@
 // once per round when that round's view freezes.  The ViewFn may re-enter
 // begin_round() for the next round (and usually does).
 //
-// core::ConvexVectorProcess runs on either engine (ProtocolKind::
-// kVectorConvex vs kVectorConvexRB); the entries are R^d points, scalar
-// protocols can use dim-1 vectors.
+// core::VectorAaProcess runs on these engines: every vector protocol kind on
+// the quorum engine except kVectorConvexRB, which is the safe-area rule on
+// the equalized engine.  The entries are R^d points.
 #pragma once
 
 #include <cstdint>

@@ -24,7 +24,8 @@
 // the *convex* hull of the correct inputs.  Convex validity in R^d requires
 // the Mendes-Herlihy / Vaidya-Garg safe-area machinery (STOC'13 / PODC'13),
 // implemented on top of these primitives in geom/safe_area.hpp and exposed
-// as ProtocolKind::kVectorConvex (core/convex_aa.hpp).
+// as ProtocolKind::kVectorConvex (core::VectorAaProcess's safe-area rule,
+// core/multidim.hpp).
 #pragma once
 
 #include <cstdint>

@@ -37,12 +37,13 @@
 //                         a small deterministic family of partitions and may
 //                         return nullopt even when a Tverberg point exists;
 //   safe_midpoint       — the averaging rule of the convex-valid protocol
-//                         (core::ConvexVectorProcess): average the certified
-//                         points — (t+1)-supported honest echoes of the view
-//                         (support_counts) and the verified safe-area points
-//                         among a deterministic candidate set (Tverberg
-//                         point, Radon point, coordinate median, trimmed
-//                         centroid, centroid) — the safe area is convex, so
+//                         (core::VectorAaProcess's safe-area rule): average
+//                         the certified points — (t+1)-supported honest
+//                         echoes of the view (support_counts) and the
+//                         verified safe-area points among a deterministic
+//                         candidate set (Tverberg point, Radon point,
+//                         coordinate median, trimmed centroid, centroid) —
+//                         the safe area is convex, so
 //                         the average keeps the verified robustness.  When
 //                         the safe area is empty or out of reach (m <
 //                         (d+2)t + 1 — unavoidable for large d relative to
@@ -192,7 +193,7 @@ std::vector<double> coordinate_median(std::span<const std::vector<double>> point
 /// degenerate views (m <= d + 1: a simplex with no interior, where
 /// geometry cannot separate a forged vertex from an honest one) degrade
 /// to the certified-honest average — valid, if contraction-free — when a
-/// certificate exists (core::ConvexVectorProcess always trusts its own
+/// certificate exists (core::VectorAaProcess always trusts its own
 /// entry, so through the protocol the core is never empty; with no
 /// certificate at all the geometric drop below is the only signal left and
 /// a degenerate view CAN retain a forged vertex).  Far-

@@ -6,7 +6,7 @@
 #include "common/ensure.hpp"
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
-#include "core/convex_aa.hpp"
+#include "core/multidim.hpp"
 #include "exec/transport_backend.hpp"
 #include "net/envelope.hpp"
 #include "sched/clique_scheduler.hpp"
@@ -260,36 +260,27 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
                     : adversary::VectorWire::kDirect));
       continue;
     }
-    if (cfg.protocol == ProtocolKind::kVectorConvex ||
-        cfg.protocol == ProtocolKind::kVectorConvexRB) {
-      // Safe-area averaging (geom/safe_area.hpp): convex validity instead of
-      // the box-only guarantee of per-coordinate laundering.  The collect
-      // engine is the difference between the two kinds (core/collect.hpp).
-      core::ConvexAaConfig cc;
-      cc.params = cfg.params;
-      cc.dim = cfg.dim;
-      cc.input = cfg.inputs[p];
-      cc.fixed_rounds = cfg.fixed_rounds;
-      cc.collect = equalized ? core::CollectMode::kEqualized
-                             : core::CollectMode::kQuorum;
-      cc.trace = trace;
-      cc.view_trace = view_trace;
-      cc.trace_sink = cfg.trace;
-      procs.push_back(std::make_unique<core::ConvexVectorProcess>(cc));
-      continue;
-    }
     core::VectorAaConfig pc;
     pc.params = cfg.params;
     pc.dim = cfg.dim;
     pc.input = cfg.inputs[p];
-    // kVectorByz launders per coordinate with the byzantine-safe DLPSW rule,
-    // mirroring the scalar kByzRound path (box validity only — see the
-    // module caveats in core/multidim.hpp).
-    pc.averager = cfg.protocol == ProtocolKind::kVectorByz
-                      ? core::Averager::kDlpswAsync
-                      : cfg.averager;
     pc.fixed_rounds = cfg.fixed_rounds;
+    if (cfg.protocol == ProtocolKind::kVectorConvex || equalized) {
+      // Safe-area averaging (geom/safe_area.hpp): convex validity instead of
+      // the box-only guarantee of per-coordinate laundering.  The collect
+      // engine is the difference between the two kinds (core/collect.hpp).
+      pc.rule = geom::SafeAreaOptions{};
+      if (equalized) pc.collect = core::CollectMode::kEqualized;
+    } else if (cfg.protocol == ProtocolKind::kVectorByz) {
+      // Per-coordinate laundering with the byzantine-safe DLPSW rule,
+      // mirroring the scalar kByzRound path (box validity only).
+      pc.rule = core::Averager::kDlpswAsync;
+    } else {
+      pc.rule = cfg.averager;
+    }
     pc.trace = trace;
+    pc.view_trace = view_trace;
+    pc.trace_sink = cfg.trace;
     procs.push_back(std::make_unique<core::VectorAaProcess>(pc));
   }
   return procs;

@@ -17,7 +17,6 @@
 #include <set>
 #include <vector>
 
-#include "core/convex_aa.hpp"
 #include "core/multidim.hpp"
 #include "exec/backend.hpp"
 #include "harness/scenario.hpp"
@@ -69,9 +68,8 @@ exec::ExecOptions exec_options(const RunConfigBase& cfg);
 std::vector<std::unique_ptr<net::Process>> build_processes(const RunConfig& cfg,
                                                            const core::TraceFn& trace);
 /// Vector runs: `trace` observes per-round vectors, and `view_trace`
-/// additionally observes honest convex parties' frozen views
-/// (core::ViewTraceFn; ignored by the non-convex vector protocols) — the
-/// harness measures view overlap from it.  Same thread-safety contract.
+/// additionally observes honest parties' frozen views (core::ViewTraceFn) —
+/// the harness measures view overlap from it.  Same thread-safety contract.
 std::vector<std::unique_ptr<net::Process>> build_processes(
     const VectorRunConfig& cfg, const core::VecTraceFn& trace,
     const core::ViewTraceFn& view_trace = {});

@@ -70,6 +70,8 @@ Round trace_rounds(const RunConfig& cfg) {
   return bound + 1;
 }
 
+Round trace_rounds(const VectorRunConfig& cfg) { return cfg.fixed_rounds + 1; }
+
 std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
   return make_backend(cfg, value_probe(cfg));
 }
@@ -79,7 +81,7 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend,
   // Trace: values at round entry, per party.  Worker threads of the threaded
   // backend invoke the hook concurrently, hence the mutex (uncontended and
   // irrelevant for timing on the simulator).
-  ScalarTrace trace(cfg.params.n, trace_rounds(cfg));
+  RoundTrace<double> trace(cfg.params.n, trace_rounds(cfg));
   std::mutex trace_mu;
   obs::TraceSink* sink = cfg.trace;
   core::TraceFn trace_fn = [&trace, &trace_mu, sink](ProcessId p, Round r,
@@ -102,7 +104,7 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend,
 }
 
 RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
-                   const net::Metrics& metrics, const ScalarTrace& trace) {
+                   const net::Metrics& metrics, const RoundTrace<double>& trace) {
   const auto n = cfg.params.n;
   RunReport rep;
   rep.outputs = res.outputs;
@@ -155,7 +157,7 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
   // Per-round vectors at round entry, per party; same concurrency contract
   // as the scalar trace (worker threads of the threaded backend invoke the
   // hook concurrently).
-  VectorTrace trace;
+  RoundTrace<std::vector<double>> trace(cfg.params.n, trace_rounds(cfg));
   std::mutex trace_mu;
   obs::TraceSink* sink = cfg.trace;
   core::VecTraceFn trace_fn = [&trace, &trace_mu, sink](
@@ -168,11 +170,11 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
                    static_cast<std::int64_t>(r), v.empty() ? 0.0 : v[0], 0.0);
     }
     std::scoped_lock lock(trace_mu);
-    trace[r][p] = v;
+    trace.record(p, r, v);
   };
 
-  // Frozen-view trace (convex protocols only): what each honest party's
-  // round-r view actually contained, for the view-overlap verdict.
+  // Frozen-view trace: what each honest party's round-r view actually
+  // contained, for the view-overlap verdict.
   ViewTrace views;
   std::mutex views_mu;
   core::ViewTraceFn view_fn =
@@ -190,7 +192,8 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
 }
 
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
-                         const net::Metrics& metrics, const VectorTrace& trace,
+                         const net::Metrics& metrics,
+                         const RoundTrace<std::vector<double>>& trace,
                          const ViewTrace& views) {
   const auto n = cfg.params.n;
   VectorRunReport rep;
@@ -219,10 +222,11 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
   rep.agreement_ok = rep.worst_linf_gap <= cfg.epsilon + 1e-12;
 
   // Per-round L-infinity spreads over parties that stayed correct.
-  for (const auto& [round, entries] : trace) {
-    std::vector<std::vector<double>> vals;
-    for (const auto& [p, v] : entries) {
-      if (res.correct[p]) vals.push_back(v);
+  std::vector<std::vector<double>> vals;
+  for (Round round = 0; round < trace.rounds(); ++round) {
+    vals.clear();
+    for (ProcessId p = 0; p < n; ++p) {
+      if (res.correct[p] && trace.has(round, p)) vals.push_back(trace.at(round, p));
     }
     if (vals.empty()) continue;
     rep.linf_spread_by_round.push_back(geom::linf_spread(vals));
@@ -236,10 +240,9 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
     }
   }
 
-  // View overlap between correct parties' frozen views (convex protocols
-  // emit the trace; empty otherwise).  Entries match when origin and value
-  // agree bitwise — under the equalized collect two matching entries really
-  // are the same RB delivery.
+  // View overlap between correct parties' frozen views.  Entries match when
+  // origin and value agree bitwise — under the equalized collect two
+  // matching entries really are the same RB delivery.
   rep.view_overlap_min = n;
   for (const auto& [round, by_party] : views) {
     std::vector<const std::vector<core::CollectEntry>*> correct_views;

@@ -22,19 +22,21 @@
 
 namespace apxa::harness {
 
-/// Round-entry values of a scalar run: a flat [round x party] table.  Sized
-/// up front from the config's round bound (trace_rounds), so recording a
-/// value allocates nothing unless a run outlives the bound (kLive horizons
-/// watched from outside); the table then doubles.  Shared by execute() and
+/// Round-entry values of a run: a flat [round x party] table of `Value`
+/// (double for scalar runs, the point for vector runs).  Sized up front from
+/// the config's round bound (trace_rounds), so recording a scalar allocates
+/// nothing unless a run outlives the bound (kLive horizons watched from
+/// outside); the table then doubles.  Shared by execute() and
 /// harness::Session.
-class ScalarTrace {
+template <typename Value>
+class RoundTrace {
  public:
-  ScalarTrace() = default;
-  ScalarTrace(std::uint32_t n, Round rounds)
+  RoundTrace() = default;
+  RoundTrace(std::uint32_t n, Round rounds)
       : n_(n), values_(static_cast<std::size_t>(rounds) * n), set_(values_.size()) {}
 
   /// Party p entered round r holding v (a later record overwrites).
-  void record(ProcessId p, Round r, double v) {
+  void record(ProcessId p, Round r, const Value& v) {
     const std::size_t i = static_cast<std::size_t>(r) * n_ + p;
     if (i >= values_.size()) {
       const std::size_t size = std::max(i + n_ - p, 2 * values_.size());
@@ -52,23 +54,23 @@ class ScalarTrace {
   [[nodiscard]] bool has(Round r, ProcessId p) const {
     return set_[static_cast<std::size_t>(r) * n_ + p] != 0;
   }
-  [[nodiscard]] double at(Round r, ProcessId p) const {
+  [[nodiscard]] const Value& at(Round r, ProcessId p) const {
     return values_[static_cast<std::size_t>(r) * n_ + p];
   }
 
  private:
   std::uint32_t n_ = 0;
-  std::vector<double> values_;      // [round * n + party]
-  std::vector<std::uint8_t> set_;   // parallel: 1 once recorded
+  std::vector<Value> values_;      // [round * n + party]
+  std::vector<std::uint8_t> set_;  // parallel: 1 once recorded
 };
 
-using VectorTrace = std::map<Round, std::map<ProcessId, std::vector<double>>>;
 using ViewTrace =
     std::map<Round, std::map<ProcessId, std::vector<core::CollectEntry>>>;
 
-/// Rows a scalar run's trace needs: round-entry values run from round 0 to
-/// the config's round bound.
+/// Rows a run's trace needs: round-entry values run from round 0 to the
+/// config's round bound.
 Round trace_rounds(const RunConfig& cfg);
+Round trace_rounds(const VectorRunConfig& cfg);
 
 /// Construct the backend the config asks for (simulator backends get the
 /// config's scheduler; the threaded runtime ignores sched/seed).
@@ -103,9 +105,10 @@ VectorRunReport run(const VectorRunConfig& cfg);
 // metrics once per report instead of into every synthetic ExecResult first.
 
 RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
-                   const net::Metrics& metrics, const ScalarTrace& trace);
+                   const net::Metrics& metrics, const RoundTrace<double>& trace);
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
-                         const net::Metrics& metrics, const VectorTrace& trace,
+                         const net::Metrics& metrics,
+                         const RoundTrace<std::vector<double>>& trace,
                          const ViewTrace& views);
 
 }  // namespace apxa::harness

@@ -138,8 +138,8 @@ struct RunReport : RunReportBase {
 // every vector run) and L-infinity eps-agreement.  kVectorByz launders per
 // coordinate (reduce-based rule), so its validity guarantee is the box, NOT
 // the convex hull, of the honest inputs; kVectorConvex averages through the
-// Mendes-Herlihy/Vaidya-Garg safe area (core/convex_aa.hpp) and targets
-// convex validity.  See the caveats in core/multidim.hpp and geom/geom.hpp.
+// Mendes-Herlihy/Vaidya-Garg safe area (core::VectorAaProcess's safe-area
+// rule) and targets convex validity.  See the caveats in core/multidim.hpp and geom/geom.hpp.
 
 struct VectorRunConfig : RunConfigBase {
   /// kVectorCrash / kVectorByz / kVectorConvex / kVectorConvexRB
@@ -170,13 +170,14 @@ struct VectorRunReport : RunReportBase {
   Round rounds_to_eps = 0;
   bool reached_eps = false;
 
-  // --- view-overlap verdict (convex protocols only) -------------------------
+  // --- view-overlap verdict --------------------------------------------------
   //
   // The property view equalization buys: any two honest parties' frozen
   // round-r views must share >= n - t common (origin, value) entries drawn
   // from a common pool.  kVectorConvexRB guarantees it structurally (RB +
-  // witness reports); plain quorum collect does NOT — an equivocator showing
-  // different values to different parties drives the overlap below n - t.
+  // witness reports); plain quorum collect (every other vector kind) does
+  // NOT — an equivocator showing different values to different parties
+  // drives the overlap below n - t.
   // Measured from the frozen-view trace (core::ViewTraceFn); entries match
   // when origin AND bitwise value agree.
   /// True when at least one round had two correct frozen views to compare.

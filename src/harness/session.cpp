@@ -103,31 +103,6 @@ SessionReport Session::run() {
   APXA_ENSURE(!ran_, "Session::run may be called once");
   ran_ = true;
 
-  if (instances_.size() == 1 && !opts_.force_multiplex &&
-      opts_.crashes.empty() && opts_.batching == 0 && opts_.shards == 0) {
-    // Size-1 delegation: plain harness::run — no envelope framing, legacy
-    // metrics accounting, bit-identical reports to the single-instance path.
-    SessionReport out;
-    out.scalar_reports.resize(1);
-    out.vector_reports.resize(1);
-    Instance& in = instances_.front();
-    if (opts_.trace) in.base().trace = opts_.trace;
-    const RunReportBase& r =
-        in.scalar ? static_cast<const RunReportBase&>(
-                        out.scalar_reports[0].emplace(harness::run(*in.scalar)))
-                  : out.vector_reports[0].emplace(harness::run(*in.vec));
-    out.status = r.status;
-    out.all_output = r.all_output;
-    out.metrics = r.metrics;
-    out.msgs_per_packet = r.metrics.msgs_per_packet();
-    out.exec_stats = r.exec_stats;
-    out.finish_times = {r.finish_time};
-    return out;
-  }
-  return run_multiplexed();
-}
-
-SessionReport Session::run_multiplexed() {
   const std::size_t K = instances_.size();
   APXA_ENSURE(K <= 1u << 20, "session too large");
 
@@ -168,17 +143,17 @@ SessionReport Session::run_multiplexed() {
 
   // NOTE: everything routers reference (traces, rows, clock) is declared
   // BEFORE the backend so it outlives the transport's worker threads.
-  std::vector<ScalarTrace> straces(K);
-  std::vector<VectorTrace> vtraces(K);
+  std::vector<RoundTrace<double>> straces(K);
+  std::vector<RoundTrace<std::vector<double>>> vtraces(K);
   std::vector<ViewTrace> viewtraces(K);
   std::mutex trace_mu;
 
   std::vector<std::vector<std::unique_ptr<net::Process>>> rows(K);
   for (std::size_t i = 0; i < K; ++i) {
+    // Traces are sized to the instance's round bound here, so recording a
+    // scalar under the lock never allocates.
     if (instances_[i].scalar) {
-      // Sized to the instance's round bound here, so recording under the
-      // lock never allocates.
-      straces[i] = ScalarTrace(n, trace_rounds(*instances_[i].scalar));
+      straces[i] = RoundTrace<double>(n, trace_rounds(*instances_[i].scalar));
       core::TraceFn fn = [&straces, &trace_mu, i](ProcessId p, Round r,
                                                   double v) {
         std::scoped_lock lock(trace_mu);
@@ -186,11 +161,13 @@ SessionReport Session::run_multiplexed() {
       };
       rows[i] = build_processes(*instances_[i].scalar, fn);
     } else {
+      vtraces[i] = RoundTrace<std::vector<double>>(
+          n, trace_rounds(*instances_[i].vec));
       core::VecTraceFn fn = [&vtraces, &trace_mu, i](
                                 ProcessId p, Round r,
                                 const std::vector<double>& v) {
         std::scoped_lock lock(trace_mu);
-        vtraces[i][r][p] = v;
+        vtraces[i].record(p, r, v);
       };
       core::ViewTraceFn vfn =
           [&viewtraces, &trace_mu, i](

@@ -16,10 +16,10 @@
 // (per-instance outputs, decide times and traces; session-wide transport
 // metrics — per-instance message counts live in metrics.sent_by_instance).
 //
-// A Session of size 1 (without force_multiplex / batching / session crashes)
-// DELEGATES to plain harness::run — no envelope overhead, bit-identical
-// reports — so existing single-instance entry points and bench JSON are
-// unchanged by this layer's existence.
+// Every session runs the router path, size 1 included: a size-1 session
+// reaches the same outputs, traces and logical message counts as plain
+// harness::run and differs only in envelope bytes and per-instance
+// attribution.
 //
 // Constraints a multiplexed session enforces (std::invalid_argument):
 //  - every instance shares params, sched, seed, backend and byzantine ID set
@@ -48,10 +48,6 @@ struct SessionOptions {
   /// Worker count for the threaded backend's stealing executor; 0 = auto
   /// (min(n, hardware_concurrency)).  Ignored by the simulator.
   std::uint32_t shards = 0;
-  /// Run the multiplexed router path even for a size-1 session (testing /
-  /// benchmarking the envelope overhead); default is to delegate size-1
-  /// sessions to plain harness::run.
-  bool force_multiplex = false;
   /// Session-level crash plan: a budget of k crashes the party after its
   /// k-th LOGICAL send counted across every instance it serves.
   std::vector<adversary::CrashSpec> crashes;
@@ -106,8 +102,6 @@ class Session {
       return scalar ? static_cast<RunConfigBase&>(*scalar) : *vec;
     }
   };
-
-  SessionReport run_multiplexed();
 
   SessionOptions opts_;
   std::vector<Instance> instances_;

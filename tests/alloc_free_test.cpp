@@ -2,7 +2,8 @@
 // global operator new: frame iteration, metrics accounting and the round
 // collector allocate nothing, each encoder allocates exactly its output
 // buffer once, and a multicast — enveloped or not — allocates its one shared
-// buffer whatever the number of receivers.
+// buffer whatever the number of receivers.  Frees are counted too, so a
+// byzantine message storm can be shown to leave nothing behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +27,7 @@ namespace {
 // own bookkeeping between measurements stays out of the numbers.
 bool g_counting = false;
 std::size_t g_allocs = 0;
+std::size_t g_frees = 0;
 
 void* counted_alloc(std::size_t size) {
   if (g_counting) ++g_allocs;
@@ -33,24 +35,43 @@ void* counted_alloc(std::size_t size) {
   throw std::bad_alloc();
 }
 
-/// Allocations made by `fn()`.
+void counted_free(void* p) noexcept {
+  if (g_counting && p != nullptr) ++g_frees;
+  std::free(p);
+}
+
+/// Runs `fn()` with the counters reset and counting on.
 template <class F>
-std::size_t allocations(F&& fn) {
+void run_counted(F&& fn) {
   g_allocs = 0;
+  g_frees = 0;
   g_counting = true;
   fn();
   g_counting = false;
+}
+
+/// Allocations made by `fn()`.
+template <class F>
+std::size_t allocations(F&& fn) {
+  run_counted(fn);
   return g_allocs;
+}
+
+/// Allocations made by `fn()` and not freed by it.
+template <class F>
+std::ptrdiff_t live_allocations(F&& fn) {
+  run_counted(fn);
+  return static_cast<std::ptrdiff_t>(g_allocs) - static_cast<std::ptrdiff_t>(g_frees);
 }
 
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace apxa {
 namespace {
@@ -256,6 +277,53 @@ TEST(AllocFree, ForgedRoundStormAllocatesNothing) {
             0u);
   EXPECT_TRUE(fixed.contributors(0).empty());
   EXPECT_TRUE(live.contributors(1000).empty());
+}
+
+class NullContext final : public net::Context {
+ public:
+  explicit NullContext(SystemParams p) : params_(p) {}
+  void send(ProcessId, net::Payload) override {}
+  void multicast(net::Payload) override {}
+  [[nodiscard]] ProcessId self() const override { return 0; }
+  [[nodiscard]] SystemParams params() const override { return params_; }
+
+ private:
+  SystemParams params_;
+};
+
+/// Feeds an undecided vector party a byzantine stream of well-formed VEC
+/// frames, each under a distinct round at or past its round budget, and
+/// returns what the stream left allocated.
+std::ptrdiff_t vec_round_storm_residue(VectorAaConfig cfg) {
+  constexpr Round kFixedRounds = 8;
+  cfg.params = SystemParams{4, 1};
+  cfg.dim = 2;
+  cfg.input = {0.0, 0.0};
+  cfg.fixed_rounds = kFixedRounds;
+  VectorAaProcess party(cfg);
+  NullContext ctx(cfg.params);
+  party.on_start(ctx);
+  std::vector<Bytes> frames;
+  for (Round k = 0; k < 10'000; ++k) {
+    frames.push_back(encode_vec_round(kFixedRounds + k, {1.0, 1.0}));
+  }
+  const std::ptrdiff_t live = live_allocations([&] {
+    for (const Bytes& f : frames) party.on_message(ctx, 1, f);
+  });
+  EXPECT_FALSE(party.has_output());
+  EXPECT_EQ(party.current_round(), 0u);
+  return live;
+}
+
+TEST(AllocFree, ForgedVecRoundStormKeepsNothingPerCoordinate) {
+  VectorAaConfig cfg;  // kVectorCrash: per-coordinate mean, quorum collect
+  EXPECT_EQ(vec_round_storm_residue(cfg), 0);
+}
+
+TEST(AllocFree, ForgedVecRoundStormKeepsNothingSafeArea) {
+  VectorAaConfig cfg;  // kVectorConvex: safe-area midpoint, quorum collect
+  cfg.rule = geom::SafeAreaOptions{};
+  EXPECT_EQ(vec_round_storm_residue(cfg), 0);
 }
 
 }  // namespace

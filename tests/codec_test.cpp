@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "core/codec.hpp"
-#include "core/multidim.hpp"  // decode_vec_round (wire tag 7)
 #include "net/envelope.hpp"
 
 namespace apxa::core {

@@ -326,14 +326,15 @@ TEST(CollectSim, ByzantineWireGarbageIsDiscardedNotFatal) {
       backend->add_process(std::make_unique<WireGarbageAttacker>());
       continue;
     }
-    core::ConvexAaConfig cc;
+    core::VectorAaConfig cc;
     cc.params = p;
     cc.dim = 2;
     cc.input = cfg.inputs[id];
     cc.fixed_rounds = cfg.fixed_rounds;
+    cc.rule = geom::SafeAreaOptions{};
     cc.collect = core::CollectMode::kEqualized;
     cc.view_trace = view_fn;
-    backend->add_process(std::make_unique<core::ConvexVectorProcess>(cc));
+    backend->add_process(std::make_unique<core::VectorAaProcess>(cc));
   }
   backend->mark_byzantine(0);
   const auto res = backend->run({});

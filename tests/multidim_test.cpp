@@ -159,6 +159,20 @@ TEST(MultiDim, ValidatesConfig) {
   cfg2.inputs = grid_inputs(4, 2, 5);
   cfg2.fixed_rounds = 1;
   EXPECT_THROW(harness::run(cfg2), std::invalid_argument);
+
+  // The process checks each rule's resilience bound, and per-coordinate
+  // averaging runs on the quorum collect only.
+  VectorAaConfig pc;
+  pc.params = {6, 2};
+  pc.dim = 2;
+  pc.input = {0.0, 0.0};
+  EXPECT_NO_THROW(VectorAaProcess{pc});
+  pc.collect = CollectMode::kEqualized;
+  EXPECT_THROW(VectorAaProcess{pc}, std::invalid_argument);
+  pc.rule = geom::SafeAreaOptions{};
+  EXPECT_THROW(VectorAaProcess{pc}, std::invalid_argument);  // n = 3t
+  pc.params = {7, 2};
+  EXPECT_NO_THROW(VectorAaProcess{pc});
 }
 
 }  // namespace

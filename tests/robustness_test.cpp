@@ -12,7 +12,6 @@
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
 #include "core/collect.hpp"
-#include "core/multidim.hpp"
 #include "core/round_engine.hpp"
 #include "geom/geom.hpp"
 #include "harness/harness.hpp"

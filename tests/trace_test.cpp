@@ -513,7 +513,6 @@ SessionReport batched_crash_session(obs::TraceSink* trace,
   }
   SessionOptions opts;
   opts.batching = 8;
-  opts.force_multiplex = true;
   opts.trace = trace;
   adversary::CrashSpec s;
   s.who = 4;
