@@ -1,7 +1,8 @@
 // T5 — Substrate microbenchmarks (google-benchmark).
 //
-// Raw costs of the building blocks: averaging rules, codec, simulator event
-// loop and its per-message dispatch, the transport send path (net::Outbox),
+// Raw costs of the building blocks: averaging rules, the round collector
+// (scalar and the vector quorum engine), codec, simulator event loop and its
+// per-message dispatch, the transport send path (net::Outbox),
 // the socket backend's perfect link (netio::PeerLink), reliable broadcast
 // (end to end and the Bracha hub alone), the safe-area geometry of
 // convex-valid vector AA, and the analytic worst-case search.
@@ -16,6 +17,7 @@
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
+#include "core/collect.hpp"
 #include "core/multiset_ops.hpp"
 #include "core/round_engine.hpp"
 #include "geom/safe_area.hpp"
@@ -347,6 +349,53 @@ void BM_BrachaHubWave(benchmark::State& state) {
 BENCHMARK(BM_BrachaHubWave)
     ->ArgNames({"n", "d"})
     ->ArgsProduct({{4, 16, 64}, {0, 3}});
+
+void BM_VectorQuorumCollect(benchmark::State& state) {
+  // The vector collect engine's view freeze (the quorum engine that
+  // kVectorCrash, kVectorByz and kVectorConvex run on), as party 0 sees
+  // each round: begin_round (own point, the VEC multicast), then a
+  // pre-encoded VEC frame from every other party through handle() — those
+  // past the quorum are dropped — and the frozen view handed to the ViewFn.
+  // A fresh engine every kRounds rounds (its round budget) keeps state
+  // bounded; its setup and teardown are charged to those rounds.  The rule
+  // applied to the view is BM_SafeMidpoint's.
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const std::uint32_t d = 3;
+  const SystemParams p{n, (n - 1) / 3};
+  constexpr Round kRounds = 64;
+  std::vector<std::vector<Bytes>> wire(kRounds);
+  for (Round r = 0; r < kRounds; ++r) {
+    for (ProcessId q = 1; q < n; ++q) {
+      wire[r].push_back(encode_vec_round(
+          r, {0.25 * q, -1.5 + r, 3.0 / static_cast<double>(q)}));
+    }
+  }
+  const std::vector<double> own{0.5, -0.5, 1.0};
+  CountingContext ctx(p);
+  std::uint64_t views = 0;
+  for (auto _ : state) {
+    const auto engine = make_collector(
+        CollectMode::kQuorum, p, d, kRounds,
+        [&views](net::Context&, Round, const std::vector<CollectEntry>& view) {
+          benchmark::DoNotOptimize(view.data());
+          ++views;
+        });
+    for (Round r = 0; r < kRounds; ++r) {
+      engine->begin_round(ctx, r, own);
+      for (ProcessId q = 1; q < n; ++q) {
+        benchmark::DoNotOptimize(engine->handle(ctx, q, wire[r][q - 1]));
+      }
+    }
+  }
+  const auto rounds = kRounds * static_cast<std::uint64_t>(state.iterations());
+  if (views != rounds) state.SkipWithError("a round's view did not fire once");
+  state.counters["ns_per_round"] = benchmark::Counter(
+      static_cast<double>(rounds) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
+  state.SetLabel("items = rounds collected");
+}
+BENCHMARK(BM_VectorQuorumCollect)->ArgName("n")->Arg(4)->Arg(13);
 
 void BM_SafeMidpoint(benchmark::State& state) {
   // One geom::safe_midpoint call, the geometry a convex-valid party runs

@@ -150,7 +150,8 @@ int main(int argc, char** argv) {
     const fs::path dir = root / "fuzz_state_machine";
     // First byte picks the shape (mod 6); the rest parameterizes it.  Values
     // chosen to exercise: crash rounds + clique sched, DLPSW + spoiler,
-    // witness + raw injector, vector crash, vector byz hull-escape, convex.
+    // witness + raw injector, vector crash, vector byz hull-escape, convex,
+    // vector byz + raw injector.
     write_seed(dir, "crash-clique",
                raw({0, 4, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 1, 1, 5, 1, 40, 10,
                     200, 30, 100, 60, 0, 90}));
@@ -173,6 +174,21 @@ int main(int argc, char** argv) {
                raw({5, 0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1, 2, 15, 0, 25, 10,
                     35, 20, 45, 30, 55, 40, 65, 50, 75, 60, 1, 0, 6, 40, 0,
                     60, 0, 80, 1, 2, 4, 4, 4}));
+    // Vector byzantine run (n = 7, d = 2) with the raw injector in slot 3:
+    // a well-formed VEC frame, one of the wrong width and one past the
+    // round budget, each behind its length byte, then reflections.
+    Bytes vec_injector =
+        raw({4, 1, 0, 7, 7, 7, 7, 7, 7, 7, 7, 1, 10, 0, 20, 10, 30, 20, 40,
+             30, 50, 40, 60, 50, 70, 60, 80, 70, 90, 80, 100, 90, 110, 100,
+             120, 110, 130, 120, 140, 130, 3, 0, 0, 64, 0, 192, 0, 16, 0, 1,
+             2, 3, 4, 1, 3});
+    for (const Bytes& frame : {core::encode_vec_round(0, {0.5, -0.5}),
+                               core::encode_vec_round(0, {1.0, 2.0, 3.0}),
+                               core::encode_vec_round(1000, {0.5, 0.5})}) {
+      const Bytes length = raw({static_cast<unsigned>(frame.size() - 1)});
+      vec_injector = cat(vec_injector, cat(length, frame));
+    }
+    write_seed(dir, "vector-byz-injector", cat(vec_injector, raw({16, 0x55})));
   }
 
   std::printf("corpus written under %s\n", root.string().c_str());

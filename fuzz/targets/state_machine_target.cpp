@@ -4,8 +4,9 @@
 // crash placement (send budget AND multicast receiver order, so partial
 // multicasts split the audience any way the fuzzer likes), byzantine
 // strategy, and optionally a RAW-BYTE injector seated in a declared
-// byzantine slot that multicasts arbitrary fuzzer bytes and reflects
-// one-byte-mutated copies of honest frames back at their senders.
+// byzantine slot (scalar and vector runs) that multicasts arbitrary fuzzer
+// bytes and reflects one-byte-mutated copies of honest frames back at their
+// senders.
 //
 // Every run is judged by the shared invariant oracle
 // (tests/invariant_oracle.hpp) — the same liveness / validity / convexity /
@@ -134,11 +135,11 @@ adversary::ByzSpec pick_byz(FuzzInput& in, ProcessId who, double lo, double hi) 
   return b;
 }
 
-// Scalar run with a RawInjector seated in the (single) declared byzantine
-// slot in place of the stock attacker; staging, tracing and the verdict are
-// harness::execute's own.
-harness::RunReport run_with_injector(const harness::RunConfig& cfg,
-                                     FuzzInput& in) {
+// A run with a RawInjector seated in the (single) declared byzantine slot in
+// place of the stock attacker; staging, tracing and the verdict are
+// harness::execute's own.  Scalar and vector configs alike.
+template <typename Config>
+auto run_with_injector(const Config& cfg, FuzzInput& in) {
   std::vector<Bytes> frames;
   const std::uint32_t n_frames = in.u8() % 4;
   for (std::uint32_t i = 0; i < n_frames; ++i) {
@@ -294,10 +295,14 @@ int state_machine_target(const std::uint8_t* data, std::size_t size) {
       } else if (in.boolean()) {
         cfg.byz.push_back(pick_byz(in, in.u8() % cfg.params.n, blo, bhi));
       }
+      // Raw and near-valid VEC bytes in the declared byzantine slot reach the
+      // quorum collect engine's decoder and round bookkeeping.
+      const bool injector = !cfg.byz.empty() && in.boolean();
 
       oracle::Expect expect;
       expect.require_agreement = agreement_owed;
-      const harness::VectorRunReport rep = harness::run(cfg);
+      const harness::VectorRunReport rep =
+          injector ? run_with_injector(cfg, in) : harness::run(cfg);
       judge("vector", oracle::check_run(cfg, rep, expect));
     }
   } catch (...) {

@@ -1,10 +1,13 @@
 #include "core/collect.hpp"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "common/ensure.hpp"
 #include "core/codec.hpp"
+#include "core/round_engine.hpp"
 #include "geom/geom.hpp"
 
 namespace apxa::core {
@@ -20,33 +23,35 @@ void note_view_freeze(obs::TraceSink* trace, ProcessId owner, Round r,
 
 // --- quorum collect ---------------------------------------------------------
 //
-// Direct multicast of encode_vec_round, one entry per sender, freeze at
-// n - t entries with own always included.  The frozen view keeps arrival
-// order: round r + 1 values that arrive before the owner enters r + 1 come
-// before its own entry.
+// Direct multicast of encode_vec_round; the n - t freeze rule is
+// core::RoundCollector's (one entry per sender, own always included, rounds
+// past max_rounds or already entered dropped), here over dim-wide points.
+// The frozen view keeps arrival order: round r + 1 values that arrive before
+// the owner enters r + 1 come before its own entry.
+// No lookahead (it would drop honest early frames), so one forged frame for a
+// round below max_rounds grows the ring to < 2 * max_rounds slots, as at dim 1.
 class QuorumCollector final : public Collector {
  public:
   QuorumCollector(SystemParams params, std::uint32_t dim, Round max_rounds,
                   ViewFn on_view, obs::TraceSink* trace)
-      : params_(params),
-        dim_(dim),
-        max_rounds_(max_rounds),
-        view_(std::move(on_view)),
+      : ring_(params, max_rounds, kNoRound, dim),
+        view_fn_(std::move(on_view)),
         trace_(trace) {}
 
   void begin_round(net::Context& ctx, Round r,
                    const std::vector<double>& value) override {
     round_ = r;
-    slots_.erase(slots_.begin(), slots_.lower_bound(r));
-    add_own(ctx, r, value);
+    ring_.forget_before(r);
+    ring_.add_own(r, value);
     ctx.multicast(encode_vec_round(r, value));
     maybe_fire(ctx);
   }
 
   bool handle(net::Context& ctx, ProcessId from, BytesView payload) override {
-    auto m = decode_vec_round(payload);
+    const auto m = decode_vec_round(payload);
     if (!m) return false;
-    add_remote(from, m->first, std::move(m->second));
+    ring_.add_remote(from, m->first, m->second);
+    malformed_ = ring_.malformed();
     maybe_fire(ctx);
     return true;
   }
@@ -54,80 +59,36 @@ class QuorumCollector final : public Collector {
   [[nodiscard]] bool serve_when_done() const override { return false; }
 
  private:
-  struct Slot {
-    std::vector<CollectEntry> entries;  // arrival order
-    bool own_added = false;
-    bool frozen = false;
-    bool fired = false;
-  };
-
-  void maybe_freeze(Slot& s) const {
-    if (!s.frozen && s.own_added && s.entries.size() >= params_.quorum()) {
-      s.frozen = true;
-    }
-  }
-
-  void add_own(net::Context& ctx, Round r, const std::vector<double>& v) {
-    Slot& s = slots_[r];
-    APXA_ASSERT(!s.own_added, "own vector added twice");
-    s.own_added = true;
-    s.entries.push_back({ctx.self(), v});
-    maybe_freeze(s);
-  }
-
-  void add_remote(ProcessId from, Round r, std::vector<double> v) {
-    if (r < round_) return;       // settled round: the view is gone
-    if (r >= max_rounds_) return; // beyond the budget: byzantine garbage
-    if (v.size() != dim_ || !geom::all_finite(v)) {
-      ++malformed_;
-      return;
-    }
-    Slot& s = slots_[r];
-    if (s.frozen) return;
-    // One point per sender per round: sender-authenticated channels cap the
-    // byzantine mass of any frozen view at t entries, which is precisely
-    // what the safe-area rule tolerates.
-    if (std::any_of(s.entries.begin(), s.entries.end(),
-                    [from](const CollectEntry& e) { return e.origin == from; })) {
-      return;
-    }
-    const std::size_t cap =
-        s.own_added ? params_.quorum() : params_.quorum() - 1;
-    if (s.entries.size() >= cap) return;
-    s.entries.push_back({from, std::move(v)});
-    maybe_freeze(s);
-  }
-
   void maybe_fire(net::Context& ctx) {
-    // Fires only for the round the owner is in: a future-round slot cannot
-    // freeze (own entry missing), past rounds are erased.  The ViewFn may
-    // re-enter begin_round, which advances round_; the guard folds the
-    // nested maybe_fire into this loop, which then drives the new round
-    // (whose view may already be frozen from buffered arrivals).
+    // Fires only for the round the owner is in: a future round cannot freeze
+    // (own entry missing).  The view is copied out and its round forgotten
+    // (so it fires once) before the ViewFn re-enters begin_round, which may
+    // grow the ring; the guard folds that nested maybe_fire into this loop,
+    // which then drives the new round.
     if (firing_) return;
     firing_ = true;
-    while (true) {
-      const auto it = slots_.find(round_);
-      if (it == slots_.end() || !it->second.frozen || it->second.fired) break;
-      it->second.fired = true;
-      // Move the view out: begin_round re-entry erases the slot.
-      const std::vector<CollectEntry> view = std::move(it->second.entries);
-      const Round fired_round = round_;
-      note_view_freeze(trace_, ctx.self(), fired_round, view.size());
-      view_(ctx, fired_round, view);
-      if (round_ == fired_round) break;  // owner did not advance
+    while (ring_.ready(round_)) {
+      const auto points = ring_.view(round_);
+      const auto from = ring_.contributors(round_);
+      view_.resize(from.size());
+      for (std::size_t i = 0; i < from.size(); ++i) {
+        view_[i].origin = from[i] == kNoProcess ? ctx.self() : from[i];
+        const auto point = points.subspan(i * ring_.dim(), ring_.dim());
+        view_[i].value.assign(point.begin(), point.end());
+      }
+      ring_.forget_before(round_ + 1);
+      note_view_freeze(trace_, ctx.self(), round_, view_.size());
+      view_fn_(ctx, round_, view_);
     }
     firing_ = false;
   }
 
-  SystemParams params_;
-  std::uint32_t dim_;
-  Round max_rounds_;
-  ViewFn view_;
-  std::map<Round, Slot> slots_;
+  RoundCollector ring_;
+  ViewFn view_fn_;
+  obs::TraceSink* trace_ = nullptr;
+  std::vector<CollectEntry> view_;  // the fired round's view, reused
   Round round_ = 0;
   bool firing_ = false;
-  obs::TraceSink* trace_ = nullptr;
 };
 
 // --- equalized collect ------------------------------------------------------

@@ -7,9 +7,10 @@
 // and that choice carries real guarantees:
 //
 //   kQuorum    — direct multicast + first-(n-t)-arrivals freeze (the collect
-//                rule of the 1987 round protocols).  One message per party
-//                per round, Theta(n^2) total.  Sender-authenticated channels
-//                cap the byzantine mass of a frozen view at t entries, but a
+//                rule of the 1987 round protocols: core::RoundCollector's, as
+//                in the scalar round protocols).  One message per party per
+//                round, Theta(n^2) total.  Sender-authenticated channels cap
+//                the byzantine mass of a frozen view at t entries, but a
 //                byzantine party may show DIFFERENT values to different
 //                honest parties, and asynchrony lets even honest entries
 //                differ arbitrarily between two views: any two honest round-r
@@ -55,9 +56,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/ids.hpp"

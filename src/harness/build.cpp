@@ -293,9 +293,10 @@ void stage(const RunConfig& cfg, const core::TraceFn& trace,
 }
 
 void stage(const VectorRunConfig& cfg, const core::VecTraceFn& trace,
-           exec::Backend& backend, const core::ViewTraceFn& view_trace) {
+           exec::Backend& backend, const core::ViewTraceFn& view_trace,
+           const ProcessSubstitute& substitute) {
   validate(cfg);
-  seat(cfg, build_processes(cfg, trace, view_trace), backend, {});
+  seat(cfg, build_processes(cfg, trace, view_trace), backend, substitute);
 }
 
 net::DoneProbe make_done_predicate(const RunConfig& cfg) {

@@ -80,7 +80,8 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
 void stage(const RunConfig& cfg, const core::TraceFn& trace,
            exec::Backend& backend, const ProcessSubstitute& substitute = {});
 void stage(const VectorRunConfig& cfg, const core::VecTraceFn& trace,
-           exec::Backend& backend, const core::ViewTraceFn& view_trace = {});
+           exec::Backend& backend, const core::ViewTraceFn& view_trace = {},
+           const ProcessSubstitute& substitute = {});
 
 /// The completion probe for a scalar config's termination mode: "has output"
 /// for outputting modes, "reached the round/iteration horizon" for kLive.

@@ -1,7 +1,6 @@
 #include "harness/harness.hpp"
 
 #include <algorithm>
-#include <map>
 #include <mutex>
 #include <vector>
 
@@ -153,7 +152,8 @@ std::unique_ptr<exec::Backend> make_backend(const VectorRunConfig& cfg) {
   return make_backend(cfg, value_probe(cfg));
 }
 
-VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
+VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend,
+                        const ProcessSubstitute& substitute) {
   // Per-round vectors at round entry, per party; same concurrency contract
   // as the scalar trace (worker threads of the threaded backend invoke the
   // hook concurrently).
@@ -175,17 +175,17 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
 
   // Frozen-view trace: what each honest party's round-r view actually
   // contained, for the view-overlap verdict.
-  ViewTrace views;
-  std::mutex views_mu;
+  RoundTrace<std::vector<core::CollectEntry>> views(cfg.params.n,
+                                                    trace_rounds(cfg));
   core::ViewTraceFn view_fn =
-      [&views, &views_mu](ProcessId p, Round r,
+      [&views, &trace_mu](ProcessId p, Round r,
                           const std::vector<core::CollectEntry>& view) {
-        std::scoped_lock lock(views_mu);
-        views[r][p] = view;
+        std::scoped_lock lock(trace_mu);
+        views.record(p, r, view);
       };
 
   backend.set_trace(cfg.trace);
-  stage(cfg, trace_fn, backend, view_fn);
+  stage(cfg, trace_fn, backend, view_fn, substitute);
 
   const exec::ExecResult res = backend.run(exec_options(cfg));
   return finalize(cfg, res, res.metrics, trace, views);
@@ -194,7 +194,7 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
                          const net::Metrics& metrics,
                          const RoundTrace<std::vector<double>>& trace,
-                         const ViewTrace& views) {
+                         const RoundTrace<std::vector<core::CollectEntry>>& views) {
   const auto n = cfg.params.n;
   VectorRunReport rep;
   rep.outputs = res.vector_outputs;
@@ -244,10 +244,12 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
   // origin and value agree bitwise — under the equalized collect two
   // matching entries really are the same RB delivery.
   rep.view_overlap_min = n;
-  for (const auto& [round, by_party] : views) {
+  for (Round round = 0; round < views.rounds(); ++round) {
     std::vector<const std::vector<core::CollectEntry>*> correct_views;
-    for (const auto& [p, view] : by_party) {
-      if (res.correct[p]) correct_views.push_back(&view);
+    for (ProcessId p = 0; p < n; ++p) {
+      if (res.correct[p] && views.has(round, p)) {
+        correct_views.push_back(&views.at(round, p));
+      }
     }
     for (std::size_t a = 0; a < correct_views.size(); ++a) {
       for (std::size_t b = a + 1; b < correct_views.size(); ++b) {

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -22,12 +21,11 @@
 
 namespace apxa::harness {
 
-/// Round-entry values of a run: a flat [round x party] table of `Value`
-/// (double for scalar runs, the point for vector runs).  Sized up front from
-/// the config's round bound (trace_rounds), so recording a scalar allocates
-/// nothing unless a run outlives the bound (kLive horizons watched from
-/// outside); the table then doubles.  Shared by execute() and
-/// harness::Session.
+/// A run's per-round records: a flat [round x party] table of `Value` (the
+/// round-entry double or point, or a vector run's frozen view).  Sized up
+/// front from the config's round bound (trace_rounds), so recording a scalar
+/// allocates nothing unless a run outlives the bound (kLive horizons watched
+/// from outside); the table then doubles.  Shared by execute() and Session.
 template <typename Value>
 class RoundTrace {
  public:
@@ -64,9 +62,6 @@ class RoundTrace {
   std::vector<std::uint8_t> set_;  // parallel: 1 once recorded
 };
 
-using ViewTrace =
-    std::map<Round, std::map<ProcessId, std::vector<core::CollectEntry>>>;
-
 /// Rows a run's trace needs: round-entry values run from round 0 to the
 /// config's round bound.
 Round trace_rounds(const RunConfig& cfg);
@@ -92,7 +87,8 @@ RunReport run(const RunConfig& cfg);
 // identical on every backend.
 
 std::unique_ptr<exec::Backend> make_backend(const VectorRunConfig& cfg);
-VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend);
+VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend,
+                        const ProcessSubstitute& substitute = {});
 VectorRunReport run(const VectorRunConfig& cfg);
 
 // --- verdict finalization ---------------------------------------------------
@@ -109,6 +105,6 @@ RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
                          const net::Metrics& metrics,
                          const RoundTrace<std::vector<double>>& trace,
-                         const ViewTrace& views);
+                         const RoundTrace<std::vector<core::CollectEntry>>& views);
 
 }  // namespace apxa::harness

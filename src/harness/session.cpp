@@ -145,7 +145,7 @@ SessionReport Session::run() {
   // BEFORE the backend so it outlives the transport's worker threads.
   std::vector<RoundTrace<double>> straces(K);
   std::vector<RoundTrace<std::vector<double>>> vtraces(K);
-  std::vector<ViewTrace> viewtraces(K);
+  std::vector<RoundTrace<std::vector<core::CollectEntry>>> viewtraces(K);
   std::mutex trace_mu;
 
   std::vector<std::vector<std::unique_ptr<net::Process>>> rows(K);
@@ -161,8 +161,9 @@ SessionReport Session::run() {
       };
       rows[i] = build_processes(*instances_[i].scalar, fn);
     } else {
-      vtraces[i] = RoundTrace<std::vector<double>>(
-          n, trace_rounds(*instances_[i].vec));
+      const Round rounds = trace_rounds(*instances_[i].vec);
+      vtraces[i] = RoundTrace<std::vector<double>>(n, rounds);
+      viewtraces[i] = RoundTrace<std::vector<core::CollectEntry>>(n, rounds);
       core::VecTraceFn fn = [&vtraces, &trace_mu, i](
                                 ProcessId p, Round r,
                                 const std::vector<double>& v) {
@@ -174,7 +175,7 @@ SessionReport Session::run() {
               ProcessId p, Round r,
               const std::vector<core::CollectEntry>& view) {
             std::scoped_lock lock(trace_mu);
-            viewtraces[i][r][p] = view;
+            viewtraces[i].record(p, r, view);
           };
       rows[i] = build_processes(*instances_[i].vec, fn, vfn);
     }

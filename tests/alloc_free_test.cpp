@@ -238,7 +238,8 @@ TEST(AllocFree, EnvelopedMulticastIsOneBuffer) {
 
 TEST(AllocFree, RoundCollectorSteadyStateAllocatesNothing) {
   // Own value, every remote value (some a round early), the frozen view and
-  // forget_before, round after round: the two-slot ring is reused.
+  // forget_before, round after round: the two-slot ring is reused.  First
+  // through the scalar overloads (the scalar round protocols' hot path)...
   for (const std::uint32_t n : {4u, 16u, 64u}) {
     const std::uint32_t t = (n - 1) / 3;
     RoundCollector c(SystemParams{n, t});
@@ -257,6 +258,31 @@ TEST(AllocFree, RoundCollectorSteadyStateAllocatesNothing) {
               0u)
         << "n = " << n;
     EXPECT_GT(sum, 0.0);
+  }
+  // ...then through the point overloads, at d = 1 and at d = 3 (the vector
+  // quorum engine's entries).
+  for (const std::uint32_t dim : {1u, 3u}) {
+    for (const std::uint32_t n : {4u, 16u, 64u}) {
+      const std::uint32_t t = (n - 1) / 3;
+      RoundCollector c(SystemParams{n, t}, kNoRound, kNoRound, dim);
+      std::vector<double> own(dim, 1.0), early(dim, -1.0), remote(dim);
+      double sum = 0.0;
+      EXPECT_EQ(allocations([&] {
+                  for (Round r = 0; r < 64; ++r) {
+                    c.add_own(r, own);
+                    for (ProcessId p = 1; p < n; ++p) {
+                      std::fill(remote.begin(), remote.end(), static_cast<double>(p));
+                      c.add_remote(p, r, remote);
+                      if (p % 2 == 0) c.add_remote(p, r + 1, early);
+                    }
+                    for (const double v : c.view(r)) sum += v;
+                    c.forget_before(r + 1);
+                  }
+                }),
+                0u)
+          << "n = " << n << ", dim = " << dim;
+      EXPECT_GT(sum, 0.0);
+    }
   }
 }
 

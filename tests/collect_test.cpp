@@ -349,6 +349,102 @@ TEST(CollectSim, ByzantineWireGarbageIsDiscardedNotFatal) {
   }
 }
 
+// --- the quorum engine's view, pinned at unit level ------------------------
+
+// A net::Context that records what the engine multicasts.
+class RecordingContext final : public net::Context {
+ public:
+  RecordingContext(SystemParams p, ProcessId self) : params_(p), self_(self) {}
+  void send(ProcessId, net::Payload) override {}
+  void multicast(net::Payload payload) override {
+    const BytesView bytes = payload;
+    multicasts.emplace_back(bytes.begin(), bytes.end());
+  }
+  [[nodiscard]] ProcessId self() const override { return self_; }
+  [[nodiscard]] SystemParams params() const override { return params_; }
+
+  std::vector<Bytes> multicasts;
+
+ private:
+  SystemParams params_;
+  ProcessId self_;
+};
+
+TEST(CollectQuorum, ViewKeepsArrivalOrderFirstPointsAndTheRoundWindow) {
+  // n = 4, t = 1 (views of 3), d = 2, three rounds; the owner is party 2 and
+  // enters round r + 1 from inside round r's ViewFn, as VectorAaProcess does.
+  const SystemParams p{4, 1};
+  constexpr Round kRounds = 3;
+  constexpr ProcessId kOwner = 2;
+  RecordingContext ctx(p, kOwner);
+  const auto own = [](Round r) { return std::vector<double>{100.0 + r, -100.0 - r}; };
+  const auto pt = [](ProcessId from, Round r) {
+    return std::vector<double>{10.0 * from + r, 0.5 + r};
+  };
+  const std::vector<double> forged{777.0, 777.0};
+
+  std::map<Round, std::vector<core::CollectEntry>> views;
+  std::map<Round, int> calls;
+  core::Collector* engine = nullptr;
+  auto c = core::make_collector(
+      core::CollectMode::kQuorum, p, /*dim=*/2, kRounds,
+      [&](net::Context& cx, Round r, const std::vector<core::CollectEntry>& v) {
+        ++calls[r];
+        views[r] = v;
+        if (r + 1 < kRounds) engine->begin_round(cx, r + 1, own(r + 1));
+      });
+  engine = c.get();
+  const auto feed = [&](ProcessId from, Round r, const std::vector<double>& v) {
+    EXPECT_TRUE(c->handle(ctx, from, core::encode_vec_round(r, v)));
+  };
+
+  c->begin_round(ctx, 0, own(0));
+  feed(1, 1, pt(1, 1));    // round 1, before the owner enters it
+  feed(0, 0, pt(0, 0));
+  feed(0, 0, forged);      // duplicate sender: the first point stays
+  feed(3, kRounds, forged);      // at the round bound
+  feed(3, kRounds + 5, forged);  // past it
+  ASSERT_TRUE(views.empty());
+  feed(1, 0, pt(1, 0));    // round 0 freezes; the owner enters round 1
+  ASSERT_EQ(views.size(), 1u);
+  feed(0, 0, forged);      // below the current round
+  feed(1, 1, forged);      // duplicate of the buffered round-1 point
+  feed(3, 1, pt(3, 1));    // round 1 freezes; the owner enters round 2
+  feed(0, 2, pt(0, 2));
+  feed(3, 2, pt(3, 2));    // round 2 freezes; the owner stops
+  feed(1, 2, forged);      // after the last freeze: no second call
+
+  using Entries = std::vector<core::CollectEntry>;
+  const auto entry = [](ProcessId origin, std::vector<double> v) {
+    return core::CollectEntry{origin, std::move(v)};
+  };
+  const auto same = [](const Entries& a, const Entries& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].origin != b[i].origin || a[i].value != b[i].value) return false;
+    }
+    return true;
+  };
+  ASSERT_EQ(views.size(), kRounds);
+  EXPECT_TRUE(same(views[0], Entries{entry(kOwner, own(0)), entry(0, pt(0, 0)),
+                                     entry(1, pt(1, 0))}));
+  // The early round-1 point precedes the owner's own entry.
+  EXPECT_TRUE(same(views[1], Entries{entry(1, pt(1, 1)), entry(kOwner, own(1)),
+                                     entry(3, pt(3, 1))}));
+  EXPECT_TRUE(same(views[2], Entries{entry(kOwner, own(2)), entry(0, pt(0, 2)),
+                                     entry(3, pt(3, 2))}));
+  for (Round r = 0; r < kRounds; ++r) {
+    EXPECT_EQ(calls[r], 1) << "round " << r;
+    for (const auto& e : views[r]) EXPECT_NE(e.value, forged) << "round " << r;
+  }
+  // One multicast per round, carrying the owner's point.
+  ASSERT_EQ(ctx.multicasts.size(), kRounds);
+  for (Round r = 0; r < kRounds; ++r) {
+    EXPECT_EQ(ctx.multicasts[r], core::encode_vec_round(r, own(r)));
+  }
+  EXPECT_EQ(c->malformed(), 0u);
+}
+
 TEST(CollectSim, ValidatesResilience) {
   auto cfg = rb_base({6, 2}, 2, 4, 83);
   EXPECT_THROW(run(cfg), std::invalid_argument);
