@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     // First byte picks the shape (mod 6); the rest parameterizes it.  Values
     // chosen to exercise: crash rounds + clique sched, DLPSW + spoiler,
     // witness + raw injector, vector crash, vector byz hull-escape, convex,
-    // vector byz + raw injector.
+    // vector byz + raw injector, witness + NaN RB_SEND injector.
     write_seed(dir, "crash-clique",
                raw({0, 4, 9, 9, 9, 9, 9, 9, 9, 9, 1, 2, 1, 1, 5, 1, 40, 10,
                     200, 30, 100, 60, 0, 90}));
@@ -189,6 +189,22 @@ int main(int argc, char** argv) {
       vec_injector = cat(vec_injector, cat(length, frame));
     }
     write_seed(dir, "vector-byz-injector", cat(vec_injector, raw({16, 0x55})));
+    // Witness run (n = 4, t = 1) with the raw injector at id 2: a
+    // well-formed scalar RB_SEND of its own carrying NaN for iteration 0,
+    // which RB delivers to every honest party and the witness phase must
+    // keep out of every view.
+    const Bytes nan_send =
+        core::encode_rb({core::MsgType::kRbSend, 0, 2, std::nan("")});
+    const Bytes witness_nan =
+        raw({2, 0,                    // witness shape, random scheduler
+             1, 0, 0, 0, 0, 0, 0, 0,  // seed
+             0, 1,                    // n = 4, one byzantine slot
+             0, 0, 0, 64, 0, 128, 0, 192,  // inputs -100, -50, 0, 50
+             2, 1,                    // slot id 2, raw injector
+             0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,  // unused stock attacker
+             1, static_cast<unsigned>(nan_send.size() - 1)});  // one frame
+    write_seed(dir, "witness-nan-send",
+               cat(witness_nan, cat(nan_send, raw({0, 0}))));
   }
 
   std::printf("corpus written under %s\n", root.string().c_str());

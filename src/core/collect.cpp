@@ -1,8 +1,7 @@
 #include "core/collect.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <cmath>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -93,167 +92,48 @@ class QuorumCollector final : public Collector {
 
 // --- equalized collect ------------------------------------------------------
 //
-// Reliable-broadcast + witness collect (header comment has the protocol and
-// the overlap argument).  Per round r:
-//   1. RB-broadcast own value under instance r (rb::VecBrachaHub);
-//   2. once own value and a quorum of n - t round-r values are RB-delivered,
-//      multicast REPORT(r, bitset of delivered origins);
-//   3. accept a report when every origin it lists is delivered locally
-//      (reports listing < n - t origins are byzantine hygiene discards);
-//   4. freeze on n - t accepted reports (own included): the view is every
-//      round-r delivery held at that moment, sorted by origin.
-//
-// Gating the report on OWN delivery is a deliberate strengthening over bare
-// AAD'04: it guarantees the frozen view contains the owner's entry, which
-// keeps the certified-honest core of the safe-area fallback non-empty
-// (core/multidim.hpp) — and costs nothing, since a correct party's own RB
-// instance always delivers (validity).
+// WitnessPhase over R^d points, with the report gated on own delivery so the
+// owner's entry is in every frozen view.  The view is copied out (by origin)
+// before the ViewFn runs.
 class EqualizedCollector final : public Collector {
  public:
   EqualizedCollector(SystemParams params, std::uint32_t dim, Round max_rounds,
                      ViewFn on_view, obs::TraceSink* trace)
-      : params_(params),
-        dim_(dim),
-        max_rounds_(max_rounds),
-        view_(std::move(on_view)),
-        trace_(trace),
-        hub_(params, [this](net::Context& ctx, std::uint32_t instance,
-                            ProcessId origin, const std::vector<double>& value) {
-          on_deliver(ctx, instance, origin, value);
-        }) {}
+      : view_fn_(std::move(on_view)),
+        phase_(params, max_rounds, ReportGate::kOwnDelivered,
+               [this](net::Context& ctx, Round r,
+                      const WitnessPhase<std::vector<double>>::View& view) {
+                 view_.clear();
+                 for (const auto& [origin, v] : view) view_.push_back({origin, v});
+                 view_fn_(ctx, r, view_);
+               },
+               dim, trace) {}
 
   void begin_round(net::Context& ctx, Round r,
                    const std::vector<double>& value) override {
-    self_ = ctx.self();
-    round_ = r;
-    hub_.broadcast(ctx, r, value);
-    recheck(ctx);
+    phase_.begin_round(ctx, r, value);
+    malformed_ = phase_.malformed();
   }
 
   bool handle(net::Context& ctx, ProcessId from, BytesView payload) override {
-    self_ = ctx.self();
-    // Instance hygiene BEFORE the hub sees the message: no honest party ever
-    // tags traffic with a round >= the budget, and echoing a forged
-    // out-of-budget RB instance would amplify it into Theta(n^2) honest
-    // messages and a permanent hub slot at every correct party.
-    if (const auto rb = decode_rb_vec(payload)) {
-      if (rb->instance >= max_rounds_) return true;
-      hub_.handle(ctx, from, *rb);
-      recheck(ctx);
-      return true;
-    }
-    if (const auto rep = decode_report(payload)) {
-      if (rep->iter < max_rounds_) on_report(ctx, from, rep->iter, rep->have);
-      return true;
-    }
-    return false;
+    const bool consumed = phase_.handle(ctx, from, payload);
+    malformed_ = phase_.malformed();
+    return consumed;
   }
 
   [[nodiscard]] bool serve_when_done() const override { return true; }
 
  private:
-  struct RoundState {
-    std::map<ProcessId, std::vector<double>> delivered;  ///< origin -> point
-    std::map<ProcessId, std::vector<bool>> pending_reports;
-    std::set<ProcessId> accepted;  ///< reporters accepted
-    bool report_sent = false;
-    bool fired = false;
-  };
-
-  void on_deliver(net::Context& ctx, std::uint32_t instance, ProcessId origin,
-                  const std::vector<double>& value) {
-    // Malformed points (wrong dimension, non-finite coordinates) are
-    // discarded at every honest party alike (RB agreement makes the
-    // delivered bytes identical), so reports stay consistent: an origin
-    // discarded here is never listed by an honest reporter either.
-    if (value.size() != dim_ || !geom::all_finite(value)) {
-      ++malformed_;
-      return;
-    }
-    rounds_[instance].delivered.emplace(origin, value);
-    recheck(ctx);
-  }
-
-  void on_report(net::Context& ctx, ProcessId from, std::uint32_t iter,
-                 std::vector<bool> have) {
-    if (have.size() != params_.n) return;  // malformed
-    const auto listed = static_cast<std::uint32_t>(
-        std::count(have.begin(), have.end(), true));
-    if (listed < params_.quorum()) return;  // byzantine under-reporting
-    RoundState& st = rounds_[iter];
-    if (st.accepted.contains(from)) return;
-    st.pending_reports.emplace(from, std::move(have));
-    recheck(ctx);
-  }
-
-  [[nodiscard]] static bool report_covered(const RoundState& st,
-                                           const std::vector<bool>& have) {
-    for (ProcessId p = 0; p < have.size(); ++p) {
-      if (have[p] && !st.delivered.contains(p)) return false;
-    }
-    return true;
-  }
-
-  // Drive the current round; re-entrant calls (the ViewFn advancing into
-  // begin_round, the hub delivering during our own broadcast) fold into the
-  // outermost loop instead of recursing.
-  void recheck(net::Context& ctx) {
-    if (rechecking_) return;
-    rechecking_ = true;
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      RoundState& st = rounds_[round_];
-
-      if (!st.report_sent && st.delivered.contains(self_) &&
-          st.delivered.size() >= params_.quorum()) {
-        st.report_sent = true;
-        std::vector<bool> have(params_.n, false);
-        for (const auto& [origin, v] : st.delivered) have[origin] = true;
-        ctx.multicast(encode_report(ReportMsg{round_, std::move(have)}));
-        st.accepted.insert(self_);  // own report is trivially covered
-        progressed = true;
-      }
-
-      if (st.report_sent) {
-        for (auto it = st.pending_reports.begin();
-             it != st.pending_reports.end();) {
-          if (report_covered(st, it->second)) {
-            st.accepted.insert(it->first);
-            it = st.pending_reports.erase(it);
-            progressed = true;
-          } else {
-            ++it;
-          }
-        }
-      }
-
-      if (!st.fired && st.accepted.size() >= params_.quorum()) {
-        st.fired = true;
-        std::vector<CollectEntry> view;
-        view.reserve(st.delivered.size());
-        for (const auto& [origin, v] : st.delivered) view.push_back({origin, v});
-        const Round fired_round = round_;
-        note_view_freeze(trace_, self_, fired_round, view.size());
-        view_(ctx, fired_round, view);
-        // If the ViewFn advanced the round, loop to drive the new one.
-        progressed = round_ != fired_round;
-      }
-    }
-    rechecking_ = false;
-  }
-
-  SystemParams params_;
-  std::uint32_t dim_;
-  Round max_rounds_;
-  ViewFn view_;
-  obs::TraceSink* trace_ = nullptr;
-  rb::VecBrachaHub hub_;
-  std::map<Round, RoundState> rounds_;
-  Round round_ = 0;
-  ProcessId self_ = kNoProcess;
-  bool rechecking_ = false;
+  ViewFn view_fn_;
+  std::vector<CollectEntry> view_;  // the fired round's view, reused
+  WitnessPhase<std::vector<double>> phase_;
 };
+
+bool well_formed(double value, std::uint32_t) { return std::isfinite(value); }
+
+bool well_formed(const std::vector<double>& value, std::uint32_t dim) {
+  return value.size() == dim && geom::all_finite(value);
+}
 
 }  // namespace
 
@@ -273,5 +153,134 @@ std::unique_ptr<Collector> make_collector(CollectMode mode, SystemParams params,
   }
   APXA_ASSERT(false, "unknown collect mode");
 }
+
+// --- witness phase ------------------------------------------------------------
+
+template <class Value>
+WitnessPhase<Value>::WitnessPhase(SystemParams params, Round max_rounds,
+                                  ReportGate gate, ViewFn on_view,
+                                  std::uint32_t dim, obs::TraceSink* trace)
+    : params_(params),
+      max_rounds_(max_rounds),
+      gate_(gate),
+      view_fn_(std::move(on_view)),
+      dim_(dim),
+      trace_(trace),
+      hub_(params, [this](net::Context& ctx, std::uint32_t instance,
+                          ProcessId origin, const Value& value) {
+        on_deliver(ctx, instance, origin, value);
+      }) {
+  APXA_ENSURE(view_fn_ != nullptr, "witness view callback required");
+}
+
+template <class Value>
+void WitnessPhase<Value>::begin_round(net::Context& ctx, Round r,
+                                      const Value& value) {
+  self_ = ctx.self();
+  round_ = r;
+  hub_.broadcast(ctx, r, value);
+  recheck(ctx);
+}
+
+template <class Value>
+bool WitnessPhase<Value>::handle(net::Context& ctx, ProcessId from,
+                                 BytesView payload) {
+  self_ = ctx.self();
+  // Instance hygiene BEFORE the hub sees the message (see the header).  A
+  // delivery rechecks the round from on_deliver; no other RB traffic can
+  // move it.
+  if (const auto rb = rb::RbWire<Value>::decode(payload)) {
+    if (rb->instance < max_rounds_) hub_.handle(ctx, from, *rb);
+    return true;
+  }
+  if (auto rep = decode_report(payload)) {
+    if (rep->iter < max_rounds_) on_report(ctx, from, rep->iter, std::move(rep->have));
+    return true;
+  }
+  return false;
+}
+
+template <class Value>
+void WitnessPhase<Value>::on_deliver(net::Context& ctx, std::uint32_t instance,
+                                     ProcessId origin, const Value& value) {
+  if (!well_formed(value, dim_)) {
+    ++malformed_;
+    return;
+  }
+  rounds_[instance].delivered.emplace(origin, value);
+  recheck(ctx);
+}
+
+template <class Value>
+void WitnessPhase<Value>::on_report(net::Context& ctx, ProcessId from,
+                                    std::uint32_t iter, std::vector<bool> have) {
+  if (have.size() != params_.n) return;  // malformed
+  const auto listed = static_cast<std::uint32_t>(
+      std::count(have.begin(), have.end(), true));
+  if (listed < params_.quorum()) return;  // byzantine under-reporting
+  RoundState& st = rounds_[iter];
+  if (st.accepted.contains(from)) return;
+  st.pending_reports.emplace(from, std::move(have));
+  recheck(ctx);
+}
+
+template <class Value>
+bool WitnessPhase<Value>::report_covered(const RoundState& st,
+                                         const std::vector<bool>& have) {
+  for (ProcessId p = 0; p < have.size(); ++p) {
+    if (have[p] && !st.delivered.contains(p)) return false;
+  }
+  return true;
+}
+
+// Drive the current round; re-entrant calls (the ViewFn advancing into
+// begin_round, the hub delivering during our own broadcast) fold into the
+// outermost loop instead of recursing.
+template <class Value>
+void WitnessPhase<Value>::recheck(net::Context& ctx) {
+  if (rechecking_) return;
+  rechecking_ = true;
+  bool progressed = true;
+  while (progressed) {
+    progressed = false;
+    RoundState& st = rounds_[round_];
+
+    if (!st.report_sent && st.delivered.size() >= params_.quorum() &&
+        (gate_ == ReportGate::kAnyQuorum || st.delivered.contains(self_))) {
+      st.report_sent = true;
+      std::vector<bool> have(params_.n, false);
+      for (const auto& [origin, v] : st.delivered) have[origin] = true;
+      ctx.multicast(encode_report(ReportMsg{round_, std::move(have)}));
+      st.accepted.insert(self_);  // own report is trivially covered
+      progressed = true;
+    }
+
+    if (st.report_sent) {
+      for (auto it = st.pending_reports.begin();
+           it != st.pending_reports.end();) {
+        if (report_covered(st, it->second)) {
+          st.accepted.insert(it->first);
+          it = st.pending_reports.erase(it);
+          progressed = true;
+        } else {
+          ++it;
+        }
+      }
+    }
+
+    if (!st.fired && st.accepted.size() >= params_.quorum()) {
+      st.fired = true;
+      const Round fired_round = round_;
+      note_view_freeze(trace_, self_, fired_round, st.delivered.size());
+      view_fn_(ctx, fired_round, st.delivered);
+      // If the ViewFn advanced the round, loop to drive the new one.
+      progressed = round_ != fired_round;
+    }
+  }
+  rechecking_ = false;
+}
+
+template class WitnessPhase<double>;
+template class WitnessPhase<std::vector<double>>;
 
 }  // namespace apxa::core

@@ -1,11 +1,8 @@
 // Bracha's asynchronous reliable broadcast (Information & Computation 1987),
 // multiplexed over (instance, origin) pairs and generic over the value
-// carried: the scalar hub (BrachaHub, payload `double`, wire tags
-// kRbSend/kRbEcho/kRbReady) transports the AAD'04 witness protocol
-// (witness/aad04.hpp); the vector hub (VecBrachaHub, payload
-// `std::vector<double>`, wire tags kRbVecSend/kRbVecEcho/kRbVecReady)
-// transports the equalized collect layer of the convex protocol
-// (core/collect.hpp, ProtocolKind::kVectorConvexRB).
+// carried: BrachaHub carries a `double` (wire tags kRbSend/kRbEcho/kRbReady),
+// VecBrachaHub a `std::vector<double>` (kRbVecSend/kRbVecEcho/kRbVecReady).
+// Both transport core::WitnessPhase (core/collect.hpp).
 //
 // Preconditions (checked in the constructor):
 //   - n > 3t — below this bound two ECHO quorums need not intersect in a
@@ -48,8 +45,7 @@
 // The hub is a component embedded in a Process: the owner feeds every
 // incoming payload to handle(), which returns true when it consumed an RB
 // message.  Own ECHO/READY votes are counted locally without self-messages.
-// Cost per broadcast: O(n^2) messages — the reason the witness technique
-// and the equalized collect layer cost Theta(n^3) per iteration.
+// Cost per broadcast: O(n^2) messages.
 #pragma once
 
 #include <cstdint>
@@ -205,11 +201,10 @@ class BasicBrachaHub {
   Block* last_block_ = nullptr;  // blocks_[last_instance_], or null
 };
 
-/// Scalar hub: the transport of the AAD'04 witness protocol.
+/// Scalar hub (RB_* frames).
 using BrachaHub = BasicBrachaHub<double>;
 
-/// Vector hub: the transport of the equalized collect layer
-/// (core/collect.hpp) under ProtocolKind::kVectorConvexRB.
+/// Vector hub (RBVEC_* frames).
 using VecBrachaHub = BasicBrachaHub<std::vector<double>>;
 
 }  // namespace apxa::rb

@@ -1,58 +1,28 @@
 // Witness-technique asynchronous approximate agreement (Abraham, Amit, Dolev,
 // OPODIS'04) — the follow-on protocol that closed the resilience gap the 1987
 // round-based protocols left open: optimal t < n/3 byzantine resilience, at
-// the price of Theta(n^3) messages per iteration (n parallel reliable
-// broadcasts of Theta(n^2) each, plus n^2 witness reports).
+// the price of Theta(n^3) messages per iteration.
 //
-// One iteration k, for party i with current value v:
-//   1. reliably broadcast (k, v) via Bracha RB;
-//   2. collect RB deliveries (origin -> value) for iteration k; when n - t
-//      are held, multicast a REPORT listing the delivered origins;
-//   3. accept a report once every origin it lists has been RB-delivered
-//      locally (reports listing fewer than n - t origins are discarded —
-//      byzantine hygiene);
-//   4. when n - t reports (own included) are accepted, freeze the view
-//      V = all values delivered so far, and set v := midpoint(reduce_t(V)).
-//
-// What a "witness" certifies: an accepted report from party w is proof that
-// every origin w listed is RB-delivered HERE as well — accepting it means w
-// witnessed a quorum of values this party provably shares.  Freezing on
-// n - t accepted reports therefore certifies that the frozen view draws
-// from a pool common to every honest party that freezes.
-//
-// Why this works: any two correct parties' accepted report sets intersect in
-// n - 2t >= t + 1 reporters, so some *correct* reporter's n - t origins are
-// delivered by both — and RB agreement makes those shared values identical.
-// Views therefore differ in at most t entries each way, reduce_t launders the
-// (globally consistent) byzantine values, and the midpoint halves the spread
-// every iteration: K = 2, independent of n/t.  Contrast with the crash-model
-// mean rule's K = (n - t)/t — resilience bought with both messages and rate.
-//
-// Thresholds in play (all from SystemParams::quorum() = n - t, via the
-// embedded rb::BrachaHub — see rb/bracha.hpp for why each is tight):
-//   n - t   RB deliveries before reporting, origins per acceptable report,
-//           and accepted reports before freezing;
-//   n - t   ECHOes / t + 1, 2t + 1 READYs inside each RB instance.
+// Each iteration is one round of core::WitnessPhase<double> (core/collect.hpp
+// has the phases, their thresholds and the overlap argument), with the
+// AAD'04 report rule: REPORT on any n - t deliveries.  On the frozen view V
+// the party sets v := midpoint(reduce_t(V)).  Views differ in at most t
+// entries each way, reduce_t launders the (globally consistent) byzantine
+// values, and the midpoint halves the spread every iteration: K = 2,
+// independent of n/t.  Contrast with the crash-model mean rule's
+// K = (n - t)/t — resilience bought with both messages and rate.
 //
 // Termination: fixed iteration budget from a public input-magnitude bound
 // (synchronized budgets need no extra machinery).  A finished party keeps
-// serving RB echoes/readies for laggards (totality obligation); see
-// on_message.
-//
-// The vector-valued generalization of this collect structure — same RB +
-// report phases, R^d payloads, pluggable into any round process — is
-// core/collect.hpp's CollectMode::kEqualized.
+// serving the witness phase for laggards (totality obligation).
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "core/async_crash.hpp"  // TraceFn
+#include "core/collect.hpp"
 #include "net/process.hpp"
-#include "rb/bracha.hpp"
 
 namespace apxa::witness {
 
@@ -73,42 +43,26 @@ class WitnessAaProcess final : public net::Process {
   explicit WitnessAaProcess(WitnessConfig cfg);
 
   void on_start(net::Context& ctx) override;
-  /// Feeds RB traffic to the hub and reports to the witness phase.  Keeps
-  /// serving the RB layer even after output() is set — dropping that duty
-  /// would strand laggards one totality quorum short.
+  /// Feeds every payload to the witness phase, also after output() is set —
+  /// dropping that duty would strand laggards one totality quorum short.
   void on_message(net::Context& ctx, ProcessId from, BytesView payload) override;
   /// Set after `iterations` completed iterations; stable afterwards.
   [[nodiscard]] std::optional<double> output() const override { return output_; }
 
   [[nodiscard]] double current_value() const { return value_; }
   [[nodiscard]] Round current_iteration() const { return iter_; }
+  [[nodiscard]] const core::WitnessPhase<double>& phase() const { return phase_; }
 
  private:
-  struct IterState {
-    std::map<ProcessId, double> delivered;      ///< RB deliveries (origin -> value)
-    std::map<ProcessId, std::vector<bool>> pending_reports;
-    std::set<ProcessId> accepted;               ///< reporters accepted
-    bool report_sent = false;
-    bool advanced = false;
-  };
-
   void begin_iteration(net::Context& ctx);
-  void on_rb_deliver(net::Context& ctx, std::uint32_t instance, ProcessId origin,
-                     double value);
-  void on_report(net::Context& ctx, ProcessId from, std::uint32_t iter,
-                 std::vector<bool> have);
-  void recheck(net::Context& ctx, std::uint32_t iter);
-  [[nodiscard]] bool report_covered(const IterState& st,
-                                    const std::vector<bool>& have) const;
+  void on_view(net::Context& ctx, const core::WitnessPhase<double>::View& view);
 
   WitnessConfig cfg_;
-  rb::BrachaHub hub_;
-  std::map<std::uint32_t, IterState> iters_;
+  core::WitnessPhase<double> phase_;
   double value_ = 0.0;
   Round iter_ = 0;
   std::optional<double> output_;
   ProcessId self_ = kNoProcess;
-  bool finished_ = false;
 };
 
 }  // namespace apxa::witness

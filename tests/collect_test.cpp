@@ -12,10 +12,12 @@
 //       equivocation drives the measured overlap below n - t — the pinned
 //       contrast that separates the two protocol kinds.
 //
-// (a) and (b) are asserted on BOTH backends (the parity suite runs in the
-// TSan lane); the quorum contrast is pinned on the deterministic simulator.
+// (a) and (b) are asserted on the sim, thread and socket backends (the
+// parity suite runs in the TSan lane); the quorum contrast is pinned on the
+// deterministic simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -26,6 +28,7 @@
 #include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "harness/run_many.hpp"
+#include "witness/aad04.hpp"
 
 namespace apxa::harness {
 namespace {
@@ -181,10 +184,15 @@ TEST_P(CollectParity, ZeroRoundsOutputsInputs) {
 
 INSTANTIATE_TEST_SUITE_P(Backends, CollectParity,
                          ::testing::Values(BackendKind::kSim,
-                                           BackendKind::kThread),
+                                           BackendKind::kThread,
+                                           BackendKind::kSocket),
                          [](const auto& info) {
-                           return info.param == BackendKind::kSim ? "sim"
-                                                                  : "thread";
+                           switch (info.param) {
+                             case BackendKind::kSim: return "sim";
+                             case BackendKind::kThread: return "thread";
+                             case BackendKind::kSocket: return "socket";
+                           }
+                           return "unknown";
                          });
 
 // --- simulator-only properties ---------------------------------------------
@@ -443,6 +451,56 @@ TEST(CollectQuorum, ViewKeepsArrivalOrderFirstPointsAndTheRoundWindow) {
     EXPECT_EQ(ctx.multicasts[r], core::encode_vec_round(r, own(r)));
   }
   EXPECT_EQ(c->malformed(), 0u);
+}
+
+// --- the witness phase's report rule, pinned through both callers ----------
+
+std::size_t reports_sent(const RecordingContext& ctx) {
+  return static_cast<std::size_t>(std::count_if(
+      ctx.multicasts.begin(), ctx.multicasts.end(),
+      [](const Bytes& b) { return core::decode_report(b).has_value(); }));
+}
+
+// n - t foreign origins RB-delivered at party 0, its own value not: the
+// scalar witness reports (AAD'04), the equalized collector waits for its own
+// delivery.  t + 1 foreign READYs make party 0 join the wave, and its own
+// READY completes the 2t + 1 that delivers.
+TEST(WitnessPhase, ReportGateIsFixedByEachCaller) {
+  const SystemParams p{4, 1};
+  constexpr ProcessId kForeign[] = {1, 2, 3};
+
+  RecordingContext scalar_ctx(p, 0);
+  witness::WitnessConfig wc;
+  wc.params = p;
+  wc.iterations = 2;
+  witness::WitnessAaProcess witness(wc);
+  witness.on_start(scalar_ctx);
+  for (const ProcessId origin : kForeign) {
+    for (const ProcessId voter : {1u, 2u}) {
+      witness.on_message(scalar_ctx, voter,
+                         core::encode_rb({core::MsgType::kRbReady, 0, origin,
+                                          static_cast<double>(origin)}));
+    }
+  }
+  EXPECT_EQ(reports_sent(scalar_ctx), 1u);
+
+  RecordingContext vector_ctx(p, 0);
+  auto collector = core::make_collector(
+      core::CollectMode::kEqualized, p, /*dim=*/1, /*max_rounds=*/2,
+      [](net::Context&, Round, const std::vector<core::CollectEntry>&) {});
+  collector->begin_round(vector_ctx, 0, {0.0});
+  const auto ready = [&](ProcessId voter, ProcessId origin) {
+    const core::RbVecMsg m{core::MsgType::kRbVecReady, 0, origin,
+                           {static_cast<double>(origin)}};
+    EXPECT_TRUE(collector->handle(vector_ctx, voter, core::encode_rb_vec(m)));
+  };
+  for (const ProcessId origin : kForeign) {
+    for (const ProcessId voter : {1u, 2u}) ready(voter, origin);
+  }
+  EXPECT_EQ(reports_sent(vector_ctx), 0u);
+  // Once its own value is delivered too, the collector reports.
+  for (const ProcessId voter : {1u, 2u}) ready(voter, 0);
+  EXPECT_EQ(reports_sent(vector_ctx), 1u);
 }
 
 TEST(CollectSim, ValidatesResilience) {

@@ -10,6 +10,7 @@
 
 #include "adversary/byzantine.hpp"
 #include "core/async_byz.hpp"
+#include "core/bounds.hpp"
 #include "core/codec.hpp"
 #include "core/collect.hpp"
 #include "core/round_engine.hpp"
@@ -356,6 +357,28 @@ TEST(NonFinite, ByzRoundNanEquivocatorsKeepValidityAndAgreement) {
     EXPECT_TRUE(rep.validity_ok) << "seed " << seed;
     EXPECT_TRUE(rep.agreement_ok) << "seed " << seed << " gap "
                                   << rep.worst_pair_gap;
+  }
+}
+
+TEST(NonFinite, WitnessExtremeNanOrInfKeepsValidityAndAgreement) {
+  // RB delivers the attacker's non-finite value to every honest party alike;
+  // the witness phase must keep it out of every view.
+  RunConfig cfg;
+  cfg.params = {4, 1};
+  cfg.protocol = ProtocolKind::kWitness;
+  cfg.epsilon = 1e-3;
+  cfg.inputs = {-1.0, 0.0, 0.5, 1.0};
+  cfg.fixed_rounds = rounds_needed(2.0, cfg.epsilon, predicted_factor_witness());
+  for (const double hi : {kNan, kInf}) {
+    cfg.byz = {non_finite_attacker(1, adversary::ByzKind::kExtremeHigh, hi)};
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      cfg.seed = seed;
+      const auto rep = run(cfg);
+      EXPECT_TRUE(rep.all_output) << hi << " seed " << seed;
+      EXPECT_TRUE(rep.validity_ok) << hi << " seed " << seed;
+      EXPECT_TRUE(rep.agreement_ok) << hi << " seed " << seed << " gap "
+                                    << rep.worst_pair_gap;
+    }
   }
 }
 

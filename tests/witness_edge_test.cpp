@@ -125,6 +125,9 @@ TEST(WitnessEdge, HubStateBounded) {
   net.start();
   net.run_until([&net] { return net.inbox().all_correct_output(); });
   ASSERT_TRUE(net.inbox().all_correct_output());
+  for (const auto* proc : procs) {
+    EXPECT_EQ(proc->phase().live_slots(), std::size_t{5} * p.n);
+  }
 }
 
 TEST(WitnessEdge, RunsOnRealThreads) {

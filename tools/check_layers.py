@@ -4,9 +4,13 @@
 Usage: check_layers.py [SRC_DIR]   (default: src)
 
 The execution harness (harness/) sits on top of the backend abstraction
-(exec/), which sits on top of everything else under SRC_DIR.  Two rules:
+(exec/), which sits on top of everything else under SRC_DIR.  Reliable
+broadcast (rb/) is reached only through the witness-phase engine in core/
+(core/collect.hpp), so no protocol grows a private RB + witness copy.
+Three rules:
   - only files under harness/ may include "harness/...";
-  - only files under exec/ or harness/ may include "exec/...".
+  - only files under exec/ or harness/ may include "exec/...";
+  - only files under core/ or rb/ may include "rb/...".
 Exit code 1 and one line per offending include otherwise.
 """
 
@@ -20,6 +24,7 @@ INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
 ALLOWED = {
     "harness": {"harness"},
     "exec": {"exec", "harness"},
+    "rb": {"core", "rb"},
 }
 
 
