@@ -237,22 +237,29 @@ BENCHMARK(BM_OutboxMulticast)
     ->ArgsProduct({{4, 16, 64}, {0, 8}});
 
 void BM_PeerLinkRoundTrip(benchmark::State& state) {
-  // The socket backend's perfect link without the socket: frame a packet as
-  // DATA, receive and dedup it, ack it back (an RTT sample for the sender's
-  // retransmit timeout) and run the sender's retransmit scan.  Time enters
-  // as an explicit clock stepping 100 us per frame, about a loopback RTT.
+  // The socket backend's perfect link without the socket: frame a loop
+  // pass's packets to one peer as one DATA frame, receive and dedup it,
+  // walk its packets as the receive path does, ack it back (an RTT sample
+  // for the sender's retransmit timeout) and run the sender's retransmit
+  // scan.  Time enters as an explicit clock stepping 100 us per frame, about
+  // a loopback RTT.
   const auto bytes = static_cast<std::size_t>(state.range(0));
-  const Bytes packet(bytes, std::byte{0x5a});
+  const auto per_frame = static_cast<std::size_t>(state.range(1));
+  const std::vector<Bytes> packets(per_frame, Bytes(bytes, std::byte{0x5a}));
+  const std::vector<BytesView> views(packets.begin(), packets.end());
   netio::PeerLink sender, receiver;
   std::vector<netio::Delivered> got;
   std::vector<Bytes> resends;
   auto now = netio::PeerLink::TimePoint{} + std::chrono::hours(1);
   std::uint64_t frames = 0;
+  std::size_t walked = 0;
   for (auto _ : state) {
-    const Bytes dgram = sender.make_data(packet, now);
+    const Bytes dgram = sender.make_data(views, now);
     now += std::chrono::microseconds(100);
     got.clear();
     receiver.on_datagram(dgram, now, got);
+    netio::for_each_packet(got.front().packets,
+                           [&walked](BytesView p) { walked += p.size(); });
     const auto ack = receiver.take_ack_frame();
     sender.on_datagram(*ack, now, got);
     sender.collect_retransmits(now, resends);
@@ -260,12 +267,19 @@ void BM_PeerLinkRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(resends.data());
     ++frames;
   }
+  benchmark::DoNotOptimize(walked);
   state.counters["ns_per_frame"] = benchmark::Counter(
       static_cast<double>(frames) * 1e-9,
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-  state.SetItemsProcessed(static_cast<std::int64_t>(frames));
+  state.counters["ns_per_packet"] = benchmark::Counter(
+      static_cast<double>(frames * per_frame) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(frames * per_frame));
+  state.SetLabel("items = packets");
 }
-BENCHMARK(BM_PeerLinkRoundTrip)->ArgName("bytes")->Arg(32)->Arg(512);
+BENCHMARK(BM_PeerLinkRoundTrip)
+    ->ArgNames({"bytes", "per_frame"})
+    ->ArgsProduct({{32, 512}, {1, 8}});
 
 /// Test double for the hub benches: counts outgoing messages, sends
 /// nothing anywhere.

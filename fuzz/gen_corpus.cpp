@@ -136,6 +136,15 @@ int main(int argc, char** argv) {
     // truncated forgery that must leave the resend queue untouched.
     write_seed(dir, "truncated-ack-list", raw({0xA1, 1, 0, 3, 1}));
     write_seed(dir, "huge-ack-count", raw({0xA2, 0xff, 0xff, 0x7f}));
+    // A real frame of three packets, and a forgery whose second packet
+    // length runs past the frame's end: malformed, neither acked nor
+    // delivered.
+    const Bytes p2 = core::encode_done({1, 0.5});
+    const Bytes p3 = net::encode_envelope(2, core::encode_round({1, 0.25, 0}));
+    const BytesView three[] = {payload, p2, p3};
+    write_seed(dir, "three-packet-frame", link.make_data(three, t0));
+    write_seed(dir, "packet-length-overrun",
+               raw({0xA1, 3, 0, 0, 2, 1, 0x10, 9, 0x20}));
     // The pair target consumes structured op bytes, so any byte soup is a
     // schedule; seed it with a real frame and a mixed op tape.
     const fs::path pair_dir = root / "fuzz_link_pair";

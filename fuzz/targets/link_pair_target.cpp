@@ -5,9 +5,9 @@
 // reorders, duplicates and (in corruption mode) flips bytes of in-flight
 // datagrams, and decides when time advances and timers fire.  Asserted:
 //
-//   no duplication / no creation — every payload handed up was sent exactly
-//       once by the opposite endpoint (payloads are unique counters, so set
-//       inclusion proves both obligations at once);
+//   no duplication / no creation — every packet handed up was sent exactly
+//       once by the opposite endpoint (packets are unique counters, sent 1..3
+//       to a DATA frame, so set inclusion proves both obligations at once);
 //   eventual delivery — after the fuzzer's chaos budget is exhausted, a
 //       bounded fair drain (retransmit + deliver both ways, no loss) makes
 //       every sent payload arrive.  This is the paper's reliable-link
@@ -89,9 +89,13 @@ int link_pair_target(const std::uint8_t* data, std::size_t size) {
     auto send_from = [&](Endpoint& src, std::deque<Bytes>& wire,
                          std::uint8_t side) {
       if (!src.link.has_capacity()) return;
-      const Bytes payload = counter_payload(side, src.next_payload++);
-      src.sent.insert(payload_key(payload));
-      wire.push_back(src.link.make_data(payload, now));
+      std::vector<Bytes> packets(1 + in.u8() % 3);
+      for (Bytes& p : packets) {
+        p = counter_payload(side, src.next_payload++);
+        src.sent.insert(payload_key(p));
+      }
+      const std::vector<BytesView> views(packets.begin(), packets.end());
+      wire.push_back(src.link.make_data(views, now));
     };
 
     auto receive_at = [&](Endpoint& dst, std::deque<Bytes>& wire) {
@@ -100,12 +104,17 @@ int link_pair_target(const std::uint8_t* data, std::size_t size) {
       wire.pop_front();
       std::vector<netio::Delivered> out;
       dst.link.on_datagram(dgram, now, out);
-      for (auto& d : out) {
-        const bool fresh = dst.delivered.insert(payload_key(d.payload)).second;
-        // A flipped byte can re-seq a retransmission, so the same payload may
-        // legitimately arrive under two sequence numbers in corruption mode.
-        APXA_FUZZ_REQUIRE(fresh || corrupting, kName,
-                          "no payload is handed up twice (no duplication)");
+      for (const auto& d : out) {
+        netio::for_each_packet(d.packets, [&](BytesView p) {
+          const bool fresh =
+              dst.delivered.insert(payload_key(Bytes(p.begin(), p.end())))
+                  .second;
+          // A flipped byte can re-seq a retransmission, so the same packet
+          // may legitimately arrive under two sequence numbers in corruption
+          // mode.
+          APXA_FUZZ_REQUIRE(fresh || corrupting, kName,
+                            "no packet is handed up twice (no duplication)");
+        });
       }
     };
 

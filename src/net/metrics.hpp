@@ -41,7 +41,7 @@ struct Metrics {
   /// complexity is a protocol property and must be loss-invariant — and are
   /// accounted separately here so the wire overhead of reliability stays
   /// visible.
-  std::uint64_t packets_retransmitted = 0;
+  std::uint64_t packets_retransmitted = 0;  ///< packets in resent link frames
   std::uint64_t retransmit_bytes = 0;   ///< wire bytes spent on resends
 
   std::vector<std::uint64_t> sent_by;   ///< per-sender logical counts
@@ -95,10 +95,11 @@ struct Metrics {
   /// Metrics grown by both streams would.
   void merge(const Metrics& o);
 
-  /// Account one link-layer retransmission: physical bytes only (see
-  /// packets_retransmitted).  Never touches logical counters.
-  void note_retransmit(std::size_t wire_bytes) {
-    ++packets_retransmitted;
+  /// Account link-layer retransmissions: `packets` transport packets resent
+  /// in datagrams of `wire_bytes` in all (see packets_retransmitted).  Never
+  /// touches logical counters.
+  void note_retransmit(std::uint64_t packets, std::size_t wire_bytes) {
+    packets_retransmitted += packets;
     retransmit_bytes += wire_bytes;
   }
 
@@ -128,7 +129,7 @@ struct Metrics {
                      static_cast<double>(packets_sent);
   }
 
-  /// Retransmissions per original packet (0.0 off the socket backend or at
+  /// Packets resent per original packet (0.0 off the socket backend or at
   /// 0% effective loss).
   [[nodiscard]] double retransmit_rate() const {
     return packets_sent == 0

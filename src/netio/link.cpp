@@ -41,6 +41,40 @@ struct TotalReader {
 
 }  // namespace
 
+void LinkStats::merge(const LinkStats& o) {
+  data_sent += o.data_sent;
+  retransmits += o.retransmits;
+  data_received += o.data_received;
+  delivered += o.delivered;
+  duplicates_dropped += o.duplicates_dropped;
+  acks_sent += o.acks_sent;
+  acks_received += o.acks_received;
+  malformed += o.malformed;
+  unacked_peak = std::max(unacked_peak, o.unacked_peak);
+  wire.sends += o.wire.sends;
+  wire.recvs += o.wire.recvs;
+  wire.recvs_empty += o.wire.recvs_empty;
+  wire.waits += o.wire.waits;
+}
+
+std::size_t packet_list_size(std::span<const BytesView> packets) {
+  std::size_t size = varint_size(packets.size());
+  for (const BytesView p : packets) size += varint_size(p.size()) + p.size();
+  return size;
+}
+
+std::size_t packets_that_fit(std::span<const BytesView> packets,
+                             std::size_t budget) {
+  std::size_t entries = 0;  // bytes of the first k entries
+  std::size_t k = 0;
+  for (; k < packets.size(); ++k) {
+    const std::size_t entry = varint_size(packets[k].size()) + packets[k].size();
+    if (k > 0 && varint_size(k + 1) + entries + entry > budget) break;
+    entries += entry;
+  }
+  return k;
+}
+
 PeerLink::PeerLink(LinkConfig cfg) : cfg_(cfg) {
   APXA_ENSURE(cfg_.max_unacked >= 1, "link resend queue must hold >= 1 frame");
   APXA_ENSURE(cfg_.max_acks_per_frame >= 1 &&
@@ -50,12 +84,12 @@ PeerLink::PeerLink(LinkConfig cfg) : cfg_(cfg) {
               "bad retransmission timeouts");
 }
 
-Bytes PeerLink::encode_data(std::uint64_t seq, BytesView payload,
+Bytes PeerLink::encode_data(std::uint64_t seq, BytesView list,
                             TimePoint now) {
   const std::size_t n_acks =
       std::min<std::size_t>(pending_acks_.size(), cfg_.max_acks_per_frame);
-  // Tag, three varints of at most 10 bytes each, the acks, the payload.
-  ByteWriter w(1 + 10 * (3 + n_acks) + payload.size());
+  // Tag, three varints of at most 10 bytes each, the acks, the packet list.
+  ByteWriter w(1 + 10 * (3 + n_acks) + list.size());
   w.put_u8(kDataTag);
   w.put_varint(seq);
   w.put_varint(micros_since_epoch(now));
@@ -65,7 +99,7 @@ Bytes PeerLink::encode_data(std::uint64_t seq, BytesView payload,
       pending_acks_.begin(),
       pending_acks_.begin() + static_cast<std::ptrdiff_t>(n_acks));
   stats_.acks_sent += n_acks;
-  w.put_bytes(payload);
+  w.put_bytes(list);
   return std::move(w).take();
 }
 
@@ -74,13 +108,29 @@ void PeerLink::note_unacked_peak() {
       std::max<std::uint64_t>(stats_.unacked_peak, unacked_.size());
 }
 
-Bytes PeerLink::make_data(BytesView payload, TimePoint now) {
+std::size_t PeerLink::frame_fit(std::span<const BytesView> packets) const {
+  // The DATA header at its largest: tag, three varints, the most acks one
+  // frame piggybacks, each at most 10 bytes.
+  const std::size_t header = 1 + 10 * (3 + cfg_.max_acks_per_frame);
+  return packets_that_fit(packets, kMaxDatagram - header);
+}
+
+Bytes PeerLink::make_data(std::span<const BytesView> packets, TimePoint now) {
   APXA_ENSURE(has_capacity(), "perfect link resend queue full (pump acks)");
+  APXA_ENSURE(!packets.empty() && frame_fit(packets) == packets.size(),
+              "a DATA frame carries 1..frame_fit packets");
   const std::uint64_t seq = next_seq_++;
   InFlight f;
-  f.payload.assign(payload.begin(), payload.end());
+  ByteWriter list(packet_list_size(packets));
+  list.put_varint(packets.size());
+  for (const BytesView p : packets) {
+    list.put_varint(p.size());
+    list.put_bytes(p);
+  }
+  f.list = std::move(list).take();
+  f.packets = packets.size();
   f.sent = now;
-  Bytes dgram = encode_data(seq, payload, now);
+  Bytes dgram = encode_data(seq, f.list, now);
   unacked_.emplace_back(seq, std::move(f));
   note_unacked_peak();
   ++stats_.data_sent;
@@ -136,12 +186,15 @@ PeerLink::TimePoint PeerLink::deadline(const InFlight& f) const {
 void PeerLink::on_datagram(BytesView dgram, TimePoint now,
                            std::vector<Delivered>& out) {
   TotalReader rd{dgram};
-  // Two-phase parse: the whole ack list is read into a scratch vector and
-  // applied only once the frame has fully validated.  Applying acks while
-  // still parsing would let a forged frame with a truncated ack list mutate
-  // the resend queue before being counted malformed — a partially-consumed
-  // datagram is a state change the "malformed input is ignored" contract
-  // forbids (regression: PeerLink.TruncatedAckListLeavesQueueIntact).
+  // Two-phase parse: the whole ack list is read into a scratch vector, the
+  // packet list is walked without side effects, and the acks are applied
+  // only once the frame has fully validated.  Applying acks while still
+  // parsing would let a forged frame with a truncated ack or packet list
+  // mutate the resend queue before being counted malformed — a
+  // partially-consumed datagram is a state change the "malformed input is
+  // ignored" contract forbids (regressions:
+  // PeerLink.TruncatedAckListLeavesQueueIntact,
+  // PeerLink.OverrunPacketLengthLeavesQueueAndAcksIntact).
   std::vector<std::uint64_t> acks;
   const auto parse_acks = [&rd, &acks](std::uint64_t n) {
     acks.reserve(n);
@@ -177,9 +230,12 @@ void PeerLink::on_datagram(BytesView dgram, TimePoint now,
   std::uint64_t seq = 0;
   std::uint64_t sent_us = 0;
   std::uint64_t n_acks = 0;
+  std::size_t n_packets = 0;
   if (!rd.get_varint(seq) || seq == 0 || !rd.get_varint(sent_us) ||
       !rd.get_varint(n_acks) || n_acks > kMaxAcksDecode ||
-      !parse_acks(n_acks)) {
+      !parse_acks(n_acks) ||
+      !for_each_packet(rd.rest(), [&n_packets](BytesView) { ++n_packets; }) ||
+      n_packets == 0) {  // the encoder never writes an empty list
     ++stats_.malformed;
     return;
   }
@@ -202,23 +258,27 @@ void PeerLink::on_datagram(BytesView dgram, TimePoint now,
   }
 
   Delivered d;
-  const BytesView payload = rd.rest();
-  d.payload.assign(payload.begin(), payload.end());
+  const BytesView list = rd.rest();
+  d.packets.assign(list.begin(), list.end());
   const std::uint64_t now_us = micros_since_epoch(now);
   d.latency_s =
       now_us >= sent_us ? static_cast<double>(now_us - sent_us) * 1e-6 : 0.0;
-  ++stats_.delivered;
+  stats_.delivered += n_packets;
   out.push_back(std::move(d));
 }
 
-void PeerLink::collect_retransmits(TimePoint now, std::vector<Bytes>& out) {
+std::size_t PeerLink::collect_retransmits(TimePoint now,
+                                          std::vector<Bytes>& out) {
+  std::size_t packets = 0;
   for (auto& [seq, f] : unacked_) {
     if (deadline(f) > now) continue;
     f.sent = now;
     ++f.resent;
     ++stats_.retransmits;
-    out.push_back(encode_data(seq, f.payload, now));
+    packets += f.packets;
+    out.push_back(encode_data(seq, f.list, now));
   }
+  return packets;
 }
 
 std::optional<Bytes> PeerLink::take_ack_frame() {

@@ -41,11 +41,20 @@
 // testable deterministically (tests/socket_net_test.cpp) independent of the
 // OS scheduler.
 //
-// Wire format (link frames wrap whole transport packets — a protocol frame,
-// an instance envelope, or a batch packet of net/envelope.hpp):
+// Wire format (a DATA frame carries a list of whole transport packets — each
+// a protocol frame, an instance envelope, or a batch packet of
+// net/envelope.hpp; a frame of one packet is a list of one):
 //   DATA : [0xA1][seq varint][send_ts_us varint]
-//          [n_acks varint]([acked seq varint])*  [payload ... to end]
+//          [n_acks varint]([acked seq varint])*
+//          [n_packets varint]([len varint][packet])*
 //   ACK  : [0xA2][n_acks varint]([acked seq varint])*
+// Both parse exactly to the datagram's end or not at all: a frame whose ack
+// list or packet list is short, whose packet list is empty, or that leaves
+// trailing bytes is malformed, and a malformed frame is neither acked nor
+// delivered and acks nothing.  Sequence
+// numbers, acks, retransmission and dedup are per frame; the packets of a
+// frame are delivered together, in order, once.  A sender packs as many
+// packets into one frame as fit in kMaxDatagram (frame_fit).
 // Tag bytes 0xA1/0xA2 are outside the protocol tag range (1..12), so a link
 // frame can never be confused with an unwrapped protocol packet.
 #pragma once
@@ -54,9 +63,11 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "netio/udp.hpp"
 
 namespace apxa::netio {
 
@@ -67,6 +78,37 @@ inline constexpr std::uint8_t kAckTag = 0xA2;
 /// Decode-side cap on acks per frame (byzantine peers forge their own
 /// counts); the encoder never packs more than LinkConfig::max_acks_per_frame.
 inline constexpr std::uint32_t kMaxAcksDecode = 1024;
+
+/// Encoded size of a DATA frame's packet list.
+std::size_t packet_list_size(std::span<const BytesView> packets);
+
+/// Length of the longest prefix of `packets` whose packet list takes at most
+/// `budget` bytes — but at least 1 for a non-empty span: a packet too large
+/// for any frame still travels, alone.
+std::size_t packets_that_fit(std::span<const BytesView> packets,
+                             std::size_t budget);
+
+/// Walk a packet list `[n_packets varint]([len varint][packet])*`, calling
+/// f(packet) for each packet in order (a view into `list`), and return true
+/// when the list parses exactly to its end.  Total: at the first entry that
+/// runs past the end it returns false, after f has seen the entries before
+/// it — so validate with a side-effect-free f first where all-or-nothing
+/// matters (PeerLink::on_datagram does).
+template <class F>
+bool for_each_packet(BytesView list, F&& f) {
+  std::size_t pos = 0;
+  std::uint64_t n = 0;
+  if (!read_varint(list, pos, n)) return false;
+  // Every entry takes at least its length byte, so the loop ends within
+  // list.size() steps whatever `n` a forger writes.
+  for (std::uint64_t i = 0; i < n; ++i) {
+    std::uint64_t len = 0;
+    if (!read_varint(list, pos, len) || len > list.size() - pos) return false;
+    f(list.subspan(pos, static_cast<std::size_t>(len)));
+    pos += static_cast<std::size_t>(len);
+  }
+  return pos == list.size();
+}
 
 struct LinkConfig {
   /// Retransmit timeout until the link's first RTT sample; afterwards the
@@ -86,22 +128,30 @@ struct LinkConfig {
 /// Counters one PeerLink accumulates; SocketNetwork aggregates them per
 /// party for metrics, the f5 bench and the flight-recorder link-state dump.
 struct LinkStats {
-  std::uint64_t data_sent = 0;           ///< first transmissions
-  std::uint64_t retransmits = 0;         ///< timer-driven resends
+  std::uint64_t data_sent = 0;           ///< DATA frames, first transmissions
+  std::uint64_t retransmits = 0;         ///< DATA frames resent by the timer
   std::uint64_t data_received = 0;       ///< well-formed DATA frames in
-  std::uint64_t delivered = 0;           ///< payloads handed up (post-dedup)
-  std::uint64_t duplicates_dropped = 0;  ///< re-received, re-acked, not delivered
+  std::uint64_t delivered = 0;           ///< packets handed up (post-dedup)
+  std::uint64_t duplicates_dropped = 0;  ///< frames re-received, re-acked, not delivered
   std::uint64_t acks_sent = 0;           ///< ack entries emitted (piggyback + pure)
   std::uint64_t acks_received = 0;       ///< ack entries consumed
   std::uint64_t malformed = 0;           ///< undecodable datagrams ignored
   std::uint64_t unacked_peak = 0;        ///< resend-queue high-water mark
+  /// The party's socket calls: SocketNetwork copies them from its
+  /// UdpSocket; a PeerLink leaves them 0.
+  WireCounts wire;
+
+  /// Add `o`'s counters to these; the peaks take the larger.
+  void merge(const LinkStats& o);
 };
 
-/// One payload handed up by the link, with the sender-to-receiver latency
-/// measured from the DATA frame's send timestamp (valid within one process;
-/// across processes the clocks differ and the value is only indicative).
+/// One DATA frame's packets handed up by the link: its packet list, one
+/// buffer that for_each_packet walks as views, and the sender-to-receiver
+/// latency measured from the frame's send timestamp (valid within one
+/// process; across processes the clocks differ and the value is only
+/// indicative).
 struct Delivered {
-  Bytes payload;
+  Bytes packets;
   double latency_s = 0.0;
 };
 
@@ -120,20 +170,30 @@ class PeerLink {
     return unacked_.size() < cfg_.max_unacked;
   }
 
-  /// Frame `payload` as the next DATA datagram (consuming pending acks as
-  /// piggyback), enqueue it for retransmission and return the encoded bytes.
-  /// Requires has_capacity().
-  Bytes make_data(BytesView payload, TimePoint now);
+  /// How many leading `packets` one DATA frame of this link carries within
+  /// kMaxDatagram, whatever acks it piggybacks (at least one).
+  [[nodiscard]] std::size_t frame_fit(std::span<const BytesView> packets) const;
+
+  /// Frame `packets` (non-empty; more than one only if frame_fit allows) as
+  /// the next DATA datagram, consuming pending acks as piggyback, enqueue it
+  /// for retransmission and return the encoded bytes.  Requires
+  /// has_capacity().
+  Bytes make_data(std::span<const BytesView> packets, TimePoint now);
+  /// A frame of one packet.
+  Bytes make_data(BytesView packet, TimePoint now) {
+    return make_data(std::span<const BytesView>(&packet, 1), now);
+  }
 
   /// Process one incoming datagram from the peer: consume its acks, dedup
-  /// its payload and append at most one Delivered entry.  Total — malformed
+  /// the frame and append at most one Delivered entry.  Total — malformed
   /// input is counted and ignored.
   void on_datagram(BytesView dgram, TimePoint now, std::vector<Delivered>& out);
 
   /// Encoded DATA frames whose retransmit deadline has passed (each one's
   /// send time and backoff are advanced; stats.retransmits counts each).
   /// Retransmissions carry a fresh timestamp and the current pending acks.
-  void collect_retransmits(TimePoint now, std::vector<Bytes>& out);
+  /// Returns the number of packets the appended frames carry.
+  std::size_t collect_retransmits(TimePoint now, std::vector<Bytes>& out);
 
   /// Pure ACK datagram when acks are pending and no DATA is about to carry
   /// them; nullopt otherwise.
@@ -155,12 +215,13 @@ class PeerLink {
 
  private:
   struct InFlight {
-    Bytes payload;       // the transport packet (not the DATA framing)
-    TimePoint sent;      // last transmission
-    unsigned resent = 0; // retransmissions so far; 0 = ack is an RTT sample
+    Bytes list;               // the encoded packet list (not the DATA header)
+    std::size_t packets = 0;  // packets in `list`
+    TimePoint sent;           // last transmission
+    unsigned resent = 0;      // retransmissions so far; 0 = ack is an RTT sample
   };
 
-  Bytes encode_data(std::uint64_t seq, BytesView payload, TimePoint now);
+  Bytes encode_data(std::uint64_t seq, BytesView list, TimePoint now);
   void note_unacked_peak();
   /// Remove `seq` from the resend queue (ack consumption), sampling the RTT
   /// if the frame was sent only once.

@@ -1,6 +1,7 @@
 #include "netio/socket_net.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -17,7 +18,9 @@ SocketNetwork::SocketNetwork(SystemParams params)
       parties_(params.n),
       outbox_(params,
               [this](ProcessId from, ProcessId to, net::Payload packet) {
-                link_send(from, to, packet, stop_token_of(from));
+                // Sends happen only in `from`'s upcalls, on its thread; the
+                // loop's next flush_sends frames the packet.
+                parties_[from].outq[to].push_back(std::move(packet));
               }),
       inbox_(outbox_),
       unacked_now_(params.n) {
@@ -105,21 +108,30 @@ void SocketNetwork::set_linger(std::chrono::milliseconds linger) {
   linger_ = linger;
 }
 
-void SocketNetwork::link_send(ProcessId from, ProcessId to, BytesView packet,
-                              const std::stop_token& st) {
-  Party& me = parties_[from];
-  netio::PeerLink& link = me.links[to];
-  // Bounded resend queue = backpressure: pump our own socket (acks shrink the
-  // queue; DATA frames park in `pending` so protocol upcalls never nest) and
-  // keep the retransmit timers honest while we wait.
-  while (!link.has_capacity()) {
-    if (st.stop_requested()) return;  // shutdown: message abandoned mid-run
-    service_timers(from, st);
-    pump_socket(from, 1'000);
+void SocketNetwork::flush_sends(ProcessId p, const std::stop_token& st) {
+  Party& me = parties_[p];
+  for (ProcessId q = 0; q < params_.n; ++q) {
+    std::vector<net::Payload>& queue = me.outq[q];
+    if (queue.empty()) continue;
+    netio::PeerLink& link = me.links[q];
+    me.views.assign(queue.begin(), queue.end());
+    std::span<const BytesView> rest(me.views);
+    while (!rest.empty()) {
+      // Bounded resend queue = backpressure: pump our own socket (acks
+      // shrink the queue; DATA frames park in `pending` so protocol upcalls
+      // never nest) and keep the retransmit timers honest while we wait.
+      while (!link.has_capacity()) {
+        if (st.stop_requested()) return;  // shutdown: packets abandoned
+        service_timers(p);
+        pump_socket(p, 1'000);
+      }
+      const std::size_t k = link.frame_fit(rest);
+      const auto now = Clock::now();
+      emit_datagram(p, q, link.make_data(rest.first(k), now), now);
+      rest = rest.subspan(k);
+    }
+    queue.clear();
   }
-  const auto now = Clock::now();
-  Bytes dgram = link.make_data(packet, now);
-  emit_datagram(from, to, std::move(dgram), now);
 }
 
 void SocketNetwork::emit_datagram(ProcessId from, ProcessId to, Bytes dgram,
@@ -167,18 +179,21 @@ void SocketNetwork::drain_pending(ProcessId p, const std::stop_token& st) {
   Party& me = parties_[p];
   while (!me.pending.empty()) {
     if (st.stop_requested()) return;
-    auto [src, d] = std::move(me.pending.front());
+    const ProcessId src = me.pending.front().first;
+    const netio::Delivered d = std::move(me.pending.front().second);
     me.pending.pop_front();
     // Link-level receipt already happened (the payload was acked and
     // deduplicated); a crashed party additionally drops the PROTOCOL
     // delivery, as on the other transports: crashed parties stop
     // processing but the wire keeps moving.
-    inbox_.deliver(src, p, d.payload, d.latency_s / kSocketLatencySpan);
+    const double latency = d.latency_s / kSocketLatencySpan;
+    netio::for_each_packet(d.packets, [&](BytesView packet) {
+      inbox_.deliver(src, p, packet, latency);
+    });
   }
 }
 
-void SocketNetwork::service_timers(ProcessId p, const std::stop_token& st) {
-  (void)st;
+void SocketNetwork::service_timers(ProcessId p) {
   Party& me = parties_[p];
   const auto now = Clock::now();
   // Release shim-held datagrams whose delay elapsed (their fate is already
@@ -192,18 +207,20 @@ void SocketNetwork::service_timers(ProcessId p, const std::stop_token& st) {
     if (q == p) continue;
     netio::PeerLink& link = me.links[q];
     me.resends.clear();
-    link.collect_retransmits(now, me.resends);
+    const std::size_t packets = link.collect_retransmits(now, me.resends);
+    std::size_t bytes = 0;
     for (Bytes& r : me.resends) {
-      // Physical-only accounting: retransmissions never touch the logical
-      // counters (messages_sent, per-tag/round/instance), so msgs_per_packet
-      // and message-complexity numbers stay loss-invariant.
-      outbox_.metrics_of(p).note_retransmit(r.size());
+      bytes += r.size();
       if (trace_) {
         trace_->record(obs::EventKind::kRetransmit, p, q, -1,
                        static_cast<double>(r.size()), 0.0);
       }
       emit_datagram(p, q, std::move(r), now);
     }
+    // Physical-only accounting: retransmissions never touch the logical
+    // counters (messages_sent, per-tag/round/instance), so msgs_per_packet
+    // and message-complexity numbers stay loss-invariant.
+    outbox_.metrics_of(p).note_retransmit(packets, bytes);
     // Acks not about to piggyback on DATA go out as pure ACK frames so
     // one-directional traffic still gets acknowledged.
     if (auto ack = link.take_ack_frame()) {
@@ -214,10 +231,10 @@ void SocketNetwork::service_timers(ProcessId p, const std::stop_token& st) {
 
 void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
   Party& me = parties_[p];
-  current_stop_[p] = &st;
   if (!me.started) {
     me.started = true;
     inbox_.start(p);
+    flush_sends(p, st);
   }
   while (!st.stop_requested()) {
     // Wait until the earliest timer (retransmit deadline or shim release) or
@@ -242,20 +259,14 @@ void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
     }
     pump_socket(p, wait_us);
     drain_pending(p, st);
-    service_timers(p, st);
+    flush_sends(p, st);
+    service_timers(p);
     std::uint64_t inflight = 0;
     for (ProcessId q = 0; q < params_.n; ++q) {
       if (q != p) inflight += me.links[q].unacked();
     }
     unacked_now_[p].store(inflight, std::memory_order_relaxed);
   }
-  current_stop_[p] = nullptr;
-}
-
-const std::stop_token& SocketNetwork::stop_token_of(ProcessId p) const {
-  APXA_ASSERT(current_stop_[p] != nullptr,
-              "send outside the party's socket thread");
-  return *current_stop_[p];
 }
 
 bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) {
@@ -281,6 +292,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) 
     if (party.remote) continue;
     party.sock.bind(base_port_ == 0 ? 0 : static_cast<std::uint16_t>(base_port_ + p));
     party.links.assign(params_.n, netio::PeerLink(link_cfg_));
+    party.outq.assign(params_.n, {});
     party.rx.resize(netio::kMaxDatagram);
     if (fault_cfg_.enabled()) {
       party.shim = std::make_unique<netio::FaultShim>(fault_cfg_, p);
@@ -294,7 +306,6 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) 
                         : parties_[p].sock.port();
     port_to_id_[addr_[p].port] = p;
   }
-  current_stop_.assign(params_.n, nullptr);
 
   const auto start = inbox_.start_clock();
   threads_.reserve(local_count);
@@ -328,6 +339,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) 
     const Party& party = parties_[p];
     if (party.remote) continue;
     netio::LinkStats agg;
+    agg.wire = party.sock.counts();
     std::size_t unacked_left = 0;
     std::ostringstream seqs;
     seqs << "[";
@@ -337,30 +349,12 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) 
         seqs << 0;
         continue;
       }
-      const netio::LinkStats& s = party.links[q].stats();
-      agg.data_sent += s.data_sent;
-      agg.retransmits += s.retransmits;
-      agg.data_received += s.data_received;
-      agg.delivered += s.delivered;
-      agg.duplicates_dropped += s.duplicates_dropped;
-      agg.acks_sent += s.acks_sent;
-      agg.acks_received += s.acks_received;
-      agg.malformed += s.malformed;
-      agg.unacked_peak = std::max(agg.unacked_peak, s.unacked_peak);
+      agg.merge(party.links[q].stats());
       unacked_left += party.links[q].unacked();
       seqs << party.links[q].last_seq_seen();
     }
     seqs << "]";
-    link_totals_.data_sent += agg.data_sent;
-    link_totals_.retransmits += agg.retransmits;
-    link_totals_.data_received += agg.data_received;
-    link_totals_.delivered += agg.delivered;
-    link_totals_.duplicates_dropped += agg.duplicates_dropped;
-    link_totals_.acks_sent += agg.acks_sent;
-    link_totals_.acks_received += agg.acks_received;
-    link_totals_.malformed += agg.malformed;
-    link_totals_.unacked_peak =
-        std::max(link_totals_.unacked_peak, agg.unacked_peak);
+    link_totals_.merge(agg);
     std::ostringstream line;
     line << "{\"party\":" << p << ",\"unacked\":" << unacked_left
          << ",\"unacked_peak\":" << agg.unacked_peak
@@ -370,7 +364,11 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) 
          << ",\"duplicates_dropped\":" << agg.duplicates_dropped
          << ",\"acks_sent\":" << agg.acks_sent
          << ",\"acks_received\":" << agg.acks_received
-         << ",\"malformed\":" << agg.malformed << ",\"shim_dropped\":"
+         << ",\"malformed\":" << agg.malformed
+         << ",\"wire_sends\":" << agg.wire.sends
+         << ",\"wire_recvs\":" << agg.wire.recvs
+         << ",\"wire_recvs_empty\":" << agg.wire.recvs_empty
+         << ",\"wire_waits\":" << agg.wire.waits << ",\"shim_dropped\":"
          << (party.shim ? party.shim->dropped() : 0) << ",\"shim_delayed\":"
          << (party.shim ? party.shim->delayed() : 0)
          << ",\"last_seq_seen\":" << seqs.str() << "}";

@@ -22,17 +22,31 @@
 //     only, and a linger window keeps the link layer retransmitting after
 //     the local decision so slower peers still converge.
 //
-// Sends go through net::Outbox, the send path all transports share, whose
-// wire here is link_send; deliveries, output times (wall seconds since
-// run()) and done latches go through net::Inbox, the receive path they
-// share, in which a remote party is a slot with no process.  A deterministic loss/reorder/delay shim
-// (netio/fault.hpp) at the socket boundary makes retransmission paths
-// CI-testable: fault decisions are a pure function of the seed, while the
-// perfect link restores eventual delivery above them.
+// Sends go through net::Outbox, the send path all transports share.  Its
+// wire here puts each packet on a per-peer queue of the sending party (a
+// reference to the packet's buffer, not a copy); the party's loop flushes
+// the queues after each pass of deliveries and after on_start, and each
+// non-empty queue leaves as ONE perfect-link DATA frame — more only when
+// the frame would exceed netio::kMaxDatagram.  So one loop pass sends one
+// DATA datagram per peer, however many instances and batch packets it
+// advanced.
+// Backpressure holds per frame: a frame waits for room in its link's resend
+// queue, pumping the socket meanwhile.  Deliveries, output times (wall
+// seconds since run()) and done latches go through net::Inbox, the receive
+// path all transports share, which takes a received frame's packets one by
+// one as views into the frame; a remote party is a slot with no process.
+// A deterministic loss/reorder/delay shim (netio/fault.hpp) at the socket
+// boundary makes retransmission paths CI-testable: fault decisions are a
+// pure function of the seed, while the perfect link restores eventual
+// delivery above them.
+//
+// Tracing: kSend and kDeliver per packet (in the Outbox and Inbox), kDrop
+// and kRetransmit per datagram (here).
 //
 // Metrics: each party's socket thread writes only that party's Outbox slot.
-// Retransmissions count only in packets_retransmitted / retransmit_bytes,
-// so messages_sent and msgs_per_packet stay batching- and loss-invariant.
+// Retransmissions count only in packets_retransmitted (every packet of a
+// resent frame) and retransmit_bytes (its datagram), so messages_sent and
+// msgs_per_packet stay batching- and loss-invariant.
 // Delivery latency is real wall clock (the link stamps each DATA frame),
 // recorded into the per-tag histogram scaled by kSocketLatencySpan (the
 // full histogram range spans that many seconds).
@@ -133,9 +147,9 @@ class SocketNetwork final {
   [[nodiscard]] obs::ExecStats exec_stats() const { return exec_stats_; }
 
   /// Per-local-party link-layer state as JSONL lines (unacked queue depth,
-  /// last sequence seen per peer, retransmit/duplicate counters) — the
-  /// flight-recorder payload for failed verdicts on this backend.  Valid
-  /// after run() returned.
+  /// last sequence seen per peer, retransmit/duplicate counters, socket
+  /// calls) — the flight-recorder payload for failed verdicts on this
+  /// backend.  Valid after run() returned.
   [[nodiscard]] std::vector<std::string> link_state_jsonl() const;
   /// Aggregated link counters over every local party.  Valid after run().
   [[nodiscard]] netio::LinkStats link_totals() const;
@@ -153,30 +167,33 @@ class SocketNetwork final {
     bool started = false;
     netio::UdpSocket sock;
     std::vector<netio::PeerLink> links;  // by peer id; self entry unused
+    /// Packets the Outbox put on the wire this pass, by peer id; flush_sends
+    /// frames them.
+    std::vector<std::vector<net::Payload>> outq;
     std::unique_ptr<netio::FaultShim> shim;
     std::deque<DelayedDatagram> delayed;  // shim-held outgoing datagrams
-    /// Deliveries decoded while pumping for resend-queue capacity mid-send;
-    /// drained by the main loop so protocol upcalls never nest.
+    /// Frames received by pump_socket, delivered by drain_pending, so
+    /// protocol upcalls never nest.
     std::deque<std::pair<ProcessId, netio::Delivered>> pending;
-    // Buffers reused by every pump and timer pass (allocated once).
+    // Buffers reused by every pump, flush and timer pass (allocated once).
     Bytes rx;                              // netio::kMaxDatagram bytes
     std::vector<netio::Delivered> got;     // one datagram's deliveries
+    std::vector<BytesView> views;          // one queue's packets
     std::vector<Bytes> resends;            // one link's due retransmits
   };
 
   void party_loop(ProcessId p, std::stop_token st);
-  /// The Outbox's wire: hand one packet to the perfect link to `to`.
-  void link_send(ProcessId from, ProcessId to, BytesView packet,
-                 const std::stop_token& st);
+  /// Frame each non-empty send queue of `p` as DATA frames to its peer and
+  /// emit them, waiting per frame for room in the link's resend queue.
+  void flush_sends(ProcessId p, const std::stop_token& st);
   /// Shim verdict + socket write for one encoded link datagram.
   void emit_datagram(ProcessId from, ProcessId to, Bytes dgram,
                      std::chrono::steady_clock::time_point now);
-  /// Drain the socket; acks are consumed inline, payloads queue as pending.
+  /// Drain the socket; acks are consumed inline, DATA frames queue as
+  /// pending.
   void pump_socket(ProcessId p, std::uint32_t wait_us);
   void drain_pending(ProcessId p, const std::stop_token& st);
-  void service_timers(ProcessId p, const std::stop_token& st);
-  /// The running party thread's stop token (sends only happen on it).
-  [[nodiscard]] const std::stop_token& stop_token_of(ProcessId p) const;
+  void service_timers(ProcessId p);
   [[nodiscard]] std::uint64_t total_unacked() const;
 
   SystemParams params_;
@@ -195,9 +212,6 @@ class SocketNetwork final {
   std::atomic<bool> started_{false};
   obs::TraceSink* trace_ = nullptr;
   obs::ExecStats exec_stats_;
-  /// Per-party pointer to its own thread's stop token, set by party_loop;
-  /// only ever read from that same thread (sends are thread-confined).
-  std::vector<const std::stop_token*> current_stop_;
   std::vector<std::string> link_jsonl_;   // snapshot taken at end of run()
   netio::LinkStats link_totals_;
 };

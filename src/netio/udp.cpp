@@ -31,13 +31,16 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 UdpSocket::~UdpSocket() { close(); }
 
 UdpSocket::UdpSocket(UdpSocket&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), port_(std::exchange(other.port_, 0)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      port_(std::exchange(other.port_, 0)),
+      counts_(std::exchange(other.counts_, {})) {}
 
 UdpSocket& UdpSocket::operator=(UdpSocket&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     port_ = std::exchange(other.port_, 0);
+    counts_ = std::exchange(other.counts_, {});
   }
   return *this;
 }
@@ -70,6 +73,7 @@ void UdpSocket::bind(std::uint16_t port) {
 bool UdpSocket::send_to(const UdpAddress& to, BytesView datagram) {
   APXA_ENSURE(fd_ >= 0, "send on unbound socket");
   const sockaddr_in addr = loopback_addr(to.port);
+  ++counts_.sends;
   const ssize_t sent =
       ::sendto(fd_, datagram.data(), datagram.size(), 0,
                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
@@ -81,9 +85,13 @@ std::optional<std::size_t> UdpSocket::recv_into(std::span<std::byte> buf,
   APXA_ENSURE(fd_ >= 0, "recv on unbound socket");
   sockaddr_in addr{};
   socklen_t len = sizeof(addr);
+  ++counts_.recvs;
   const ssize_t got = ::recvfrom(fd_, buf.data(), buf.size(), 0,
                                  reinterpret_cast<sockaddr*>(&addr), &len);
-  if (got < 0) return std::nullopt;  // EWOULDBLOCK or transient error
+  if (got < 0) {  // EWOULDBLOCK or transient error
+    ++counts_.recvs_empty;
+    return std::nullopt;
+  }
   from.port = ntohs(addr.sin_port);
   return static_cast<std::size_t>(got);
 }
@@ -96,6 +104,7 @@ bool UdpSocket::wait_readable(std::uint32_t timeout_us) {
   // busy spin).
   const timespec timeout{static_cast<time_t>(timeout_us / 1'000'000),
                          static_cast<long>(timeout_us % 1'000'000) * 1'000};
+  ++counts_.waits;
   const int rc = ::ppoll(&pfd, 1, &timeout, nullptr);
   return rc > 0 && (pfd.revents & POLLIN) != 0;
 }

@@ -22,15 +22,24 @@
 
 namespace apxa::netio {
 
-/// Receive-buffer size that holds any datagram the backend sends: a batch
-/// packet caps at 8 frames of bounded protocol messages, far below this.
-/// Larger datagrams are truncated by the kernel and then rejected by the
-/// total link decoders.
-inline constexpr std::size_t kMaxDatagram = 64 * 1024;
+/// The largest UDP payload over IPv4 (65,535 minus the 20-byte IP and 8-byte
+/// UDP headers): the size cap of every datagram the backend sends — the
+/// perfect link packs a DATA frame's packets up to it (PeerLink::frame_fit)
+/// — and the receive-buffer size that holds any datagram it can receive.
+/// A sendto of more fails with EMSGSIZE, every time.
+inline constexpr std::size_t kMaxDatagram = 65'507;
 
 /// Loopback UDP address: 127.0.0.1:port.
 struct UdpAddress {
   std::uint16_t port = 0;
+};
+
+/// Socket calls one UdpSocket made: what the wire costs in syscalls.
+struct WireCounts {
+  std::uint64_t sends = 0;        ///< sendto calls (refused ones included)
+  std::uint64_t recvs = 0;        ///< recvfrom calls, empty ones included
+  std::uint64_t recvs_empty = 0;  ///< recvfrom calls that found nothing
+  std::uint64_t waits = 0;        ///< ppoll calls
 };
 
 class UdpSocket {
@@ -68,9 +77,13 @@ class UdpSocket {
 
   void close();
 
+  /// Calls made so far; only the thread using the socket may read it.
+  [[nodiscard]] const WireCounts& counts() const { return counts_; }
+
  private:
   int fd_ = -1;
   std::uint16_t port_ = 0;
+  WireCounts counts_;
 };
 
 }  // namespace apxa::netio

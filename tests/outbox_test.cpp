@@ -87,8 +87,8 @@ TEST(MetricsMerge, SlotsMergeToOneMetrics) {
         ++slots[from].messages_dropped;
         break;
       default:
-        whole.note_retransmit(p.size() + 9);
-        slots[from].note_retransmit(p.size() + 9);
+        whole.note_retransmit(1, p.size() + 9);
+        slots[from].note_retransmit(1, p.size() + 9);
         break;
     }
   }

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,22 @@ Bytes payload_of(std::initializer_list<int> xs) {
   return b;
 }
 
+using Packets = std::vector<Bytes>;
+
+/// The packets of one delivered frame, copied out in order.
+Packets packets_of(const Delivered& d) {
+  Packets out;
+  EXPECT_TRUE(netio::for_each_packet(d.packets, [&out](BytesView p) {
+    out.emplace_back(p.begin(), p.end());
+  }));
+  return out;
+}
+
+/// Views of `packets`, as SocketNetwork hands a send queue to the link.
+std::vector<BytesView> views_of(const Packets& packets) {
+  return {packets.begin(), packets.end()};
+}
+
 // --- PeerLink: delivery, dedup, acks ----------------------------------------
 
 TEST(PeerLink, RoundTripDeliversOnce) {
@@ -61,7 +78,7 @@ TEST(PeerLink, RoundTripDeliversOnce) {
   std::vector<Delivered> out;
   receiver.on_datagram(dgram, t0() + 1ms, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, msg);
+  EXPECT_EQ(packets_of(out[0]), Packets{msg});
   EXPECT_TRUE(receiver.acks_pending());
   EXPECT_EQ(receiver.last_seq_seen(), 1u);
 
@@ -105,7 +122,7 @@ TEST(PeerLink, AcksPiggybackOnReverseData) {
   EXPECT_FALSE(b.acks_pending());
   a.on_datagram(reverse, t0() + 2ms, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, payload_of({2}));
+  EXPECT_EQ(packets_of(out[0]), Packets{payload_of({2})});
   EXPECT_EQ(a.unacked(), 0u);
 }
 
@@ -117,8 +134,8 @@ TEST(PeerLink, OutOfOrderDeliversBothAndDedupsAcross) {
   receiver.on_datagram(d2, t0(), out);  // seq 2 first
   receiver.on_datagram(d1, t0(), out);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].payload, payload_of({2}));
-  EXPECT_EQ(out[1].payload, payload_of({1}));
+  EXPECT_EQ(packets_of(out[0]), Packets{payload_of({2})});
+  EXPECT_EQ(packets_of(out[1]), Packets{payload_of({1})});
   // Both seqs are now at/below the contiguous frontier: replays of either
   // are duplicates.
   out.clear();
@@ -126,6 +143,147 @@ TEST(PeerLink, OutOfOrderDeliversBothAndDedupsAcross) {
   receiver.on_datagram(d1, t0(), out);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(receiver.stats().duplicates_dropped, 2u);
+}
+
+// --- PeerLink: multi-packet frames -------------------------------------------
+
+TEST(PeerLink, MultiPacketFrameDeliversEachPacketOnceInOrder) {
+  PeerLink sender, receiver;
+  // A 200-byte packet takes a two-byte length; an empty one is a packet too.
+  const Packets sent = {payload_of({1, 2, 3}), Bytes(200, std::byte{0x5a}),
+                        Bytes{}, payload_of({4})};
+  const auto views = views_of(sent);
+  ASSERT_EQ(sender.frame_fit(views), sent.size());
+  const Bytes dgram = sender.make_data(views, t0());
+  EXPECT_EQ(sender.unacked(), 1u) << "one frame, one sequence number";
+  EXPECT_EQ(sender.stats().data_sent, 1u);
+
+  std::vector<Delivered> out;
+  receiver.on_datagram(dgram, t0() + 1ms, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(packets_of(out[0]), sent);
+  EXPECT_EQ(receiver.stats().data_received, 1u);
+  EXPECT_EQ(receiver.stats().delivered, sent.size());
+
+  // One ack retires the whole frame.
+  const auto ack = receiver.take_ack_frame();
+  ASSERT_TRUE(ack.has_value());
+  sender.on_datagram(*ack, t0() + 2ms, out);
+  EXPECT_EQ(sender.unacked(), 0u);
+}
+
+TEST(PeerLink, RetransmittedFrameDeliversNothingNew) {
+  LinkConfig cfg;
+  cfg.rto_initial = 2'000us;
+  PeerLink sender(cfg), receiver;
+  const Packets sent = {payload_of({1}), payload_of({2, 2}), payload_of({3})};
+  const Bytes original = sender.make_data(views_of(sent), t0());
+  std::vector<Bytes> resends;
+  EXPECT_EQ(sender.collect_retransmits(t0() + 2ms, resends), sent.size())
+      << "the resend reports every packet it carries";
+  ASSERT_EQ(resends.size(), 1u);
+  EXPECT_EQ(sender.stats().retransmits, 1u) << "retransmits count frames";
+
+  std::vector<Delivered> out;
+  receiver.on_datagram(original, t0() + 2ms, out);
+  receiver.on_datagram(resends[0], t0() + 3ms, out);
+  ASSERT_EQ(out.size(), 1u) << "the resent copy delivers nothing";
+  EXPECT_EQ(packets_of(out[0]), sent);
+  EXPECT_EQ(receiver.stats().delivered, sent.size());
+  EXPECT_EQ(receiver.stats().duplicates_dropped, 1u);
+  EXPECT_TRUE(receiver.acks_pending()) << "the duplicate is re-acked";
+}
+
+TEST(PeerLink, OverrunPacketLengthLeavesQueueAndAcksIntact) {
+  // Two identical links: both have seqs 1 and 2 in flight and owe the peer
+  // an ack.  One also receives forged DATA frames whose acks would retire
+  // seq 1; each must count as malformed and change nothing else.
+  auto make_link = [] {
+    PeerLink link, peer;
+    (void)link.make_data(payload_of({1}), t0());
+    (void)link.make_data(payload_of({2}), t0());
+    std::vector<Delivered> out;
+    link.on_datagram(peer.make_data(payload_of({7}), t0()), t0(), out);
+    return link;
+  };
+  PeerLink forged_at = make_link();
+  PeerLink twin = make_link();
+  ASSERT_EQ(forged_at.unacked(), 2u);
+  ASSERT_TRUE(forged_at.acks_pending());
+
+  // [kDataTag][seq=2][ts=0][n_acks=1][ack=1] and then a packet list:
+  const auto data_frame = [](std::initializer_list<int> list) {
+    Bytes frame = payload_of({netio::kDataTag, 2, 0, 1, 1});
+    const Bytes tail = payload_of(list);
+    frame.insert(frame.end(), tail.begin(), tail.end());
+    return frame;
+  };
+  const Bytes overrun = data_frame({2, 1, 0x10, 5, 0x20});  // 2nd len 5 > 1
+  const Bytes trailing = data_frame({1, 1, 0x10, 0x7f});    // a byte left over
+  const Bytes short_count = data_frame({3, 1, 0x10, 1, 0x20});  // 3 claimed
+  const Bytes empty_list = data_frame({0});
+  std::vector<Delivered> out;
+  for (const Bytes& bad : {overrun, trailing, short_count, empty_list}) {
+    EXPECT_NO_THROW(forged_at.on_datagram(bad, t0(), out));
+  }
+  EXPECT_TRUE(out.empty()) << "a malformed frame must deliver nothing";
+  EXPECT_EQ(forged_at.stats().malformed, 4u);
+  EXPECT_EQ(forged_at.stats().data_received, twin.stats().data_received);
+  EXPECT_EQ(forged_at.unacked(), 2u) << "a malformed frame's acks applied";
+  EXPECT_EQ(forged_at.last_seq_seen(), twin.last_seq_seen());
+  EXPECT_EQ(forged_at.take_ack_frame(), twin.take_ack_frame())
+      << "a malformed frame was acked";
+
+  // The same frame with a well-formed list is accepted.
+  forged_at.on_datagram(data_frame({2, 1, 0x10, 1, 0x20}), t0(), out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(packets_of(out[0]), (Packets{payload_of({0x10}), payload_of({0x20})}));
+  EXPECT_EQ(forged_at.unacked(), 1u);
+}
+
+TEST(PeerLink, PacketsThatFitTakeTheLongestPrefixUnderTheBudget) {
+  const Packets packets = {Bytes(10), Bytes(10), Bytes(10)};
+  const auto views = views_of(packets);
+  // A list of k 10-byte packets takes 1 + 11k bytes.
+  EXPECT_EQ(netio::packet_list_size(views), 34u);
+  EXPECT_EQ(netio::packets_that_fit(views, 34), 3u);
+  EXPECT_EQ(netio::packets_that_fit(views, 33), 2u);
+  EXPECT_EQ(netio::packets_that_fit(views, 23), 2u);
+  EXPECT_EQ(netio::packets_that_fit(views, 22), 1u);
+  EXPECT_EQ(netio::packets_that_fit(views, 1), 1u)
+      << "a packet larger than any frame still travels, alone";
+  EXPECT_EQ(netio::packets_that_fit({}, 100), 0u);
+}
+
+TEST(PeerLink, PassLargerThanTheCapLeavesAsSeveralFrames) {
+  // 100 packets of 1,000 bytes: about 100 KB, more than one datagram holds.
+  // Then two packets whose list alone (65,506 bytes) would fit the cap but
+  // not with the DATA header in front: frame_fit must leave room for it.
+  Packets many;
+  for (int i = 0; i < 100; ++i) many.emplace_back(1'000, std::byte(i));
+  const Packets tight = {Bytes(65'000, std::byte{1}), Bytes(500, std::byte{2})};
+  for (const Packets& sent : {many, tight}) {
+    const auto views = views_of(sent);
+    PeerLink sender, receiver;
+    std::span<const BytesView> rest(views);
+    std::vector<Bytes> dgrams;
+    while (!rest.empty()) {
+      const std::size_t k = sender.frame_fit(rest);
+      ASSERT_GE(k, 1u);
+      dgrams.push_back(sender.make_data(rest.first(k), t0()));
+      rest = rest.subspan(k);
+    }
+    EXPECT_GE(dgrams.size(), 2u);
+    for (const Bytes& d : dgrams) EXPECT_LE(d.size(), netio::kMaxDatagram);
+
+    std::vector<Delivered> out;
+    for (const Bytes& d : dgrams) receiver.on_datagram(d, t0(), out);
+    Packets got;
+    for (const Delivered& d : out) {
+      for (Bytes& p : packets_of(d)) got.push_back(std::move(p));
+    }
+    EXPECT_EQ(got, sent) << "every packet once, in order, across the frames";
+  }
 }
 
 // --- PeerLink: retransmission and backoff -----------------------------------
@@ -158,7 +316,7 @@ TEST(PeerLink, RetransmitsAfterRtoWithBackoff) {
   std::vector<Delivered> out;
   receiver.on_datagram(resends[0], t0() + 9ms, out);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, payload_of({9}));
+  EXPECT_EQ(packets_of(out[0]), Packets{payload_of({9})});
 }
 
 // --- PeerLink: RTT estimate and retransmit timeout ---------------------------
@@ -413,6 +571,28 @@ TEST(UdpSocket, LoopbackDatagramRoundTrip) {
             msg);
   EXPECT_EQ(from.port, a.port());
   EXPECT_FALSE(b.recv_into(buf, from).has_value()) << "queue must be empty now";
+
+  // Every call counts, the empty receive included.
+  EXPECT_EQ(a.counts().sends, 1u);
+  EXPECT_EQ(b.counts().recvs, 2u);
+  EXPECT_EQ(b.counts().recvs_empty, 1u);
+  EXPECT_EQ(b.counts().waits, 1u);
+  EXPECT_EQ(a.counts().recvs + a.counts().waits, 0u);
+}
+
+TEST(UdpSocket, DatagramOfTheCapGoesThroughLoopback) {
+  // kMaxDatagram caps every frame the link packs: the kernel must take a
+  // datagram of exactly that size (one byte more is EMSGSIZE over IPv4).
+  netio::UdpSocket a, b;
+  a.bind(0);
+  b.bind(0);
+  const Bytes big(netio::kMaxDatagram, std::byte{0x42});
+  ASSERT_TRUE(a.send_to({b.port()}, big));
+  ASSERT_TRUE(b.wait_readable(1'000'000));
+  netio::UdpAddress from;
+  Bytes buf(netio::kMaxDatagram);
+  EXPECT_EQ(b.recv_into(buf, from), std::optional<std::size_t>(big.size()));
+  EXPECT_FALSE(a.send_to({b.port()}, Bytes(netio::kMaxDatagram + 1)));
 }
 
 // --- SocketNetwork end to end ------------------------------------------------
@@ -512,6 +692,34 @@ TEST(SocketNet, LinkStateSnapshotCoversEveryLocalParty) {
   }
 }
 
+TEST(SocketNet, WireCountsReachLinkTotalsAndSnapshot) {
+  rt::SocketNetwork net(kP);
+  add_crash_aa_parties(net);
+  ASSERT_TRUE(net.run(30'000ms));
+  const netio::LinkStats s = net.link_totals();
+  // No fault shim: every DATA frame, resend and pure ACK is one sendto, and
+  // every datagram received (DATA or ACK) came from one recvfrom.
+  EXPECT_GE(s.wire.sends, s.data_sent + s.retransmits);
+  EXPECT_GE(s.wire.recvs - s.wire.recvs_empty, s.data_received);
+  EXPECT_LE(s.wire.recvs_empty, s.wire.recvs);
+  EXPECT_GT(s.wire.waits, 0u);
+  // One loop pass sends one frame per peer: 6 rounds of n - 1 packets per
+  // party need no more frames than packets.
+  EXPECT_LE(s.data_sent, net.metrics().packets_sent);
+  EXPECT_LE(s.delivered, net.metrics().packets_sent)
+      << "no packet handed up twice";
+  std::uint64_t sends_in_lines = 0;
+  for (const std::string& line : net.link_state_jsonl()) {
+    const auto at = line.find("\"wire_sends\":");
+    ASSERT_NE(at, std::string::npos) << line;
+    EXPECT_NE(line.find("\"wire_recvs\":"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"wire_recvs_empty\":"), std::string::npos) << line;
+    EXPECT_NE(line.find("\"wire_waits\":"), std::string::npos) << line;
+    sends_in_lines += std::stoull(line.substr(at + 13));
+  }
+  EXPECT_EQ(sends_in_lines, s.wire.sends);
+}
+
 TEST(SocketNet, TraceRecordsRetransmitEvents) {
   obs::TraceSink trace;
   rt::SocketNetwork net(kP);
@@ -543,7 +751,7 @@ TEST(SocketMetrics, RetransmitsNeverTouchLogicalCounters) {
   const std::uint64_t packets = m.packets_sent;
   const double mpp = m.msgs_per_packet();
 
-  for (int i = 0; i < 5; ++i) m.note_retransmit(frame.size() + 8);
+  for (int i = 0; i < 5; ++i) m.note_retransmit(1, frame.size() + 8);
   EXPECT_EQ(m.messages_sent, msgs);
   EXPECT_EQ(m.packets_sent, packets);
   EXPECT_DOUBLE_EQ(m.msgs_per_packet(), mpp);
@@ -551,6 +759,21 @@ TEST(SocketMetrics, RetransmitsNeverTouchLogicalCounters) {
   EXPECT_EQ(m.retransmit_bytes, 5 * (frame.size() + 8));
   EXPECT_DOUBLE_EQ(m.retransmit_rate(), 5.0);
   EXPECT_EQ(m.sent_by[0], msgs);
+
+  // A link frame carrying three packets is resent once: three packets
+  // resent, one datagram's bytes, and still no logical count moves.
+  m.note_send(0, frame);
+  m.note_send(0, frame);
+  m.note_send(0, frame);
+  const std::uint64_t msgs4 = m.messages_sent;
+  m.note_retransmit(3, 3 * (frame.size() + 1) + 9);
+  EXPECT_EQ(m.messages_sent, msgs4);
+  EXPECT_EQ(m.packets_sent, packets + 3);
+  EXPECT_DOUBLE_EQ(m.msgs_per_packet(), mpp);
+  EXPECT_EQ(m.packets_retransmitted, 8u);
+  EXPECT_EQ(m.retransmit_bytes, 5 * (frame.size() + 8) + 3 * (frame.size() + 1) + 9);
+  EXPECT_DOUBLE_EQ(m.retransmit_rate(), 8.0 / 4.0)
+      << "packets resent per logical packet";
 }
 
 // --- flight recorder integration (harness-level) -----------------------------
