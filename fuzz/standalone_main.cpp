@@ -29,13 +29,6 @@
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 int run_one(const std::uint8_t* data, std::size_t size) {
   return ::apxa::fuzz::APXA_FUZZ_ENTRY(data, size);
 }
@@ -54,13 +47,7 @@ bool replay_file(const std::filesystem::path& path) {
 }
 
 int smoke(std::uint64_t iters, std::uint64_t seed) {
-  std::uint64_t state = seed;
-  std::vector<std::uint8_t> buf;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    buf.resize(splitmix64(state) % 513);
-    for (auto& b : buf) b = static_cast<std::uint8_t>(splitmix64(state));
-    run_one(buf.data(), buf.size());
-  }
+  ::apxa::fuzz::random_smoke(&run_one, iters, seed, 513);
   std::printf("%s: smoke ok (%llu inputs, seed %llu)\n", APXA_FUZZ_TARGET_NAME,
               static_cast<unsigned long long>(iters),
               static_cast<unsigned long long>(seed));

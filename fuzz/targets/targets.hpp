@@ -59,6 +59,14 @@ inline constexpr TargetEntry kTargets[] = {
     {"fuzz_state_machine", &state_machine_target},
 };
 
+/// Feeds `iters` pseudo-random buffers through `fn`: splitmix64 from `seed`,
+/// each buffer's length the next draw mod `max_len`, then one draw per byte.
+/// The standalone driver's --smoke and the corpus-replay suite share it, so
+/// a smoke seed reproduces the same inputs in both.  True when `fn` returned
+/// 0 on every input (a violated property aborts instead).
+bool random_smoke(TargetFn fn, std::uint64_t iters, std::uint64_t seed,
+                  std::size_t max_len);
+
 /// Crash the process with a readable report: the violated property plus the
 /// most recent captured APXA_ENSURE/APXA_ASSERT failure (fuzz targets run
 /// under detail::ScopedFailureCapture).  libFuzzer catches the abort and

@@ -59,10 +59,9 @@ std::vector<std::uint8_t> VectorAaProcess::trusted_mask(
     const std::vector<CollectEntry>& view) const {
   // My own entry, and any echo of it: a byzantine copy of my honest value is
   // still my honest value, so keeping it cannot move an average outside the
-  // honest hull.  Guarantees the certified core of geom::trimmed_centroid is
-  // never empty — in particular at zero view slack (n = 3t + 1, views of
-  // 2t + 1), where the rule degrades to the certified-honest average.  Both
-  // collect engines guarantee the own entry is present in the frozen view.
+  // honest hull.  Guarantees the certified-honest core geom::safe_midpoint
+  // falls back to is never empty.  Both collect engines guarantee the own
+  // entry is present in the frozen view.
   std::vector<std::uint8_t> trusted(view.size(), 0);
   for (std::size_t i = 0; i < view.size(); ++i) {
     if (view[i].origin == self_ || geom::same_point(view[i].value, value_)) {
@@ -85,16 +84,10 @@ void VectorAaProcess::on_view(net::Context& ctx, Round r,
     value_ = geom::average_per_coordinate(*averager, points, cfg_.dim,
                                           cfg_.params.t);
   } else {
-    const geom::SafePoint next =
-        geom::safe_midpoint(points, cfg_.params.t,
-                            std::get<geom::SafeAreaOptions>(cfg_.rule),
-                            trusted_mask(view));
-    if (next.exact) {
-      ++exact_rounds_;
-    } else {
-      ++fallback_rounds_;
-    }
-    value_ = next.point;
+    value_ = geom::safe_midpoint(points, cfg_.params.t,
+                                 std::get<geom::SafeAreaOptions>(cfg_.rule),
+                                 trusted_mask(view))
+                 .point;
   }
   ++round_;
   if (round_ >= cfg_.fixed_rounds) {

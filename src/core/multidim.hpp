@@ -26,17 +26,15 @@
 //    lies in the hull of the honest entries of the view no matter which
 //    <= t entries are byzantine, which is the inductive step of CONVEX
 //    validity: outputs stay in the convex hull of the honest inputs, not
-//    merely their bounding box.  Requires n > 3t (the trimmed fallback
-//    needs view slack m > 2t with m = n - t, and Bracha RB needs it
-//    outright); the certified regime additionally wants n >= (d+2)t + 1.
-//    The safe area of an m-point view is guaranteed nonempty only when
-//    m >= (d+2)t + 1; past that the rule degrades to the outlier-trimmed
-//    centroid fallback, anchored on the certified-honest core of own value,
-//    its echoes and (t+1)-supported values (and degrading to THAT core alone
-//    when the view is a degenerate simplex, m <= d + 1, or has no slack,
-//    m = 2t + 1).  The harness measures the resulting convex validity
-//    instead of assuming it (VectorRunReport::convex_validity_ok,
-//    bench/f6_multidim).
+//    merely their bounding box.  Requires n > 3t (safe_midpoint needs view
+//    slack m > 2t with m = n - t, and Bracha RB needs it outright); the
+//    certified regime additionally wants n >= (d+2)t + 1.  The safe area of
+//    an m-point view is guaranteed nonempty once m >= (d+1)t + 1
+//    (Tverberg), i.e. n >= (d+2)t + 1 for quorum views; where no point is
+//    certified the rule falls back to the centroid of the certified-honest
+//    core: own value, its echoes and (t+1)-supported values.  The harness
+//    measures the resulting convex validity instead of assuming it
+//    (VectorRunReport::convex_validity_ok, bench/f6_multidim).
 //
 // How the view is assembled is the collect mode (core/collect.hpp), and it
 // separates the two safe-area kinds.  CollectMode::kQuorum (every kind but
@@ -121,12 +119,6 @@ class VectorAaProcess final : public net::Process {
   }
   [[nodiscard]] Round current_round() const { return round_; }
 
-  /// Safe-area rule: rounds averaged through a certified safe-area point vs
-  /// the trimmed fallback (diagnostics; stable once done; 0 under the
-  /// per-coordinate rule).
-  [[nodiscard]] std::uint64_t exact_rounds() const { return exact_rounds_; }
-  [[nodiscard]] std::uint64_t fallback_rounds() const { return fallback_rounds_; }
-
  private:
   void begin_round(net::Context& ctx);
   void on_view(net::Context& ctx, Round r, const std::vector<CollectEntry>& view);
@@ -141,8 +133,6 @@ class VectorAaProcess final : public net::Process {
   Round round_ = 0;
   bool done_ = false;
   ProcessId self_ = kNoProcess;
-  std::uint64_t exact_rounds_ = 0;
-  std::uint64_t fallback_rounds_ = 0;
 };
 
 }  // namespace apxa::core

@@ -24,6 +24,7 @@ using Indices = std::span<const std::uint32_t>;
 // so the extra O(r c) per pivot is irrelevant and avoids numerical drift.
 
 constexpr double kPivotEps = 1e-11;
+constexpr double kRelPivotEps = 1e-9;
 
 /// Buffers of every LP one public call solves (see safe_area.hpp, "LP
 /// workspace"): the outermost public function owns one and passes it down.
@@ -48,9 +49,9 @@ std::size_t lp_iteration_cap(std::size_t rows, std::size_t cols) {
 /// Solves coef(i, j) x_j = ws.rhs[i] (i < rows, j < cols), x >= 0.  Feasible
 /// when the residual optimum is <= tol AND the basic solution, left in ws.x,
 /// satisfies every row of the system as built within tol: with a pivot just
-/// above kPivotEps the tableau can degenerate until negative basic values
-/// cancel positive ones in the objective.  The residual is recomputed from
-/// `coef` rather than a copy of the tableau.
+/// above the threshold the tableau can degenerate until negative basic
+/// values cancel positive ones in the objective.  The residual is recomputed
+/// from `coef` rather than a copy of the tableau.
 template <typename Coef>
 bool lp_feasible(LpWorkspace& ws, std::size_t rows, std::size_t cols,
                  const Coef& coef, double tol) {
@@ -102,28 +103,34 @@ bool lp_feasible(LpWorkspace& ws, std::size_t rows, std::size_t cols,
       }
       return true;
     }
-    // Bland: the lowest-index improving column (artificials never re-enter).
-    std::size_t enter = cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (z[j] < -kPivotEps) {
-        enter = j;
-        break;
+    // Bland: the lowest-index improving column with an admissible pivot
+    // (artificials never re-enter).  The pivot threshold is relative to the
+    // column: an entry ~1e-11 of its column's largest is cancellation noise,
+    // and pivoting on it blows the tableau up.  A column without an
+    // admissible pivot is passed over this iteration.  Both rules are
+    // column-local, so the replay skip stays exact.
+    std::size_t enter = cols, leave = rows;
+    for (std::size_t j = 0; j < cols && leave == rows; ++j) {
+      if (!(z[j] < -kPivotEps)) continue;
+      double col_max = 0.0;
+      for (std::size_t i = 0; i < rows; ++i) {
+        col_max = std::max(col_max, std::abs(a[i * cols + j]));
       }
-    }
-    if (enter == cols) return false;  // optimal with residual > tol
-    std::size_t leave = rows;
-    double best_ratio = 0.0;
-    for (std::size_t i = 0; i < rows; ++i) {
-      const double aie = a[i * cols + enter];
-      if (aie <= kPivotEps) continue;
-      const double ratio = b[i] / aie;
-      if (leave == rows || ratio < best_ratio - kPivotEps ||
-          (ratio < best_ratio + kPivotEps && basis[i] < basis[leave])) {
-        leave = i;
-        best_ratio = ratio;
+      const double pivot_eps = std::max(kPivotEps, kRelPivotEps * col_max);
+      double best_ratio = 0.0;
+      for (std::size_t i = 0; i < rows; ++i) {
+        const double aij = a[i * cols + j];
+        if (aij <= pivot_eps) continue;
+        const double ratio = b[i] / aij;
+        if (leave == rows || ratio < best_ratio - kPivotEps ||
+            (ratio < best_ratio + kPivotEps && basis[i] < basis[leave])) {
+          leave = i;
+          best_ratio = ratio;
+        }
       }
+      enter = j;
     }
-    if (leave == rows) return false;  // cannot happen for phase-1; defensive
+    if (leave == rows) return false;  // optimal with residual > tol
     double* const lrow = a + leave * cols;
     const double piv = lrow[enter];
     for (std::size_t j = 0; j < cols; ++j) lrow[j] /= piv;
@@ -408,101 +415,6 @@ std::optional<std::vector<double>> tverberg(LpWorkspace& ws, Points points,
   return std::nullopt;
 }
 
-/// trimmed_centroid given the view's support counts and coordinate median.
-std::vector<double> trimmed(Points points, std::uint32_t t, TrustedMask trusted,
-                            const std::vector<std::uint32_t>& support,
-                            const std::vector<double>& med) {
-  const auto m = static_cast<std::uint32_t>(points.size());
-  const std::size_t d = points.front().size();
-
-  // Certified-honest points — caller-trusted entries (own value and its
-  // echoes) and (t+1)-supported values (support_counts) — are always kept:
-  // a certificate has no false positives, and keeping an honest value can
-  // only keep the centroid inside the honest hull.  NOTE heuristics that
-  // looked plausible here (treating near-duplicate clusters of size <= t or
-  // cross-round repeats as attack signatures) misfire on honest traffic:
-  // the deterministic rule plus overlapping views makes distinct honest
-  // parties emit identical vectors mid-convergence, and a party whose view
-  // reached a fixpoint legitimately repeats itself.  Hence only sound
-  // certificates and geometry below.
-  std::vector<std::uint32_t> core;
-  std::vector<std::uint8_t> in_core(m, 0);
-  for (std::uint32_t i = 0; i < m; ++i) {
-    if (support[i] >= t + 1 || (!trusted.empty() && trusted[i])) {
-      core.push_back(i);
-      in_core[i] = 1;
-    }
-  }
-
-  // Degenerate views — m <= d + 1 points in R^d are (generically) affinely
-  // independent: the view is a simplex with no interior, every point is a
-  // vertex, and distance/extremity cannot separate a forged vertex from an
-  // honest one.  Average the certified-honest core only; anything else
-  // risks a permanent off-hull leak that later certification would lock in.
-  if (m <= d + 1 && !core.empty()) return centroid_of(points, core);
-
-  // Two-stage geometric drop of up to 2t uncertified points, keeping at
-  // least max(m - 2t, |core|):
-  //
-  // Stage 1 — distance: drop the t uncertified points farthest (L2) from
-  // the coordinate median.  Catches far-outside attackers (extremes,
-  // equivocators, spoilers, wide noise), whose distance dwarfs the honest
-  // scatter.
-  //
-  // Stage 2 — simultaneous extremity: with the far points gone (so their
-  // reach no longer saturates the column ranges), recompute each column's
-  // range over the survivors and score the mean per-coordinate extremity
-  // |2u - 1|, u the position inside the column.  A corner-steering attacker
-  // (the box-valid hull-escape signature) must sit near an end of EVERY
-  // column simultaneously and scores near 1; honest points are extreme in a
-  // few columns only and concentrate near 1/2.  Drop the t worst.
-  //
-  // The <= t uncertified attacker points survive only by looking closer and
-  // less extreme than 2t honest points, and over-trimming honest points
-  // merely shrinks the hull the centroid is a convex combination of.
-  auto drop_worst = [&](std::vector<std::uint32_t>& ids, std::uint32_t budget,
-                        const std::vector<double>& score) {
-    std::stable_sort(ids.begin(), ids.end(),
-                     [&score](std::uint32_t a, std::uint32_t b) {
-                       return score[a] > score[b];
-                     });
-    std::vector<std::uint32_t> out;
-    std::uint32_t dropped = 0;
-    for (const std::uint32_t i : ids) {
-      if (dropped < budget && !in_core[i]) {
-        ++dropped;
-        continue;
-      }
-      out.push_back(i);
-    }
-    ids = std::move(out);
-  };
-
-  std::vector<std::uint32_t> ids = all_indices(m);
-  std::vector<double> dist(m);
-  for (std::uint32_t i = 0; i < m; ++i) dist[i] = l2_dist(points[i], med);
-  drop_worst(ids, t, dist);
-
-  std::vector<double> lo(d), hi(d);
-  for (std::size_t c = 0; c < d; ++c) {
-    lo[c] = hi[c] = points[ids[0]][c];
-    for (const std::uint32_t i : ids) {
-      lo[c] = std::min(lo[c], points[i][c]);
-      hi[c] = std::max(hi[c], points[i][c]);
-    }
-  }
-  std::vector<double> extremity(m, 0.0);
-  for (const std::uint32_t i : ids) {
-    for (std::size_t c = 0; c < d; ++c) {
-      const double width = hi[c] - lo[c];
-      if (width < 1e-300) continue;
-      extremity[i] += std::abs(2.0 * (points[i][c] - lo[c]) / width - 1.0);
-    }
-  }
-  drop_worst(ids, t, extremity);
-  return centroid_of(points, ids);
-}
-
 }  // namespace
 
 bool in_convex_hull(std::span<const double> p,
@@ -563,84 +475,6 @@ std::optional<std::vector<double>> tverberg_point(
   return tverberg(ws, points, r, centroid(points), opts);
 }
 
-std::optional<std::vector<double>> radon_point(
-    std::span<const std::vector<double>> points) {
-  ensure_uniform(points);
-  const auto m = static_cast<std::uint32_t>(points.size());
-  const std::size_t d = points.front().size();
-  const std::size_t k = d + 2;
-  if (m < k) return std::nullopt;
-
-  // The d+2 points closest to the centroid (deterministic; deep points give
-  // a central Radon point, which helps the averaging rule contract).
-  const std::vector<double> c = centroid(points);
-  std::vector<double> dist(m);
-  for (std::uint32_t i = 0; i < m; ++i) dist[i] = l2_dist(points[i], c);
-  std::vector<std::uint32_t> order = all_indices(m);
-  std::stable_sort(order.begin(), order.end(),
-                   [&dist](std::uint32_t a, std::uint32_t b) {
-                     return dist[a] < dist[b];
-                   });
-  order.resize(k);
-
-  // Affine dependence: nontrivial alpha with sum_i alpha_i x_i = 0 and
-  // sum_i alpha_i = 0 — the kernel of the (d+1) x (d+2) homogeneous system
-  // [x_i - c; 1], found by Gaussian elimination with partial pivoting.
-  const std::size_t rows = d + 1;
-  std::vector<std::vector<double>> M(rows, std::vector<double>(k));
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t r = 0; r < d; ++r) M[r][i] = points[order[i]][r] - c[r];
-    M[d][i] = 1.0;
-  }
-  std::vector<std::size_t> pivot_col;
-  std::size_t row = 0;
-  std::vector<bool> is_pivot(k, false);
-  for (std::size_t col = 0; col < k && row < rows; ++col) {
-    std::size_t best = row;
-    for (std::size_t r = row + 1; r < rows; ++r) {
-      if (std::abs(M[r][col]) > std::abs(M[best][col])) best = r;
-    }
-    if (std::abs(M[best][col]) < 1e-12) continue;
-    std::swap(M[row], M[best]);
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (r == row) continue;
-      const double f = M[r][col] / M[row][col];
-      for (std::size_t j = col; j < k; ++j) M[r][j] -= f * M[row][j];
-    }
-    pivot_col.push_back(col);
-    is_pivot[col] = true;
-    ++row;
-  }
-  // rank <= d+1 < k, so a free column exists; set it to 1, other free to 0.
-  std::size_t free_col = k;
-  for (std::size_t col = 0; col < k; ++col) {
-    if (!is_pivot[col]) {
-      free_col = col;
-      break;
-    }
-  }
-  if (free_col == k) return std::nullopt;  // defensive; cannot happen
-  std::vector<double> alpha(k, 0.0);
-  alpha[free_col] = 1.0;
-  for (std::size_t r = 0; r < pivot_col.size(); ++r) {
-    alpha[pivot_col[r]] = -M[r][free_col] / M[r][pivot_col[r]];
-  }
-  // Radon point: the common point of the two sign classes' hulls.
-  double pos = 0.0;
-  for (const double a : alpha) {
-    if (a > 0.0) pos += a;
-  }
-  if (pos < 1e-12) return std::nullopt;  // degenerate kernel; defensive
-  std::vector<double> x(d, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    if (alpha[i] <= 0.0) continue;
-    for (std::size_t r = 0; r < d; ++r) {
-      x[r] += (alpha[i] / pos) * points[order[i]][r];
-    }
-  }
-  return x;
-}
-
 bool same_point(std::span<const double> a, std::span<const double> b,
                 double rel_tol) {
   double na = 0.0, nb = 0.0;
@@ -681,18 +515,6 @@ std::vector<double> coordinate_median(std::span<const std::vector<double>> point
   return med;
 }
 
-std::vector<double> trimmed_centroid(std::span<const std::vector<double>> points,
-                                     std::uint32_t t, TrustedMask trusted) {
-  ensure_uniform(points);
-  const auto m = static_cast<std::uint32_t>(points.size());
-  APXA_ENSURE(m > 2 * t, "trimmed centroid requires m > 2t");
-  APXA_ENSURE(trusted.empty() || trusted.size() == m,
-              "trusted mask must cover every point");
-  if (t == 0) return centroid(points);
-  return trimmed(points, t, trusted, support_counts(points),
-                 coordinate_median(points));
-}
-
 SafePoint safe_midpoint(std::span<const std::vector<double>> points,
                         std::uint32_t t, const SafeAreaOptions& opts,
                         TrustedMask trusted) {
@@ -703,25 +525,29 @@ SafePoint safe_midpoint(std::span<const std::vector<double>> points,
   APXA_ENSURE(trusted.empty() || trusted.size() == m,
               "trusted mask must cover every point");
 
-  if (t == 0) return {centroid(points), 0, true};  // safe area == conv(points)
+  if (t == 0) return {centroid(points), true};  // safe area == conv(points)
 
   if (d == 1) {
     // Closed form: the 1-D safe area is [v_(t), v_(m-1-t)] — the hull of
     // reduce_t — and the rule is its midpoint (the byzantine halving rule).
     std::vector<double> col = coordinate(points, 0);
     std::sort(col.begin(), col.end());
-    return {{0.5 * (col[t] + col[m - 1 - t])}, t, true};
+    return {{0.5 * (col[t] + col[m - 1 - t])}, true};
   }
 
   // Certified honest echoes: a point supported by >= t + 1 view entries has
   // an honest contributor, so it IS an honest round value and adopting it
   // preserves convex validity (support_counts).  One representative per
   // near-duplicate cluster; averaging representatives of distinct clusters
-  // contracts views that straddle two honest camps.
+  // contracts views that straddle two honest camps.  The certified-honest
+  // core adds the caller-trusted entries to the supported ones.
   std::vector<std::vector<double>> safe;
+  std::vector<std::uint32_t> core;
   const auto support = support_counts(points);
   for (std::uint32_t i = 0; i < m; ++i) {
-    if (support[i] < t + 1) continue;
+    const bool supported = support[i] >= t + 1;
+    if (supported || (!trusted.empty() && trusted[i])) core.push_back(i);
+    if (!supported) continue;
     bool first_of_cluster = true;
     for (std::uint32_t j = 0; j < i && first_of_cluster; ++j) {
       if (support[j] >= t + 1 && same_point(points[i], points[j])) {
@@ -731,41 +557,38 @@ SafePoint safe_midpoint(std::span<const std::vector<double>> points,
     if (first_of_cluster) safe.push_back(points[i]);
   }
 
-  // Deterministic candidates.  A Tverberg point over t+1 groups carries a
-  // partition certificate, so its robustness is t by construction; the rest
-  // are measured.  The safe area is convex, so averaging the level-t
-  // candidates stays at level t.  SKIPPED for degenerate views (m <= d + 1):
-  // affinely independent points have a provably EMPTY safe area for t >= 1
-  // (removing any vertex strictly shrinks the simplex), so any LP
-  // "certificate" there is tolerance noise — and adopting one hands the
-  // view to a forged vertex.  Genuine robustness through duplicated values
-  // is exactly the (t+1)-support certification above.
-  const std::vector<double> med = coordinate_median(points);
-  const std::vector<double> trim = trimmed(points, t, trusted, support, med);
-  int trimmed_level = -1;
+  // Deterministic candidates — the Tverberg point over t+1 groups, the
+  // coordinate median and the centroid — each admitted only when its
+  // measured robustness is t.  The Tverberg LP's partition certificate is
+  // not enough on its own: on a view holding a near-duplicate pair its
+  // answer passes the residual check yet survives no removal.  The safe area
+  // is convex, so the average of admitted points stays at level t.  SKIPPED
+  // for degenerate views (m <= d + 1): affinely independent points have a
+  // provably EMPTY safe area for t >= 1 (removing any vertex strictly
+  // shrinks the simplex), so any LP "certificate" there is tolerance noise.
+  // Genuine robustness through duplicated values is exactly the
+  // (t+1)-support certification above.
   if (m > d + 1) {
     LpWorkspace ws;
     const std::vector<double> mean = centroid(points);
-    if (auto tv = tverberg(ws, points, t + 1, mean, opts)) {
-      safe.push_back(std::move(*tv));
-    }
-    if (t == 1) {
-      // A Radon point certifies level 1 by construction (disjoint parts).
-      if (auto rp = radon_point(points)) safe.push_back(std::move(*rp));
-    }
-    for (const std::vector<double>* cand : {&med, &trim, &mean}) {
-      const int level = robustness(ws, *cand, points, t, opts);
-      if (cand == &trim) trimmed_level = level;
-      if (level == static_cast<int>(t)) safe.push_back(*cand);
+    const std::optional<std::vector<double>> tv =
+        tverberg(ws, points, t + 1, mean, opts);
+    const std::vector<double> med = coordinate_median(points);
+    const int level_t = static_cast<int>(t);
+    for (const std::vector<double>* cand : {tv ? &*tv : nullptr, &med, &mean}) {
+      if (cand && robustness(ws, *cand, points, t, opts) == level_t) {
+        safe.push_back(*cand);
+      }
     }
   }
 
-  if (!safe.empty()) {
-    return {centroid(safe), t, true};
-  }
-  // Safe area empty or out of reach (m < (d+2)t + 1 makes it generically
-  // empty): outlier-trimmed centroid, reporting the robustness it measured.
-  return {trim, static_cast<std::uint32_t>(std::max(0, trimmed_level)), false};
+  if (!safe.empty()) return {centroid(safe), true};
+  // Nothing certified (the safe area is generically empty below
+  // m = (d+1)t + 1, and the probes may miss it above): the centroid of the
+  // certified-honest core, or of the whole view when the caller certified
+  // nothing.
+  if (core.empty()) return {centroid(points), false};
+  return {centroid_of(points, core), false};
 }
 
 }  // namespace apxa::geom

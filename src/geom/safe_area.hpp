@@ -37,32 +37,29 @@
 //                         a small deterministic family of partitions and may
 //                         return nullopt even when a Tverberg point exists;
 //   safe_midpoint       — the averaging rule of the convex-valid protocol
-//                         (core::VectorAaProcess's safe-area rule): average
-//                         the certified points — (t+1)-supported honest
-//                         echoes of the view (support_counts) and the
-//                         verified safe-area points among a deterministic
-//                         candidate set (Tverberg point, Radon point,
-//                         coordinate median, trimmed centroid, centroid) —
-//                         the safe area is convex, so
-//                         the average keeps the verified robustness.  When
-//                         the safe area is empty or out of reach (m <
-//                         (d+2)t + 1 — unavoidable for large d relative to
-//                         n; see the dimensionality note below), fall back to
-//                         trimmed_centroid: a convex combination of the view
-//                         minus its geometric outliers, always keeping the
-//                         certified-honest core (supported echoes plus the
-//                         caller's TrustedMask).
+//                         (core::VectorAaProcess's safe-area rule).  One
+//                         rule: a point enters the averaged set only when
+//                         t+1 view entries support it (support_counts) or
+//                         removal_robustness measures it at level t — the
+//                         deterministic candidates (Tverberg point,
+//                         coordinate median, centroid) all pass that gate.
+//                         The safe area is convex, so the average keeps
+//                         level t.  When nothing qualifies, the rule returns
+//                         the centroid of the certified-honest core (the
+//                         supported entries plus the caller's TrustedMask),
+//                         marked inexact.
 //
-// Dimensionality note: the safe area of m generic points is nonempty only
-// when m >= (d+2)t + 1 (Mendes-Herlihy; below n > (d+2)t convex-valid
-// byzantine AA is impossible outright); for views smaller than that — e.g.
-// d = 8 with n <= 16, t = 2 — NO rule can certify level-t robustness, and
-// safe_midpoint degrades to the trimmed-centroid fallback with the verified
-// robustness level it did reach; degenerate views (m <= d + 1) degrade
-// further, to the certified-honest average.  harness::VectorRunReport
-// records the resulting convex-hull-validity verdict for every run, so the
-// degradation is measured, not hidden (bench/f6_multidim, box_vs_convex
-// section).
+// Dimensionality note: the safe area of an m-point view is nonempty once
+// m >= (d+1)t + 1 (Tverberg); for quorum views, m = n - t, that is
+// n >= (d+2)t + 1, the Mendes-Herlihy bound below which convex-valid
+// byzantine AA is impossible outright.  For smaller views — e.g. d = 8 with
+// n <= 16, t = 2 — the safe area is generically empty, and
+// safe_midpoint degrades to the certified-honest core: valid, but it
+// contracts only as far as the cores of different parties overlap.  Above
+// the bound the candidate probes can still miss the safe area on some
+// views, with the same fallback.  harness::VectorRunReport records the
+// resulting convex-hull-validity verdict for every run, so the degradation
+// is measured, not hidden (bench/f6_multidim, box_vs_convex section).
 //
 // LP workspace: every LP is a phase-1 simplex (Bland's rule) on one
 // row-major tableau held in a workspace that the outermost public call owns
@@ -87,11 +84,12 @@
 // Residual contract: an LP answer counts as feasible only when its basic
 // solution satisfies every row of the system as built (after row
 // normalization) within SafeAreaOptions::tol.  The pivot threshold is
-// absolute, so a pivot just above it can degenerate the tableau until
+// relative to the entering column (1e-9 of its largest entry, at least
+// 1e-11), yet a pivot just above it can still degenerate the tableau until
 // negative basic values cancel positive ones in the phase-1 objective; the
 // check, recomputed from the inputs, rejects such answers (a point
-// tverberg_point returns is then truly in the hulls of its groups).  It
-// keeps the replay skip exact: a column that never entered has lambda 0.
+// tverberg_point returns is then in the hulls of its groups within tol).
+// It keeps the replay skip exact: a column that never entered has lambda 0.
 #pragma once
 
 #include <cstdint>
@@ -106,8 +104,12 @@ namespace apxa::geom {
 struct SafeAreaOptions {
   /// Feasibility slack of the LP membership test (absolute, after row
   /// normalization).  Points within tol of the hull count as inside; every
-  /// row of an accepted LP answer holds within tol.
-  double tol = 1e-7;
+  /// row of an accepted LP answer holds within tol.  Certification runs
+  /// tighter than in_convex_hull's verdict default (1e-7): at 1e-7,
+  /// certified outputs left the honest input box by more than the box
+  /// verdict's 1e-9 absolute slack (fuzz_state_machine --smoke 3000 on
+  /// seeds 38 and 41).
+  double tol = 1e-10;
   /// Enumerate all C(m,k) subset hulls only while the count stays below
   /// this; beyond it in_safe_area falls back to the (t+1)-partition witness
   /// (sound but incomplete).
@@ -144,15 +146,6 @@ std::optional<std::vector<double>> tverberg_point(
     std::span<const std::vector<double>> points, std::uint32_t r,
     const SafeAreaOptions& opts = {});
 
-/// Radon point of the d+2 points closest to the centroid (nullopt when
-/// m < d + 2): a point in the hulls of BOTH parts of the Radon partition of
-/// those d+2 points, computed exactly from their affine dependence.  The
-/// parts are disjoint, so removing any single point of the full view spares
-/// one part — a Radon point certifies removal robustness 1 (the r = 2
-/// Tverberg case, by construction rather than probing).
-std::optional<std::vector<double>> radon_point(
-    std::span<const std::vector<double>> points);
-
 /// Arithmetic mean of the points (always in their hull).
 std::vector<double> centroid(std::span<const std::vector<double>> points);
 
@@ -172,45 +165,21 @@ std::vector<std::uint32_t> support_counts(
 bool same_point(std::span<const double> a, std::span<const double> b,
                 double rel_tol = 1e-9);
 
-/// Optional per-point caller knowledge for trimmed_centroid/safe_midpoint:
-/// nonzero marks a value the caller KNOWS carries honest content — its own
-/// view entry, or an echo of it (a byzantine copy of an honest value is
-/// still an honest value, so keeping it cannot move an average outside the
-/// honest hull).  Trusted points are never trimmed.
+/// Optional per-point caller knowledge for safe_midpoint: nonzero marks a
+/// value the caller KNOWS carries honest content — its own view entry, or an
+/// echo of it (a byzantine copy of an honest value is still an honest value,
+/// so averaging it in cannot move an average outside the honest hull).
 using TrustedMask = std::span<const std::uint8_t>;
 
 /// Coordinate-wise median (NOT in the hull in general for d >= 2).
 std::vector<double> coordinate_median(std::span<const std::vector<double>> points);
 
-/// Centroid of the view minus its outliers: drop up to 2t points — the t
-/// farthest (L2) from the coordinate median, then the t scoring highest on
-/// simultaneous per-coordinate extremity — and return the centroid of the
-/// rest (requires m > 2t).  Certified-honest points never drop: those with
-/// support >= t + 1 (support_counts) and those in `trusted` (empty or size
-/// m); certificates have no false positives, and keeping an honest value
-/// only keeps the centroid inside the honest hull.  Views with no slack
-/// beyond the certificates (e.g. m = 2t + 1 with a one-point core) and
-/// degenerate views (m <= d + 1: a simplex with no interior, where
-/// geometry cannot separate a forged vertex from an honest one) degrade
-/// to the certified-honest average — valid, if contraction-free — when a
-/// certificate exists (core::VectorAaProcess always trusts its own
-/// entry, so through the protocol the core is never empty; with no
-/// certificate at all the geometric drop below is the only signal left and
-/// a degenerate view CAN retain a forged vertex).  Far-
-/// outside and corner-steering attackers top the two geometric scores, so
-/// the <= t attacker points survive only when 2t honest points look MORE
-/// suspicious.  A convex combination of the kept points; the deterministic
-/// fallback of safe_midpoint.
-std::vector<double> trimmed_centroid(std::span<const std::vector<double>> points,
-                                     std::uint32_t t, TrustedMask trusted = {});
-
 /// Result of the safe-area averaging rule.
 struct SafePoint {
   std::vector<double> point;
-  /// Verified robustness of `point` (t = certified).
-  std::uint32_t level = 0;
-  /// True when level == t: the point is certified convex-safe — an average
-  /// of safe-area points and/or (t+1)-supported honest echoes of the view.
+  /// True when the point is certified convex-safe — an average of
+  /// safe-area points and/or (t+1)-supported honest echoes of the view;
+  /// false for the certified-honest-core fallback.
   bool exact = false;
 };
 
@@ -220,8 +189,10 @@ struct SafePoint {
 /// returns its midpoint.  t = 0 returns the centroid (the safe area is
 /// conv(V) itself).  Otherwise: average of the certified points — the
 /// (t+1)-supported honest echoes of the view (support_counts) plus the
-/// safe-area points among the deterministic candidates — falling back to
-/// trimmed_centroid with its measured robustness when nothing certifies.
+/// deterministic candidates whose removal_robustness is t — falling back,
+/// when nothing certifies, to the centroid of the certified-honest core:
+/// the supported entries and those marked in `trusted` (the whole view when
+/// both are empty).
 SafePoint safe_midpoint(std::span<const std::vector<double>> points,
                         std::uint32_t t, const SafeAreaOptions& opts = {},
                         TrustedMask trusted = {});
