@@ -47,7 +47,11 @@ bool replay_file(const std::filesystem::path& path) {
 }
 
 int smoke(std::uint64_t iters, std::uint64_t seed) {
-  ::apxa::fuzz::random_smoke(&run_one, iters, seed, 513);
+  if (!::apxa::fuzz::random_smoke(&run_one, iters, seed, 513)) {
+    std::fprintf(stderr, "%s: an input returned nonzero\n",
+                 APXA_FUZZ_TARGET_NAME);
+    return 1;
+  }
   std::printf("%s: smoke ok (%llu inputs, seed %llu)\n", APXA_FUZZ_TARGET_NAME,
               static_cast<unsigned long long>(iters),
               static_cast<unsigned long long>(seed));
