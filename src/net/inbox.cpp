@@ -1,7 +1,6 @@
 #include "net/inbox.hpp"
 
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -22,6 +21,7 @@ Inbox::Inbox(Outbox& out, const double* clock)
       output_time_(params_.n),
       done_flag_(params_.n) {
   for (auto& t : output_time_) t.store(kInf, std::memory_order_relaxed);
+  out_.set_crash_listener([this] { wake(); });
 }
 
 void Inbox::add_process(ProcessId id, std::unique_ptr<Process> p) {
@@ -120,7 +120,15 @@ void Inbox::settle(ProcessId p) {
   if (!is_correct(p) || done_flag_[p].load(std::memory_order_relaxed)) return;
   if (done_ ? done_(proc) : has_output_time(p)) {
     done_flag_[p].store(true, std::memory_order_relaxed);
+    wake();
   }
+}
+
+void Inbox::wake() {
+  // Taking the lock after the flag store means await_done either scans after
+  // it or is already waiting when the notify comes: no lost wake-up.
+  { std::scoped_lock lock(wake_mu_); }
+  wake_cv_.notify_one();
 }
 
 bool Inbox::all_done() {
@@ -135,11 +143,8 @@ bool Inbox::all_done() {
 }
 
 bool Inbox::await_done(std::chrono::steady_clock::time_point deadline) {
-  for (;;) {
-    if (all_done()) return true;
-    if (std::chrono::steady_clock::now() >= deadline) return all_done();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
+  std::unique_lock lock(wake_mu_);
+  return wake_cv_.wait_until(lock, deadline, [this] { return all_done(); });
 }
 
 bool Inbox::has_output_time(ProcessId p) const {

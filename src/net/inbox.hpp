@@ -23,16 +23,21 @@
 // done flag — is written only by the thread running p, right after p's own
 // upcalls (the own-upcall contract of net/process.hpp), so delivery takes no
 // lock.  Output times and done flags are relaxed atomics: the one
-// coordinating thread polls the flags through all_done() and publishes
+// coordinating thread reads the flags through all_done() and publishes
 // nothing through them; it reads outputs and times only after the workers
-// joined.
+// joined.  It sleeps in await_done() until a party stops blocking: a done
+// flag latching and a first crash (any thread, through the Outbox's crash
+// listener) each wake it once, so a run costs at most one wake per party
+// and nothing per delivery.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -98,10 +103,11 @@ class Inbox {
   /// that stops blocking never blocks again, so the scan resumes at the
   /// last blocker: O(n) per run, not per call.  One thread only.
   [[nodiscard]] bool all_done();
-  /// Poll all_done() every 2 ms until it holds or `deadline` passed; it is
-  /// checked once more at the deadline, so a run that finishes during the
-  /// last interval is not reported as timed out.  The coordinating thread
-  /// of a threaded transport, while the workers run.
+  /// Block until all_done() holds (true) or `deadline` passed (false; it is
+  /// checked once more at the deadline).  The scan re-runs each time a party
+  /// stops blocking: settle() latching its done flag, or its first crash
+  /// from any thread.  The coordinating thread of a threaded transport,
+  /// while the workers run.
   [[nodiscard]] bool await_done(std::chrono::steady_clock::time_point deadline);
 
   /// Neither crashed nor marked byzantine.
@@ -125,6 +131,8 @@ class Inbox {
   [[nodiscard]] double stamp() const { return clock_ ? *clock_ : 0.0; }
   /// Virtual time, or wall seconds since start_clock().
   [[nodiscard]] double now() const;
+  /// Wake await_done(): a party stopped blocking.  Any thread.
+  void wake();
 
   SystemParams params_;
   Outbox& out_;
@@ -137,6 +145,8 @@ class Inbox {
   std::vector<std::atomic<bool>> done_flag_;
   DoneProbe done_;
   ProcessId done_scan_ = 0;  // first possibly-blocking party
+  std::mutex wake_mu_;          // orders a wake against await_done's scan
+  std::condition_variable wake_cv_;
   obs::TraceSink* trace_ = nullptr;
 };
 

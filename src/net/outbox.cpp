@@ -30,6 +30,12 @@ Outbox::Outbox(SystemParams params, Wire wire)
   for (Slot& s : slots_) s.m.reset(params_.n);
 }
 
+void Outbox::crash(ProcessId p) {
+  if (!crashed_[p].exchange(true, std::memory_order_relaxed) && crash_listener_) {
+    crash_listener_();
+  }
+}
+
 void Outbox::crash_after_sends(ProcessId p, std::uint64_t count) {
   APXA_ENSURE(p < params_.n, "crash id out of range");
   send_limit_[p] = count;

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -51,14 +52,21 @@ class Outbox {
 
   [[nodiscard]] SystemParams params() const { return params_; }
 
-  /// Crash `p` now: its later sends count as drops.  Any thread.
-  void crash(ProcessId p) { crashed_[p].store(true, std::memory_order_relaxed); }
+  /// Crash `p` now: its later sends count as drops.  Any thread.  The first
+  /// crash of `p` calls the crash listener.
+  void crash(ProcessId p);
   [[nodiscard]] bool crashed(ProcessId p) const {
     return crashed_[p].load(std::memory_order_relaxed);
   }
   /// Crash `p` immediately before its (count+1)-th logical send; at once if
   /// it already made `count`.
   void crash_after_sends(ProcessId p, std::uint64_t count);
+  /// Called once per crashed party, on the crashing thread, right after its
+  /// flag is set (net::Inbox wakes its completion waiter with it).  Before
+  /// the run.
+  void set_crash_listener(std::function<void()> listener) {
+    crash_listener_ = std::move(listener);
+  }
   /// Receiver order of p's multicasts (other parties only).
   void set_multicast_order(ProcessId p, std::vector<ProcessId> order);
   /// Per-destination batching at `max_frames` <= kMaxBatchFrames per packet.
@@ -98,6 +106,7 @@ class Outbox {
   SystemParams params_;
   Wire wire_;
   std::vector<std::atomic<bool>> crashed_;
+  std::function<void()> crash_listener_;
   std::vector<std::uint64_t> sends_made_;
   std::vector<std::uint64_t> send_limit_;  // kNoLimit if none
   std::vector<std::vector<ProcessId>> multicast_order_;

@@ -31,8 +31,9 @@ SocketNetwork::SocketNetwork(SystemParams params)
 
 SocketNetwork::~SocketNetwork() {
   for (auto& th : threads_) th.request_stop();
-  // jthread joins on destruction; party loops poll their stop token at
-  // millisecond granularity.
+  // The wake cuts every party's ppoll short; the jthreads join on
+  // destruction, before stop_wake_ (declared earlier) closes.
+  stop_wake_.signal();
 }
 
 void SocketNetwork::add_process(std::unique_ptr<net::Process> p) {
@@ -161,7 +162,7 @@ void SocketNetwork::emit_datagram(ProcessId from, ProcessId to, Bytes dgram,
 
 void SocketNetwork::pump_socket(ProcessId p, std::uint32_t wait_us) {
   Party& me = parties_[p];
-  if (wait_us > 0) me.sock.wait_readable(wait_us);
+  if (wait_us > 0) me.sock.wait_readable(wait_us, stop_wake_.fd());
   netio::UdpAddress src_addr;
   while (const auto size = me.sock.recv_into(me.rx, src_addr)) {
     const auto it = port_to_id_.find(src_addr.port);
@@ -238,7 +239,8 @@ void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
   }
   while (!st.stop_requested()) {
     // Wait until the earliest timer (retransmit deadline or shim release) or
-    // at most 1 ms; incoming datagrams cut the wait short via ppoll().
+    // at most 1 ms; incoming datagrams and the stop wake cut the wait short
+    // via ppoll().
     std::uint32_t wait_us = 1'000;
     const auto now = Clock::now();
     auto earliest = Clock::time_point::max();
@@ -327,6 +329,7 @@ bool SocketNetwork::run(std::chrono::milliseconds timeout, net::DoneProbe done) 
   }
 
   for (auto& th : threads_) th.request_stop();
+  stop_wake_.signal();
   for (auto& th : threads_) {
     if (th.joinable()) th.join();
   }

@@ -208,6 +208,9 @@ class SocketNetwork final {
   net::Outbox outbox_;
   net::Inbox inbox_;
   std::vector<std::atomic<std::uint64_t>> unacked_now_;  // per local party
+  /// Signalled right after request_stop(); in every party's ppoll set.
+  /// Declared before threads_, so it closes only after they joined.
+  netio::WakeFd stop_wake_;
   std::vector<std::jthread> threads_;
   std::atomic<bool> started_{false};
   obs::TraceSink* trace_ = nullptr;

@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,17 +97,18 @@ std::optional<std::size_t> UdpSocket::recv_into(std::span<std::byte> buf,
   return static_cast<std::size_t>(got);
 }
 
-bool UdpSocket::wait_readable(std::uint32_t timeout_us) {
+bool UdpSocket::wait_readable(std::uint32_t timeout_us, int wake_fd) {
   APXA_ENSURE(fd_ >= 0, "wait on unbound socket");
-  pollfd pfd{fd_, POLLIN, 0};
+  // ppoll ignores an entry whose fd is negative.
+  pollfd pfd[2]{{fd_, POLLIN, 0}, {wake_fd, POLLIN, 0}};
   // ppoll() takes a timespec: the retransmit timers run at tens of
   // microseconds, which poll()'s millisecond timeout would round to 0 (a
   // busy spin).
   const timespec timeout{static_cast<time_t>(timeout_us / 1'000'000),
                          static_cast<long>(timeout_us % 1'000'000) * 1'000};
   ++counts_.waits;
-  const int rc = ::ppoll(&pfd, 1, &timeout, nullptr);
-  return rc > 0 && (pfd.revents & POLLIN) != 0;
+  const int rc = ::ppoll(pfd, 2, &timeout, nullptr);
+  return rc > 0 && (pfd[0].revents & POLLIN) != 0;
 }
 
 void UdpSocket::close() {
@@ -115,6 +117,18 @@ void UdpSocket::close() {
     fd_ = -1;
     port_ = 0;
   }
+}
+
+WakeFd::WakeFd() : fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  APXA_ENSURE(fd_ >= 0, "eventfd() failed");
+}
+
+WakeFd::~WakeFd() { ::close(fd_); }
+
+void WakeFd::signal() {
+  const std::uint64_t one = 1;
+  // Cannot fail short of counter overflow, which would take 2^64 - 1 signals.
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof(one));
 }
 
 }  // namespace apxa::netio

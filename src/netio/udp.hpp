@@ -7,10 +7,10 @@
 // examples/socket_party, where peers must be addressable without a
 // rendezvous service.
 //
-// This is the only file in the library that talks to BSD sockets; everything
-// above it (perfect link, fault shim, SocketNetwork) moves bytes through
-// this interface, which is what keeps the retransmission logic testable
-// without a network.
+// This is the only file in the library that talks to BSD sockets (and to
+// the eventfd a stop wakes their waits with); everything above it (perfect
+// link, fault shim, SocketNetwork) moves bytes through this interface, which
+// is what keeps the retransmission logic testable without a network.
 #pragma once
 
 #include <cstddef>
@@ -70,10 +70,11 @@ class UdpSocket {
   std::optional<std::size_t> recv_into(std::span<std::byte> buf,
                                        UdpAddress& from);
 
-  /// Block until the socket is readable or `timeout_us` elapsed (0 = just
-  /// poll), to the microsecond: sub-millisecond timer waits sleep rather
-  /// than spin.  Returns true when readable.
-  bool wait_readable(std::uint32_t timeout_us);
+  /// Block until the socket is readable, `wake_fd` (a WakeFd's fd(); -1 =
+  /// none) is readable, or `timeout_us` elapsed (0 = just poll), to the
+  /// microsecond: sub-millisecond timer waits sleep rather than spin.
+  /// Returns true when the socket is readable.
+  bool wait_readable(std::uint32_t timeout_us, int wake_fd = -1);
 
   void close();
 
@@ -84,6 +85,26 @@ class UdpSocket {
   int fd_ = -1;
   std::uint16_t port_ = 0;
   WireCounts counts_;
+};
+
+/// A descriptor that becomes readable at signal() and stays readable (an
+/// eventfd that is never read): waiters pass fd() to wait_readable, so one
+/// signal cuts every current and later wait short.  SocketNetwork signals
+/// it on stop, so its party threads join without waiting out a timer.
+class WakeFd {
+ public:
+  /// Throws std::invalid_argument when no descriptor is left.
+  WakeFd();
+  ~WakeFd();
+  WakeFd(const WakeFd&) = delete;
+  WakeFd& operator=(const WakeFd&) = delete;
+
+  /// Make fd() readable for good.  Any thread.
+  void signal();
+  [[nodiscard]] int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
 };
 
 }  // namespace apxa::netio

@@ -28,12 +28,12 @@
 // send tracing; semantics as on the simulator), whose wire here pushes a
 // packet into the receiver's mailbox and claims it.  Deliveries, output
 // times and done latches go through net::Inbox, whose per-party state the
-// worker running the party writes; the coordinator in run() only polls
-// Inbox::all_done(), and outputs are read from the Inbox once run()
-// returned.  Metrics go to the Outbox's per-party slots, so neither sends
-// nor deliveries take a lock for accounting.  crash(p) drops p's future
-// sends and deliveries at once; mark_byzantine(p) is bookkeeping (see
-// net::Inbox).
+// worker running the party writes; the coordinator in run() only sleeps in
+// Inbox::await_done(), which wakes it when a party stops blocking, and
+// outputs are read from the Inbox once run() returned.  Metrics go to the
+// Outbox's per-party slots, so neither sends nor deliveries take a lock for
+// accounting.  crash(p) drops p's future sends and deliveries at once;
+// mark_byzantine(p) is bookkeeping (see net::Inbox).
 #pragma once
 
 #include <atomic>

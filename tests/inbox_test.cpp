@@ -1,15 +1,19 @@
 // net::Inbox, the receive path every transport shares: packet delivery and
 // its trace, output-time capture, latched done flags with the resumable
-// all-done scan, and the correct-party accessors.  Driven directly, with an
-// Outbox whose wire drops every packet, so each case controls exactly which
-// upcalls run and when the clock moves.
+// all-done scan and the completion wait, and the correct-party accessors.
+// Driven directly, with an Outbox whose wire drops every packet, so each case
+// controls exactly which upcalls run and when the clock moves.  The
+// completion-wait cases unblock the waiter from a second thread and assert
+// only verdicts, never elapsed times.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +26,9 @@ namespace apxa::net {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+using namespace std::chrono_literals;
+using Clock = std::chrono::steady_clock;
 
 /// Decides the first value it hears (a one-byte payload) and counts the
 /// upcalls it gets.
@@ -184,6 +191,46 @@ TEST(Inbox, ProbeSeesOnlyCorrectPartiesAndLatches) {
   // Latched parties are not probed again.
   t.in.deliver(1, 0, byte(1), std::nullopt);
   EXPECT_EQ(probes, 4);
+}
+
+/// Three started parties of which 0 and 1 have output: party 2 blocks.
+void block_on_party_2(Table& t) {
+  t.in.set_done({});
+  for (ProcessId p = 0; p < 3; ++p) t.in.start(p);
+  t.in.deliver(1, 0, byte(5), std::nullopt);
+  t.in.deliver(0, 1, byte(6), std::nullopt);
+}
+
+TEST(Inbox, AwaitDoneWakesOnLastLatch) {
+  Table t({3, 1});
+  block_on_party_2(t);
+  ASSERT_FALSE(t.in.all_done());
+  // The second thread runs party 2: its delivery settles it, latching the
+  // last done flag.
+  std::jthread last([&t] { t.in.deliver(0, 2, byte(7), std::nullopt); });
+  EXPECT_TRUE(t.in.await_done(Clock::now() + 60s));
+  last.join();
+  EXPECT_EQ(t.in.correct_outputs(), (std::vector<double>{5.0, 6.0, 7.0}));
+}
+
+TEST(Inbox, AwaitDoneWakesWhenLastBlockerCrashes) {
+  Table t({3, 1});
+  block_on_party_2(t);
+  ASSERT_FALSE(t.in.all_done());
+  std::jthread crasher([&t] { t.out.crash(2); });
+  EXPECT_TRUE(t.in.await_done(Clock::now() + 60s));
+  crasher.join();
+  EXPECT_FALSE(t.in.is_correct(2));
+  EXPECT_EQ(t.in.correct_outputs(), (std::vector<double>{5.0, 6.0}));
+}
+
+TEST(Inbox, AwaitDoneReturnsFalseAtDeadline) {
+  Table t({3, 1});
+  block_on_party_2(t);
+  EXPECT_FALSE(t.in.await_done(Clock::now() + 1ms));
+  // At a deadline already passed the scan still runs once.
+  t.in.deliver(0, 2, byte(7), std::nullopt);
+  EXPECT_TRUE(t.in.await_done(Clock::now() - 1s));
 }
 
 TEST(Inbox, OneDeliverEventPerPacketWithFrameCount) {

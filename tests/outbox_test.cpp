@@ -209,6 +209,19 @@ TEST(Outbox, BudgetCrashesRightAfterItsLastSend) {
   EXPECT_EQ(rec.out.metrics().messages_dropped, 1u);
 }
 
+TEST(Outbox, CrashListenerFiresOncePerParty) {
+  Recorder rec(4);
+  int calls = 0;
+  rec.out.set_crash_listener([&calls] { ++calls; });
+  rec.out.crash(1);
+  rec.out.crash(1);
+  EXPECT_EQ(calls, 1);
+  rec.out.crash_after_sends(2, 1);  // the budget runs out mid-multicast
+  rec.out.multicast(2, Payload(frame(0)));
+  rec.out.multicast(2, Payload(frame(0)));
+  EXPECT_EQ(calls, 2);
+}
+
 TEST(Outbox, BatchesFlushPerReceiverInIdOrder) {
   Recorder rec(4);
   rec.out.enable_batching(3);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/async_byz.hpp"
@@ -671,6 +673,45 @@ TEST(SocketNet, CrashAfterSendsCountsLogicalSends) {
   EXPECT_EQ(net.metrics().sent_by[4], 4u);
   const auto outs = net.inbox().correct_outputs();
   EXPECT_EQ(outs.size(), kP.n - 1);
+}
+
+/// A party that never sends and never outputs.
+class InertProcess final : public net::Process {
+ public:
+  void on_start(net::Context&) override {}
+  void on_message(net::Context&, ProcessId, BytesView) override {}
+};
+
+TEST(SocketNet, ExternalCrashOfLastBlockerEndsRun) {
+  rt::SocketNetwork net(kP);
+  for (ProcessId i = 0; i + 1 < kP.n; ++i) {
+    net.add_process(std::make_unique<core::RoundAaProcess>(
+        core::crash_aa_config(kP, static_cast<double>(i), kRounds)));
+  }
+  net.add_process(std::make_unique<InertProcess>());  // correct, never outputs
+  // Each honest party counts once, when its probe first holds (a latched
+  // party is never probed again); then party 4 alone blocks, and another
+  // thread crashes it while run() waits.
+  constexpr int kHonest = kP.n - 1;
+  std::atomic<int> honest_done{0};
+  std::jthread crasher([&] {
+    for (int seen = 0; seen < kHonest; seen = honest_done.load()) {
+      honest_done.wait(seen);
+    }
+    net.crash(kP.n - 1);
+  });
+  const bool completed = net.run(60'000ms, [&](const net::Process& proc) {
+    if (!proc.has_output()) return false;
+    ++honest_done;
+    honest_done.notify_one();
+    return true;
+  });
+  honest_done = kHonest;  // releases the crasher if run() timed out
+  honest_done.notify_one();
+  crasher.join();
+  ASSERT_TRUE(completed);
+  EXPECT_FALSE(net.inbox().is_correct(kP.n - 1));
+  EXPECT_EQ(net.inbox().correct_outputs().size(), kP.n - 1);
 }
 
 TEST(SocketNet, LinkStateSnapshotCoversEveryLocalParty) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <thread>
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
@@ -227,13 +229,45 @@ TEST(ThreadNet, CrashAfterZeroSendsIsStartupCrash) {
 }
 
 namespace {
-/// A party that never sends and never outputs (for byzantine bookkeeping).
+/// A party that never sends and never outputs.
 class InertProcess final : public net::Process {
  public:
   void on_start(net::Context&) override {}
   void on_message(net::Context&, ProcessId, BytesView) override {}
 };
 }  // namespace
+
+TEST(ThreadNet, ExternalCrashOfLastBlockerEndsRun) {
+  const SystemParams p{4, 1};
+  ThreadNetwork net(p);
+  for (ProcessId i = 0; i + 1 < p.n; ++i) {
+    net.add_process(std::make_unique<core::RoundAaProcess>(
+        core::crash_aa_config(p, static_cast<double>(i), 3)));
+  }
+  net.add_process(std::make_unique<InertProcess>());  // correct, never outputs
+  // Each honest party counts once, when its probe first holds (a latched
+  // party is never probed again); then party 3 alone blocks, and another
+  // thread crashes it while run() waits.
+  std::atomic<int> honest_done{0};
+  std::jthread crasher([&] {
+    for (int seen = 0; seen < 3; seen = honest_done.load()) {
+      honest_done.wait(seen);
+    }
+    net.crash(3);
+  });
+  const bool completed = net.run(60s, [&honest_done](const net::Process& proc) {
+    if (!proc.has_output()) return false;
+    ++honest_done;
+    honest_done.notify_one();
+    return true;
+  });
+  honest_done = 3;  // releases the crasher if run() timed out
+  honest_done.notify_one();
+  crasher.join();
+  ASSERT_TRUE(completed);
+  EXPECT_FALSE(net.inbox().is_correct(3));
+  EXPECT_EQ(net.inbox().correct_outputs().size(), 3u);
+}
 
 TEST(ThreadNet, ByzantinePartyExcludedFromCompletionWait) {
   const SystemParams p{4, 1};
