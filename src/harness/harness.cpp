@@ -1,7 +1,6 @@
 #include "harness/harness.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "common/ensure.hpp"
@@ -78,18 +77,15 @@ std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
 RunReport execute(const RunConfig& cfg, exec::Backend& backend,
                   const ProcessSubstitute& substitute) {
   // Trace: values at round entry, per party.  Worker threads of the threaded
-  // backend invoke the hook concurrently, hence the mutex (uncontended and
-  // irrelevant for timing on the simulator).
+  // backend invoke the hook concurrently, each for its own parties, which
+  // RoundTrace keeps apart.
   RoundTrace<double> trace(cfg.params.n, trace_rounds(cfg));
-  std::mutex trace_mu;
   obs::TraceSink* sink = cfg.trace;
-  core::TraceFn trace_fn = [&trace, &trace_mu, sink](ProcessId p, Round r,
-                                                     double v) {
+  core::TraceFn trace_fn = [&trace, sink](ProcessId p, Round r, double v) {
     if (sink) {
       sink->record(obs::EventKind::kRoundAdvance, p, 0,
                    static_cast<std::int64_t>(r), v, 0.0);
     }
-    std::scoped_lock lock(trace_mu);
     trace.record(p, r, v);
   };
 
@@ -158,18 +154,15 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend,
   // as the scalar trace (worker threads of the threaded backend invoke the
   // hook concurrently).
   RoundTrace<std::vector<double>> trace(cfg.params.n, trace_rounds(cfg));
-  std::mutex trace_mu;
   obs::TraceSink* sink = cfg.trace;
-  core::VecTraceFn trace_fn = [&trace, &trace_mu, sink](
-                                  ProcessId p, Round r,
-                                  const std::vector<double>& v) {
+  core::VecTraceFn trace_fn = [&trace, sink](ProcessId p, Round r,
+                                             const std::vector<double>& v) {
     if (sink) {
       // Scalar slot carries the first coordinate — enough to follow a
       // party's trajectory in a trace viewer without widening the event.
       sink->record(obs::EventKind::kRoundAdvance, p, 0,
                    static_cast<std::int64_t>(r), v.empty() ? 0.0 : v[0], 0.0);
     }
-    std::scoped_lock lock(trace_mu);
     trace.record(p, r, v);
   };
 
@@ -177,12 +170,10 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend,
   // contained, for the view-overlap verdict.
   RoundTrace<std::vector<core::CollectEntry>> views(cfg.params.n,
                                                     trace_rounds(cfg));
-  core::ViewTraceFn view_fn =
-      [&views, &trace_mu](ProcessId p, Round r,
-                          const std::vector<core::CollectEntry>& view) {
-        std::scoped_lock lock(trace_mu);
-        views.record(p, r, view);
-      };
+  core::ViewTraceFn view_fn = [&views](ProcessId p, Round r,
+                                      const std::vector<core::CollectEntry>& view) {
+    views.record(p, r, view);
+  };
 
   backend.set_trace(cfg.trace);
   stage(cfg, trace_fn, backend, view_fn, substitute);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/collect.hpp"
@@ -21,45 +22,41 @@
 
 namespace apxa::harness {
 
-/// A run's per-round records: a flat [round x party] table of `Value` (the
-/// round-entry double or point, or a vector run's frozen view).  Sized up
-/// front from the config's round bound (trace_rounds), so recording a scalar
-/// allocates nothing unless a run outlives the bound (kLive horizons watched
-/// from outside); the table then doubles.  Shared by execute() and Session.
+/// A run's per-round records of `Value` (the round-entry double or point, or
+/// a vector run's frozen view), one column of rounds per party.  Columns are
+/// sized up front from the config's round bound (trace_rounds), so recording
+/// a scalar allocates nothing unless a run outlives the bound (kLive horizons
+/// watched from outside); that party's column then doubles.  record(p, ...)
+/// touches only party p's column, so the threads running different parties
+/// record without a lock; read the trace once they are done.  Shared by
+/// execute() and Session.
 template <typename Value>
 class RoundTrace {
  public:
   RoundTrace() = default;
   RoundTrace(std::uint32_t n, Round rounds)
-      : n_(n), values_(static_cast<std::size_t>(rounds) * n), set_(values_.size()) {}
+      : cols_(n, std::vector<std::optional<Value>>(rounds)) {}
 
   /// Party p entered round r holding v (a later record overwrites).
   void record(ProcessId p, Round r, const Value& v) {
-    const std::size_t i = static_cast<std::size_t>(r) * n_ + p;
-    if (i >= values_.size()) {
-      const std::size_t size = std::max(i + n_ - p, 2 * values_.size());
-      values_.resize(size);
-      set_.resize(size);
-    }
-    values_[i] = v;
-    set_[i] = 1;
+    auto& col = cols_[p];
+    if (r >= col.size()) col.resize(std::max<std::size_t>(r + 1, 2 * col.size()));
+    col[r] = v;
   }
 
   /// Rows held (every recorded round is below this).
   [[nodiscard]] Round rounds() const {
-    return n_ == 0 ? 0 : static_cast<Round>(values_.size() / n_);
+    std::size_t rows = 0;
+    for (const auto& col : cols_) rows = std::max(rows, col.size());
+    return static_cast<Round>(rows);
   }
   [[nodiscard]] bool has(Round r, ProcessId p) const {
-    return set_[static_cast<std::size_t>(r) * n_ + p] != 0;
+    return r < cols_[p].size() && cols_[p][r].has_value();
   }
-  [[nodiscard]] const Value& at(Round r, ProcessId p) const {
-    return values_[static_cast<std::size_t>(r) * n_ + p];
-  }
+  [[nodiscard]] const Value& at(Round r, ProcessId p) const { return *cols_[p][r]; }
 
  private:
-  std::uint32_t n_ = 0;
-  std::vector<Value> values_;      // [round * n + party]
-  std::vector<std::uint8_t> set_;  // parallel: 1 once recorded
+  std::vector<std::vector<std::optional<Value>>> cols_;  // [party][round]
 };
 
 /// Rows a run's trace needs: round-entry values run from round 0 to the

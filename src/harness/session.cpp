@@ -3,7 +3,6 @@
 #include <chrono>
 #include <functional>
 #include <limits>
-#include <mutex>
 #include <utility>
 
 #include "common/ensure.hpp"
@@ -142,41 +141,36 @@ SessionReport Session::run() {
   }
 
   // NOTE: everything routers reference (traces, rows, clock) is declared
-  // BEFORE the backend so it outlives the transport's worker threads.
+  // BEFORE the backend so it outlives the transport's worker threads.  Party
+  // p's sub-processes record only into party p's column of each trace, from
+  // the thread running p, so the hooks take no lock.
   std::vector<RoundTrace<double>> straces(K);
   std::vector<RoundTrace<std::vector<double>>> vtraces(K);
   std::vector<RoundTrace<std::vector<core::CollectEntry>>> viewtraces(K);
-  std::mutex trace_mu;
 
   std::vector<std::vector<std::unique_ptr<net::Process>>> rows(K);
   for (std::size_t i = 0; i < K; ++i) {
     // Traces are sized to the instance's round bound here, so recording a
-    // scalar under the lock never allocates.
+    // scalar never allocates.
     if (instances_[i].scalar) {
       straces[i] = RoundTrace<double>(n, trace_rounds(*instances_[i].scalar));
-      core::TraceFn fn = [&straces, &trace_mu, i](ProcessId p, Round r,
-                                                  double v) {
-        std::scoped_lock lock(trace_mu);
-        straces[i].record(p, r, v);
+      core::TraceFn fn = [&trace = straces[i]](ProcessId p, Round r, double v) {
+        trace.record(p, r, v);
       };
       rows[i] = build_processes(*instances_[i].scalar, fn);
     } else {
       const Round rounds = trace_rounds(*instances_[i].vec);
       vtraces[i] = RoundTrace<std::vector<double>>(n, rounds);
       viewtraces[i] = RoundTrace<std::vector<core::CollectEntry>>(n, rounds);
-      core::VecTraceFn fn = [&vtraces, &trace_mu, i](
-                                ProcessId p, Round r,
-                                const std::vector<double>& v) {
-        std::scoped_lock lock(trace_mu);
-        vtraces[i].record(p, r, v);
+      core::VecTraceFn fn = [&trace = vtraces[i]](ProcessId p, Round r,
+                                                 const std::vector<double>& v) {
+        trace.record(p, r, v);
       };
-      core::ViewTraceFn vfn =
-          [&viewtraces, &trace_mu, i](
-              ProcessId p, Round r,
-              const std::vector<core::CollectEntry>& view) {
-            std::scoped_lock lock(trace_mu);
-            viewtraces[i].record(p, r, view);
-          };
+      core::ViewTraceFn vfn = [&trace = viewtraces[i]](
+                                  ProcessId p, Round r,
+                                  const std::vector<core::CollectEntry>& view) {
+        trace.record(p, r, view);
+      };
       rows[i] = build_processes(*instances_[i].vec, fn, vfn);
     }
   }

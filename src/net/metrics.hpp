@@ -84,9 +84,10 @@ struct Metrics {
   }
 
   /// Account one physical send: one packet, its wire bytes, and one logical
-  /// message per batch frame it carries (per-sender, per-tag, per-round and
-  /// per-instance).  net::Outbox calls this on the sender's own slot, from
-  /// the thread running the sender.
+  /// message per batch frame it carries (per-tag, per-round, per-instance,
+  /// and per-sender if sent_by/bytes_by are sized).  net::Outbox calls this
+  /// on the sender's own slot, from the thread running the sender; a slot
+  /// leaves sent_by/bytes_by empty, and Outbox::metrics() fills them.
   void note_send(ProcessId from, std::span<const std::byte> payload);
 
   /// Add `o`'s counts to these, field by field: the sum of per-party slots

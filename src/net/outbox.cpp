@@ -23,12 +23,9 @@ Outbox::Outbox(SystemParams params, Wire wire)
     : params_(params),
       wire_(std::move(wire)),
       crashed_(params.n),
-      sends_made_(params.n, 0),
       send_limit_(params.n, kNoLimit),
       multicast_order_(params.n),
-      slots_(params.n) {
-  for (Slot& s : slots_) s.m.reset(params_.n);
-}
+      slots_(params.n) {}
 
 void Outbox::crash(ProcessId p) {
   if (!crashed_[p].exchange(true, std::memory_order_relaxed) && crash_listener_) {
@@ -39,7 +36,7 @@ void Outbox::crash(ProcessId p) {
 void Outbox::crash_after_sends(ProcessId p, std::uint64_t count) {
   APXA_ENSURE(p < params_.n, "crash id out of range");
   send_limit_[p] = count;
-  if (sends_made_[p] >= count) crash(p);
+  if (slots_[p].sends_made >= count) crash(p);
 }
 
 void Outbox::set_multicast_order(ProcessId p, std::vector<ProcessId> order) {
@@ -54,7 +51,7 @@ void Outbox::enable_batching(std::uint32_t max_frames) {
   APXA_ENSURE(max_frames >= 1 && max_frames <= kMaxBatchFrames,
               "batch cap must be in [1, kMaxBatchFrames]");
   max_batch_ = max_frames;
-  batch_buf_.assign(static_cast<std::size_t>(params_.n) * params_.n, {});
+  for (Slot& s : slots_) s.batch.assign(params_.n, {});
 }
 
 void Outbox::drop(ProcessId from, ProcessId to) {
@@ -66,7 +63,7 @@ void Outbox::note_crash(ProcessId p) {
   crash(p);
   if (trace_) {
     trace_->record(obs::EventKind::kCrash, p, p, -1,
-                   static_cast<double>(sends_made_[p]), now());
+                   static_cast<double>(slots_[p].sends_made), now());
   }
 }
 
@@ -76,13 +73,14 @@ void Outbox::send(ProcessId from, ProcessId to, Payload frame) {
     drop(from, to);
     return;
   }
-  if (sends_made_[from] >= send_limit_[from]) {
+  Slot& slot = slots_[from];
+  if (slot.sends_made >= send_limit_[from]) {
     // The crash fires exactly at this send: the message is lost.
     note_crash(from);
     drop(from, to);
     return;
   }
-  ++sends_made_[from];
+  ++slot.sends_made;
 
   // Batching buffers the LOGICAL frame per destination; the crash accounting
   // above already happened, so a crash firing on a later frame of the same
@@ -90,7 +88,7 @@ void Outbox::send(ProcessId from, ProcessId to, Payload frame) {
   // packets (byzantine forgeries) never nest — they go out as their own
   // packet and the receiver's total decoders reject them.
   if (max_batch_ > 0 && !frame.empty() && !detail::is_batch(frame)) {
-    auto& buf = batch_buf_[static_cast<std::size_t>(from) * params_.n + to];
+    auto& buf = slot.batch[to];
     buf.push_back(std::move(frame));
     if (buf.size() >= max_batch_) {
       Payload packet = encode_batch_payload(buf);
@@ -103,7 +101,7 @@ void Outbox::send(ProcessId from, ProcessId to, Payload frame) {
 
   // A budget that lands exactly on the new count takes effect now, so a
   // multicast in progress stops at this receiver.
-  if (sends_made_[from] >= send_limit_[from]) note_crash(from);
+  if (slot.sends_made >= send_limit_[from]) note_crash(from);
 }
 
 void Outbox::multicast(ProcessId from, const Payload& payload) {
@@ -121,7 +119,7 @@ void Outbox::flush(ProcessId from) {
   // Receiver-id order keeps flushes deterministic.  Pre-crash frames flush
   // even if `from` has since crashed: they were sent before the crash.
   for (ProcessId to = 0; to < params_.n; ++to) {
-    auto& buf = batch_buf_[static_cast<std::size_t>(from) * params_.n + to];
+    auto& buf = slots_[from].batch[to];
     if (buf.empty()) continue;
     Payload packet = buf.size() == 1 ? std::move(buf.front()) : encode_batch_payload(buf);
     buf.clear();
@@ -141,7 +139,12 @@ void Outbox::put(ProcessId from, ProcessId to, Payload packet) {
 Metrics Outbox::metrics() const {
   Metrics all;
   all.reset(params_.n);
-  for (const Slot& s : slots_) all.merge(s.m);
+  for (ProcessId p = 0; p < params_.n; ++p) {
+    const Metrics& m = slots_[p].m;
+    all.merge(m);
+    all.sent_by[p] = m.messages_sent;
+    all.bytes_by[p] = m.payload_bytes;
+  }
   return all;
 }
 

@@ -21,11 +21,14 @@
 // views of its frames.  The transport supplies only the Wire callback that
 // puts one packet on the wire: a heap push, a mailbox push, a link send.
 //
-// Threading: everything about party p — its budget, its batch buffers, its
-// metrics slot — is touched only by the thread running p (p's sends,
-// deliveries to p, p's retransmits), so the send path takes no lock.  Crash
-// flags are atomics, since crash(p) may come from any thread.  metrics()
-// merges the slots; on a threaded transport call it once the run ended.
+// Threading: every write of p's sends, deliveries to p and p's retransmits
+// lands in p's cache-line-aligned Slot — its send count, its batch buffers,
+// its metrics — and only the thread running p makes them, so the send path
+// takes no lock and parties on different cores share no written line.
+// Budgets and multicast orders are set before the run and only read during
+// it.  Crash flags are atomics, since crash(p) may come from any thread.
+// metrics() merges the slots; on a threaded transport call it once the run
+// ended.
 #pragma once
 
 #include <atomic>
@@ -87,15 +90,21 @@ class Outbox {
   /// Flush `from`'s batch buffers in receiver-id order (no-op unbatched).
   void flush(ProcessId from);
 
-  /// Party p's metrics slot; only the thread running p may write it.
+  /// Party p's metrics slot; only the thread running p may write it.  Its
+  /// sent_by/bytes_by stay empty: a slot's messages_sent and payload_bytes
+  /// are p's, and metrics() files them under p.
   [[nodiscard]] Metrics& metrics_of(ProcessId p) { return slots_[p].m; }
   /// All slots merged.
   [[nodiscard]] Metrics metrics() const;
 
  private:
-  /// Cache-line aligned so parties on different threads never share a line.
+  /// Everything one party's sends write.  Cache-line aligned so parties on
+  /// different threads never share a line; the send count sits right before
+  /// the metrics' scalar counters, so a send's counters fill one line.
   struct alignas(64) Slot {
+    std::uint64_t sends_made = 0;  // logical sends so far (crash budgets)
     Metrics m;
+    std::vector<std::vector<Payload>> batch;  // by receiver; empty unbatched
   };
 
   void put(ProcessId from, ProcessId to, Payload packet);
@@ -107,11 +116,9 @@ class Outbox {
   Wire wire_;
   std::vector<std::atomic<bool>> crashed_;
   std::function<void()> crash_listener_;
-  std::vector<std::uint64_t> sends_made_;
   std::vector<std::uint64_t> send_limit_;  // kNoLimit if none
   std::vector<std::vector<ProcessId>> multicast_order_;
   std::uint32_t max_batch_ = 0;            // 0 = batching off
-  std::vector<std::vector<Payload>> batch_buf_;  // [from * n + to]
   std::vector<Slot> slots_;
   obs::TraceSink* trace_ = nullptr;
   const double* clock_ = nullptr;

@@ -237,6 +237,9 @@ void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
     inbox_.start(p);
     flush_sends(p, st);
   }
+  // Last value stored in unacked_now_[p]; all n slots share one line, and
+  // only the linger loop reads them, so a pass stores only a change.
+  std::uint64_t stored_unacked = 0;
   while (!st.stop_requested()) {
     // Wait until the earliest timer (retransmit deadline or shim release) or
     // at most 1 ms; incoming datagrams and the stop wake cut the wait short
@@ -267,7 +270,10 @@ void SocketNetwork::party_loop(ProcessId p, std::stop_token st) {
     for (ProcessId q = 0; q < params_.n; ++q) {
       if (q != p) inflight += me.links[q].unacked();
     }
-    unacked_now_[p].store(inflight, std::memory_order_relaxed);
+    if (inflight != stored_unacked) {
+      stored_unacked = inflight;
+      unacked_now_[p].store(inflight, std::memory_order_relaxed);
+    }
   }
 }
 

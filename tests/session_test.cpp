@@ -8,11 +8,15 @@
 //  - batching changes packets, never logical counts or verdicts, and packs
 //    >= 2 msgs/packet at service scale (the CI gate's invariant);
 //  - session-level crash budgets count LOGICAL sends across instances;
+//  - the threads running different parties record round traces without a
+//    lock, and no record is lost;
 //  - the multiplexing constraints are enforced.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/async_byz.hpp"
 #include "harness/harness.hpp"
@@ -325,6 +329,88 @@ TEST(Session, ThreadAndSocketBackendsReachSameVerdicts) {
       EXPECT_EQ(rep.scalar_reports[i]->agreement_ok,
                 sim.scalar_reports[i]->agreement_ok);
       EXPECT_EQ(rep.metrics.messages_sent, sim.metrics.messages_sent);
+    }
+  }
+}
+
+TEST(RoundTrace, PartiesRecordConcurrentlyPastTheBound) {
+  // One thread per party records its own rounds, skipping some, overwriting
+  // one and running past the pre-sized bound by a different margin per
+  // party, so every column grows on its own thread.  The result must match
+  // the same records made serially.
+  constexpr std::uint32_t kParties = 4;
+  constexpr Round kBound = 8;
+  const auto record_party = [](RoundTrace<std::vector<double>>& trace,
+                               ProcessId p) {
+    for (Round r = 0; r < kBound * 3 + 7 * p; ++r) {
+      if (r % (p + 2) == 1) continue;
+      trace.record(p, r, {static_cast<double>(p), static_cast<double>(r)});
+    }
+    trace.record(p, 2, {-1.0, static_cast<double>(p)});
+  };
+  RoundTrace<std::vector<double>> serial(kParties, kBound);
+  for (ProcessId p = 0; p < kParties; ++p) record_party(serial, p);
+
+  RoundTrace<std::vector<double>> parallel(kParties, kBound);
+  {
+    std::vector<std::jthread> threads;
+    for (ProcessId p = 0; p < kParties; ++p) {
+      threads.emplace_back([&parallel, &record_party, p] { record_party(parallel, p); });
+    }
+  }
+
+  ASSERT_EQ(parallel.rounds(), serial.rounds());
+  EXPECT_GE(parallel.rounds(), kBound * 3 + 7 * (kParties - 1));
+  for (Round r = 0; r < serial.rounds(); ++r) {
+    for (ProcessId p = 0; p < kParties; ++p) {
+      ASSERT_EQ(parallel.has(r, p), serial.has(r, p)) << "r=" << r << " p=" << p;
+      if (serial.has(r, p)) {
+        EXPECT_EQ(parallel.at(r, p), serial.at(r, p));
+      }
+    }
+  }
+  EXPECT_FALSE(parallel.has(1, 0));
+  EXPECT_EQ(parallel.at(2, 3), (std::vector<double>{-1.0, 3.0}));
+}
+
+TEST(Session, ThreadedSessionLosesNoRoundRecord) {
+  // Every party of every instance records every round on the sharded
+  // threads, with no lock between them: each instance's spread trace must
+  // hold every round from 0 to its bound.
+  constexpr Round kRounds = 5;
+  SessionOptions opts;
+  opts.batching = 8;
+  opts.shards = 4;
+  {
+    Session s(opts);
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      RunConfig cfg = scalar_cfg(4, 1, 0.01 * i, 1.0 + 0.01 * i, kRounds);
+      cfg.backend = BackendKind::kThread;
+      s.add(cfg);
+    }
+    const SessionReport rep = s.run();
+    EXPECT_TRUE(rep.all_output);
+    for (std::size_t i = 0; i < 64; ++i) {
+      ASSERT_TRUE(rep.scalar_reports[i].has_value());
+      EXPECT_EQ(rep.scalar_reports[i]->spread_by_round.size(), kRounds + 1) << i;
+      EXPECT_EQ(rep.scalar_reports[i]->max_round_reached, kRounds) << i;
+    }
+  }
+  {
+    Session s(opts);
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      VectorRunConfig cfg = vector_cfg(4, 1, kRounds);
+      cfg.backend = BackendKind::kThread;
+      s.add(cfg);
+    }
+    const SessionReport rep = s.run();
+    EXPECT_TRUE(rep.all_output);
+    for (std::size_t i = 0; i < 16; ++i) {
+      ASSERT_TRUE(rep.vector_reports[i].has_value());
+      const VectorRunReport& r = *rep.vector_reports[i];
+      EXPECT_EQ(r.linf_spread_by_round.size(), kRounds + 1) << i;
+      EXPECT_EQ(r.max_round_reached, kRounds) << i;
+      EXPECT_TRUE(r.view_overlap_measured) << i;
     }
   }
 }
