@@ -1,6 +1,7 @@
 #include "harness/harness.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/ensure.hpp"
@@ -28,12 +29,12 @@ void maybe_dump_flight(const obs::TraceSink* sink, const std::string& path,
                           obs::kDefaultFlightEventsPerParty, transport_state);
 }
 
-// The report fields every value domain fills the same way.
-void finalize_common(RunReportBase& rep, const exec::ExecResult& res,
-                     const net::Metrics& metrics) {
+// The report fields every value domain fills the same way.  The metrics are
+// not among them: execute() moves the run's into the report, and a session
+// keeps its one copy in SessionReport.
+void finalize_common(RunReportBase& rep, const exec::ExecResult& res) {
   rep.status = res.status;
   rep.all_output = res.all_correct_output;
-  rep.metrics = metrics;
   rep.exec_stats = res.exec_stats;
   for (ProcessId p = 0; p < res.correct.size(); ++p) {
     if (res.correct[p]) {
@@ -94,16 +95,18 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend,
 
   exec::ExecOptions opts = exec_options(cfg);
   opts.done = make_done_predicate(cfg);
-  const exec::ExecResult res = backend.run(opts);
-  return finalize(cfg, res, res.metrics, trace);
+  exec::ExecResult res = backend.run(opts);
+  RunReport rep = finalize(cfg, res, trace);
+  rep.metrics = std::move(res.metrics);
+  return rep;
 }
 
 RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
-                   const net::Metrics& metrics, const RoundTrace<double>& trace) {
+                   const RoundTrace<double>& trace) {
   const auto n = cfg.params.n;
   RunReport rep;
   rep.outputs = res.outputs;
-  finalize_common(rep, res, metrics);
+  finalize_common(rep, res);
 
   const core::Interval hull = core::hull_of(honest_inputs(cfg));
 
@@ -178,8 +181,10 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend,
   backend.set_trace(cfg.trace);
   stage(cfg, trace_fn, backend, view_fn, substitute);
 
-  const exec::ExecResult res = backend.run(exec_options(cfg));
-  return finalize(cfg, res, res.metrics, trace, views);
+  exec::ExecResult res = backend.run(exec_options(cfg));
+  VectorRunReport rep = finalize(cfg, res, res.metrics, trace, views);
+  rep.metrics = std::move(res.metrics);
+  return rep;
 }
 
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
@@ -189,7 +194,7 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
   const auto n = cfg.params.n;
   VectorRunReport rep;
   rep.outputs = res.vector_outputs;
-  finalize_common(rep, res, metrics);
+  finalize_common(rep, res);
 
   // Box validity: the bounding box of the honest inputs.  Byzantine
   // laundering gives the box, not the convex hull — see geom/geom.hpp.
@@ -233,25 +238,35 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
 
   // View overlap between correct parties' frozen views.  Entries match when
   // origin and value agree bitwise — under the equalized collect two
-  // matching entries really are the same RB delivery.
+  // matching entries really are the same RB delivery.  Each round indexes
+  // every correct view by origin once (origins are party ids, below n; the
+  // first entry of an origin is the one that counts), so a pair of views
+  // compares in one pass over the first.
   rep.view_overlap_min = n;
+  std::vector<const std::vector<core::CollectEntry>*> correct_views;
+  std::vector<const std::vector<double>*> by_origin;  // [view * n + origin]
   for (Round round = 0; round < views.rounds(); ++round) {
-    std::vector<const std::vector<core::CollectEntry>*> correct_views;
+    correct_views.clear();
     for (ProcessId p = 0; p < n; ++p) {
       if (res.correct[p] && views.has(round, p)) {
         correct_views.push_back(&views.at(round, p));
+      }
+    }
+    by_origin.assign(correct_views.size() * n, nullptr);
+    for (std::size_t v = 0; v < correct_views.size(); ++v) {
+      for (const auto& e : *correct_views[v]) {
+        if (e.origin < n && by_origin[v * n + e.origin] == nullptr) {
+          by_origin[v * n + e.origin] = &e.value;
+        }
       }
     }
     for (std::size_t a = 0; a < correct_views.size(); ++a) {
       for (std::size_t b = a + 1; b < correct_views.size(); ++b) {
         std::uint32_t common = 0;
         for (const auto& ea : *correct_views[a]) {
-          for (const auto& eb : *correct_views[b]) {
-            if (ea.origin == eb.origin) {
-              if (ea.value == eb.value) ++common;
-              break;
-            }
-          }
+          if (ea.origin >= n) continue;
+          const std::vector<double>* vb = by_origin[b * n + ea.origin];
+          if (vb != nullptr && *vb == ea.value) ++common;
         }
         rep.view_overlap_measured = true;
         rep.view_overlap_min = std::min(rep.view_overlap_min, common);
@@ -263,7 +278,7 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
   if (!rep.view_overlap_measured) rep.view_overlap_min = 0;
 
   // Phase attribution from the transport's per-tag counters.
-  const auto& tags = rep.metrics.sent_by_tag;
+  const auto& tags = metrics.sent_by_tag;
   const auto tag = [&tags](core::MsgType t) {
     return tags[static_cast<std::size_t>(t)];
   };

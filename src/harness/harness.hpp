@@ -93,12 +93,14 @@ VectorRunReport run(const VectorRunConfig& cfg);
 // report (validity hull, eps-agreement, spread trace, phase attribution).
 // execute() is stage + run + finalize; harness::Session reuses finalize on
 // per-instance synthetic ExecResults so multiplexed verdicts are computed by
-// the exact same code as single-instance ones.  The report's metrics come
-// from `metrics`, not res.metrics, so a session copies its transport's
-// metrics once per report instead of into every synthetic ExecResult first.
+// the exact same code as single-instance ones.  finalize leaves the report's
+// metrics empty: execute() moves res.metrics in afterwards, and a session
+// keeps its transport's metrics once, in SessionReport.  The vector overload
+// reads `metrics` (not res.metrics, which a session's synthetic results
+// leave empty) for the per-phase msgs_* counts.
 
 RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
-                   const net::Metrics& metrics, const RoundTrace<double>& trace);
+                   const RoundTrace<double>& trace);
 VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res,
                          const net::Metrics& metrics,
                          const RoundTrace<std::vector<double>>& trace,

@@ -110,6 +110,9 @@ struct RunReportBase {
   net::RunStatus status = net::RunStatus::kQueueDrained;
   bool all_output = false;
   double finish_time = 0.0;             ///< max output time (Delta units on sim)
+  /// The run's transport metrics, moved in by harness::execute.  A
+  /// harness::Session's per-instance reports leave them default-constructed:
+  /// the transport is shared, and SessionReport::metrics holds its one copy.
   net::Metrics metrics;
   /// Executor telemetry (worker claims/steals/idle spins on the threaded
   /// backend).  Only `workers` is set on the simulator and socket backends.

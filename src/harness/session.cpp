@@ -1,5 +1,6 @@
 #include "harness/session.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <limits>
@@ -22,7 +23,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// threaded runtime.
 struct DecideClock {
   std::function<double()> now;
-  std::vector<std::vector<double>> time;  // [instance][party]; +inf = undecided
+  std::uint32_t n = 0;
+  std::vector<double> time;  // [instance * n + party]; +inf = undecided
 };
 
 /// One wire party serving K agreement instances: demultiplexes incoming
@@ -68,7 +70,7 @@ class RouterProcess final : public net::Process {
     if (decided_[i] || !subs_[i]->has_output()) return;
     decided_[i] = true;
     const double t = clock_->now();
-    clock_->time[i][self_] = t;
+    clock_->time[i * clock_->n + self_] = t;
     if (trace_) trace_->record(obs::EventKind::kInstanceFinish, self_, i, -1, t, t);
   }
 
@@ -115,7 +117,13 @@ SessionReport Session::run() {
                 "all session instances must share scheduler and seed");
     APXA_ENSURE(c.backend == shared.backend,
                 "all session instances must share the backend");
-    APXA_ENSURE(byzantine_ids(c) == byz,
+    // validate() rejects duplicate ids, so equal counts and inclusion mean
+    // equal sets.
+    APXA_ENSURE(c.byz.size() == byz.size() &&
+                    std::all_of(c.byz.begin(), c.byz.end(),
+                                [&byz](const adversary::ByzSpec& b) {
+                                  return byz.contains(b.who);
+                                }),
                 "all session instances must share the byzantine id set");
     APXA_ENSURE(c.crashes.empty(),
                 "per-instance crash plans are not multiplexable; use "
@@ -176,7 +184,8 @@ SessionReport Session::run() {
   }
 
   DecideClock clock;
-  clock.time.assign(K, std::vector<double>(n, kInf));
+  clock.n = n;
+  clock.time.assign(K * n, kInf);
 
   const Instance& front = instances_.front();
   const auto backend = make_backend(
@@ -216,27 +225,34 @@ SessionReport Session::run() {
   for (ProcessId b : byz) backend->mark_byzantine(b);
   adversary::install(*backend, opts_.crashes);
 
-  const exec::ExecResult res = backend->run(exec_options(shared));
+  exec::ExecResult res = backend->run(exec_options(shared));
 
   SessionReport out;
   out.status = res.status;
-  out.metrics = res.metrics;
-  out.msgs_per_packet = res.metrics.msgs_per_packet();
+  out.metrics = std::move(res.metrics);
+  out.msgs_per_packet = out.metrics.msgs_per_packet();
   out.exec_stats = res.exec_stats;
   out.scalar_reports.resize(K);
   out.vector_reports.resize(K);
   out.finish_times.assign(K, kInf);
   out.all_output = true;
 
+  // One synthetic ExecResult, refilled per instance with that instance's
+  // outputs and decide times next to the session's status and correctness
+  // flags, is fed to the same finalize() as single-instance runs.  Its
+  // metrics stay empty and so do the reports': the session's transport
+  // metrics are kept once, in out.metrics, which the vector finalize reads
+  // for its per-phase counts.
+  exec::ExecResult ri;
+  ri.status = res.status;
+  ri.correct = res.correct;
+  ri.exec_stats = res.exec_stats;
   for (std::size_t i = 0; i < K; ++i) {
-    // Synthetic per-instance ExecResult: this instance's outputs and decide
-    // times and the session's correctness flags, fed to the same finalize()
-    // as single-instance runs together with the session's transport metrics.
-    exec::ExecResult ri;
-    ri.status = res.status;
-    ri.correct = res.correct;
-    ri.output_times = clock.time[i];
-    ri.exec_stats = res.exec_stats;
+    const bool scalar = instances_[i].scalar.has_value();
+    const auto decided = clock.time.begin() + static_cast<std::ptrdiff_t>(i * n);
+    ri.output_times.assign(decided, decided + n);
+    ri.outputs.clear();
+    ri.vector_outputs.clear();
     ri.all_correct_output = true;
     for (ProcessId p = 0; p < n; ++p) {
       if (!res.correct[p]) continue;
@@ -245,21 +261,24 @@ SessionReport Session::run() {
         ri.all_correct_output = false;
         continue;
       }
-      if (const auto y = sub.output()) ri.outputs.push_back(*y);
-      if (auto vy = sub.vector_output()) {
+      if (scalar) {
+        if (const auto y = sub.output()) ri.outputs.push_back(*y);
+      } else if (auto vy = sub.vector_output()) {
         ri.vector_outputs.push_back(std::move(*vy));
       }
     }
     if (!ri.all_correct_output) out.all_output = false;
-    if (instances_[i].scalar) {
-      RunReport r = finalize(*instances_[i].scalar, ri, res.metrics, straces[i]);
-      out.finish_times[i] = r.finish_time;
-      out.scalar_reports[i] = std::move(r);
+    if (scalar) {
+      out.finish_times[i] =
+          out.scalar_reports[i]
+              .emplace(finalize(*instances_[i].scalar, ri, straces[i]))
+              .finish_time;
     } else {
-      VectorRunReport r =
-          finalize(*instances_[i].vec, ri, res.metrics, vtraces[i], viewtraces[i]);
-      out.finish_times[i] = r.finish_time;
-      out.vector_reports[i] = std::move(r);
+      out.finish_times[i] =
+          out.vector_reports[i]
+              .emplace(finalize(*instances_[i].vec, ri, out.metrics, vtraces[i],
+                                viewtraces[i]))
+              .finish_time;
     }
   }
   return out;

@@ -13,8 +13,10 @@
 //
 // Verdicts: per-instance reports are produced by the SAME finalize() code as
 // single-instance harness::run, fed a per-instance synthetic ExecResult
-// (per-instance outputs, decide times and traces; session-wide transport
-// metrics — per-instance message counts live in metrics.sent_by_instance).
+// (per-instance outputs, decide times and traces).  The transport metrics
+// are session-wide and kept once, in SessionReport::metrics — per-instance
+// message counts live in its sent_by_instance — so a per-instance report's
+// own metrics stay default-constructed.
 //
 // Every session runs the router path, size 1 included: a size-1 session
 // reaches the same outputs, traces and logical message counts as plain
@@ -63,7 +65,10 @@ struct SessionReport {
   /// True when every instance's correct parties all decided.
   bool all_output = false;
   /// Per-instance reports in add() order; exactly one slot engaged per
-  /// instance depending on its config type.
+  /// instance depending on its config type.  Their `metrics` are left
+  /// default-constructed (all zero): the session's transport is shared, so
+  /// its counts are reported once, in `metrics` below.  A vector report's
+  /// msgs_* phase counts are read from those session-wide per-tag counts.
   std::vector<std::optional<RunReport>> scalar_reports;
   std::vector<std::optional<VectorRunReport>> vector_reports;
   /// Per-instance finish time: max decide time over that instance's correct
@@ -71,7 +76,7 @@ struct SessionReport {
   /// instance did not complete.
   std::vector<double> finish_times;
   /// Session-wide transport metrics (logical messages, packets, per-instance
-  /// counts in sent_by_instance).
+  /// counts in sent_by_instance): the one copy a session keeps.
   net::Metrics metrics;
   /// Batching efficiency: metrics.msgs_per_packet().
   double msgs_per_packet = 0.0;

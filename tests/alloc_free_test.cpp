@@ -3,7 +3,9 @@
 // collector allocate nothing, each encoder allocates exactly its output
 // buffer once, and a multicast — enveloped or not — allocates its one shared
 // buffer whatever the number of receivers.  Frees are counted too, so a
-// byzantine message storm can be shown to leave nothing behind.
+// byzantine message storm can be shown to leave nothing behind.  Bytes are
+// counted as well, to show that a session's bookkeeping per instance does not
+// grow with the number of instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "core/codec.hpp"
 #include "core/multidim.hpp"
 #include "core/round_engine.hpp"
+#include "harness/session.hpp"
 #include "net/envelope.hpp"
 #include "net/metrics.hpp"
 #include "net/outbox.hpp"
@@ -28,9 +31,13 @@ namespace {
 bool g_counting = false;
 std::size_t g_allocs = 0;
 std::size_t g_frees = 0;
+std::size_t g_bytes = 0;
 
 void* counted_alloc(std::size_t size) {
-  if (g_counting) ++g_allocs;
+  if (g_counting) {
+    ++g_allocs;
+    g_bytes += size;
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
@@ -45,6 +52,7 @@ template <class F>
 void run_counted(F&& fn) {
   g_allocs = 0;
   g_frees = 0;
+  g_bytes = 0;
   g_counting = true;
   fn();
   g_counting = false;
@@ -55,6 +63,13 @@ template <class F>
 std::size_t allocations(F&& fn) {
   run_counted(fn);
   return g_allocs;
+}
+
+/// Bytes allocated by `fn()`, whether freed or not.
+template <class F>
+std::size_t allocated_bytes(F&& fn) {
+  run_counted(fn);
+  return g_bytes;
 }
 
 /// Allocations made by `fn()` and not freed by it.
@@ -303,6 +318,39 @@ TEST(AllocFree, ForgedRoundStormAllocatesNothing) {
             0u);
   EXPECT_TRUE(fixed.contributors(0).empty());
   EXPECT_TRUE(live.contributors(1000).empty());
+}
+
+/// Bytes that run() of a batched simulated session of K small scalar
+/// instances allocates (its report's included), per instance.
+double session_bytes_per_instance(std::size_t k) {
+  harness::SessionOptions opts;
+  opts.batching = 8;
+  harness::Session session(opts);
+  for (std::size_t i = 0; i < k; ++i) {
+    harness::RunConfig cfg;
+    cfg.params = {4, 1};
+    cfg.fixed_rounds = 3;
+    cfg.inputs = harness::linear_inputs(4, 0.0, 1.0 + 0.001 * static_cast<double>(i));
+    session.add(std::move(cfg));
+  }
+  bool all_output = false;
+  const std::size_t bytes = allocated_bytes([&] {
+    const harness::SessionReport rep = session.run();
+    all_output = rep.all_output;
+  });
+  EXPECT_TRUE(all_output) << "K = " << k;
+  return static_cast<double>(bytes) / static_cast<double>(k);
+}
+
+TEST(AllocFree, SessionBytesPerInstanceDoNotGrowWithK) {
+  // Each instance owns its processes, traces and report; the transport's
+  // metrics, whose per-instance table holds K counts, are kept once per
+  // session.  A copy of them in every report would cost K * 8 bytes per
+  // instance, which at K = 1024 alone exceeds all the rest.
+  const double small = session_bytes_per_instance(64);
+  const double large = session_bytes_per_instance(1024);
+  EXPECT_LE(large, 1.1 * small) << "K = 64: " << small << " B/instance, K = 1024: "
+                                << large << " B/instance";
 }
 
 class NullContext final : public net::Context {

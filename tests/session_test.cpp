@@ -8,6 +8,8 @@
 //  - batching changes packets, never logical counts or verdicts, and packs
 //    >= 2 msgs/packet at service scale (the CI gate's invariant);
 //  - session-level crash budgets count LOGICAL sends across instances;
+//  - the session keeps its transport metrics once: per-instance reports
+//    carry none;
 //  - the threads running different parties record round traces without a
 //    lock, and no record is lost;
 //  - the multiplexing constraints are enforced.
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "core/async_byz.hpp"
+#include "core/codec.hpp"
 #include "harness/harness.hpp"
 #include "harness/session.hpp"
 
@@ -60,8 +63,9 @@ VectorRunConfig vector_cfg(std::uint32_t n, std::uint32_t t, Round rounds) {
   return cfg;
 }
 
-/// Full bitwise comparison of two scalar reports (verdicts, traces, logical
-/// transport counters).
+/// Full bitwise comparison of two scalar reports (verdicts, traces).  A
+/// session's reports carry no metrics; compare the sessions' with
+/// expect_metrics_equal.
 void expect_scalar_equal(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.all_output, b.all_output);
@@ -73,12 +77,16 @@ void expect_scalar_equal(const RunReport& a, const RunReport& b) {
   EXPECT_EQ(a.spread_by_round, b.spread_by_round);
   EXPECT_EQ(a.round_factors, b.round_factors);
   EXPECT_EQ(a.max_round_reached, b.max_round_reached);
-  EXPECT_EQ(a.metrics.messages_sent, b.metrics.messages_sent);
-  EXPECT_EQ(a.metrics.packets_sent, b.metrics.packets_sent);
-  EXPECT_EQ(a.metrics.payload_bytes, b.metrics.payload_bytes);
-  EXPECT_EQ(a.metrics.sent_by, b.metrics.sent_by);
-  EXPECT_EQ(a.metrics.sent_by_round, b.metrics.sent_by_round);
-  EXPECT_EQ(a.metrics.sent_by_instance, b.metrics.sent_by_instance);
+}
+
+/// Bitwise comparison of two runs' logical transport counters.
+void expect_metrics_equal(const net::Metrics& a, const net::Metrics& b) {
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.packets_sent, b.packets_sent);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.sent_by, b.sent_by);
+  EXPECT_EQ(a.sent_by_round, b.sent_by_round);
+  EXPECT_EQ(a.sent_by_instance, b.sent_by_instance);
 }
 
 TEST(Session, SizeOneMatchesPlainRunVerbatim) {
@@ -106,19 +114,19 @@ TEST(Session, SizeOneMatchesPlainRunVerbatim) {
   EXPECT_EQ(r.round_factors, plain.round_factors);
   EXPECT_EQ(r.max_round_reached, plain.max_round_reached);
   EXPECT_EQ(r.finish_time, plain.finish_time);
-  EXPECT_EQ(r.metrics.messages_sent, plain.metrics.messages_sent);
-  EXPECT_EQ(r.metrics.packets_sent, plain.metrics.packets_sent);
-  EXPECT_EQ(r.metrics.sent_by, plain.metrics.sent_by);
-  EXPECT_EQ(r.metrics.sent_by_round, plain.metrics.sent_by_round);
+  EXPECT_EQ(rep.metrics.messages_sent, plain.metrics.messages_sent);
+  EXPECT_EQ(rep.metrics.packets_sent, plain.metrics.packets_sent);
+  EXPECT_EQ(rep.metrics.sent_by, plain.metrics.sent_by);
+  EXPECT_EQ(rep.metrics.sent_by_round, plain.metrics.sent_by_round);
   EXPECT_EQ(rep.all_output, plain.all_output);
   EXPECT_EQ(rep.finish_times, std::vector<double>{plain.finish_time});
   // Unbatched, every message is one packet: efficiency is exactly 1.
   EXPECT_EQ(rep.msgs_per_packet, 1.0);
   // Envelope framing costs wire bytes but no extra packets or messages.
-  EXPECT_GT(r.metrics.payload_bytes, plain.metrics.payload_bytes);
+  EXPECT_GT(rep.metrics.payload_bytes, plain.metrics.payload_bytes);
   // All traffic was attributed to instance 0.
-  ASSERT_EQ(r.metrics.sent_by_instance.size(), 1u);
-  EXPECT_EQ(r.metrics.sent_by_instance[0], r.metrics.messages_sent);
+  ASSERT_EQ(rep.metrics.sent_by_instance.size(), 1u);
+  EXPECT_EQ(rep.metrics.sent_by_instance[0], rep.metrics.messages_sent);
 }
 
 TEST(Session, SizeOneVectorMatchesPlainRun) {
@@ -137,7 +145,52 @@ TEST(Session, SizeOneVectorMatchesPlainRun) {
   EXPECT_EQ(r.worst_linf_gap, plain.worst_linf_gap);
   EXPECT_EQ(r.linf_spread_by_round, plain.linf_spread_by_round);
   EXPECT_EQ(r.finish_time, plain.finish_time);
-  EXPECT_EQ(r.metrics.messages_sent, plain.metrics.messages_sent);
+  EXPECT_EQ(rep.metrics.messages_sent, plain.metrics.messages_sent);
+}
+
+TEST(Session, InstanceReportsLeaveMetricsToTheSession) {
+  // The transport is shared, so its metrics are reported once, by the
+  // session: every per-instance report's metrics stay default-constructed,
+  // the session attributes traffic to each of its K instances, and a vector
+  // report's per-phase counts are the session's per-tag counts.
+  VectorRunConfig rb = vector_cfg(5, 1, 3);
+  rb.protocol = ProtocolKind::kVectorConvexRB;
+  Session s;
+  s.add(scalar_cfg(5, 1, 0.0, 1.0, 3));
+  s.add(vector_cfg(5, 1, 3));
+  s.add(rb);
+  const SessionReport rep = s.run();
+  ASSERT_TRUE(rep.all_output);
+  ASSERT_TRUE(rep.scalar_reports[0].has_value());
+  EXPECT_EQ(rep.scalar_reports[0]->metrics.messages_sent, 0u);
+  EXPECT_TRUE(rep.scalar_reports[0]->metrics.sent_by_instance.empty());
+  ASSERT_EQ(rep.metrics.sent_by_instance.size(), 3u);
+
+  const auto& tags = rep.metrics.sent_by_tag;
+  const auto tag = [&tags](core::MsgType t) {
+    return tags[static_cast<std::size_t>(t)];
+  };
+  for (const std::size_t i : {1u, 2u}) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(rep.vector_reports[i].has_value());
+    const VectorRunReport& r = *rep.vector_reports[i];
+    EXPECT_EQ(r.metrics.messages_sent, 0u);
+    EXPECT_TRUE(r.metrics.sent_by_instance.empty());
+    EXPECT_EQ(r.msgs_value,
+              tag(core::MsgType::kRound) + tag(core::MsgType::kVecRound));
+    EXPECT_EQ(r.msgs_rb_send,
+              tag(core::MsgType::kRbSend) + tag(core::MsgType::kRbVecSend));
+    EXPECT_EQ(r.msgs_rb_echo,
+              tag(core::MsgType::kRbEcho) + tag(core::MsgType::kRbVecEcho));
+    EXPECT_EQ(r.msgs_rb_ready,
+              tag(core::MsgType::kRbReady) + tag(core::MsgType::kRbVecReady));
+    EXPECT_EQ(r.msgs_report, tag(core::MsgType::kReport));
+  }
+  // The mix sends value, reliable-broadcast and witness traffic, so the
+  // equalities above compare nonzero counts.
+  EXPECT_GT(rep.vector_reports[1]->msgs_value, 0u);
+  EXPECT_GT(rep.vector_reports[1]->msgs_rb_echo, 0u);
+  EXPECT_GT(rep.vector_reports[1]->msgs_report, 0u);
 }
 
 TEST(Session, RepeatRunsBitIdentical) {
@@ -157,8 +210,7 @@ TEST(Session, RepeatRunsBitIdentical) {
   const SessionReport a = run_once();
   const SessionReport b = run_once();
   EXPECT_EQ(a.finish_times, b.finish_times);
-  EXPECT_EQ(a.metrics.messages_sent, b.metrics.messages_sent);
-  EXPECT_EQ(a.metrics.packets_sent, b.metrics.packets_sent);
+  expect_metrics_equal(a.metrics, b.metrics);
   for (std::size_t i = 0; i < 6; ++i) {
     ASSERT_TRUE(a.scalar_reports[i].has_value());
     ASSERT_TRUE(b.scalar_reports[i].has_value());
@@ -468,6 +520,28 @@ TEST(Session, ValidatesMultiplexingConstraints) {
     other.byz.push_back(b);
     s.add(other);
     EXPECT_THROW(s.run(), std::invalid_argument);
+  }
+  // Byzantine ids compare as sets: the same ids listed in another order
+  // share a session, as many other ids do not.
+  {
+    const auto byz_cfg = [](std::vector<ProcessId> ids) {
+      RunConfig cfg = scalar_cfg(11, 2, 0.0, 1.0, 2);
+      cfg.protocol = ProtocolKind::kByzRound;
+      for (const ProcessId who : ids) {
+        adversary::ByzSpec b;
+        b.who = who;
+        cfg.byz.push_back(b);
+      }
+      return cfg;
+    };
+    Session same;
+    same.add(byz_cfg({9, 10}));
+    same.add(byz_cfg({10, 9}));
+    EXPECT_TRUE(same.run().all_output);
+    Session other;
+    other.add(byz_cfg({9, 10}));
+    other.add(byz_cfg({8, 10}));
+    EXPECT_THROW(other.run(), std::invalid_argument);
   }
   // Session faults respect the budget t.
   {
