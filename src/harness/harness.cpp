@@ -239,9 +239,10 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
   // View overlap between correct parties' frozen views.  Entries match when
   // origin and value agree bitwise — under the equalized collect two
   // matching entries really are the same RB delivery.  Each round indexes
-  // every correct view by origin once (origins are party ids, below n; the
-  // first entry of an origin is the one that counts), so a pair of views
-  // compares in one pass over the first.
+  // every correct view by origin once (the first entry of an origin is the
+  // one that counts), so a pair of views compares in one pass over the
+  // first.  Origins are below n: the RB hub drops any other, and the plain
+  // collect takes its origins from transport sender ids.
   rep.view_overlap_min = n;
   std::vector<const std::vector<core::CollectEntry>*> correct_views;
   std::vector<const std::vector<double>*> by_origin;  // [view * n + origin]
@@ -255,7 +256,8 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
     by_origin.assign(correct_views.size() * n, nullptr);
     for (std::size_t v = 0; v < correct_views.size(); ++v) {
       for (const auto& e : *correct_views[v]) {
-        if (e.origin < n && by_origin[v * n + e.origin] == nullptr) {
+        APXA_ENSURE(e.origin < n, "frozen view entry has no party origin");
+        if (by_origin[v * n + e.origin] == nullptr) {
           by_origin[v * n + e.origin] = &e.value;
         }
       }
@@ -264,7 +266,6 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
       for (std::size_t b = a + 1; b < correct_views.size(); ++b) {
         std::uint32_t common = 0;
         for (const auto& ea : *correct_views[a]) {
-          if (ea.origin >= n) continue;
           const std::vector<double>* vb = by_origin[b * n + ea.origin];
           if (vb != nullptr && *vb == ea.value) ++common;
         }

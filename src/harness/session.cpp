@@ -1,6 +1,5 @@
 #include "harness/session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <limits>
@@ -70,7 +69,7 @@ class RouterProcess final : public net::Process {
     if (decided_[i] || !subs_[i]->has_output()) return;
     decided_[i] = true;
     const double t = clock_->now();
-    clock_->time[i * clock_->n + self_] = t;
+    clock_->time[static_cast<std::size_t>(i) * clock_->n + self_] = t;
     if (trace_) trace_->record(obs::EventKind::kInstanceFinish, self_, i, -1, t, t);
   }
 
@@ -117,13 +116,7 @@ SessionReport Session::run() {
                 "all session instances must share scheduler and seed");
     APXA_ENSURE(c.backend == shared.backend,
                 "all session instances must share the backend");
-    // validate() rejects duplicate ids, so equal counts and inclusion mean
-    // equal sets.
-    APXA_ENSURE(c.byz.size() == byz.size() &&
-                    std::all_of(c.byz.begin(), c.byz.end(),
-                                [&byz](const adversary::ByzSpec& b) {
-                                  return byz.contains(b.who);
-                                }),
+    APXA_ENSURE(byzantine_ids(c) == byz,
                 "all session instances must share the byzantine id set");
     APXA_ENSURE(c.crashes.empty(),
                 "per-instance crash plans are not multiplexable; use "

@@ -34,13 +34,10 @@ void Metrics::merge(const Metrics& o) {
   retransmit_bytes += o.retransmit_bytes;
   add_counts(sent_by, o.sent_by);
   add_counts(bytes_by, o.bytes_by);
-  for (std::size_t t = 0; t <= kMaxTag; ++t) sent_by_tag[t] += o.sent_by_tag[t];
-  if (!o.latency_by_tag.empty()) {
-    latency_by_tag.resize(kMaxTag + 1);
-    for (std::size_t t = 0; t <= kMaxTag; ++t) {
-      for (std::size_t b = 0; b < kLatencyBuckets; ++b) {
-        latency_by_tag[t][b] += o.latency_by_tag[t][b];
-      }
+  for (std::size_t t = 0; t <= kMaxTag; ++t) {
+    sent_by_tag[t] += o.sent_by_tag[t];
+    for (std::size_t b = 0; b < kLatencyBuckets; ++b) {
+      latency_by_tag[t][b] += o.latency_by_tag[t][b];
     }
   }
   add_counts(sent_by_round, o.sent_by_round);
@@ -66,7 +63,6 @@ void Metrics::note_delivery(std::span<const std::byte> payload, double latency) 
     if (latency * kLatencyBuckets == static_cast<double>(bucket)) --bucket;
     if (bucket >= kLatencyBuckets) bucket = kLatencyBuckets - 1;
   }
-  latency_by_tag.resize(kMaxTag + 1);
   for_each_frame(payload, [&](BytesView frame) {
     if (is_envelope(frame)) {
       const auto env = decode_envelope(frame);
@@ -81,13 +77,14 @@ void Metrics::note_delivery(std::span<const std::byte> payload, double latency) 
 }
 
 std::uint64_t Metrics::latency_samples(std::size_t tag) const {
-  if (tag >= latency_by_tag.size()) return 0;
+  if (tag > kMaxTag) return 0;
   std::uint64_t total = 0;
   for (const std::uint64_t c : latency_by_tag[tag]) total += c;
   return total;
 }
 
 double Metrics::latency_quantile(std::size_t tag, double q) const {
+  if (tag > kMaxTag) return 0.0;
   const std::uint64_t total = latency_samples(tag);
   if (total == 0) return 0.0;
   if (q < 0.0) q = 0.0;

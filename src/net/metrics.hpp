@@ -72,12 +72,10 @@ struct Metrics {
   /// wall-clock link latency in units of rt::kSocketLatencySpan.  The
   /// threaded runtime carries no send time and fills none.  It closes the
   /// observability gap between aggregate finish times and per-instance
-  /// decides — per-tag tail latency under a given scheduler.  Rows are
-  /// indexed by tag; the table is empty until the first note_delivery sizes
-  /// it to kMaxTag + 1 rows, so a Metrics that samples no latency (every
-  /// threaded run, every default-constructed report) carries no 4 KB table.
+  /// decides — per-tag tail latency under a given scheduler.
   static constexpr std::size_t kLatencyBuckets = 32;
-  std::vector<std::array<std::uint64_t, kLatencyBuckets>> latency_by_tag;
+  std::array<std::array<std::uint64_t, kLatencyBuckets>, kMaxTag + 1>
+      latency_by_tag{};
 
   void reset(std::uint32_t n) {
     *this = Metrics{};

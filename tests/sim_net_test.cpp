@@ -543,9 +543,6 @@ TEST(SimDoneLatch, MatchesGlobalConjunction) {
         }
         expect_same_metrics(a.metrics(), b.metrics());
         EXPECT_GT(a.metrics().messages_delivered, 0u);
-        // The simulator samples every delivery's latency, so the histograms
-        // compared above are allocated, not both empty.
-        EXPECT_EQ(a.metrics().latency_by_tag.size(), Metrics::kMaxTag + 1);
         EXPECT_LE(probes, cfg.params.n + a.metrics().messages_delivered);
       }
     }
